@@ -335,7 +335,8 @@ def _add_common(parser, tol=1e-10):
     parser.add_argument("--grid-n", dest="grid_n", type=int, default=4096)
     parser.add_argument("--window", type=float, default=20.0,
                         help="half width of the symmetric grid window")
-    parser.add_argument("--quad-order", dest="quad_order", type=int, default=16)
+    parser.add_argument("--quad-order", dest="quad_order", type=int, default=16,
+                        help="Gauss-Legendre nodes per q-panel (p is integrated exactly)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None)
     parser.add_argument("--report", default=None)

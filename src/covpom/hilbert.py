@@ -300,7 +300,8 @@ def make_state(spectral: Sequence[Tuple[float, Iterable[complex]]]) -> State:
     # positivity and unit trace hold by construction (convex combination of
     # orthonormal projectors); the full eigen-based validate stays available
     # but would cost O(dim^3) on large grids
-    op = sum(w * np.outer(v, v.conj()) for w, v in zip(weights, ortho))
+    basis = np.stack(ortho, axis=1)
+    op = (basis * weights) @ basis.conj().T
     if abs(np.trace(op).real - 1.0) > 1e-10:
         raise AssertionError("constructed state trace deviates from 1")
     return State(Operator(op), tuple((float(w), v) for w, v in zip(weights, ortho)))

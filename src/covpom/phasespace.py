@@ -13,24 +13,31 @@ Densities h(q, p) = tr[S W(q,p) T W(q,p)*] / 2pi, cell effects
 G_T(Z) = (1/2pi) integral over Z of W T W*, their position/momentum margins,
 and the exact finite Weyl-Heisenberg system on Z_d are provided, with
 resolution-of-identity and covariance checks reporting explicit defects.
+
+W T W* has kernel sum_n w_n e^{ip(x-x')} phi_n(x-q) conj(phi_n(x'-q)), so the
+p-integral over [p_lo, p_hi) is exact, the Toeplitz S(x-x') with
+S(d) = (e^{i p_hi d} - e^{i p_lo d}) / (i d); only q is integrated by a
+composite Gauss-Legendre rule.  Then G_T(Z) = (dx/2pi) S o (B B*), with o the
+entrywise product and B the bank of weighted translates sqrt(w_n w_q) phi_n(. - q).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
-from scipy.signal import fftconvolve
+from scipy.linalg.blas import zgemv
+from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .grids import Grid1D, WaveFunction, symmetric_grid
+from .grids import Grid1D, WaveFunction
 from .hilbert import Effect, Operator, Outcome, PointCell, Pom, RectCell, State, make_state
 from .posmom import ProbMeasure1D, WindowLeakageError
 
 __all__ = [
-    "PhaseSpaceCell",
     "WeylApplied",
     "weyl_apply",
     "gaussian_wavefunction",
@@ -48,18 +55,9 @@ __all__ = [
     "finite_weyl_pom",
     "finite_weyl_unitaries",
     "finite_weyl_action",
-    "default_grid",
 ]
 
-PhaseSpaceCell = RectCell
-
-DEFAULT_N = 4096
 DEFAULT_HALF_WIDTH = 20.0
-
-
-def default_grid(n: int = DEFAULT_N, half_width: float = DEFAULT_HALF_WIDTH) -> Grid1D:
-    """The standard working grid: n points covering [-half_width, half_width)."""
-    return symmetric_grid(n, half_width)
 
 
 # --- states on the grid -----------------------------------------------------
@@ -95,17 +93,25 @@ def hermite_wavefunction(grid: Grid1D, k: int) -> WaveFunction:
     return WaveFunction(grid, h_cur).normalised()
 
 
-def state_from_wavefunctions(
-    pairs: Sequence[Tuple[float, WaveFunction]]
-) -> State:
-    """Mixed state from (weight, wave function) pairs, grid-embedded."""
+def state_from_wavefunctions(pairs: Sequence[Tuple[float, WaveFunction]]) -> State:
+    """Mixture sum_i w_i |psi_i><psi_i| of normalised wave functions, grid-embedded.
+
+    Components need not be orthogonal: the state is V V* with V = [sqrt(w_i) psi_i],
+    and the thin SVD V = U diag(s) Y* gives its spectral data (s^2, U).
+    """
     grids = {psi.grid for _, psi in pairs}
     if len(grids) != 1:
         raise ValueError("wave functions must share one grid")
     grid = grids.pop()
-    return make_state(
-        [(w, psi.values * np.sqrt(grid.dx)) for w, psi in pairs]
-    )
+    weights = np.array([float(w) for w, _ in pairs])
+    if np.any(weights < 0) or weights.sum() <= 0:
+        raise ValueError("mixture weights must be nonnegative with positive sum")
+    factor = np.stack(
+        [psi.normalised().values * np.sqrt(grid.dx) for _, psi in pairs], axis=1
+    ) * np.sqrt(weights / weights.sum())
+    vecs, sing, _ = np.linalg.svd(factor, full_matrices=False)
+    keep = sing > sing[0] * max(factor.shape) * np.finfo(float).eps
+    return make_state([(s**2, v) for s, v in zip(sing[keep], vecs.T[keep])])
 
 
 def spectral_wavefunctions(state: State, grid: Grid1D) -> list[Tuple[float, np.ndarray]]:
@@ -150,15 +156,60 @@ def weyl_apply(q: float, p: float, psi: WaveFunction) -> WeylApplied:
     return WeylApplied(WaveFunction(grid, vals), q_s, p_s, snap)
 
 
-def _smooth_translate(values: np.ndarray, grid: Grid1D, q: float) -> np.ndarray:
-    """Unitary band-limited translation: Fourier phases, analytic in q."""
+def _translates(vecs: np.ndarray, grid: Grid1D, qs: np.ndarray) -> np.ndarray:
+    """Fourier translates phi(. - q), analytic in q: shape (len(qs), len(vecs), n)."""
     k = 2 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
-    return np.fft.ifft(np.fft.fft(values) * np.exp(-1j * k * q))
+    spectra = np.fft.fft(vecs, axis=-1)
+    return np.fft.ifft(spectra[None] * np.exp(-1j * np.outer(qs, k))[:, None], axis=-1)
 
 
-def _weyl_smooth(values: np.ndarray, grid: Grid1D, q: float, p: float) -> np.ndarray:
-    x = grid.positions()
-    return np.exp(1j * p * (x - q / 2)) * _smooth_translate(values, grid, q)
+# --- the phase-space kernel --------------------------------------------------
+
+# Entries per block of kernel rows (4 MB of complex), so no n x n temporary.
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _spectral_pairs(state: State, grid: Grid1D):
+    pairs = spectral_wavefunctions(state, grid)
+    return np.array([w for w, _ in pairs]), np.stack([v for _, v in pairs])
+
+
+def _reflect_samples(values: np.ndarray) -> np.ndarray:
+    """Samples of x -> f(-x) on a symmetric periodic grid (index 0 fixed)."""
+    return np.roll(values[::-1], 1)
+
+
+def _gl_panels(lo: float, hi: float, order: int, max_panel: float):
+    """Composite Gauss-Legendre nodes/weights with panels of bounded width."""
+    if order < 2:
+        raise ValueError("quadrature order must be at least 2")
+    xs, ws = leggauss(order)
+    edges = np.linspace(lo, hi, max(1, int(np.ceil((hi - lo) / max_panel))) + 1)
+    mid, half = 0.5 * (edges[:-1] + edges[1:])[:, None], 0.5 * np.diff(edges)[:, None]
+    return (mid + half * xs).ravel(), (half * ws).ravel()
+
+
+def _kernel_rows(
+    t_state: State, cell: RectCell, grid: Grid1D, order: int, max_panel: float
+) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """Yield (i0, i1, rows [i0, i1) of K = S o (B B*)), so G_T(cell) = (dx/2pi) K.
+
+    B is the n x (r K_q) bank of weighted translates; the Toeplitz S is kept
+    as S(m dx), m = -(n-1) .. n-1, and gathered per block by a strided view.
+    """
+    n = grid.n
+    q_nodes, q_w = _gl_panels(cell.q_lo, cell.q_hi, order, max_panel)
+    tw, tv = _spectral_pairs(t_state, grid)
+    scale = np.sqrt(np.outer(q_w, tw))[:, :, None]
+    bank_h = (_translates(tv, grid, q_nodes) * scale).reshape(-1, n).conj()  # B*
+    d = np.arange(1 - n, n) * grid.dx
+    width = cell.p_hi - cell.p_lo
+    symbol = width * np.exp(0.5j * (cell.p_hi + cell.p_lo) * d) * np.sinc(0.5 * width * d / np.pi)
+    toeplitz = sliding_window_view(symbol[::-1], n)  # row i of S is toeplitz[n - 1 - i]
+    step = max(1, _BLOCK_ENTRIES // n)
+    for i0 in range(0, n, step):
+        i1 = min(i0 + step, n)
+        yield i0, i1, (bank_h[:, i0:i1].conj().T @ bank_h) * toeplitz[n - i1 : n - i0][::-1]
 
 
 # --- phase-space density -----------------------------------------------------
@@ -172,42 +223,30 @@ class DensityResult:
     leakage_bound: float
 
 
-def _spectral_pairs(state: State, grid: Grid1D):
-    pairs = spectral_wavefunctions(state, grid)
-    weights = np.array([w for w, _ in pairs])
-    vecs = np.stack([v for _, v in pairs])
-    return weights, vecs
-
-
 def _marginal_leakage(
     t_state: State, s_state: State, grid: Grid1D,
     q_window: Tuple[float, float], p_window: Tuple[float, float],
 ) -> float:
-    """Union bound on the probability mass outside the requested window."""
+    """Union bound on the probability mass outside the requested window.
+
+    Each margin of the joint observable is |S|^2 convolved with the reflected
+    |T|^2, a linear convolution done by zero-padded FFT.
+    """
     tw, tv = _spectral_pairs(t_state, grid)
     sw, sv = _spectral_pairs(s_state, grid)
-    x = grid.positions()
-    p = grid.momenta()
-
-    def outside(density, axis, window, step):
-        total = density.sum() * step
-        inside = density[(axis >= window[0]) & (axis <= window[1])].sum() * step
-        return max(total - inside, 0.0)
-
-    e_t = (tw[:, None] * np.abs(np.roll(tv[:, ::-1], 1, axis=1)) ** 2).sum(axis=0)
-    mu_s = (sw[:, None] * np.abs(sv) ** 2).sum(axis=0)
-    conv_q = fftconvolve(mu_s, e_t) * grid.dx
-    axis_q = np.linspace(2 * x[0], 2 * x[-1], conv_q.size)
-    leak_q = outside(conv_q, axis_q, q_window, grid.dx)
-
-    tv_hat = np.stack([grid.to_momentum(v) for v in tv])
-    sv_hat = np.stack([grid.to_momentum(v) for v in sv])
-    f_t = (tw[:, None] * np.abs(np.roll(tv_hat[:, ::-1], 1, axis=1)) ** 2).sum(axis=0)
-    mu_s_hat = (sw[:, None] * np.abs(sv_hat) ** 2).sum(axis=0)
-    conv_p = fftconvolve(mu_s_hat, f_t) * grid.dp
-    axis_p = np.linspace(2 * p[0], 2 * p[-1], conv_p.size)
-    leak_p = outside(conv_p, axis_p, p_window, grid.dp)
-    return float(leak_q + leak_p)
+    size = 2 * grid.n - 1
+    leak = 0.0
+    for t_vecs, s_vecs, axis, window, step in (
+        (tv, sv, grid.positions(), q_window, grid.dx),
+        (grid.to_momentum(tv), grid.to_momentum(sv), grid.momenta(), p_window, grid.dp),
+    ):
+        e_t = _reflect_samples(tw @ np.abs(t_vecs) ** 2)
+        mu_s = sw @ np.abs(s_vecs) ** 2
+        conv = np.fft.irfft(np.fft.rfft(mu_s, size) * np.fft.rfft(e_t, size), size) * step
+        full = np.linspace(2 * axis[0], 2 * axis[-1], size)
+        inside = conv[(full >= window[0]) & (full <= window[1])].sum() * step
+        leak += max(conv.sum() * step - inside, 0.0)
+    return float(leak)
 
 
 def phase_space_density(
@@ -224,48 +263,25 @@ def phase_space_density(
     the probability mass of the joint observable outside the sampled window
     is reported; exceeding ``max_leakage`` raises WindowLeakageError.  Pass
     ``max_leakage=None`` for point probes that do not claim window coverage.
+    All overlaps <s_m, W(q,p) phi_n> come from one product with exp(i x p);
+    the phase exp(-i p q/2) of W drops out of |.|^2.
     """
     qs = np.asarray(qs, dtype=float)
     ps = np.asarray(ps, dtype=float)
     tw, tv = _spectral_pairs(t_state, grid)
     sw, sv = _spectral_pairs(s_state, grid)
-    x = grid.positions()
-    out = np.zeros((qs.size, ps.size))
-    for iq, q in enumerate(qs):
-        phase = np.exp(1j * np.outer(x - q / 2, ps))
-        for wn, phi in zip(tw, tv):
-            shifted = _smooth_translate(phi, grid, q)
-            overlaps = (sv.conj() * shifted[None, :]) @ phase * grid.dx
-            out[iq] += wn * (sw @ (np.abs(overlaps) ** 2))
-    out /= 2 * np.pi
-    leak = _marginal_leakage(
-        t_state, s_state, grid,
-        (qs.min(), qs.max()), (ps.min(), ps.max()),
-    )
+    integrands = sv.conj()[None, None] * _translates(tv, grid, qs)[:, :, None]
+    phase = np.exp(1j * np.outer(grid.positions(), ps))
+    overlaps = integrands.reshape(-1, grid.n) @ phase * grid.dx
+    power = np.abs(overlaps.reshape(qs.size, tw.size, sw.size, ps.size)) ** 2
+    out = np.einsum("t,s,qtsp->qp", tw, sw, power) / (2 * np.pi)
+    leak = _marginal_leakage(t_state, s_state, grid, (qs.min(), qs.max()), (ps.min(), ps.max()))
     if max_leakage is not None and leak > max_leakage:
-        raise WindowLeakageError(
-            f"phase-space window leaks {leak:.3e} > {max_leakage}"
-        )
+        raise WindowLeakageError(f"phase-space window leaks {leak:.3e} > {max_leakage}")
     return DensityResult(qs, ps, out, leak)
 
 
-# --- cell effects via Gauss-Legendre quadrature ------------------------------
-
-
-def _gl_panels(lo: float, hi: float, order: int, max_panel: float):
-    """Composite Gauss-Legendre nodes/weights with panels of bounded width."""
-    if order < 2:
-        raise ValueError("quadrature order must be at least 2")
-    xs, ws = leggauss(order)
-    n_panels = max(1, int(np.ceil((hi - lo) / max_panel)))
-    edges = np.linspace(lo, hi, n_panels + 1)
-    nodes = []
-    weights = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes.append(mid + half * xs)
-        weights.append(half * ws)
-    return np.concatenate(nodes), np.concatenate(weights)
+# --- cell effects -------------------------------------------------------------
 
 
 def _check_cell_in_window(cell: RectCell, grid: Grid1D) -> None:
@@ -286,33 +302,35 @@ def phase_space_effect(
 ) -> Effect:
     """G_T(Z) = (1/2pi) integral over the cell of W(q,p) T W(q,p)*.
 
-    Tensor Gauss-Legendre quadrature with panels of bounded width; the
-    translates use Fourier phases so the integrand is analytic and the
-    quadrature converges spectrally.
+    The p-integral is exact (the Toeplitz symbol S of the module docstring);
+    ``order`` and ``max_panel`` set only the composite Gauss-Legendre rule in
+    q.  The translates use Fourier phases, so the q-integrand is analytic and
+    the rule converges spectrally.  The matrix is filled in blocks of rows,
+    so it is the only n x n array built.
     """
     _check_cell_in_window(cell, grid)
-    q_nodes, q_w = _gl_panels(cell.q_lo, cell.q_hi, order, max_panel)
-    p_nodes, p_w = _gl_panels(cell.p_lo, cell.p_hi, order, max_panel)
-    tw, tv = _spectral_pairs(t_state, grid)
-    x = grid.positions()
-    n = grid.n
-    acc = np.zeros((n, n), dtype=complex)
-    for q, wq in zip(q_nodes, q_w):
-        phase = np.exp(1j * np.outer(x - q / 2, p_nodes))
-        for wn, phi in zip(tw, tv):
-            shifted = _smooth_translate(phi, grid, q)
-            cols = shifted[:, None] * phase  # n x K_p translate bank
-            acc += (cols * (wq * wn * p_w)) @ cols.conj().T
-    acc *= grid.dx / (2 * np.pi)
-    return Effect(Operator(acc))
+    out = np.empty((grid.n, grid.n), dtype=complex)
+    for i0, i1, rows in _kernel_rows(t_state, cell, grid, order, max_panel):
+        out[i0:i1] = rows
+    out *= grid.dx / (2 * np.pi)
+    return Effect(Operator(out))
 
 
 def phase_space_cell_norm(
     t_state: State, cell: RectCell, grid: Grid1D, order: int = 16, max_panel: float = 2.0
 ) -> float:
-    """Spectral norm of the cell effect (strictly below one on bounded cells)."""
-    eff = phase_space_effect(t_state, cell, grid, order, max_panel)
-    return float(np.linalg.eigvalsh(eff.op.mat).max())
+    """Spectral norm of the cell effect (strictly below one on bounded cells).
+
+    The effect is positive: its norm is the top eigenvalue, found by ARPACK
+    from a fixed start.  The product uses scipy's BLAS, as ARPACK does; numpy's
+    has its own thread pool, and the two contending made two threads 30x slower.
+    """
+    mat = phase_space_effect(t_state, cell, grid, order, max_panel).op.mat
+    product = LinearOperator(mat.shape, dtype=complex,
+                             matvec=lambda v: zgemv(1.0, mat.T, v.ravel(), trans=1))
+    start = np.random.default_rng(0).standard_normal(grid.n)
+    top = eigsh(product, k=1, which="LA", v0=start, tol=1e-14, return_eigenvectors=False)
+    return float(top[0])
 
 
 def phase_space_pom(
@@ -329,8 +347,7 @@ def phase_space_pom(
         Outcome(f"q[{c.q_lo:.3g},{c.q_hi:.3g}) p[{c.p_lo:.3g},{c.p_hi:.3g})", c)
         for c in cells
     ]
-    total = sum(e.op.mat for e in effects)
-    rest = np.eye(grid.n) - total
+    rest = np.eye(grid.n) - sum(e.op.mat for e in effects)
     effects.append(Effect(Operator(rest)))
     lim = np.pi / grid.dx
     outcomes.append(
@@ -363,33 +380,20 @@ def resolution_of_identity_defect(
     The operator identity holds over the whole plane; on a finite window it
     is measured against the span of the first ``n_test`` Hermite functions
     (states whose position and momentum content fits the window), as the
-    matrix M_ij = <h_i, G h_j>.  The defect is ||M - I||.
+    matrix M_ij = <h_i, G h_j>.  The defect is ||M - I||.  M is accumulated
+    over blocks of kernel rows, so no n x n array is built.
     """
-    herm = np.stack(
-        [hermite_wavefunction(grid, k).values for k in range(n_test)]
-    )
-    q_nodes, q_w = _gl_panels(-half_width, half_width, order, max_panel)
-    p_nodes, p_w = _gl_panels(-half_width, half_width, order, max_panel)
-    tw, tv = _spectral_pairs(t_state, grid)
-    x = grid.positions()
+    herm = np.stack([hermite_wavefunction(grid, k).values for k in range(n_test)])
+    window = RectCell(-half_width, half_width, -half_width, half_width)
     m = np.zeros((n_test, n_test), dtype=complex)
-    for q, wq in zip(q_nodes, q_w):
-        phase = np.exp(1j * np.outer(x - q / 2, p_nodes))
-        for wn, phi in zip(tw, tv):
-            shifted = _smooth_translate(phi, grid, q)
-            a = (herm.conj() * shifted[None, :]) @ phase * grid.dx
-            m += (a * (wq * wn * p_w)) @ a.conj().T
-    m /= 2 * np.pi
+    for i0, i1, rows in _kernel_rows(t_state, window, grid, order, max_panel):
+        m += herm[:, i0:i1].conj() @ (rows @ herm.T)
+    m *= grid.dx**2 / (2 * np.pi)
     defect = float(np.linalg.norm(m - np.eye(n_test), 2))
     return RoiReport(defect, n_test, "hermite", m)
 
 
 # --- margins -----------------------------------------------------------------
-
-
-def _reflect_samples(values: np.ndarray) -> np.ndarray:
-    """Samples of x -> f(-x) on a symmetric periodic grid (index 0 fixed)."""
-    return np.roll(values[::-1], 1)
 
 
 def margins_of_GT(t_state: State, grid: Grid1D) -> Tuple[ProbMeasure1D, ProbMeasure1D]:
@@ -401,21 +405,15 @@ def margins_of_GT(t_state: State, grid: Grid1D) -> Tuple[ProbMeasure1D, ProbMeas
     """
     if abs(grid.x0 + grid.length / 2) > 1e-12 * grid.length:
         raise ValueError("margins need a symmetric grid (x0 = -n dx / 2)")
-    pairs = spectral_wavefunctions(t_state, grid)
-    e = np.zeros(grid.n)
-    f = np.zeros(grid.n)
-    for w, phi in pairs:
-        e += w * _reflect_samples(np.abs(phi) ** 2)
-        phi_hat = grid.to_momentum(phi)
-        f += w * _reflect_samples(np.abs(phi_hat) ** 2)
+    tw, tv = _spectral_pairs(t_state, grid)
+    e = _reflect_samples(tw @ np.abs(tv) ** 2)
+    f = _reflect_samples(tw @ np.abs(grid.to_momentum(tv)) ** 2)
     rho = ProbMeasure1D.from_density(grid, e, normalize=True)
     nu = ProbMeasure1D.from_density(grid.momentum_grid(), f, normalize=True)
     mass_e = float(np.sum(e) * grid.dx)
     mass_f = float(np.sum(f) * grid.dp)
     if abs(mass_e - 1.0) > 1e-8 or abs(mass_f - 1.0) > 1e-8:
-        raise WindowLeakageError(
-            f"margin masses {mass_e}, {mass_f} deviate from 1 beyond 1e-8"
-        )
+        raise WindowLeakageError(f"margin masses {mass_e}, {mass_f} deviate from 1 beyond 1e-8")
     return rho, nu
 
 

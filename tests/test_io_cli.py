@@ -222,6 +222,24 @@ class TestCli:
         assert len(lines) == 1 + 11 * 11
         assert "," in lines[1] and "." in lines[1]
 
+    def test_phasespace_margins_of_non_orthogonal_mixture(self, capsys, tmp_path):
+        tpath = tmp_path / "t.json"
+        tpath.write_text(json.dumps({"kind": "mixture", "components": [
+            {"weight": 0.5, "state": {"kind": "gaussian", "center": -0.5}},
+            {"weight": 0.5, "state": {"kind": "gaussian", "center": 0.5}},
+        ]}))
+        mout = tmp_path / "margins.json"
+        code, _ = run_cli(
+            capsys,
+            [
+                "phasespace", "margins", "--t", str(tpath),
+                "--grid-n", "1024", "--out", str(mout),
+            ],
+        )
+        assert code == 0
+        rho = io.measure_from_json(json.loads(mout.read_text())["position"])
+        assert rho.variance() == pytest.approx(0.75, abs=1e-9)
+
     def test_reports_deterministic_modulo_timestamp(self, capsys, tmp_path):
         bundle_path = tmp_path / "bundle.json"
         g = FiniteAbelianGroup((2, 2))

@@ -55,6 +55,31 @@ def weyl_matrix(grid, a_idx, b_idx):
     return np.diag(np.exp(1j * p * (x - q / 2))) @ perm
 
 
+class TestStateFromWavefunctions:
+    def test_non_orthogonal_mixture(self):
+        # Gaussians at -0.5 and +0.5 overlap by 0.78; the state must be the
+        # mixture itself, not a mixture of Gram-Schmidt-orthogonalised vectors.
+        g = symmetric_grid(256, 10.0)
+        psi_a = gaussian_wavefunction(g, center=-0.5)
+        psi_b = gaussian_wavefunction(g, center=0.5)
+        t = state_from_wavefunctions([(0.5, psi_a), (0.5, psi_b)])
+        a, b = psi_a.values * np.sqrt(g.dx), psi_b.values * np.sqrt(g.dx)
+        expected = 0.5 * np.outer(a, a.conj()) + 0.5 * np.outer(b, b.conj())
+        assert spectral_norm(t.op.mat - expected) <= 1e-12
+        t.validate(1e-12)
+        rho, _ = margins_of_GT(t, g)
+        # 1/(4a) from each packet plus the spread 0.5^2 of their centres
+        assert rho.variance() == pytest.approx(0.75, abs=1e-12)
+
+    def test_dependent_components_merge(self):
+        g = symmetric_grid(64, 8.0)
+        psi = hermite_wavefunction(g, 1)
+        t = state_from_wavefunctions([(0.3, psi), (0.7, psi)])
+        assert len(t.spectral) == 1
+        pure = state_from_wavefunctions([(1.0, psi)])
+        assert spectral_norm(t.op.mat - pure.op.mat) <= 1e-14
+
+
 class TestWeylApply:
     def test_identity_at_origin(self, grid):
         psi = gaussian_wavefunction(grid)

@@ -1,0 +1,230 @@
+"""The phase-space kernel against the tensor-quadrature loops it replaced.
+
+``phasespace`` integrates p exactly (a Toeplitz symbol) and only q by a
+composite Gauss-Legendre rule.  The oracles below are the former loops: a
+tensor Gauss-Legendre sum over q and p, one translate and one n x n update
+per q-node.  They share the q-rule, so the kernel must match them to rounding
+wherever their p-rule has converged.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
+from scipy.signal import fftconvolve
+
+from covpom.grids import WaveFunction, symmetric_grid
+from covpom.hilbert import RectCell
+from covpom.phasespace import (
+    gaussian_wavefunction,
+    hermite_wavefunction,
+    phase_space_cell_norm,
+    phase_space_density,
+    phase_space_effect,
+    resolution_of_identity_defect,
+    spectral_wavefunctions,
+    state_from_wavefunctions,
+)
+
+HALF_WIDTH = 8.0
+N_MODES = 4
+TOL = 1e-12
+
+
+# --- the former quadrature loops ---------------------------------------------
+
+
+def gl_panels(lo, hi, order, max_panel):
+    xs, ws = leggauss(order)
+    n_panels = max(1, int(np.ceil((hi - lo) / max_panel)))
+    edges = np.linspace(lo, hi, n_panels + 1)
+    nodes, weights = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        nodes.append(mid + half * xs)
+        weights.append(half * ws)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def smooth_translate(values, grid, q):
+    k = 2 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+    return np.fft.ifft(np.fft.fft(values) * np.exp(-1j * k * q))
+
+
+def oracle_effect(t_state, cell, grid, order=16, max_panel=2.0, p_panel=None):
+    """Tensor Gauss-Legendre sum; ``p_panel`` (default ``max_panel``) for p."""
+    q_nodes, q_w = gl_panels(cell.q_lo, cell.q_hi, order, max_panel)
+    p_nodes, p_w = gl_panels(cell.p_lo, cell.p_hi, order, p_panel or max_panel)
+    x = grid.positions()
+    acc = np.zeros((grid.n, grid.n), dtype=complex)
+    for q, wq in zip(q_nodes, q_w):
+        phase = np.exp(1j * np.outer(x - q / 2, p_nodes))
+        for wn, phi in spectral_wavefunctions(t_state, grid):
+            cols = smooth_translate(phi, grid, q)[:, None] * phase
+            acc += (cols * (wq * wn * p_w)) @ cols.conj().T
+    return acc * grid.dx / (2 * np.pi)
+
+
+def oracle_roi_gram(t_state, grid, half_width, n_test, order=16, max_panel=2.0):
+    herm = np.stack([hermite_wavefunction(grid, k).values for k in range(n_test)])
+    q_nodes, q_w = gl_panels(-half_width, half_width, order, max_panel)
+    p_nodes, p_w = gl_panels(-half_width, half_width, order, max_panel)
+    x = grid.positions()
+    m = np.zeros((n_test, n_test), dtype=complex)
+    for q, wq in zip(q_nodes, q_w):
+        phase = np.exp(1j * np.outer(x - q / 2, p_nodes))
+        for wn, phi in spectral_wavefunctions(t_state, grid):
+            a = (herm.conj() * smooth_translate(phi, grid, q)[None, :]) @ phase * grid.dx
+            m += (a * (wq * wn * p_w)) @ a.conj().T
+    return m / (2 * np.pi)
+
+
+def oracle_density(t_state, s_state, qs, ps, grid):
+    s_pairs = spectral_wavefunctions(s_state, grid)
+    sw = np.array([w for w, _ in s_pairs])
+    sv = np.stack([v for _, v in s_pairs])
+    x = grid.positions()
+    out = np.zeros((qs.size, ps.size))
+    for iq, q in enumerate(qs):
+        phase = np.exp(1j * np.outer(x - q / 2, ps))
+        for wn, phi in spectral_wavefunctions(t_state, grid):
+            shifted = smooth_translate(phi, grid, q)
+            overlaps = (sv.conj() * shifted[None, :]) @ phase * grid.dx
+            out[iq] += wn * (sw @ (np.abs(overlaps) ** 2))
+    return out / (2 * np.pi)
+
+
+def oracle_leakage(t_state, s_state, grid, q_window, p_window):
+    """The union bound with scipy's fftconvolve, as first written."""
+
+    def pairs(state):
+        p = spectral_wavefunctions(state, grid)
+        return np.array([w for w, _ in p]), np.stack([v for _, v in p])
+
+    def outside(density, axis, window, step):
+        inside = density[(axis >= window[0]) & (axis <= window[1])].sum() * step
+        return max(density.sum() * step - inside, 0.0)
+
+    tw, tv = pairs(t_state)
+    sw, sv = pairs(s_state)
+    x, p = grid.positions(), grid.momenta()
+    e_t = (tw[:, None] * np.abs(np.roll(tv[:, ::-1], 1, axis=1)) ** 2).sum(axis=0)
+    mu_s = (sw[:, None] * np.abs(sv) ** 2).sum(axis=0)
+    conv_q = fftconvolve(mu_s, e_t) * grid.dx
+    leak_q = outside(conv_q, np.linspace(2 * x[0], 2 * x[-1], conv_q.size), q_window, grid.dx)
+    tv_hat = np.stack([grid.to_momentum(v) for v in tv])
+    sv_hat = np.stack([grid.to_momentum(v) for v in sv])
+    f_t = (tw[:, None] * np.abs(np.roll(tv_hat[:, ::-1], 1, axis=1)) ** 2).sum(axis=0)
+    mu_s_hat = (sw[:, None] * np.abs(sv_hat) ** 2).sum(axis=0)
+    conv_p = fftconvolve(mu_s_hat, f_t) * grid.dp
+    leak_p = outside(conv_p, np.linspace(2 * p[0], 2 * p[-1], conv_p.size), p_window, grid.dp)
+    return leak_q + leak_p
+
+
+# --- strategies ----------------------------------------------------------------
+
+
+def low_mode_state(grid, coefficients, weights):
+    """Mixture of normalised combinations of the first Hermite functions."""
+    modes = [hermite_wavefunction(grid, k).values for k in range(N_MODES)]
+    pairs = []
+    for w, coeff in zip(weights, coefficients):
+        vals = sum(c * m for c, m in zip(coeff, modes))
+        pairs.append((w, WaveFunction(grid, vals).normalised()))
+    return state_from_wavefunctions(pairs)
+
+
+@st.composite
+def states(draw, max_rank=3):
+    n = draw(st.sampled_from([64, 128, 256]))
+    grid = symmetric_grid(n, HALF_WIDTH)
+    rank = draw(st.integers(1, max_rank))
+    parts = st.floats(-1.0, 1.0)
+    coefficients = [
+        np.array([complex(draw(parts), draw(parts)) + (k == 0) for k in range(N_MODES)])
+        for _ in range(rank)
+    ]
+    weights = [draw(st.floats(0.1, 1.0)) for _ in range(rank)]
+    return grid, low_mode_state(grid, coefficients, weights)
+
+
+@st.composite
+def intervals(draw, lo, hi, max_width):
+    width = draw(st.floats(0.1, max_width))
+    start = draw(st.floats(lo, hi - width))
+    return start, start + width
+
+
+# --- properties ------------------------------------------------------------------
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=states(), data=st.data())
+def test_effect_and_norm_match_quadrature_oracle(case, data):
+    # Cells anywhere in the window: near its edges the periodic translates
+    # wrap, |x - x'| reaches the window length, and the oracle's p-rule needs
+    # panels of 0.5 to converge there (with 2.0 it was off by up to 1.8e-10).
+    grid, t = case
+    p_max = min(np.pi / grid.dx, HALF_WIDTH)
+    q_lo, q_hi = data.draw(intervals(-HALF_WIDTH, HALF_WIDTH - grid.dx, 4.0))
+    p_lo, p_hi = data.draw(intervals(-p_max, p_max, 4.0))
+    cell = RectCell(q_lo, q_hi, p_lo, p_hi)
+    expected = oracle_effect(t, cell, grid, p_panel=0.5)
+    got = phase_space_effect(t, cell, grid).op.mat
+    assert np.linalg.norm(got - expected, 2) <= TOL
+    top = np.linalg.eigvalsh(expected).max()
+    assert abs(phase_space_cell_norm(t, cell, grid) - top) <= TOL
+
+
+@settings(max_examples=10, deadline=None)
+@given(case=states(), half_width=st.floats(2.0, 6.0), n_test=st.integers(2, 8))
+def test_roi_gram_matches_quadrature_oracle(case, half_width, n_test):
+    grid, t = case
+    expected = oracle_roi_gram(t, grid, half_width, n_test)
+    got = resolution_of_identity_defect(t, grid, half_width=half_width, n_test=n_test)
+    assert np.abs(got.gram - expected).max() <= TOL
+    assert got.defect == pytest.approx(np.linalg.norm(expected - np.eye(n_test), 2), abs=TOL)
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=states(), s_rank=st.integers(1, 2), data=st.data())
+def test_density_matches_per_q_oracle(case, s_rank, data):
+    grid, t = case
+    coefficients = [np.exp(1j * np.arange(N_MODES) * (k + 1)) for k in range(s_rank)]
+    s = low_mode_state(grid, coefficients, [1.0] * s_rank)
+    coords = st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=6)
+    qs = np.array(data.draw(coords))
+    ps = np.array(data.draw(coords))
+    expected = oracle_density(t, s, qs, ps, grid)
+    got = phase_space_density(t, s, qs, ps, grid, max_leakage=None)
+    assert np.abs(got.values - expected).max() <= TOL
+    window_q, window_p = (qs.min(), qs.max()), (ps.min(), ps.max())
+    leak = oracle_leakage(t, s, grid, window_q, window_p)
+    assert got.leakage_bound == pytest.approx(leak, abs=1e-14)
+
+
+# --- fixed cases -------------------------------------------------------------------
+
+
+def test_default_rule_matches_oracle_away_from_edges():
+    # The former loops with their own p-rule (panels of 2.0), unchanged.
+    grid = symmetric_grid(256, 12.0)
+    t = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid))])
+    for half in (0.5, 2.5, 5.0):
+        cell = RectCell(-half, half, -half, half)
+        expected = oracle_effect(t, cell, grid)
+        got = phase_space_effect(t, cell, grid).op.mat
+        assert np.linalg.norm(got - expected, 2) <= TOL
+
+
+def test_gate_10_norms_unchanged():
+    grid = symmetric_grid(512, 16.0)
+    t = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid))])
+    printed = {0.5: 0.146631584, 1.5: 0.751196470, 2.5: 0.976936253, 5.0: 0.999999631}
+    for half, value in printed.items():
+        norm = phase_space_cell_norm(t, RectCell(-half, half, -half, half), grid)
+        assert norm == pytest.approx(value, abs=1e-9)
+        assert math.erf(half / math.sqrt(2)) ** 2 - TOL <= norm <= 1 - math.exp(-half**2)
