@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import abelian, io, phasespace, posmom
-from .grids import symmetric_grid
+from .grids import WaveFunction, symmetric_grid
 from .hilbert import RectCell, check_pom_axioms
 from .posmom import ProbMeasure1D
 
@@ -58,16 +58,11 @@ def _parse_state(obj, grid):
         psi = phasespace.hermite_wavefunction(grid, int(obj["k"]))
         return phasespace.state_from_wavefunctions([(1.0, psi)])
     if kind == "mixture":
-        pairs = []
-        for comp in obj["components"]:
-            sub = _parse_state(comp["state"], grid)
-            for w, v in sub.spectral:
-                pairs.append((float(comp["weight"]) * w, v / np.sqrt(grid.dx)))
-        from .grids import WaveFunction
-
-        return phasespace.state_from_wavefunctions(
-            [(w, WaveFunction(grid, v)) for w, v in pairs]
-        )
+        subs = [(float(c["weight"]), _parse_state(c["state"], grid)) for c in obj["components"]]
+        return phasespace.state_from_wavefunctions([
+            (weight * w, WaveFunction(grid, psi)) for weight, sub in subs
+            for w, psi in phasespace.spectral_wavefunctions(sub, grid)
+        ])
     raise InputError(f"unknown state kind {kind!r}")
 
 
@@ -211,8 +206,6 @@ def cmd_smeared(args) -> int:
                     fh.write(f"{float(a)!r},{float(s)!r}\n")
     elif args.action == "distribution":
         state = _parse_state(_load_json(args.state), grid)
-        from .grids import WaveFunction
-
         w0, v0 = state.spectral[0]
         if abs(w0 - 1.0) > 1e-9:
             raise InputError("distribution action expects a pure state")

@@ -15,6 +15,9 @@ import numpy as np
 
 __all__ = ["Grid1D", "WaveFunction", "symmetric_grid"]
 
+# Entries (4 MB of complex) per block of a dense product over an n-point grid.
+BLOCK_ENTRIES = 1 << 18
+
 
 @dataclass(frozen=True)
 class Grid1D:

@@ -1,15 +1,18 @@
 """Core linear-algebra substrate: operators, states, effects and POMs.
 
 Everything lives on a finite-dimensional Hilbert space.  Operators are dense
-complex matrices; Hermiticity, positivity and unitarity are tolerance-gated
-predicates rather than assumptions.  A ``Pom`` is a finite family of effects
-labelled by disjoint outcome cells; ``check_pom_axioms`` verifies positivity
-and normalisation with explicit witnesses.
+complex matrices; Hermiticity and positivity are tolerance-gated predicates
+rather than assumptions.  A ``State`` is a low-rank factor (weights and
+orthonormal vectors); its dense operator is built only on demand.  A ``Pom``
+is a finite family of effects labelled by disjoint outcome cells;
+``check_pom_axioms`` verifies positivity and normalisation with explicit
+witnesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -35,9 +38,8 @@ __all__ = [
 ]
 
 # Tolerance for algebraically exact constructions (finite groups, closed-form
-# integrals); grid-discretised objects use 1e-6 instead.
+# integrals).
 EXACT_TOL = 1e-10
-GRID_TOL = 1e-6
 
 
 def _as_complex_matrix(entries) -> np.ndarray:
@@ -96,51 +98,71 @@ class Operator:
     def is_hermitian(self, tol: float = EXACT_TOL) -> bool:
         return bool(np.linalg.norm(self.entries - self.entries.conj().T, 2) <= tol)
 
-    def is_positive(self, tol: float = EXACT_TOL) -> bool:
-        if not self.is_hermitian(tol):
-            return False
-        return bool(np.linalg.eigvalsh(self.entries).min() >= -tol)
-
-    def is_unitary(self, tol: float = EXACT_TOL) -> bool:
-        eye = np.eye(self.dim)
-        return bool(spectral_norm(self.entries.conj().T @ self.entries - eye) <= tol)
-
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class State:
-    """Positive trace-one operator, optionally with spectral data.
+    """Positive trace-one operator, held as a low-rank factor when possible.
 
     ``spectral`` is a tuple of ``(weight, vector)`` pairs with orthonormal
-    vectors and weights summing to one; when present it must reproduce
-    ``op`` as a convex combination of rank-one projectors.
+    vectors and weights summing to one, the only stored form of a factor
+    state.  ``op`` is the dense operator: given, for a state known only as a
+    matrix, or else built from the factor on first read and cached.
     """
 
-    op: Operator
-    spectral: Optional[Tuple[Tuple[float, np.ndarray], ...]] = None
+    spectral: Optional[Tuple[Tuple[float, np.ndarray], ...]]
+    given_op: Optional[Operator]
+
+    def __init__(self, op: Optional[Operator] = None, spectral=None):
+        if op is None and not spectral:
+            raise ValueError("a state needs an operator or spectral data")
+        object.__setattr__(self, "spectral", None if spectral is None else tuple(spectral))
+        object.__setattr__(self, "given_op", op)
+
+    @cached_property
+    def op(self) -> Operator:
+        """The dense operator: as given, or (V w) V* built once from the factor."""
+        if self.given_op is not None:
+            return self.given_op
+        weights, vecs = self.factor()
+        return Operator((vecs.T * weights) @ vecs.conj())
 
     @property
     def dim(self) -> int:
-        return self.op.dim
+        return self.given_op.dim if self.spectral is None else len(self.spectral[0][1])
+
+    def factor(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Weights (r,) and the orthonormal vectors as the rows of an r x dim array."""
+        if self.spectral is None:
+            raise ValueError("state carries no spectral data")
+        weights, vecs = zip(*self.spectral)
+        return np.array(weights, dtype=float), np.array(vecs, dtype=complex)
 
     def validate(self, tol: float = EXACT_TOL) -> None:
-        if not self.op.is_hermitian(tol):
-            raise ValueError("state operator is not Hermitian")
-        eigs = np.linalg.eigvalsh(self.op.mat)
-        if eigs.min() < -tol:
-            raise ValueError(f"state operator has negative eigenvalue {eigs.min():.3e}")
-        tr = self.op.trace()
-        if abs(tr - 1.0) > tol:
-            raise ValueError(f"state trace {tr} is not 1")
-        if self.spectral is not None:
-            weights = np.array([w for w, _ in self.spectral])
-            if abs(weights.sum() - 1.0) > tol:
-                raise ValueError("spectral weights do not sum to 1")
-            rebuilt = sum(w * np.outer(v, v.conj()) for w, v in self.spectral)
-            if spectral_norm(rebuilt - self.op.mat) > tol:
-                raise ValueError("spectral data does not reproduce the operator")
+        """Check a factor in O(dim r^2), a given operator by eigenvalues, both by agreement."""
+        op = self.given_op
+        if op is not None:
+            if not op.is_hermitian(tol):
+                raise ValueError("state operator is not Hermitian")
+            eigs = np.linalg.eigvalsh(op.mat)
+            if eigs.min() < -tol:
+                raise ValueError(f"state operator has negative eigenvalue {eigs.min():.3e}")
+            tr = op.trace()
+            if abs(tr - 1.0) > tol:
+                raise ValueError(f"state trace {tr} is not 1")
+        if self.spectral is None:
+            return
+        weights, vecs = self.factor()
+        if weights.min() < 0:
+            raise ValueError(f"negative spectral weight {weights.min():.3e}")
+        if abs(weights.sum() - 1.0) > tol:
+            raise ValueError("spectral weights do not sum to 1")
+        if spectral_norm(vecs.conj() @ vecs.T - np.eye(len(weights))) > tol:
+            raise ValueError("spectral vectors are not orthonormal")
+        if op is not None and spectral_norm((vecs.T * weights) @ vecs.conj() - op.mat) > tol:
+            raise ValueError("spectral data does not reproduce the operator")
 
 
 @dataclass(frozen=True)
@@ -264,11 +286,12 @@ class ProbVector:
 
 
 def make_state(spectral: Sequence[Tuple[float, Iterable[complex]]]) -> State:
-    """Build a state from (weight, vector) pairs.
+    """Build a factor state from (weight, vector) pairs; no dim x dim matrix is formed.
 
-    Vectors are orthonormalised by modified Gram-Schmidt and weights are
-    renormalised to sum to one.  Raises on zero total weight, dimension
-    mismatch, or linearly dependent vectors.
+    Vectors are orthonormalised in order by one reduced QR, each column
+    rephased so R has a positive diagonal (the Gram-Schmidt vectors), and
+    weights are renormalised to sum to one.  Raises on zero total weight,
+    dimension mismatch, or linearly dependent vectors.
     """
     if not spectral:
         raise ValueError("empty spectral data")
@@ -285,26 +308,23 @@ def make_state(spectral: Sequence[Tuple[float, Iterable[complex]]]) -> State:
     if len(dims) != 1 or vectors[0].ndim != 1:
         raise ValueError(f"vectors must share one dimension, got shapes {dims}")
 
-    ortho: list[np.ndarray] = []
-    for v in vectors:
-        if np.linalg.norm(v) == 0:
-            raise ValueError("zero vector in spectral data")
-        w = v.copy()
-        for u in ortho:
-            w = w - np.vdot(u, w) * u
-        norm = np.linalg.norm(w)
-        if norm < 1e-12 * np.linalg.norm(v):
-            raise ValueError("linearly dependent vectors in spectral data")
-        ortho.append(w / norm)
+    mat = np.stack(vectors, axis=1)
+    norms = np.linalg.norm(mat, axis=0)
+    q, r = np.linalg.qr(mat)
+    # |R_ii| is the part of vector i orthogonal to the earlier ones; past the
+    # dimension there is no R_ii and every vector is dependent
+    resid = np.pad(np.abs(np.diagonal(r)), (0, len(vectors) - min(mat.shape)))
+    bad = np.flatnonzero((resid < 1e-12 * norms) | (norms == 0))
+    if bad.size:
+        kind = "zero vector" if norms[bad[0]] == 0 else "linearly dependent vectors"
+        raise ValueError(f"{kind} in spectral data")
+    basis = np.ascontiguousarray((q * (np.diagonal(r) / resid)).T)
 
-    # positivity and unit trace hold by construction (convex combination of
-    # orthonormal projectors); the full eigen-based validate stays available
-    # but would cost O(dim^3) on large grids
-    basis = np.stack(ortho, axis=1)
-    op = (basis * weights) @ basis.conj().T
-    if abs(np.trace(op).real - 1.0) > 1e-10:
+    # positive by construction; the trace is sum_i w_i ||v_i||^2 on the factor
+    trace = weights @ np.sum(np.abs(basis) ** 2, axis=1)
+    if abs(trace - 1.0) > 1e-10:
         raise AssertionError("constructed state trace deviates from 1")
-    return State(Operator(op), tuple((float(w), v) for w, v in zip(weights, ortho)))
+    return State(spectral=zip(weights.tolist(), basis))
 
 
 def pure_state(vector: Iterable[complex]) -> State:
@@ -334,10 +354,10 @@ def check_pom_axioms(pom: Pom, tol: float = EXACT_TOL) -> AxiomReport:
 
 
 def outcome_distribution(state: State, pom: Pom) -> ProbVector:
-    """Probability of each outcome: Re tr(T E_i)."""
+    """Probability of each outcome: Re tr(T E_i) = Re sum_jk T_jk (E_i)_kj, O(d^2) each."""
     if state.dim != pom.dim:
         raise ValueError(f"dimension mismatch: state {state.dim}, pom {pom.dim}")
-    raw = np.array([np.trace(state.op.mat @ e.op.mat).real for e in pom.effects])
+    raw = np.array([np.sum(state.op.mat * e.op.mat.T).real for e in pom.effects])
     negativity = float(max(0.0, -raw.min()))
     norm_defect = float(abs(raw.sum() - 1.0))
     clipped = np.clip(raw, 0.0, 1.0)

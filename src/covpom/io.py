@@ -25,6 +25,7 @@ from .hilbert import (
     Pom,
     RectCell,
     State,
+    make_state,
 )
 from .posmom import ProbMeasure1D
 
@@ -99,8 +100,6 @@ def state_to_json(state: State) -> dict:
 
 def state_from_json(obj) -> State:
     if "spectral" in obj:
-        from .hilbert import make_state
-
         return make_state(
             [
                 (float(item["weight"]), _cvector_from_json(item["vector"]))

@@ -33,9 +33,9 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg.blas import zgemv
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .grids import Grid1D, WaveFunction
-from .hilbert import Effect, Operator, Outcome, PointCell, Pom, RectCell, State, make_state
-from .posmom import ProbMeasure1D, WindowLeakageError
+from .grids import BLOCK_ENTRIES, Grid1D, WaveFunction
+from .hilbert import Effect, Operator, Outcome, PointCell, Pom, RectCell, State
+from .posmom import ProbMeasure1D, WindowLeakageError, _spectral_pairs, _state_densities
 
 __all__ = [
     "WeylApplied",
@@ -97,7 +97,8 @@ def state_from_wavefunctions(pairs: Sequence[Tuple[float, WaveFunction]]) -> Sta
     """Mixture sum_i w_i |psi_i><psi_i| of normalised wave functions, grid-embedded.
 
     Components need not be orthogonal: the state is V V* with V = [sqrt(w_i) psi_i],
-    and the thin SVD V = U diag(s) Y* gives its spectral data (s^2, U).
+    and the thin SVD V = U diag(s) Y* gives its factor (s^2, U); U is already
+    orthonormal, so no second orthonormalisation runs.
     """
     grids = {psi.grid for _, psi in pairs}
     if len(grids) != 1:
@@ -110,21 +111,13 @@ def state_from_wavefunctions(pairs: Sequence[Tuple[float, WaveFunction]]) -> Sta
         [psi.normalised().values * np.sqrt(grid.dx) for _, psi in pairs], axis=1
     ) * np.sqrt(weights / weights.sum())
     vecs, sing, _ = np.linalg.svd(factor, full_matrices=False)
-    keep = sing > sing[0] * max(factor.shape) * np.finfo(float).eps
-    return make_state([(s**2, v) for s, v in zip(sing[keep], vecs.T[keep])])
+    power = sing[sing > sing[0] * max(factor.shape) * np.finfo(float).eps] ** 2
+    return State(spectral=zip((power / power.sum()).tolist(), vecs.T[: power.size]))
 
 
 def spectral_wavefunctions(state: State, grid: Grid1D) -> list[Tuple[float, np.ndarray]]:
     """Spectral decomposition as wave-function samples (inverse embedding)."""
-    if state.spectral is None:
-        raise ValueError("state carries no spectral data")
-    if state.dim != grid.n:
-        raise ValueError("state dimension does not match the grid")
-    return [
-        (w, np.asarray(v, dtype=complex) / np.sqrt(grid.dx))
-        for w, v in state.spectral
-        if w > 0
-    ]
+    return list(zip(*_spectral_pairs(state, grid)))
 
 
 # --- the Weyl system ---------------------------------------------------------
@@ -165,15 +158,6 @@ def _translates(vecs: np.ndarray, grid: Grid1D, qs: np.ndarray) -> np.ndarray:
 
 # --- the phase-space kernel --------------------------------------------------
 
-# Entries per block of kernel rows (4 MB of complex), so no n x n temporary.
-_BLOCK_ENTRIES = 1 << 18
-
-
-def _spectral_pairs(state: State, grid: Grid1D):
-    pairs = spectral_wavefunctions(state, grid)
-    return np.array([w for w, _ in pairs]), np.stack([v for _, v in pairs])
-
-
 def _reflect_samples(values: np.ndarray) -> np.ndarray:
     """Samples of x -> f(-x) on a symmetric periodic grid (index 0 fixed)."""
     return np.roll(values[::-1], 1)
@@ -206,7 +190,7 @@ def _kernel_rows(
     width = cell.p_hi - cell.p_lo
     symbol = width * np.exp(0.5j * (cell.p_hi + cell.p_lo) * d) * np.sinc(0.5 * width * d / np.pi)
     toeplitz = sliding_window_view(symbol[::-1], n)  # row i of S is toeplitz[n - 1 - i]
-    step = max(1, _BLOCK_ENTRIES // n)
+    step = max(1, BLOCK_ENTRIES // n)
     for i0 in range(0, n, step):
         i1 = min(i0 + step, n)
         yield i0, i1, (bank_h[:, i0:i1].conj().T @ bank_h) * toeplitz[n - i1 : n - i0][::-1]
@@ -232,16 +216,13 @@ def _marginal_leakage(
     Each margin of the joint observable is |S|^2 convolved with the reflected
     |T|^2, a linear convolution done by zero-padded FFT.
     """
-    tw, tv = _spectral_pairs(t_state, grid)
-    sw, sv = _spectral_pairs(s_state, grid)
     size = 2 * grid.n - 1
     leak = 0.0
-    for t_vecs, s_vecs, axis, window, step in (
-        (tv, sv, grid.positions(), q_window, grid.dx),
-        (grid.to_momentum(tv), grid.to_momentum(sv), grid.momenta(), p_window, grid.dp),
+    for mu_t, mu_s, axis, window, step in zip(
+        _state_densities(t_state, grid), _state_densities(s_state, grid),
+        (grid.positions(), grid.momenta()), (q_window, p_window), (grid.dx, grid.dp),
     ):
-        e_t = _reflect_samples(tw @ np.abs(t_vecs) ** 2)
-        mu_s = sw @ np.abs(s_vecs) ** 2
+        e_t = _reflect_samples(mu_t)
         conv = np.fft.irfft(np.fft.rfft(mu_s, size) * np.fft.rfft(e_t, size), size) * step
         full = np.linspace(2 * axis[0], 2 * axis[-1], size)
         inside = conv[(full >= window[0]) & (full <= window[1])].sum() * step
@@ -405,9 +386,7 @@ def margins_of_GT(t_state: State, grid: Grid1D) -> Tuple[ProbMeasure1D, ProbMeas
     """
     if abs(grid.x0 + grid.length / 2) > 1e-12 * grid.length:
         raise ValueError("margins need a symmetric grid (x0 = -n dx / 2)")
-    tw, tv = _spectral_pairs(t_state, grid)
-    e = _reflect_samples(tw @ np.abs(tv) ** 2)
-    f = _reflect_samples(tw @ np.abs(grid.to_momentum(tv)) ** 2)
+    e, f = (_reflect_samples(mu) for mu in _state_densities(t_state, grid))
     rho = ProbMeasure1D.from_density(grid, e, normalize=True)
     nu = ProbMeasure1D.from_density(grid.momentum_grid(), f, normalize=True)
     mass_e = float(np.sum(e) * grid.dx)

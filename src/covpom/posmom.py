@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
-from .grids import Grid1D, WaveFunction
+from .grids import BLOCK_ENTRIES, Grid1D, WaveFunction
 from .hilbert import Effect, IntervalCell, Operator, Outcome, Pom, State
 
 __all__ = [
@@ -300,9 +300,13 @@ class ProbMeasure1D:
         for loc, w in self.atoms:
             out += w * np.exp(-1j * xis * loc)
         if self.density is not None:
+            # direct sum by blocks of frequencies, exact up to quadrature
             x = self.grid.positions()
-            # direct sum; exact for the sampled density up to quadrature
-            out += (np.exp(-1j * np.outer(xis, x)) @ self.density) * self.grid.dx
+            freqs, flat = xis.reshape(-1), out.reshape(-1)  # flat is a view of out
+            step = max(1, BLOCK_ENTRIES // x.size)
+            for i0 in range(0, freqs.size, step):
+                kernel = np.exp(-1j * np.outer(freqs[i0 : i0 + step], x))
+                flat[i0 : i0 + step] += kernel @ self.density * self.grid.dx
         return out
 
 
@@ -640,17 +644,19 @@ def sharpness_test(measure: ProbMeasure1D, n_widths: int = 7) -> SharpnessReport
 # --- coexistence diagnostics -------------------------------------------------
 
 
+def _spectral_pairs(state: State, grid: Grid1D) -> Tuple[np.ndarray, np.ndarray]:
+    """Positive weights (r,) and their wave functions as the rows of an r x n array."""
+    if state.dim != grid.n:
+        raise ValueError("state dimension does not match the grid")
+    weights, vecs = state.factor()
+    keep = weights > 0
+    return weights[keep], vecs[keep] / np.sqrt(grid.dx)
+
+
 def _state_densities(state: State, grid: Grid1D) -> Tuple[np.ndarray, np.ndarray]:
     """Position and momentum densities of a grid-embedded state."""
-    if state.spectral is None:
-        raise ValueError("state needs spectral data for the convolution route")
-    pos = np.zeros(grid.n)
-    mom = np.zeros(grid.n)
-    for w, vec in state.spectral:
-        psi = np.asarray(vec, dtype=complex) / np.sqrt(grid.dx)
-        pos += w * np.abs(psi) ** 2
-        mom += w * np.abs(grid.to_momentum(psi)) ** 2
-    return pos, mom
+    weights, psi = _spectral_pairs(state, grid)
+    return weights @ np.abs(psi) ** 2, weights @ np.abs(grid.to_momentum(psi)) ** 2
 
 
 def _density_moments(grid_vals: np.ndarray, axis: np.ndarray, dx: float):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covpom.hilbert import (
     AxiomReport,
@@ -58,6 +60,100 @@ class TestMakeState:
     def test_dependent_vectors(self):
         with pytest.raises(ValueError, match="dependent"):
             make_state([(1.0, [1, 0]), (1.0, [2, 0])])
+
+
+def gram_schmidt_state(spectral):
+    """Oracle: the modified Gram-Schmidt construction make_state replaced.
+
+    Returns the renormalised weights, the orthonormal vectors and the dense
+    operator sum_i w_i |v_i><v_i| it used to build eagerly.
+    """
+    weights = np.array([float(w) for w, _ in spectral])
+    weights = weights / weights.sum()
+    ortho = []
+    for _, v in spectral:
+        v = np.asarray(v, dtype=complex)
+        if np.linalg.norm(v) == 0:
+            raise ValueError("zero vector in spectral data")
+        w = v.copy()
+        for u in ortho:
+            w = w - np.vdot(u, w) * u
+        norm = np.linalg.norm(w)
+        if norm < 1e-12 * np.linalg.norm(v):
+            raise ValueError("linearly dependent vectors in spectral data")
+        ortho.append(w / norm)
+    basis = np.stack(ortho, axis=1)
+    return weights, ortho, (basis * weights) @ basis.conj().T
+
+
+@st.composite
+def spectral_inputs(draw):
+    """Random (weight, vector) lists, some with a zero or a dependent vector."""
+    dim = draw(st.integers(2, 64))
+    rank = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vecs = rng.normal(size=(rank, dim)) + 1j * rng.normal(size=(rank, dim))
+    flaw = draw(st.sampled_from(["none", "none", "zero", "dependent"]))
+    j = draw(st.integers(0, rank - 1))
+    if flaw == "zero":
+        vecs[j] = 0
+    elif flaw == "dependent" and j > 0:
+        vecs[j] = (rng.normal(size=j) + 1j * rng.normal(size=j)) @ vecs[:j]
+    weights = rng.uniform(0.1, 2.0, size=rank)
+    return list(zip(weights, vecs))
+
+
+class TestMakeStateMatchesGramSchmidt:
+    @settings(max_examples=200, deadline=None)
+    @given(spectral=spectral_inputs())
+    def test_qr_matches_gram_schmidt(self, spectral):
+        try:
+            weights, ortho, dense = gram_schmidt_state(spectral)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                make_state(spectral)
+            return
+        state = make_state(spectral)
+        assert "op" not in vars(state)
+        got_w, got_v = state.factor()
+        np.testing.assert_allclose(got_w, weights, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(got_v, np.stack(ortho), rtol=0, atol=1e-12)
+        assert spectral_norm(state.op.mat - dense) <= 1e-14
+        state.validate()
+
+
+class TestFactorState:
+    def test_needs_an_argument(self):
+        with pytest.raises(ValueError, match="operator or spectral"):
+            State()
+
+    def test_dim_from_factor(self):
+        assert make_state([(1.0, np.ones(5))]).dim == 5
+
+    @pytest.mark.parametrize("spectral", [
+        [(0.5, np.array([1, 0])), (0.5, np.array([1, 1]) / np.sqrt(2))],
+        [(1.0, np.array([1.0, 1.0]))],
+    ])
+    def test_validate_rejects_non_orthonormal_vectors(self, spectral):
+        state = State(spectral=spectral)
+        with pytest.raises(ValueError, match="orthonormal"):
+            state.validate()
+        assert "op" not in vars(state)
+
+    def test_validate_rejects_weights_not_summing_to_one(self):
+        state = State(spectral=[(0.5, np.array([1, 0])), (0.4, np.array([0, 1]))])
+        with pytest.raises(ValueError, match="sum to 1"):
+            state.validate()
+
+    def test_validate_rejects_factor_not_reproducing_operator(self):
+        state = State(op=Operator(np.diag([0.5, 0.5])), spectral=[(1.0, np.array([1, 0]))])
+        with pytest.raises(ValueError, match="reproduce"):
+            state.validate()
+
+    def test_op_is_built_once(self):
+        state = make_state([(0.25, [1, 0, 0]), (0.75, [0, 1j, 0])])
+        assert state.op is state.op
+        np.testing.assert_allclose(state.op.mat, np.diag([0.25, 0.75, 0.0]), atol=1e-15)
 
 
 class TestPomAxioms:
@@ -120,6 +216,24 @@ class TestOutcomeDistribution:
             p1 = outcome_distribution(s1, pom).raw
             p2 = outcome_distribution(s2, pom).raw
             np.testing.assert_allclose(p_mix, t * p1 + (1 - t) * p2, atol=1e-12)
+
+    def test_matches_dense_trace(self):
+        # effects need not be positive: the raw values and defects must agree too
+        rng = np.random.default_rng(13)
+        for d, rank in [(2, 1), (5, 2), (9, 3), (16, 4)]:
+            vecs = rng.normal(size=(rank, d)) + 1j * rng.normal(size=(rank, d))
+            state = make_state(list(zip(rng.uniform(0.1, 1.0, size=rank), vecs)))
+            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            h = (a + a.conj().T) / 4
+            pom = point_pom([Effect(Operator(h)), Effect(Operator(np.eye(d) - h))])
+            expected = np.array([np.trace(state.op.mat @ e.op.mat).real for e in pom.effects])
+            for st in (state, State(op=state.op)):
+                dist = outcome_distribution(st, pom)
+                np.testing.assert_allclose(dist.raw, expected, rtol=0, atol=1e-13)
+                assert dist.negativity_defect == pytest.approx(
+                    max(0.0, -expected.min()), abs=1e-13)
+                assert dist.normalization_defect == pytest.approx(
+                    abs(expected.sum() - 1.0), abs=1e-13)
 
     def test_dimension_mismatch(self):
         st = pure_state([1, 0, 0])

@@ -240,6 +240,21 @@ class TestCli:
         rho = io.measure_from_json(json.loads(mout.read_text())["position"])
         assert rho.variance() == pytest.approx(0.75, abs=1e-9)
 
+    def test_phasespace_margins_at_65536_points(self, capsys, tmp_path):
+        # a factor state never builds the 64 GiB dense operator on this grid
+        tpath = tmp_path / "t.json"
+        tpath.write_text(json.dumps({"kind": "mixture", "components": [
+            {"weight": 0.6, "state": {"kind": "fock", "k": 0}},
+            {"weight": 0.4, "state": {"kind": "fock", "k": 1}},
+        ]}))
+        code, report = run_cli(
+            capsys,
+            ["phasespace", "margins", "--t", str(tpath), "--grid-n", "65536"],
+        )
+        assert code == 0
+        masses = [c["value"] for c in report["checks"] if c["name"].endswith("margin-mass")]
+        assert masses == pytest.approx([1.0, 1.0], abs=1e-9)
+
     def test_reports_deterministic_modulo_timestamp(self, capsys, tmp_path):
         bundle_path = tmp_path / "bundle.json"
         g = FiniteAbelianGroup((2, 2))

@@ -5,6 +5,7 @@ from covpom.grids import WaveFunction, symmetric_grid
 from covpom.hilbert import (
     RectCell,
     check_pom_axioms,
+    make_state,
     pure_state,
     spectral_norm,
 )
@@ -24,7 +25,14 @@ from covpom.phasespace import (
     state_from_wavefunctions,
     weyl_apply,
 )
-from covpom.posmom import WindowLeakageError
+from covpom.posmom import (
+    ProbMeasure1D,
+    _spectral_pairs,
+    SmearedObservable,
+    WindowLeakageError,
+    distribution,
+    uncertainty_product,
+)
 from scipy.integrate import simpson
 from scipy.signal import fftconvolve
 
@@ -78,6 +86,42 @@ class TestStateFromWavefunctions:
         assert len(t.spectral) == 1
         pure = state_from_wavefunctions([(1.0, psi)])
         assert spectral_norm(t.op.mat - pure.op.mat) <= 1e-14
+
+
+class TestFactorState:
+    def test_spectral_pairs_match_per_vector_route(self, grid):
+        rng = np.random.default_rng(8)
+        vecs = rng.normal(size=(3, grid.n)) + 1j * rng.normal(size=(3, grid.n))
+        state = make_state([(0.5, vecs[0]), (0.0, vecs[1]), (0.5, vecs[2])])
+        pairs = [
+            (w, np.asarray(v, dtype=complex) / np.sqrt(grid.dx))
+            for w, v in state.spectral
+            if w > 0
+        ]
+        weights, rows = _spectral_pairs(state, grid)
+        np.testing.assert_allclose(weights, [w for w, _ in pairs], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(rows, np.stack([v for _, v in pairs]), rtol=0, atol=1e-14)
+
+    def test_grid_paths_leave_op_unbuilt(self, grid):
+        # every grid path reads only the factor: no n x n matrix for the state
+        rng = np.random.default_rng(6)
+        t = random_rank2_state(grid, rng)
+        s = random_rank2_state(grid, rng)
+        rho, nu = margins_of_GT(t, grid)
+        uncertainty_product(s, rho, nu, grid)
+        weights, vecs = s.factor()
+        pure = make_state([(1.0, vecs[0])])
+        psi = WaveFunction(grid, pure.spectral[0][1] / np.sqrt(grid.dx))
+        obs = SmearedObservable("position", ProbMeasure1D.gaussian(grid, sigma=0.5), grid)
+        distribution(psi, obs, [(-np.inf, 0.0), (0.0, np.inf)])
+        cell = RectCell(-1.0, 1.0, -1.0, 1.0)
+        phase_space_effect(t, cell, grid, order=4)
+        phase_space_cell_norm(t, cell, grid, order=4)
+        resolution_of_identity_defect(t, grid, half_width=6.0, n_test=3, order=4)
+        phase_space_density(t, s, np.linspace(-2, 2, 3), np.linspace(-2, 2, 3), grid,
+                            max_leakage=None)
+        for state in (t, s, pure):
+            assert "op" not in vars(state)
 
 
 class TestWeylApply:

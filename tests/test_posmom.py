@@ -9,6 +9,7 @@ from scipy.stats import norm
 from covpom.grids import WaveFunction, symmetric_grid
 from covpom.hilbert import commutator_norm, make_state
 from covpom.posmom import (
+    _state_densities,
     DistinctionOrder,
     ProbMeasure1D,
     SmearedObservable,
@@ -95,6 +96,22 @@ class TestMeasureBasics:
         m = ProbMeasure1D.from_density(g, dens, atoms=atoms, normalize=True)
         lo, hi = sorted((alpha1, alpha2))
         assert m.window_mass_sup(lo)[0] <= m.window_mass_sup(hi)[0] + 1e-12
+
+
+class TestFourier:
+    @pytest.mark.parametrize("shape", [(), (1000,), (30, 40)])
+    def test_blocks_match_one_shot_sum(self, grid, shape):
+        # 1024 points: blocks of 256 frequencies, so the 1-D and 2-D cases span several
+        rng = np.random.default_rng(5)
+        xis = rng.uniform(-8.0, 8.0, size=shape)
+        dens = gaussian_measure(grid, mean=0.3, sigma=0.7).density
+        m = ProbMeasure1D.from_density(grid, dens * 0.6, atoms=((0.5, 0.4),), normalize=False)
+        x = grid.positions()
+        one_shot = (np.exp(-1j * np.outer(xis, x)) @ m.density).reshape(shape) * grid.dx
+        one_shot = one_shot + 0.4 * np.exp(-1j * xis * 0.5)
+        got = m.fourier(xis)
+        assert got.shape == np.shape(xis)
+        np.testing.assert_allclose(got, one_shot, rtol=0, atol=1e-13)
 
 
 class TestSmearedEffects:
@@ -395,6 +412,19 @@ class TestCoexistenceDiagnostics:
         assert rep.var_momentum == pytest.approx(1.0, abs=1e-4)
         assert rep.product == pytest.approx(1.0, abs=1e-3)
         assert rep.passed
+
+    def test_state_densities_match_per_vector_route(self, grid):
+        vecs = [ground_wavefunction(grid).values, ground_wavefunction(grid, a=1.3).values]
+        state = make_state([(w, v * np.sqrt(grid.dx)) for w, v in zip((0.3, 0.7), vecs)])
+        pos = np.zeros(grid.n)
+        mom = np.zeros(grid.n)
+        for w, vec in state.spectral:
+            psi = np.asarray(vec, dtype=complex) / np.sqrt(grid.dx)
+            pos += w * np.abs(psi) ** 2
+            mom += w * np.abs(grid.to_momentum(psi)) ** 2
+        got_pos, got_mom = _state_densities(state, grid)
+        np.testing.assert_allclose(got_pos, pos, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(got_mom, mom, rtol=0, atol=1e-14)
 
     def test_resolution_product_gaussian_benchmark(self):
         g = symmetric_grid(1024, 20.0)
