@@ -112,9 +112,9 @@ class Report:
 
 
 def _write_json(path, obj):
+    # one json.dumps runs the C encoder; json.dump with indent is pure Python
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(obj) + "\n")
 
 
 # --- subcommands -------------------------------------------------------------

@@ -68,7 +68,9 @@ def complex_from_json(obj) -> complex:
 
 
 def _cvector_to_json(vec) -> list:
-    return [complex_to_json(z) for z in np.asarray(vec, dtype=complex).ravel()]
+    """[[re, im], ...] for the flattened entries, as complex_to_json gives each."""
+    vec = np.asarray(vec, dtype=complex).ravel()
+    return np.stack((vec.real, vec.imag), -1).tolist()
 
 
 def _cvector_from_json(obj) -> np.ndarray:

@@ -1,6 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import covpom.abelian as abelian_module
+import covpom.hilbert as hilbert_module
 from covpom.abelian import (
     DiagonalRep,
     FiniteAbelianGroup,
@@ -18,13 +24,137 @@ from covpom.abelian import (
     induced_translation_matrix,
     random_isometries,
     sigma_matrix,
-    sigma_transform,
-    translated_pvm_apply,
     translated_pvm_matrix,
     verify_covariance,
     verify_pom_equivalence,
 )
-from covpom.hilbert import check_pom_axioms
+from covpom.hilbert import Effect, Operator, check_pom_axioms, make_state
+from covpom.phasespace import finite_weyl_action, finite_weyl_pom, finite_weyl_unitaries
+
+
+# --- loop forms of the array code, kept as oracles -------------------------
+
+
+def cosets_loop(group, sub):
+    seen, out = set(), []
+    for g in group.elements():
+        if g not in seen:
+            coset = tuple(sorted(group.add(g, h) for h in sub.elements))
+            out.append(coset)
+            seen.update(coset)
+    return tuple(sorted(out))
+
+
+def coset_rep_map_loop(group, sub):
+    return {x: coset[0] for coset in cosets_loop(group, sub) for x in coset}
+
+
+def annihilator_loop(group, sub):
+    return tuple(
+        y for y in group.elements()
+        if all(abs(group.pairing(y, h) - 1.0) < 1e-9 for h in sub.elements)
+    )
+
+
+def build_covariant_pom_loop(rep, sub, isometries):
+    """Effect matrices entry block by entry block, each pairing evaluated alone."""
+    group = rep.group
+    hperp = set(annihilator_loop(group, sub))
+    reps = [coset[0] for coset in cosets_loop(group, sub)]
+    offsets, pos = {}, 0
+    for k, blk in enumerate(rep.blocks):
+        for x in blk.support():
+            offsets[(k, x)] = pos
+            pos += blk.mult
+    pairs = []
+    for (k1, blk1), (k2, blk2) in itertools.product(enumerate(rep.blocks), repeat=2):
+        for x1 in blk1.support():
+            for x2 in blk2.support():
+                d = group.sub(x1, x2)
+                if d in hperp:
+                    gram = isometries.matrix(k1, x1).conj().T @ isometries.matrix(k2, x2)
+                    pairs.append((offsets[(k1, x1)], offsets[(k2, x2)], d, gram))
+    mats = []
+    for c in reps:
+        mat = np.zeros((rep.dim, rep.dim), dtype=complex)
+        for o1, o2, d, gram in pairs:
+            coeff = group.pairing(d, c) / len(reps)
+            mat[o1 : o1 + gram.shape[0], o2 : o2 + gram.shape[1]] = coeff * gram
+        mats.append(mat)
+    return reps, mats
+
+
+def verify_covariance_loop(pom, unitaries, action):
+    """(max_defect, worst) of the exact spectral norm over every (g, cell) pair."""
+    index_of = {out.cell: i for i, out in enumerate(pom.outcomes)}
+    worst, max_defect = ((), ""), 0.0
+    for g, u in unitaries.items():
+        for i, out in enumerate(pom.outcomes):
+            moved = u @ pom.effects[i].op.mat @ u.conj().T
+            target = pom.effects[index_of[action(g, out.cell)]].op.mat
+            defect = float(np.linalg.norm(moved - target, 2))
+            if defect > max_defect:
+                max_defect, worst = defect, (g, out.label)
+    return max_defect, worst
+
+
+def check_pom_axioms_loop(pom):
+    """(worst_negativity, normalization_defect) with an SVD per effect."""
+    worst = 0.0
+    for eff in pom.effects:
+        mat = eff.op.mat
+        herm = np.linalg.norm(mat - mat.conj().T, 2)
+        eigs = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
+        worst = max(worst, -float(eigs.min()), float(herm))
+    defect = np.linalg.norm(pom.effect_sum() - np.eye(pom.dim), 2)
+    return worst, float(defect)
+
+
+def sigma_transform(f, nu, group, sub, equivariance_tol=1e-9):
+    """Loop form of the diagonalising transform on an equivariant function.
+
+    ``f`` is indexed [group element, dual coset representative] and must obey
+    f(g + h, xdot) = conj(<xdot, h>) f(g, xdot) for h in the subgroup; the
+    result is (Sf)(x) = (1/|G/H|) sum over cosets of <x, c> f(c, q(x)), set to
+    zero where the lifted measure nu vanishes.
+    """
+    group_elems = group.elements()
+    gidx = {g: i for i, g in enumerate(group_elems)}
+    hperp = annihilator(group, sub)
+    dual_reps = coset_representatives(group, hperp)
+    dual_rep_of = coset_rep_map_loop(group, hperp)
+    didx = {c: i for i, c in enumerate(dual_reps)}
+    f = np.asarray(f, dtype=complex)
+    for h in sub.elements:
+        for xd in dual_reps:
+            ch = np.conj(group.pairing(xd, h))
+            for g in group_elems:
+                if abs(f[gidx[group.add(g, h)], didx[xd]] - ch * f[gidx[g], didx[xd]]) > equivariance_tol:
+                    raise ValueError(f"f is not equivariant at g={g}, h={h}, xdot={xd}")
+    reps = coset_representatives(group, sub)
+    out = np.zeros(len(group_elems), dtype=complex)
+    for xi, x in enumerate(group_elems):
+        xd = didx[dual_rep_of[x]]
+        out[xi] = sum(group.pairing(x, c) * f[gidx[c], xd] for c in reps) / len(reps)
+        if nu.get(dual_rep_of[x], 0.0) <= 0:
+            out[xi] = 0.0
+    return out
+
+
+def translated_pvm_matrix_loop(omega, group, sub):
+    reps = [coset[0] for coset in cosets_loop(group, sub)]
+    hperp = set(annihilator_loop(group, sub))
+    fbar = {
+        y: sum(group.pairing(y, c) * omega[c] for c in reps) / len(reps) for y in hperp
+    }
+    elems = group.elements()
+    mat = np.zeros((len(elems), len(elems)), dtype=complex)
+    for i, x in enumerate(elems):
+        for j, xp in enumerate(elems):
+            d = group.sub(x, xp)
+            if d in hperp:
+                mat[i, j] = fbar[d]
+    return mat
 
 
 def single_block_rep(group, weights, mult=1):
@@ -293,7 +423,7 @@ class TestTranslatedPvm:
         omega = {reps[0]: 1.0, reps[1]: 0.0}
         rng = np.random.default_rng(2)
         phi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        out = translated_pvm_apply(omega, phi, g, h)
+        out = translated_pvm_matrix(omega, g, h) @ phi
         # Fbar(indicator of identity coset)(y) = 1/2 on Hperp = {0, 2}
         elems = g.elements()
         for i, x in enumerate(elems):
@@ -391,3 +521,179 @@ class TestRandomCovariantSweep:
             pom = build_covariant_pom(rep, h, fam)
             assert check_pom_axioms(pom, 1e-10).passed
             assert verify_covariance(pom, unitaries, action, 1e-10).passed
+
+
+# --- array forms against their loop oracles ---------------------------------
+
+SMALL_MODULI = [
+    (2,), (3,), (4,), (5,), (6,), (8,), (12,), (16,),
+    (2, 2), (2, 4), (2, 6), (3, 3), (2, 8), (4, 4), (2, 2, 2), (2, 2, 4),
+]
+TOL = 1e-10
+
+
+@st.composite
+def covariant_systems(draw):
+    """A group with |G| <= 16, a subgroup, one or two blocks and isometries."""
+    g = FiniteAbelianGroup(draw(st.sampled_from(SMALL_MODULI)))
+    elems = g.elements()
+    sub = Subgroup.from_generators(g, draw(st.lists(st.sampled_from(elems), max_size=2)))
+    support = draw(st.permutations(elems))[: draw(st.integers(1, len(elems)))]
+    cut = draw(st.integers(0, len(support)))
+    blocks = tuple(
+        RepBlock.from_mapping(
+            {x: draw(st.floats(0.1, 2.0)) for x in part}, draw(st.integers(1, 2))
+        )
+        for part in (support[:cut], support[cut:])
+        if part
+    )
+    rep = DiagonalRep(g, blocks)
+    aux = draw(st.integers(max(b.mult for b in blocks), 3))
+    fam = random_isometries(rep, aux, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return g, sub, rep, fam
+
+
+def perturbed(pom, index, eps, rng):
+    """The POM with effect ``index`` moved by eps times a unit-norm Hermitian."""
+    a = rng.normal(size=(pom.dim, pom.dim)) + 1j * rng.normal(size=(pom.dim, pom.dim))
+    herm = a + a.conj().T
+    mat = pom.effects[index].op.mat + eps * herm / np.linalg.norm(herm, 2)
+    effects = list(pom.effects)
+    effects[index] = Effect(Operator(mat))
+    return type(pom)(pom.space_tag, pom.outcomes, tuple(effects))
+
+
+def assert_covariance_matches_loop(pom, unitaries, action):
+    report = verify_covariance(pom, unitaries, action, TOL)
+    loop_max, loop_worst = verify_covariance_loop(pom, unitaries, action)
+    assert report.passed == (loop_max <= TOL)
+    if report.passed:
+        # a Frobenius bound on the pass side, never below the exact norm
+        assert loop_max - 1e-15 <= report.max_defect <= TOL
+    else:
+        assert abs(report.max_defect - loop_max) <= 1e-12
+        assert report.worst == loop_worst
+
+
+def assert_axioms_match_loop(pom):
+    report = check_pom_axioms(pom, TOL)
+    worst, defect = check_pom_axioms_loop(pom)
+    assert report.passed == (worst <= TOL and defect <= TOL)
+    assert report.normalization_defect == pytest.approx(defect, abs=1e-15)
+    if worst > TOL:
+        assert report.worst_negativity == pytest.approx(worst, abs=1e-15)
+    else:
+        assert worst - 1e-15 <= report.worst_negativity <= TOL
+
+
+class TestArrayFormsMatchLoops:
+    @settings(max_examples=40, deadline=None)
+    @given(covariant_systems())
+    def test_build_matches_loop(self, system):
+        g, sub, rep, fam = system
+        pom = build_covariant_pom(rep, sub, fam)
+        reps, mats = build_covariant_pom_loop(rep, sub, fam)
+        assert pom.labels() == tuple(str(c) for c in reps)
+        for eff, mat in zip(pom.effects, mats):
+            assert np.max(np.abs(eff.op.mat - mat)) <= 1e-14
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        covariant_systems(),
+        st.sampled_from([0.0, 1e-12, 1e-9, 1e-3]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_covariance_matches_loop(self, system, eps, seed):
+        g, sub, rep, fam = system
+        pom = build_covariant_pom(rep, sub, fam)
+        rng = np.random.default_rng(seed)
+        if eps:
+            pom = perturbed(pom, int(rng.integers(len(pom.effects))), eps, rng)
+        assert_covariance_matches_loop(pom, diagonal_unitaries(rep), coset_action(g, sub))
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-9, 1e-3])
+    def test_finite_weyl_covariance_matches_loop(self, d, eps):
+        rng = np.random.default_rng(100 * d + int(-np.log10(eps or 1)))
+        vecs = rng.normal(size=(2, d)) + 1j * rng.normal(size=(2, d))
+        pom = finite_weyl_pom(d, make_state([(0.7, vecs[0]), (0.3, vecs[1])]))
+        if eps:
+            pom = perturbed(pom, int(rng.integers(len(pom.effects))), eps, rng)
+        assert_covariance_matches_loop(pom, finite_weyl_unitaries(d), finite_weyl_action(d))
+
+    def test_permuted_effects_fail_like_loop(self):
+        g = FiniteAbelianGroup((4,))
+        rep = single_block_rep(g, {(x,): 1.0 for x in range(4)})
+        pom = build_covariant_pom(rep, Subgroup.trivial(g), random_isometries(
+            rep, 2, np.random.default_rng(9)))
+        shuffled = type(pom)(
+            pom.space_tag, pom.outcomes, (pom.effects[1], pom.effects[0]) + pom.effects[2:]
+        )
+        assert_covariance_matches_loop(
+            shuffled, diagonal_unitaries(rep), coset_action(g, Subgroup.trivial(g))
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        covariant_systems(),
+        st.sampled_from([0.0, 1e-12, 1e-9, 1e-3]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_axioms_match_loop(self, system, eps, hermitian, seed):
+        g, sub, rep, fam = system
+        pom = build_covariant_pom(rep, sub, fam)
+        rng = np.random.default_rng(seed)
+        if eps:
+            # a Hermitian move tests positivity, an anti-Hermitian one Hermiticity
+            pom = perturbed(pom, int(rng.integers(len(pom.effects))), eps, rng)
+            if not hermitian:
+                i = int(rng.integers(len(pom.effects)))
+                skew = pom.effects[i].op.mat + 1j * eps * np.eye(pom.dim)
+                pom = type(pom)(pom.space_tag, pom.outcomes,
+                                pom.effects[:i] + (Effect(Operator(skew)),) + pom.effects[i + 1:])
+        assert_axioms_match_loop(pom)
+
+    @pytest.mark.parametrize("block", [1, 200])
+    def test_blocked_sweeps_match_loop(self, monkeypatch, block):
+        # dim 5: one effect per block, or 8 effects per block over 25 effects
+        monkeypatch.setattr(abelian_module, "BLOCK_ENTRIES", block)
+        monkeypatch.setattr(hilbert_module, "BLOCK_ENTRIES", block)
+        rng = np.random.default_rng(block)
+        vecs = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
+        pom = finite_weyl_pom(5, make_state([(0.6, vecs[0]), (0.4, vecs[1])]))
+        for eps in (0.0, 1e-3):
+            moved = perturbed(pom, 17, eps, rng)
+            assert_covariance_matches_loop(moved, finite_weyl_unitaries(5), finite_weyl_action(5))
+            assert_axioms_match_loop(moved)
+
+    @settings(max_examples=40, deadline=None)
+    @given(covariant_systems())
+    def test_group_tables_match_loops(self, system):
+        g, sub, rep, _ = system
+        assert cosets(g, sub) == cosets_loop(g, sub)
+        assert annihilator(g, sub).elements == annihilator_loop(g, sub)
+        nu_tilde = covariance_densities(rep, sub).nu_tilde
+        for x in g.elements():
+            loop = sum(rep.total_weight(g.add(x, y)) for y in annihilator_loop(g, sub))
+            assert nu_tilde[x] == pytest.approx(loop, abs=1e-14)
+        for x, u in diagonal_unitaries(rep).items():
+            loop = np.diag([g.pairing(y, x) for _, y, _ in rep.basis()])
+            assert np.max(np.abs(u - loop)) <= 1e-14
+
+    @settings(max_examples=40, deadline=None)
+    @given(covariant_systems(), st.integers(0, 2**32 - 1))
+    def test_sigma_and_pvm_match_loops(self, system, seed):
+        g, sub, _, _ = system
+        rng = np.random.default_rng(seed)
+        reps = coset_representatives(g, sub)
+        dual_reps = coset_representatives(g, annihilator(g, sub))
+        omega = {c: rng.uniform() for c in reps}
+        loop = translated_pvm_matrix_loop(omega, g, sub)
+        assert np.max(np.abs(translated_pvm_matrix(omega, g, sub) - loop)) <= 1e-14
+        f = TestSigmaTransform.equivariant_function(g, sub, None, rng)
+        gidx = {e: i for i, e in enumerate(g.elements())}
+        coords = [f[gidx[c], di] for di in range(len(dual_reps)) for c in reps]
+        out = sigma_matrix(g, sub) @ coords / np.sqrt(len(reps))
+        nu = {xd: 1.0 for xd in dual_reps}
+        assert np.max(np.abs(out - sigma_transform(f, nu, g, sub))) <= 1e-13

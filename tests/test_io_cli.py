@@ -41,6 +41,15 @@ class TestRoundTrips:
         for e1, e2 in zip(back.effects, pom.effects):
             np.testing.assert_allclose(e1.op.mat, e2.op.mat, atol=1e-15)
 
+    def test_operator_encoding_matches_per_entry_form(self):
+        rng = np.random.default_rng(3)
+        mat = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        mat[0, :4] = [-0.0, 5e-324, 1e300 - 1e-300j, complex(0.1, -0.0)]
+        entries = io.operator_to_json(Operator(mat))["entries"]
+        per_entry = [io.complex_to_json(z) for z in mat.ravel()]
+        # json text, so signed zeros and every digit count
+        assert json.dumps(entries) == json.dumps(per_entry)
+
     def test_cells(self):
         for cell in (PointCell((1, 2)), IntervalCell(0.0, 1.5), RectCell(0, 1, -2, 3)):
             back = io._cell_from_json(io._cell_to_json(cell))
@@ -107,6 +116,14 @@ class TestCli:
         assert all(c["pass"] for c in report["checks"])
         saved = io.pom_from_json(json.loads(out.read_text()))
         assert len(saved.effects) == 8
+
+    def test_data_file_compact_report_indented(self, capsys, tmp_path):
+        out = tmp_path / "pom.json"
+        main(["phase", "--dim", "3", "--cells", "4", "--out", str(out)])
+        printed = capsys.readouterr().out
+        pom = phase_pom(canonical_phase_vectors(3), np.linspace(0, 2 * np.pi, 5))
+        assert out.read_text() == json.dumps(io.pom_to_json(pom)) + "\n"
+        assert printed.startswith('{\n  "tool": "phase"')
 
     def test_check_pom_roundtrip(self, capsys, tmp_path):
         pom_path = tmp_path / "pom.json"
