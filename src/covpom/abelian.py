@@ -29,11 +29,11 @@ import numpy as np
 from .grids import BLOCK_ENTRIES, Grid1D
 from .hilbert import (
     Effect,
-    IntervalCell,
     Operator,
     Outcome,
     PointCell,
     Pom,
+    partition_pom,
 )
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
     "phase_difference_pom",
     "translation_covariant_effect",
     "translation_covariant_pom",
-    "conjugate_by_fourier",
 ]
 
 Element = Tuple[int, ...]
@@ -705,11 +704,12 @@ def _block_diag(mats: Sequence[np.ndarray]) -> np.ndarray:
 # --- torus examples: phase and phase difference ---------------------------
 
 
-def _interval_coefficient(n: int, lo: float, hi: float) -> complex:
-    """(1/2pi) integral over [lo, hi) of exp(i n theta), in closed form."""
-    if n == 0:
-        return complex((hi - lo) / (2 * np.pi))
-    return (np.exp(1j * n * hi) - np.exp(1j * n * lo)) / (2j * np.pi * n)
+def _interval_coefficient(n: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """(1/2pi) integral over [lo, hi) of exp(i n theta), in closed form, for integer arrays n."""
+    n = np.asarray(n)
+    nonzero = np.where(n == 0, 1, n)
+    ends = (np.exp(1j * n * hi) - np.exp(1j * n * lo)) / (2j * np.pi * nonzero)
+    return np.where(n == 0, (hi - lo) / (2 * np.pi), ends)
 
 
 def _check_phase_vectors(h: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -723,6 +723,21 @@ def _check_phase_vectors(h: Sequence[np.ndarray]) -> list[np.ndarray]:
     return vecs
 
 
+def _check_phase_interval(interval: Tuple[float, float]) -> Tuple[float, float]:
+    lo, hi = float(interval[0]), float(interval[1])
+    if not (0.0 <= lo < hi <= 2 * np.pi + 1e-12):
+        raise ValueError(f"need 0 <= lo < hi <= 2 pi, got [{lo}, {hi})")
+    return lo, hi
+
+
+def _torus_partition(space_tag: str, boundaries: Sequence[float], effect_of) -> Pom:
+    """Partition POM over boundaries that run from 0 to 2 pi."""
+    bounds = np.asarray(boundaries, dtype=float)
+    if bounds.size < 2 or abs(bounds[0]) > 1e-12 or abs(bounds[-1] - 2 * np.pi) > 1e-12:
+        raise ValueError("boundaries must run from 0 to 2 pi")
+    return partition_pom(space_tag, bounds, effect_of, ".6f")
+
+
 def phase_observable_effect(
     h: Sequence[np.ndarray], interval: Tuple[float, float]
 ) -> Effect:
@@ -731,33 +746,18 @@ def phase_observable_effect(
     Entry (j, k) is c_{j-k}(interval) <h_j, h_k> with the closed-form
     interval coefficients; no quadrature is involved.
     """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not (0.0 <= lo < hi <= 2 * np.pi + 1e-12):
-        raise ValueError(f"need 0 <= lo < hi <= 2 pi, got [{lo}, {hi})")
-    vecs = _check_phase_vectors(h)
-    d = len(vecs)
-    gram = np.array([[np.vdot(vj, vk) for vk in vecs] for vj in vecs])
-    coeff = np.array(
-        [[_interval_coefficient(j - k, lo, hi) for k in range(d)] for j in range(d)]
-    )
-    return Effect(Operator(coeff * gram))
+    lo, hi = _check_phase_interval(interval)
+    vecs = np.array(_check_phase_vectors(h))
+    idx = np.arange(len(vecs))
+    coeff = _interval_coefficient(idx[:, None] - idx[None, :], lo, hi)
+    return Effect(Operator(coeff * (vecs.conj() @ vecs.T)))
 
 
 def phase_pom(h: Sequence[np.ndarray], boundaries: Sequence[float]) -> Pom:
     """Covariant phase POM over a partition of [0, 2 pi) into intervals."""
-    bounds = np.asarray(boundaries, dtype=float)
-    if len(bounds) < 2 or np.any(np.diff(bounds) <= 0):
-        raise ValueError("boundaries must be strictly increasing")
-    if abs(bounds[0]) > 1e-12 or abs(bounds[-1] - 2 * np.pi) > 1e-12:
-        raise ValueError("boundaries must run from 0 to 2 pi")
-    outcomes = []
-    effects = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        effects.append(phase_observable_effect(h, (lo, hi)))
-        outcomes.append(
-            Outcome(label=f"[{lo:.6f},{hi:.6f})", cell=IntervalCell(lo, hi))
-        )
-    return Pom("theta in [0, 2 pi)", tuple(outcomes), tuple(effects))
+    return _torus_partition(
+        "theta in [0, 2 pi)", boundaries, lambda lo, hi: phase_observable_effect(h, (lo, hi))
+    )
 
 
 def canonical_phase_vectors(d: int) -> list[np.ndarray]:
@@ -793,48 +793,29 @@ def phase_difference_effect(
 
     Acts on C^d tensor C^d with basis e_{i,j} flattened as i*d + j; the
     matrix element between e_{l,m} and e_{i,j} vanishes unless l+m = i+j and
-    is otherwise c_{j-m}(interval) <h_{l,m}, h_{i,j}>.
+    is otherwise c_{j-m}(interval) <h_{l,m}, h_{i,j}>: the mask l+m = i+j
+    times the coefficients times the Gram matrix of the stacked h vectors.
     """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not (0.0 <= lo < hi <= 2 * np.pi + 1e-12):
-        raise ValueError(f"need 0 <= lo < hi <= 2 pi, got [{lo}, {hi})")
-    vecs: Dict[Tuple[int, int], np.ndarray] = {}
-    for i in range(d):
-        for j in range(d):
-            v = np.asarray(h[(i, j)], dtype=complex).ravel()
-            if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-                raise ValueError(f"h[{(i, j)}] is not normalised")
-            vecs[(i, j)] = v
-    dim = d * d
-    mat = np.zeros((dim, dim), dtype=complex)
-    for l in range(d):
-        for m in range(d):
-            for i in range(d):
-                for j in range(d):
-                    if l + m != i + j:
-                        continue
-                    mat[l * d + m, i * d + j] = _interval_coefficient(
-                        j - m, lo, hi
-                    ) * np.vdot(vecs[(l, m)], vecs[(i, j)])
-    return Effect(Operator(mat))
+    lo, hi = _check_phase_interval(interval)
+    keys = [(i, j) for i in range(d) for j in range(d)]
+    vecs = np.stack([np.asarray(h[key], dtype=complex).ravel() for key in keys])
+    bad = np.flatnonzero(np.abs(np.linalg.norm(vecs, axis=1) - 1.0) > 1e-9)
+    if bad.size:
+        raise ValueError(f"h[{keys[bad[0]]}] is not normalised")
+    i, j = np.divmod(np.arange(d * d), d)
+    coeff = _interval_coefficient(j[None, :] - j[:, None], lo, hi)
+    mask = (i + j)[:, None] == (i + j)[None, :]
+    return Effect(Operator(np.where(mask, coeff * (vecs.conj() @ vecs.T), 0)))
 
 
 def phase_difference_pom(
     d: int, h: Mapping[Tuple[int, int], np.ndarray], boundaries: Sequence[float]
 ) -> Pom:
-    bounds = np.asarray(boundaries, dtype=float)
-    if len(bounds) < 2 or np.any(np.diff(bounds) <= 0):
-        raise ValueError("boundaries must be strictly increasing")
-    if abs(bounds[0]) > 1e-12 or abs(bounds[-1] - 2 * np.pi) > 1e-12:
-        raise ValueError("boundaries must run from 0 to 2 pi")
-    outcomes = []
-    effects = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        effects.append(phase_difference_effect(d, h, (lo, hi)))
-        outcomes.append(
-            Outcome(label=f"[{lo:.6f},{hi:.6f})", cell=IntervalCell(lo, hi))
-        )
-    return Pom("phase difference in [0, 2 pi)", tuple(outcomes), tuple(effects))
+    return _torus_partition(
+        "phase difference in [0, 2 pi)",
+        boundaries,
+        lambda lo, hi: phase_difference_effect(d, h, (lo, hi)),
+    )
 
 
 # --- translation covariant observables on a grid --------------------------
@@ -868,8 +849,10 @@ def translation_covariant_effect(
 
         (1/n) sum over outcome nodes t in X of exp(i (u_j - u_j') t) <h_j, h_j'>.
 
-    With constant h, conjugating by the grid Fourier map gives multiplication
-    by the indicator of X (the sharp observable).
+    The sum is the circulant F* diag(1_X) F of ``Grid1D.momentum_multiplier``,
+    so the effect is that circulant times the Gram matrix, entrywise.  With
+    constant h, conjugating by the grid Fourier map gives multiplication by
+    the indicator of X (the sharp observable).
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim == 1:
@@ -879,15 +862,8 @@ def translation_covariant_effect(
     norms = np.linalg.norm(h, axis=1)
     if np.max(np.abs(norms - 1.0)) > 1e-9:
         raise ValueError("direction vectors must be normalised")
-
     mask = _snap_outcome_intervals(grid, intervals)
-    t_in = grid.momenta()[mask]
-    # n-periodic Toeplitz kernel via one DFT-style sum over selected nodes
-    delta = np.arange(grid.n)
-    kernel = np.exp(1j * np.outer(delta * grid.dx, t_in)).sum(axis=1) / grid.n
-    idx = (np.arange(grid.n)[:, None] - np.arange(grid.n)[None, :]) % grid.n
-    gram = h.conj() @ h.T
-    return Effect(Operator(kernel[idx] * gram))
+    return Effect(Operator(grid.momentum_multiplier(mask) * (h.conj() @ h.T)))
 
 
 def translation_covariant_pom(
@@ -895,23 +871,13 @@ def translation_covariant_pom(
 ) -> Pom:
     """Partition of the full outcome lattice into consecutive intervals."""
     bounds = np.asarray(boundaries, dtype=float)
-    if len(bounds) < 2 or np.any(np.diff(bounds) <= 0):
-        raise ValueError("boundaries must be strictly increasing")
     t = grid.momenta()
-    lo_lim = t[0] - 0.5 * grid.dp
-    hi_lim = t[-1] + 0.5 * grid.dp
-    if bounds[0] > t[0] or bounds[-1] <= t[-1]:
+    if bounds.size < 2 or bounds[0] > t[0] or bounds[-1] <= t[-1]:
         raise ValueError("boundaries must cover the full outcome lattice")
-    bounds = np.clip(bounds, lo_lim, hi_lim)
-    outcomes = []
-    effects = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        effects.append(translation_covariant_effect(h, [(lo, hi)], grid))
-        outcomes.append(Outcome(f"[{lo:.6f},{hi:.6f})", IntervalCell(lo, hi)))
-    return Pom("translation outcomes on the dual lattice", tuple(outcomes), tuple(effects))
-
-
-def conjugate_by_fourier(effect: Effect, grid: Grid1D) -> Effect:
-    """Transport a frequency-side effect to the outcome-side realisation."""
-    f = grid.fourier_matrix()
-    return Effect(Operator(f @ effect.op.mat @ f.conj().T))
+    bounds = np.clip(bounds, t[0] - 0.5 * grid.dp, t[-1] + 0.5 * grid.dp)
+    return partition_pom(
+        "translation outcomes on the dual lattice",
+        bounds,
+        lambda lo, hi: translation_covariant_effect(h, [(lo, hi)], grid),
+        ".6f",
+    )

@@ -8,6 +8,7 @@ codes: 0 all checks pass, 1 a check failed, 2 malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -61,7 +62,7 @@ def _parse_state(obj, grid):
         subs = [(float(c["weight"]), _parse_state(c["state"], grid)) for c in obj["components"]]
         return phasespace.state_from_wavefunctions([
             (weight * w, WaveFunction(grid, psi)) for weight, sub in subs
-            for w, psi in phasespace.spectral_wavefunctions(sub, grid)
+            for w, psi in zip(*posmom.grid_wavefunctions(sub, grid))
         ])
     raise InputError(f"unknown state kind {kind!r}")
 
@@ -335,6 +336,7 @@ def _add_common(parser, tol=1e-10):
     parser.add_argument("--report", default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="covpom",

@@ -4,14 +4,20 @@ The grid Fourier map discretises the kernel exp(-i p x) / sqrt(2 pi) with a
 symmetric index shift: position nodes x_k = x0 + k dx, momentum nodes
 p_j = 2 pi (j - n/2) / (n dx).  With these conventions ``to_momentum`` is
 exactly unitary for the weighted inner product sum(conj(u) v) * dx.
+
+A multiplier on the momentum lattice is no dense Fourier product: on the
+Euclidean embedding F[j, k] = exp(-i p_j x_k) / sqrt(n), so F* diag(m) F has
+entry (a, b) equal to c[(a - b) mod n] with c[k] = (-1)^k ifft(m)[k].  It is
+the circulant of one inverse DFT (Golub and Van Loan, Matrix Computations,
+ch. 4), which ``momentum_multiplier`` builds in O(n log n + n^2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import circulant
 
 __all__ = ["Grid1D", "WaveFunction", "symmetric_grid"]
 
@@ -57,41 +63,29 @@ class Grid1D:
     def inner(self, u: np.ndarray, v: np.ndarray) -> complex:
         return complex(np.vdot(u, v) * self.dx)
 
+    def _signs(self) -> np.ndarray:
+        """(-1)^k over the nodes, from the index shift j - n/2 of the momenta."""
+        return np.where(np.arange(self.n) % 2 == 0, 1.0, -1.0)
+
     def to_momentum(self, values: np.ndarray) -> np.ndarray:
         """Unitary grid Fourier map, psi_hat(p_j) for p_j on ``momenta()``."""
         values = np.asarray(values, dtype=complex)
-        n = self.n
-        signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
         phases = np.exp(-1j * self.momenta() * self.x0)
-        return (self.dx / np.sqrt(2 * np.pi)) * phases * np.fft.fft(values * signs)
+        return (self.dx / np.sqrt(2 * np.pi)) * phases * np.fft.fft(values * self._signs())
 
     def to_position(self, values_hat: np.ndarray) -> np.ndarray:
         """Inverse of ``to_momentum``."""
         values_hat = np.asarray(values_hat, dtype=complex)
-        n = self.n
-        signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
         phases = np.exp(1j * self.momenta() * self.x0)
         pre = np.fft.ifft(values_hat * phases)
-        return (np.sqrt(2 * np.pi) / self.dx) * signs * pre
+        return (np.sqrt(2 * np.pi) / self.dx) * self._signs() * pre
 
-    def fourier_matrix(self) -> np.ndarray:
-        """Dense unitary matrix of the grid Fourier map on Euclidean vectors.
+    def momentum_multiplier(self, profile: np.ndarray) -> np.ndarray:
+        """F* diag(profile) F on Euclidean vectors, F the unitary grid Fourier map.
 
-        Acts on vectors carrying the sqrt(dx) embedding, so F @ F^dagger = I.
+        The circulant whose first column is (-1)^k ifft(profile)[k]; x0 drops out.
         """
-        return _fourier_matrix(self.n, self.x0, self.dx)
-
-
-@lru_cache(maxsize=8)
-def _fourier_matrix(n: int, x0: float, dx: float) -> np.ndarray:
-    grid = Grid1D(n, x0, dx)
-    x = grid.positions()
-    p = grid.momenta()
-    mat = np.exp(-1j * np.outer(p, x)) * (dx / np.sqrt(2 * np.pi))
-    # Euclidean embedding: v = psi sqrt(dx); F_euclid = sqrt(dp/dx) * kernel
-    mat *= np.sqrt(grid.dp / dx)
-    mat.setflags(write=False)
-    return mat
+        return circulant(self._signs() * np.fft.ifft(np.asarray(profile, dtype=complex)))
 
 
 def symmetric_grid(n: int, half_width: float) -> Grid1D:

@@ -5,6 +5,7 @@ complex matrices; Hermiticity and positivity are tolerance-gated predicates
 rather than assumptions.  A ``State`` is a low-rank factor (weights and
 orthonormal vectors); its dense operator is built only on demand.  A ``Pom``
 is a finite family of effects labelled by disjoint outcome cells;
+``partition_pom`` builds one over the intervals between boundaries, and
 ``check_pom_axioms`` verifies positivity and normalisation with explicit
 witnesses.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,6 +32,7 @@ __all__ = [
     "AxiomReport",
     "ProbVector",
     "make_state",
+    "partition_pom",
     "check_pom_axioms",
     "outcome_distribution",
     "effect_is_regular",
@@ -42,15 +44,6 @@ __all__ = [
 # Tolerance for algebraically exact constructions (finite groups, closed-form
 # integrals).
 EXACT_TOL = 1e-10
-
-
-def _as_complex_matrix(entries) -> np.ndarray:
-    mat = np.asarray(entries, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    mat = mat.copy()
-    mat.setflags(write=False)
-    return mat
 
 
 def spectral_norm(mat: np.ndarray) -> float:
@@ -82,12 +75,21 @@ def eigh_fixed(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Operator:
-    """Dense complex square matrix acting on a finite-dimensional space."""
+    """Dense complex square matrix acting on a finite-dimensional space.
+
+    The operator owns its matrix: a complex ndarray is kept as it is, not
+    copied, and made read-only, so the caller must not write to it again.
+    Other input is converted, which copies.
+    """
 
     entries: np.ndarray
 
     def __init__(self, entries):
-        object.__setattr__(self, "entries", _as_complex_matrix(entries))
+        mat = np.asarray(entries, dtype=complex)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+        mat.setflags(write=False)
+        object.__setattr__(self, "entries", mat)
 
     @property
     def dim(self) -> int:
@@ -332,6 +334,26 @@ def make_state(spectral: Sequence[Tuple[float, Iterable[complex]]]) -> State:
 def pure_state(vector: Iterable[complex]) -> State:
     """Rank-one state |v><v| / ||v||^2."""
     return make_state([(1.0, vector)])
+
+
+def partition_pom(
+    space_tag: str,
+    bounds: Sequence[float],
+    effect_of: Callable[[float, float], Effect],
+    fmt: str,
+) -> Pom:
+    """POM of the interval cells [lo, hi) between consecutive ``bounds``.
+
+    ``bounds`` must strictly increase.  Each cell gets the label ``[lo,hi)``,
+    both ends written in the format ``fmt`` (such as ".6f"), and the effect
+    ``effect_of(lo, hi)``.
+    """
+    bounds = np.asarray(bounds, dtype=float)
+    if bounds.size < 2 or not np.all(bounds[1:] > bounds[:-1]):
+        raise ValueError("boundaries must be strictly increasing")
+    cells = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    outcomes = tuple(Outcome(f"[{lo:{fmt}},{hi:{fmt}})", IntervalCell(lo, hi)) for lo, hi in cells)
+    return Pom(space_tag, outcomes, tuple(effect_of(lo, hi) for lo, hi in cells))
 
 
 def check_pom_axioms(pom: Pom, tol: float = EXACT_TOL) -> AxiomReport:

@@ -35,7 +35,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .grids import BLOCK_ENTRIES, Grid1D, WaveFunction
 from .hilbert import Effect, Operator, Outcome, PointCell, Pom, RectCell, State
-from .posmom import ProbMeasure1D, WindowLeakageError, _spectral_pairs, _state_densities
+from .posmom import ProbMeasure1D, WindowLeakageError, _state_densities, grid_wavefunctions
 
 __all__ = [
     "WeylApplied",
@@ -43,7 +43,6 @@ __all__ = [
     "gaussian_wavefunction",
     "hermite_wavefunction",
     "state_from_wavefunctions",
-    "spectral_wavefunctions",
     "DensityResult",
     "phase_space_density",
     "phase_space_effect",
@@ -115,11 +114,6 @@ def state_from_wavefunctions(pairs: Sequence[Tuple[float, WaveFunction]]) -> Sta
     return State(spectral=zip((power / power.sum()).tolist(), vecs.T[: power.size]))
 
 
-def spectral_wavefunctions(state: State, grid: Grid1D) -> list[Tuple[float, np.ndarray]]:
-    """Spectral decomposition as wave-function samples (inverse embedding)."""
-    return list(zip(*_spectral_pairs(state, grid)))
-
-
 # --- the Weyl system ---------------------------------------------------------
 
 
@@ -183,7 +177,7 @@ def _kernel_rows(
     """
     n = grid.n
     q_nodes, q_w = _gl_panels(cell.q_lo, cell.q_hi, order, max_panel)
-    tw, tv = _spectral_pairs(t_state, grid)
+    tw, tv = grid_wavefunctions(t_state, grid)
     scale = np.sqrt(np.outer(q_w, tw))[:, :, None]
     bank_h = (_translates(tv, grid, q_nodes) * scale).reshape(-1, n).conj()  # B*
     d = np.arange(1 - n, n) * grid.dx
@@ -249,8 +243,8 @@ def phase_space_density(
     """
     qs = np.asarray(qs, dtype=float)
     ps = np.asarray(ps, dtype=float)
-    tw, tv = _spectral_pairs(t_state, grid)
-    sw, sv = _spectral_pairs(s_state, grid)
+    tw, tv = grid_wavefunctions(t_state, grid)
+    sw, sv = grid_wavefunctions(s_state, grid)
     integrands = sv.conj()[None, None] * _translates(tv, grid, qs)[:, :, None]
     phase = np.exp(1j * np.outer(grid.positions(), ps))
     overlaps = integrands.reshape(-1, grid.n) @ phase * grid.dx

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
 from .grids import BLOCK_ENTRIES, Grid1D, WaveFunction
-from .hilbert import Effect, IntervalCell, Operator, Outcome, Pom, State
+from .hilbert import Effect, Operator, Pom, State, partition_pom, spectral_norm
 
 __all__ = [
     "ProbMeasure1D",
@@ -50,6 +50,7 @@ __all__ = [
     "uncertainty_product",
     "resolution_product",
     "noncommutativity_witness",
+    "grid_wavefunctions",
 ]
 
 MASS_TOL = 1e-9
@@ -377,27 +378,23 @@ def smeared_effect(obs: SmearedObservable, intervals) -> Effect:
 
     Position kind: diagonal multiplication by the smeared indicator.
     Momentum kind: the same profile on the momentum lattice, conjugated back
-    by the grid Fourier map.
+    by the grid Fourier map; F* diag(profile) F is the circulant of one
+    inverse DFT of the profile (``Grid1D.momentum_multiplier``).
     """
     prof, _ = smeared_profile(obs, intervals)
     if obs.kind == "position":
         return Effect(Operator(np.diag(prof.astype(complex))))
-    f = obs.grid.fourier_matrix()
-    return Effect(Operator(f.conj().T @ np.diag(prof.astype(complex)) @ f))
+    return Effect(Operator(obs.grid.momentum_multiplier(prof)))
 
 
 def smeared_pom(obs: SmearedObservable, boundaries: Sequence[float]) -> Pom:
     """Partition of the line into consecutive cells (outer cells unbounded)."""
-    interior = [float(b) for b in boundaries]
-    if any(b2 <= b1 for b1, b2 in zip(interior[:-1], interior[1:])):
-        raise ValueError("boundaries must be strictly increasing")
-    bounds = [-math.inf] + interior + [math.inf]
-    outcomes = []
-    effects = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        effects.append(smeared_effect(obs, [(lo, hi)]))
-        outcomes.append(Outcome(f"[{lo:.6g},{hi:.6g})", IntervalCell(lo, hi)))
-    return Pom(f"smeared {obs.kind} outcomes", tuple(outcomes), tuple(effects))
+    return partition_pom(
+        f"smeared {obs.kind} outcomes",
+        [-math.inf, *boundaries, math.inf],
+        lambda lo, hi: smeared_effect(obs, [(lo, hi)]),
+        ".6g",
+    )
 
 
 def distribution(
@@ -644,8 +641,12 @@ def sharpness_test(measure: ProbMeasure1D, n_widths: int = 7) -> SharpnessReport
 # --- coexistence diagnostics -------------------------------------------------
 
 
-def _spectral_pairs(state: State, grid: Grid1D) -> Tuple[np.ndarray, np.ndarray]:
-    """Positive weights (r,) and their wave functions as the rows of an r x n array."""
+def grid_wavefunctions(state: State, grid: Grid1D) -> Tuple[np.ndarray, np.ndarray]:
+    """Positive weights (r,) and their wave functions as the rows of an r x n array.
+
+    The wave functions are the factor's vectors divided by sqrt(dx), the
+    inverse of the grid embedding.
+    """
     if state.dim != grid.n:
         raise ValueError("state dimension does not match the grid")
     weights, vecs = state.factor()
@@ -655,7 +656,7 @@ def _spectral_pairs(state: State, grid: Grid1D) -> Tuple[np.ndarray, np.ndarray]
 
 def _state_densities(state: State, grid: Grid1D) -> Tuple[np.ndarray, np.ndarray]:
     """Position and momentum densities of a grid-embedded state."""
-    weights, psi = _spectral_pairs(state, grid)
+    weights, psi = grid_wavefunctions(state, grid)
     return weights @ np.abs(psi) ** 2, weights @ np.abs(grid.to_momentum(psi)) ** 2
 
 
@@ -749,13 +750,15 @@ def noncommutativity_witness(
 
     Samples bounded intervals for both observables and reports the extreme
     commutator norms with their witnesses; some pair must fail to commute.
+    The position effect is diag(a) and the momentum effect the circulant
+    C = F* diag(m) F, so [diag(a), C]_jk = (a_j - a_k) C_jk is formed
+    entrywise; i times it is Hermitian, which gives its norm by eigvalsh.
     """
     rng = np.random.default_rng(seed)
     pos_obs = SmearedObservable("position", rho, grid)
     mom_obs = SmearedObservable("momentum", nu, grid)
     half_q = grid.length / 4
     half_p = np.pi / grid.dx / 4
-    f = grid.fourier_matrix()
 
     results = []
     for _ in range(n_samples):
@@ -765,9 +768,8 @@ def noncommutativity_witness(
         d = c + rng.uniform(0.2, half_p / 2)
         prof_q, _ = smeared_profile(pos_obs, [(a, b)])
         prof_p, _ = smeared_profile(mom_obs, [(c, d)])
-        eq = np.diag(prof_q.astype(complex))
-        ep = f.conj().T @ np.diag(prof_p.astype(complex)) @ f
-        norm = float(np.linalg.norm(eq @ ep - ep @ eq, 2))
+        comm = np.subtract.outer(prof_q, prof_q) * grid.momentum_multiplier(prof_p)
+        norm = spectral_norm(1j * comm)
         results.append((norm, ((a, b), (c, d))))
     results.sort(key=lambda r: r[0])
     return NoncommutativityReport(

@@ -281,6 +281,27 @@ class TestCommutatorNorm:
         assert commutator_norm(x, z) == pytest.approx(2.0, abs=1e-14)
 
 
+class TestOperatorOwnership:
+    def test_complex_array_is_kept_and_frozen(self):
+        a = np.arange(9, dtype=complex).reshape(3, 3)
+        op = Operator(a)
+        assert np.shares_memory(op.mat, a)
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+
+    def test_conversion_copies(self):
+        a = np.eye(3)
+        op = Operator(a)
+        assert not np.shares_memory(op.mat, a)
+        assert a.flags.writeable and not op.mat.flags.writeable
+        assert op.mat.dtype == complex
+
+    def test_square_shape_checked(self):
+        with pytest.raises(ValueError, match="square"):
+            Operator(np.zeros((2, 3), dtype=complex))
+
+
 class TestHelpers:
     def test_spectral_norm_matches_svd(self):
         rng = np.random.default_rng(5)

@@ -13,7 +13,7 @@ from covpom.abelian import (
     phase_pom,
     random_isometries,
 )
-from covpom.cli import main
+from covpom.cli import build_parser, main
 from covpom.grids import symmetric_grid
 from covpom.hilbert import IntervalCell, Operator, PointCell, RectCell, pure_state
 from covpom.phasespace import gaussian_wavefunction
@@ -107,6 +107,16 @@ def run_cli(capsys, argv):
 
 
 class TestCli:
+    def test_parser_built_once_calls_share_no_state(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert build_parser() is build_parser()
+        assert main(["phase", "--dim", "2", "--out", "f.json"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json"]
+        (tmp_path / "f.json").unlink()
+        assert main(["phase", "--dim", "2"]) == 0
+        assert list(tmp_path.iterdir()) == []
+        capsys.readouterr()
+
     def test_phase_pom_pass(self, capsys, tmp_path):
         out = tmp_path / "pom.json"
         code, report = run_cli(

@@ -27,7 +27,7 @@ from covpom.phasespace import (
 )
 from covpom.posmom import (
     ProbMeasure1D,
-    _spectral_pairs,
+    grid_wavefunctions,
     SmearedObservable,
     WindowLeakageError,
     distribution,
@@ -98,7 +98,7 @@ class TestFactorState:
             for w, v in state.spectral
             if w > 0
         ]
-        weights, rows = _spectral_pairs(state, grid)
+        weights, rows = grid_wavefunctions(state, grid)
         np.testing.assert_allclose(weights, [w for w, _ in pairs], rtol=0, atol=1e-14)
         np.testing.assert_allclose(rows, np.stack([v for _, v in pairs]), rtol=0, atol=1e-14)
 

@@ -25,9 +25,9 @@ from covpom.phasespace import (
     phase_space_density,
     phase_space_effect,
     resolution_of_identity_defect,
-    spectral_wavefunctions,
     state_from_wavefunctions,
 )
+from covpom.posmom import grid_wavefunctions
 
 HALF_WIDTH = 8.0
 N_MODES = 4
@@ -62,7 +62,7 @@ def oracle_effect(t_state, cell, grid, order=16, max_panel=2.0, p_panel=None):
     acc = np.zeros((grid.n, grid.n), dtype=complex)
     for q, wq in zip(q_nodes, q_w):
         phase = np.exp(1j * np.outer(x - q / 2, p_nodes))
-        for wn, phi in spectral_wavefunctions(t_state, grid):
+        for wn, phi in zip(*grid_wavefunctions(t_state, grid)):
             cols = smooth_translate(phi, grid, q)[:, None] * phase
             acc += (cols * (wq * wn * p_w)) @ cols.conj().T
     return acc * grid.dx / (2 * np.pi)
@@ -76,21 +76,19 @@ def oracle_roi_gram(t_state, grid, half_width, n_test, order=16, max_panel=2.0):
     m = np.zeros((n_test, n_test), dtype=complex)
     for q, wq in zip(q_nodes, q_w):
         phase = np.exp(1j * np.outer(x - q / 2, p_nodes))
-        for wn, phi in spectral_wavefunctions(t_state, grid):
+        for wn, phi in zip(*grid_wavefunctions(t_state, grid)):
             a = (herm.conj() * smooth_translate(phi, grid, q)[None, :]) @ phase * grid.dx
             m += (a * (wq * wn * p_w)) @ a.conj().T
     return m / (2 * np.pi)
 
 
 def oracle_density(t_state, s_state, qs, ps, grid):
-    s_pairs = spectral_wavefunctions(s_state, grid)
-    sw = np.array([w for w, _ in s_pairs])
-    sv = np.stack([v for _, v in s_pairs])
+    sw, sv = grid_wavefunctions(s_state, grid)
     x = grid.positions()
     out = np.zeros((qs.size, ps.size))
     for iq, q in enumerate(qs):
         phase = np.exp(1j * np.outer(x - q / 2, ps))
-        for wn, phi in spectral_wavefunctions(t_state, grid):
+        for wn, phi in zip(*grid_wavefunctions(t_state, grid)):
             shifted = smooth_translate(phi, grid, q)
             overlaps = (sv.conj() * shifted[None, :]) @ phase * grid.dx
             out[iq] += wn * (sw @ (np.abs(overlaps) ** 2))
@@ -100,16 +98,12 @@ def oracle_density(t_state, s_state, qs, ps, grid):
 def oracle_leakage(t_state, s_state, grid, q_window, p_window):
     """The union bound with scipy's fftconvolve, as first written."""
 
-    def pairs(state):
-        p = spectral_wavefunctions(state, grid)
-        return np.array([w for w, _ in p]), np.stack([v for _, v in p])
-
     def outside(density, axis, window, step):
         inside = density[(axis >= window[0]) & (axis <= window[1])].sum() * step
         return max(density.sum() * step - inside, 0.0)
 
-    tw, tv = pairs(t_state)
-    sw, sv = pairs(s_state)
+    tw, tv = grid_wavefunctions(t_state, grid)
+    sw, sv = grid_wavefunctions(s_state, grid)
     x, p = grid.positions(), grid.momenta()
     e_t = (tw[:, None] * np.abs(np.roll(tv[:, ::-1], 1, axis=1)) ** 2).sum(axis=0)
     mu_s = (sw[:, None] * np.abs(sv) ** 2).sum(axis=0)
