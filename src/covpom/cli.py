@@ -198,7 +198,9 @@ def cmd_smeared(args) -> int:
     measure = _parse_measure(_load_json(args.measure), grid)
     report = Report(f"smeared-{args.action}", args.tol, args.seed)
     if args.action == "gamma":
-        res = posmom.resolution_limit(measure)
+        res = posmom.resolution_limit(
+            measure, profile_points=posmom.PROFILE_POINTS if args.out else 0
+        )
         report.add("gamma-finite", math.isfinite(res.gamma), res.gamma, None)
         if args.out:
             with open(args.out, "w") as fh:

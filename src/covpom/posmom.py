@@ -11,7 +11,10 @@ noncommutativity witnesses).
 
 Measures combine a finite atom list with an optional sampled density on a
 uniform grid.  The density CDF is accumulated with Simpson weights; interval
-masses handle atoms at endpoints exactly.
+masses handle atoms at endpoints exactly.  The two Simpson rules are written
+out here in scipy's arithmetic (``scipy.integrate.simpson`` and
+``cumulative_simpson`` on a uniform grid), so the same sums come out without
+importing ``scipy.integrate``.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .grids import BLOCK_ENTRIES, Grid1D, WaveFunction
-from .hilbert import Effect, Operator, Pom, State, partition_pom, spectral_norm
+from .hilbert import Effect, Operator, Pom, State, partition_pom
 
 __all__ = [
     "ProbMeasure1D",
@@ -59,6 +62,43 @@ RESOLUTION_BOUND = 3 - 2 * math.sqrt(2)
 
 class WindowLeakageError(ValueError):
     """Raised when a computation would silently lose probability mass."""
+
+
+def simpson(y: np.ndarray, dx: float) -> float:
+    """Composite Simpson sum of samples y (at least three) with spacing dx.
+
+    An even count ends with the Cartwright correction on the last interval.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.size % 2:
+        return float(np.sum(y[:-2:2] + 4.0 * y[1:-1:2] + y[2::2]) * (dx / 3.0))
+    total = np.sum(y[:-3:2] + 4.0 * y[1:-2:2] + y[2:-1:2]) * (dx / 3.0)
+    h = np.float64(dx)
+    alpha = (2 * h**2 + 3 * h * h) / (6 * (h + h))
+    beta = (h**2 + 3.0 * h * h) / (6 * h)
+    eta = (1 * h**3) / (6 * h * (h + h))
+    return float(total + (alpha * y[-1] + beta * y[-2] - eta * y[-3]))
+
+
+def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
+    """Running Simpson integral of y from its first sample, starting at 0.
+
+    Interval k uses the parabola through samples k, k+1, k+2 when k is even
+    and through k-1, k, k+1 when k is odd; the last interval always uses the
+    second form.
+    """
+    y = np.asarray(y, dtype=float)
+
+    def first_halves(v):
+        return dx / 3 * (5 * v[:-2] / 4 + 2 * v[1:-1] - v[2:] / 4)
+
+    ahead = first_halves(y)
+    behind = first_halves(y[::-1])[::-1]
+    pieces = np.empty(y.size - 1)
+    pieces[:-1:2] = ahead[::2]
+    pieces[1::2] = behind[::2]
+    pieces[-1] = behind[-1]
+    return np.concatenate([[0.0], np.cumsum(pieces)])
 
 
 @dataclass(frozen=True)
@@ -161,7 +201,7 @@ class ProbMeasure1D:
         # forcing monotonicity here would freeze the overshoot instead.
         if self.density is None:
             return None
-        cdf = cumulative_simpson(self.density, dx=self.grid.dx, initial=0.0)
+        cdf = cumulative_simpson(self.density, self.grid.dx)
         cdf.setflags(write=False)
         return cdf
 
@@ -174,8 +214,16 @@ class ProbMeasure1D:
     def density_mass_below(self, t) -> np.ndarray:
         """Continuous-part mass of (-inf, t], vectorised in t.
 
-        Node values come from Simpson accumulation; inside a cell the density
-        is treated as linear, so the partial-cell integral is quadratic in t.
+        Two rules meet here.  The node values D(x_k) are the Simpson sums of
+        ``cumulative_simpson``, while inside the cell [x_k, x_k+1) the density
+        is taken as linear, so D is the quadratic cdf[k] + (linear-density
+        integral), nondecreasing in the cell.  Its left limit at x_k+1 is a
+        trapezoid sum and differs from cdf[k+1], so D jumps at every node, in
+        either direction: at n = 1024 on a window of 40 the jumps reach
+        5.7e-6 for a Gaussian of sigma 0.7 and -1.6e-3 on a phase-space
+        momentum margin, and Simpson ringing makes cdf itself fall by
+        5.5e-4 at an edge of uniform(-3, 3).  Values are clipped to
+        [0, total].
         """
         t = np.asarray(t, dtype=float)
         if self.density is None:
@@ -238,33 +286,56 @@ class ProbMeasure1D:
             raise ValueError("measure has empty support")
         return lo, hi
 
+    def _anchors(self) -> np.ndarray:
+        """Grid nodes (when there is a density) and atom locations."""
+        locs, _ = self._atom_arrays()
+        if self.density is None:
+            return locs
+        return np.concatenate([self.grid.positions(), locs])
+
+    def _candidate_windows(self, widths):
+        """Edges of the candidate windows, one row per width.
+
+        Each edge that sits on an anchor is the anchor itself: a window
+        formed as centre -/+ width/2 can miss its own anchor by one rounding,
+        which loses a whole atom at that edge.
+        """
+        w = np.asarray(widths, dtype=float)[:, None]
+        u = self._anchors()
+        lo = np.concatenate([np.broadcast_to(u, (w.size, u.size)), u - w, u - w / 2], axis=1)
+        hi = np.concatenate([u + w, np.broadcast_to(u, (w.size, u.size)), u + w / 2], axis=1)
+        return lo, hi
+
     def window_mass_sup(
         self, width: float, open_interval: bool = False
     ) -> Tuple[float, float]:
-        """sup over centres x of the mass of [x - width/2, x + width/2].
+        """Largest mass of a window of length ``width`` over the candidate placements.
 
-        The window-mass function is piecewise linear in x between breakpoints
-        where a window edge crosses a grid node or an atom, so evaluating at
-        all breakpoints (plus atom centres) realises the supremum exactly for
-        the interpolated-CDF model.  Returns (sup, maximising centre).
+        A placement puts the left edge, the right edge or the centre on an
+        anchor (a grid node when there is a density, or an atom).  Within a
+        grid cell the window mass is quadratic in the position, and it jumps
+        where an edge crosses a node (see ``density_mass_below``) or an atom,
+        so this is the maximum over that family, not the supremum over all
+        centres.  Returns (mass, centre), the smallest maximising centre.
         """
         if width <= 0:
             raise ValueError("window width must be positive")
-        half = width / 2
-        cands = []
-        if self.density is not None:
-            x = self.grid.positions()
-            cands.extend([x - half, x + half, x])
-        if self.atoms:
-            locs = np.array([x for x, _ in self.atoms])
-            cands.extend([locs, locs - half, locs + half])
-        centres = np.unique(np.concatenate(cands))
+        lo, hi = self._candidate_windows([width])
         inc = not open_interval
-        masses = self.mass_interval(
-            centres - half, centres + half, include_lo=inc, include_hi=inc
-        )
-        best = int(np.argmax(masses))
-        return float(masses[best]), float(centres[best])
+        masses = self.mass_interval(lo, hi, include_lo=inc, include_hi=inc)
+        best = masses.max()
+        return float(best), float(((lo + hi) / 2)[masses == best].min())
+
+    def _window_mass_sups(self, widths, open_interval: bool = False) -> np.ndarray:
+        """``window_mass_sup`` masses for many widths, in blocks of rows."""
+        widths = np.asarray(widths, dtype=float)
+        rows = max(1, BLOCK_ENTRIES // (3 * self._anchors().size))
+        inc = not open_interval
+        sups = [
+            self.mass_interval(*self._candidate_windows(widths[i : i + rows]), inc, inc).max(axis=1)
+            for i in range(0, widths.size, rows)
+        ]
+        return np.concatenate(sups) if sups else np.empty(0)
 
     # -- moments and transforms ---------------------------------------------
 
@@ -294,20 +365,21 @@ class ProbMeasure1D:
         )
         return edge
 
-    def fourier(self, xis: np.ndarray) -> np.ndarray:
-        """Fourier-Stieltjes transform at the given frequencies."""
-        xis = np.asarray(xis, dtype=float)
-        out = np.zeros(xis.shape, dtype=complex)
+    def fourier(self, grid: Grid1D) -> np.ndarray:
+        """Fourier-Stieltjes transform on the dual lattice ``grid.momenta()``.
+
+        Atoms are summed directly.  On the lattice p_j x_k = p_j x0 +
+        2 pi (j - n/2) k / n, so the density's sum  sum_k rho_k exp(-i p_j x_k) dx
+        is sqrt(2 pi) times the grid Fourier map of rho: one FFT.
+        """
+        if self.density is not None and self.grid != grid:
+            raise ValueError("the density is sampled on a different grid than the lattice")
+        xis = grid.momenta()
+        out = np.zeros(grid.n, dtype=complex)
         for loc, w in self.atoms:
             out += w * np.exp(-1j * xis * loc)
         if self.density is not None:
-            # direct sum by blocks of frequencies, exact up to quadrature
-            x = self.grid.positions()
-            freqs, flat = xis.reshape(-1), out.reshape(-1)  # flat is a view of out
-            step = max(1, BLOCK_ENTRIES // x.size)
-            for i0 in range(0, freqs.size, step):
-                kernel = np.exp(-1j * np.outer(freqs[i0 : i0 + step], x))
-                flat[i0 : i0 + step] += kernel @ self.density * self.grid.dx
+            out += np.sqrt(2 * np.pi) * grid.to_momentum(self.density)
         return out
 
 
@@ -447,37 +519,224 @@ class ResolutionReport:
     alphas: np.ndarray
     sups: np.ndarray
     trivial: bool = False
+    window: Optional[Tuple[float, float]] = None  # a shortest window, [a, b] with b - a = gamma
+
+
+PROFILE_POINTS = 33
+
+
+def _root(v0, g0, c2, target):
+    """Least s with v0 + g0 s + c2 s^2 = target on a quadratic rising from s = 0.
+
+    The cancellation-free form of the quadratic formula.  Callers clip the
+    result to their cell: it is negative when v0 already exceeds the target,
+    0 where the formula degenerates, and may be inf far beyond the cell.
+    """
+    delta = target - v0
+    den = g0 + np.sqrt(np.maximum(g0 * g0 + 4 * c2 * delta, 0.0))
+    with np.errstate(over="ignore"):
+        return np.divide(2 * delta, den, out=np.zeros(den.shape), where=den > 0)
+
+
+class _WindowModel:
+    """Masses below t of a measure, as one quadratic per element.
+
+    The breakpoints p are the anchors (grid nodes when there is a density, and
+    atoms) plus the points where the density CDF model leaves [0, total] and
+    starts to be clipped.  Elements alternate: 2i is the open piece between
+    p[i-1] and p[i] (the outer pieces end at p[0] and p[-1], where their
+    constant value is read), 2i + 1 is the point p[i].  On element e the mass
+    of (-inf, t] is  c0 + c1 s + c2 s^2 + atoms_g[e],  s = t - t0[e], and the
+    mass of (-inf, t) the same with atoms_h[e]; both are nondecreasing in t
+    within an element, because the linearly interpolated density is >= 0.
+    """
+
+    def __init__(self, measure: ProbMeasure1D):
+        anchors = measure._anchors()
+        cuts = [anchors]
+        if measure.density is not None:
+            grid, rho, cdf = measure.grid, measure.density, measure._dens_cdf
+            x, total = grid.positions(), float(cdf[-1])
+            half_slope = 0.5 * np.diff(rho) / grid.dx
+            cell_end = cdf[:-1] + (rho[:-1] + half_slope * grid.dx) * grid.dx
+            for level in (0.0, total):
+                cut = (cdf[:-1] < level) & (cell_end > level)
+                s = _root(cdf[:-1][cut], rho[:-1][cut], half_slope[cut], level)
+                cuts.append(x[:-1][cut] + np.clip(s, 0.0, grid.dx))
+        p = np.unique(np.concatenate(cuts))
+        t0, c0, c1, c2 = (np.zeros(p.size + 1) for _ in range(4))
+        if measure.density is not None:
+            mids = np.concatenate([p[:1] - 1.0, (p[:-1] + p[1:]) / 2, p[-1:] + 1.0])
+            k = np.clip(np.floor((mids - grid.x0) / grid.dx).astype(int), 0, grid.n - 2)
+            s = mids - x[k]
+            below = cdf[k] + (rho[k] + half_slope[k] * s) * s
+            quad = (mids > x[0]) & (mids < x[-1]) & (below >= 0.0) & (below <= total)
+            t0 = np.where(quad, x[k], 0.0)
+            c0 = np.where(quad, cdf[k], measure.density_mass_below(mids))
+            c1 = np.where(quad, rho[k], 0.0)
+            c2 = np.where(quad, half_slope[k], 0.0)
+        locs, cum = measure._atom_arrays()
+        piece_atoms = np.append(measure.atom_mass_upto(p, inclusive=False), cum[-1] if locs.size else 0.0)
+
+        def interleave(pieces, points):
+            out = np.empty(2 * p.size + 1)
+            out[0::2], out[1::2] = pieces, points
+            return out
+
+        self.p, self.anchors = p, np.isin(p, anchors)
+        self.lo = interleave(np.concatenate([p[:1], p]), p)
+        self.hi = interleave(np.append(p, p[-1]), p)
+        self.t0 = interleave(t0, p)
+        self.c0 = interleave(c0, measure.density_mass_below(p))
+        self.c1 = interleave(c1, 0.0)
+        self.c2 = interleave(c2, 0.0)
+        self.atoms_g = interleave(piece_atoms, measure.atom_mass_upto(p, inclusive=True))
+        self.atoms_h = interleave(piece_atoms, measure.atom_mass_upto(p, inclusive=False))
+
+    def value(self, e, t, atoms):
+        s = t - self.t0[e]
+        return self.c0[e] + (self.c1[e] + self.c2[e] * s) * s + atoms[e]
+
+    def slope(self, e, t):
+        return self.c1[e] + 2 * self.c2[e] * (t - self.t0[e])
+
+    def first_above(self, e, target):
+        """inf of the t in element e where the mass of (-inf, t] exceeds target."""
+        lo = self.lo[e]
+        t = lo + _root(self.value(e, lo, self.atoms_g), self.slope(e, lo), self.c2[e], target)
+        return np.clip(t, lo, self.hi[e])
+
+    def last_below(self, e, target):
+        """sup of the t in element e where the mass of (-inf, t) is below target."""
+        lo, hi = self.lo[e], self.hi[e]
+        v0 = self.value(e, lo, self.atoms_h)
+        t = lo + _root(v0, self.slope(e, lo), self.c2[e], target)
+        return np.where(self.value(e, hi, self.atoms_h) < target, hi, np.clip(t, lo, hi))
+
+
+def _shortest_half(measure: ProbMeasure1D) -> Tuple[float, float]:
+    """A shortest candidate window [a, b] with mass above 1/2, in the limit.
+
+    The candidates are those of ``window_mass_sup``: an edge on an anchor, or
+    the centre on one; the result is their infimum length.  With the left
+    edge a on an anchor, b is the first t where the mass below t passes
+    mass(-inf, a) + 1/2: a search on the running maximum of each element's
+    largest value finds the element, and one quadratic root the point.  The
+    right-edge family runs the same way on the running minimum from the
+    right.  Neither search assumes the CDF is monotone; they only use that it
+    never falls by 1/2, so nothing before an anchor passes its target.
+
+    A centred window can be shorter than both.  For element e, any window
+    whose left edge lies in e ends no earlier than the first t passing
+    (least mass below e) + 1/2, so  min_e (that t - end of e)  bounds every
+    window from below.  Only half-widths from half that bound up to half the
+    best edge window can improve on it, and only centres where the two
+    envelopes leave more than 1/2 at the widest of them.  For each such centre
+    the half-widths split into a few intervals where both edges stay in one
+    element, and on each the mass is one rising quadratic, solved directly.
+    """
+    model = _WindowModel(measure)
+    n_el = model.lo.size
+    u = model.p[model.anchors]
+    at_u = 2 * np.flatnonzero(model.anchors) + 1
+    every = np.arange(n_el)
+    rising = np.maximum.accumulate(model.value(every, model.hi, model.atoms_g))
+    least = model.value(every, model.lo, model.atoms_h)
+    falling = np.minimum.accumulate(least[::-1])[::-1]
+
+    def first_passing(target):
+        e = np.searchsorted(rising, target, side="right")
+        ok = e < n_el
+        return ok, model.first_above(e[ok], target[ok])
+
+    ok_left, ends = first_passing(least[at_u] + 0.5)
+    target = model.value(at_u, u, model.atoms_g) - 0.5
+    e = np.searchsorted(falling, target, side="left") - 1
+    ok_right = e >= 0
+    lo = np.concatenate([u[ok_left], model.last_below(e[ok_right], target[ok_right])])
+    hi = np.concatenate([ends, u[ok_right]])
+    if lo.size == 0:
+        raise AssertionError("window covering the support must capture mass 1")
+    best = int(np.argmin(hi - lo))
+    a, b = float(lo[best]), float(hi[best])
+    ok, ends = first_passing(least + 0.5)
+    bound = float(np.min(ends - model.hi[ok], initial=math.inf))
+    if bound < b - a:
+        # a centre can win only if the envelopes leave room above 1/2 at the widest h
+        h_hi = (b - a) / 2
+        room = (rising[2 * np.searchsorted(model.p, u + h_hi, side="right")]
+                - falling[2 * np.searchsorted(model.p, u - h_hi, side="left")])
+        a, b = _centred_scan(measure, model, u[room > 0.5], max(bound, 0.0) / 2, h_hi, (a, b))
+    return a, b
+
+
+def _centred_scan(measure, model, centres, h_lo, h_hi, best):
+    """Shortest window [c - h, c + h] with mass above 1/2 over h in [h_lo, h_hi)."""
+    p = model.p
+    last = p.size - 1
+    edges = (
+        np.searchsorted(p, centres + h_lo, side="right"),
+        np.searchsorted(p, centres + h_hi, side="left"),
+        np.searchsorted(p, centres - h_hi, side="right"),
+        np.searchsorted(p, centres - h_lo, side="left"),
+    )
+    k_right = int(np.max(edges[1] - edges[0], initial=0))
+    k_left = int(np.max(edges[3] - edges[2], initial=0))
+    step = max(1, BLOCK_ENTRIES // (k_right + k_left + 2))
+    for i in range(0, centres.size, step):
+        c = centres[i : i + step, None]
+        r0, r1, l0, l1 = (x[i : i + step, None] for x in edges)
+        ir, il = r0 + np.arange(k_right), l0 + np.arange(k_left)
+        hs = np.sort(np.concatenate([
+            np.full(c.shape, h_lo),
+            np.where(ir < r1, p[np.minimum(ir, last)] - c, h_hi),
+            np.where(il < l1, c - p[np.minimum(il, last)], h_hi),
+            np.full(c.shape, h_hi),
+        ], axis=1), axis=1)
+        # the windows at the split points themselves, and on each open
+        # interval between two of them the root of one quadratic
+        won = measure.mass_interval(c - hs, c + hs) > 0.5
+        ha, hb = hs[:, :-1], hs[:, 1:]
+        mid = (ha + hb) / 2
+        right = 2 * np.searchsorted(p, c + mid, side="right")
+        left = 2 * np.searchsorted(p, c - mid, side="right")
+
+        def mass(h):
+            return model.value(right, c + h, model.atoms_g) - model.value(left, c - h, model.atoms_h)
+
+        m0 = mass(ha)
+        grow = model.slope(right, c + ha) + model.slope(left, c - ha)
+        h = ha + np.clip(_root(m0, grow, model.c2[right] - model.c2[left], 0.5), 0.0, hb - ha)
+        hit = (hb > ha) & (mass(hb) > 0.5)
+        lo = np.concatenate([(c - hs)[won], (c - h)[hit], [best[0]]])
+        hi = np.concatenate([(c + hs)[won], (c + h)[hit], [best[1]]])
+        j = int(np.argmin(hi - lo))
+        best = (float(lo[j]), float(hi[j]))
+    return best
 
 
 def resolution_limit(
     measure: ProbMeasure1D,
     trivial_observable: bool = False,
-    tol: float = 1e-6,
-    profile_points: int = 33,
+    profile_points: int = PROFILE_POINTS,
 ) -> ResolutionReport:
     """Smallest window length whose best placement captures more than 1/2.
 
-    Bisects the monotone window-mass supremum to absolute tolerance ``tol``.
+    gamma is the infimum over the candidate windows of ``window_mass_sup``,
+    found by one exact sweep (``_shortest_half``), the "shortest half" of
+    robust statistics (P. J. Rousseeuw, JASA 79, 871 (1984)).  The profile of
+    ``profile_points`` window lengths and their best masses is computed only
+    when asked for (``profile_points=0`` skips it).
     ``trivial_observable=True`` is the convention for multiples of the
     identity, which are not smeared position observables: gamma is infinite.
     """
     if trivial_observable:
         return ResolutionReport(math.inf, np.empty(0), np.empty(0), trivial=True)
+    a, b = _shortest_half(measure)
+    gamma = b - a
     lo_sup, hi_sup = measure.support_bounds()
-    hi = max(hi_sup - lo_sup, tol) * 1.5 + 1.0
-    lo = 0.0
-    if measure.window_mass_sup(hi)[0] <= 0.5:
-        raise AssertionError("window covering the support must capture mass 1")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if measure.window_mass_sup(mid)[0] > 0.5:
-            hi = mid
-        else:
-            lo = mid
-    gamma = hi
-    alphas = np.geomspace(max(gamma, tol) / 64, (hi_sup - lo_sup) + 1.0, profile_points)
-    sups = np.array([measure.window_mass_sup(a)[0] for a in alphas])
-    return ResolutionReport(float(gamma), alphas, sups)
+    alphas = np.geomspace(max(gamma, 1e-6) / 64, (hi_sup - lo_sup) + 1.0, profile_points)
+    return ResolutionReport(gamma, alphas, measure._window_mass_sups(alphas), window=(a, b))
 
 
 @dataclass(frozen=True)
@@ -500,7 +759,7 @@ def regular_decomposition(
     candidate point fails the sampled-neighbourhood support test.  Presence
     of the decomposition is cross-checked against gamma <= tol.
     """
-    gamma = resolution_limit(measure, tol=min(tol, 1e-6)).gamma
+    gamma = resolution_limit(measure, profile_points=0).gamma
     best = None
     for loc, w in measure.atoms:
         if w >= 0.5 - tol and (best is None or w > best[1]):
@@ -562,19 +821,20 @@ def distinction_compare(
     """Order two confidence measures by the support of their transforms.
 
     The Fourier-Stieltjes transforms are evaluated on the dual lattice of
-    the common grid; numeric support uses the threshold (default 1e-6 times
-    the transform's peak, surfaced because exact supports are unavailable in
-    finite precision).  Supports are dilated by one step before testing
-    inclusion.
+    the common grid (a measure whose density lives on another grid raises
+    ValueError), and ``xi_max`` masks the lattice afterwards; numeric support
+    uses the threshold (default 1e-6 times the transform's peak, surfaced
+    because exact supports are unavailable in finite precision).  Supports
+    are dilated by one step before testing inclusion.
     """
     grid = grid or first.grid or second.grid
     if grid is None:
         raise ValueError("a grid is needed to form the dual lattice")
-    xis = grid.momenta()
+    f1 = first.fourier(grid)
+    f2 = second.fourier(grid)
     if xi_max is not None:
-        xis = xis[np.abs(xis) <= xi_max]
-    f1 = first.fourier(xis)
-    f2 = second.fourier(xis)
+        keep = np.abs(grid.momenta()) <= xi_max
+        f1, f2 = f1[keep], f2[keep]
     thr1 = support_threshold if support_threshold is not None else 1e-6 * np.abs(f1).max()
     thr2 = support_threshold if support_threshold is not None else 1e-6 * np.abs(f2).max()
     if thr1 <= 0 or thr2 <= 0:
@@ -622,19 +882,14 @@ def sharpness_test(measure: ProbMeasure1D, n_widths: int = 7) -> SharpnessReport
     lo_sup, hi_sup = measure.support_bounds()
     span = max(hi_sup - lo_sup, 1.0)
     widths = span * 2.0 ** -np.arange(1, n_widths + 1)
-    sampled = []
-    norm_ok = True
-    for w in widths:
-        sup, _ = measure.window_mass_sup(w, open_interval=True)
-        sampled.append((float(w), sup))
-        if sup < 1.0 - 1e-9:
-            norm_ok = False
+    sups = measure._window_mass_sups(widths, open_interval=True)
+    norm_ok = bool(np.all(sups >= 1.0 - 1e-9))
     return SharpnessReport(
         sharp=atom_route,
         location=location,
         norm_condition_holds=norm_ok,
         agrees=(atom_route == norm_ok),
-        sampled_norms=tuple(sampled),
+        sampled_norms=tuple(zip(widths.tolist(), sups.tolist())),
     )
 
 
@@ -722,8 +977,8 @@ def resolution_product(
     rho: ProbMeasure1D, nu: ProbMeasure1D, tol: float = 1e-3
 ) -> ResolutionProductReport:
     """Product of the two limits of resolution against the coexistence bound."""
-    g1 = resolution_limit(rho).gamma
-    g2 = resolution_limit(nu).gamma
+    g1 = resolution_limit(rho, profile_points=0).gamma
+    g2 = resolution_limit(nu, profile_points=0).gamma
     product = g1 * g2
     return ResolutionProductReport(
         float(product), float(g1), float(g2), bool(product >= RESOLUTION_BOUND - tol)
@@ -750,15 +1005,18 @@ def noncommutativity_witness(
 
     Samples bounded intervals for both observables and reports the extreme
     commutator norms with their witnesses; some pair must fail to commute.
-    The position effect is diag(a) and the momentum effect the circulant
-    C = F* diag(m) F, so [diag(a), C]_jk = (a_j - a_k) C_jk is formed
-    entrywise; i times it is Hermitian, which gives its norm by eigvalsh.
+    The position effect is diag(a) and the momentum effect the circulant C,
+    so i [diag(a), C] is Hermitian with the matrix-free product
+    v -> i (a * Cv - C(a * v)), two FFTs per C.  ARPACK finds its two
+    eigenvalues of largest modulus (the spectrum can come in +- pairs) from a
+    fixed start, and the norm is the larger modulus.
     """
     rng = np.random.default_rng(seed)
     pos_obs = SmearedObservable("position", rho, grid)
     mom_obs = SmearedObservable("momentum", nu, grid)
     half_q = grid.length / 4
     half_p = np.pi / grid.dx / 4
+    start = np.random.default_rng(0).standard_normal(grid.n)
 
     results = []
     for _ in range(n_samples):
@@ -768,9 +1026,15 @@ def noncommutativity_witness(
         d = c + rng.uniform(0.2, half_p / 2)
         prof_q, _ = smeared_profile(pos_obs, [(a, b)])
         prof_p, _ = smeared_profile(mom_obs, [(c, d)])
-        comm = np.subtract.outer(prof_q, prof_q) * grid.momentum_multiplier(prof_p)
-        norm = spectral_norm(1j * comm)
-        results.append((norm, ((a, b), (c, d))))
+
+        def matvec(v, q=prof_q, m=prof_p):
+            v = v.ravel()
+            mult = grid.apply_momentum_multiplier
+            return 1j * (q * mult(m, v) - mult(m, q * v))
+
+        comm = LinearOperator((grid.n, grid.n), matvec=matvec, dtype=complex)
+        vals = eigsh(comm, k=2, which="LM", v0=start, tol=0, return_eigenvectors=False)
+        results.append((float(np.max(np.abs(vals))), ((a, b), (c, d))))
     results.sort(key=lambda r: r[0])
     return NoncommutativityReport(
         min_norm=results[0][0],

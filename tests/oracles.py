@@ -13,3 +13,33 @@ def dense_fourier_matrix(grid):
     p = grid.momenta()
     mat = np.exp(-1j * np.outer(p, x)) * (grid.dx / np.sqrt(2 * np.pi))
     return mat * np.sqrt(grid.dp / grid.dx)
+
+
+def bisection_gamma(measure, tol=1e-6):
+    """Limit of resolution by bisecting the window-mass supremum to ``tol`` (upper end)."""
+    lo_sup, hi_sup = measure.support_bounds()
+    hi = max(hi_sup - lo_sup, tol) * 1.5 + 1.0
+    lo = 0.0
+    assert measure.window_mass_sup(hi)[0] > 0.5
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if measure.window_mass_sup(mid)[0] > 0.5:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def direct_fourier(measure, xis):
+    """Fourier-Stieltjes transform by the direct sum over atoms and grid nodes."""
+    xis = np.asarray(xis, dtype=float)
+    out = np.zeros(xis.shape, dtype=complex)
+    for loc, w in measure.atoms:
+        out += w * np.exp(-1j * xis * loc)
+    if measure.density is not None:
+        x = measure.grid.positions()
+        flat = out.reshape(-1)  # a view: blocks of 256 frequencies bound the kernel's size
+        for i in range(0, flat.size, 256):
+            kernel = np.exp(-1j * np.outer(xis.reshape(-1)[i : i + 256], x))
+            flat[i : i + 256] += kernel @ measure.density * measure.grid.dx
+    return out

@@ -27,7 +27,7 @@ from covpom.posmom import (
     smeared_profile,
     uncertainty_product,
 )
-from oracles import dense_fourier_matrix
+from oracles import dense_fourier_matrix, direct_fourier
 
 # frozen oracle: the half-mass window of a standard normal has length
 # 2 * norm.ppf(3/4) = 1.3489795003921634
@@ -100,19 +100,27 @@ class TestMeasureBasics:
 
 
 class TestFourier:
-    @pytest.mark.parametrize("shape", [(), (1000,), (30, 40)])
-    def test_blocks_match_one_shot_sum(self, grid, shape):
-        # 1024 points: blocks of 256 frequencies, so the 1-D and 2-D cases span several
-        rng = np.random.default_rng(5)
-        xis = rng.uniform(-8.0, 8.0, size=shape)
+    @pytest.mark.parametrize("n", [2**k for k in range(4, 13)])
+    def test_lattice_matches_one_shot_sum(self, n):
+        grid = symmetric_grid(n, 20.0)
         dens = gaussian_measure(grid, mean=0.3, sigma=0.7).density
-        m = ProbMeasure1D.from_density(grid, dens * 0.6, atoms=((0.5, 0.4),), normalize=False)
-        x = grid.positions()
-        one_shot = (np.exp(-1j * np.outer(xis, x)) @ m.density).reshape(shape) * grid.dx
-        one_shot = one_shot + 0.4 * np.exp(-1j * xis * 0.5)
-        got = m.fourier(xis)
-        assert got.shape == np.shape(xis)
-        np.testing.assert_allclose(got, one_shot, rtol=0, atol=1e-13)
+        atoms = ((0.5, 0.3), (-1.25, 0.1))
+        m = ProbMeasure1D.from_density(grid, dens * 0.6, atoms=atoms, normalize=False)
+        got = m.fourier(grid)
+        assert got.shape == (n,)
+        np.testing.assert_allclose(got, direct_fourier(m, grid.momenta()), rtol=0, atol=1e-13)
+
+    def test_atoms_alone_on_any_lattice(self):
+        m = ProbMeasure1D.from_atoms([(0.25, 0.5), (2.0, 0.5)])
+        grid = symmetric_grid(64, 5.0)
+        np.testing.assert_allclose(
+            m.fourier(grid), direct_fourier(m, grid.momenta()), rtol=0, atol=1e-15
+        )
+
+    def test_density_on_another_grid_raises(self, grid):
+        m = gaussian_measure(grid)
+        with pytest.raises(ValueError, match="different grid"):
+            m.fourier(symmetric_grid(grid.n, 10.0))
 
 
 class TestSmearedEffects:
@@ -379,6 +387,21 @@ class TestDistinction:
         m = gaussian_measure(grid)
         with pytest.raises(ValueError):
             distinction_compare(m, m, support_threshold=0.0)
+
+    def test_grids_differ_raises(self, grid):
+        other = symmetric_grid(grid.n, 10.0)
+        m1, m2 = gaussian_measure(grid), gaussian_measure(other)
+        with pytest.raises(ValueError, match="different grid"):
+            distinction_compare(m1, m2)
+        with pytest.raises(ValueError, match="different grid"):
+            distinction_compare(m1, m1, grid=other)
+
+    def test_xi_max_masks_the_lattice(self, grid):
+        # inside |xi| <= 1.5 both transforms are nonzero, so the masked supports agree
+        m1 = bandlimited_measure(grid, a=2.0)
+        m2 = gaussian_measure(grid)
+        assert distinction_compare(m1, m2) is DistinctionOrder.FIRST_BELOW
+        assert distinction_compare(m1, m2, xi_max=1.5) is DistinctionOrder.EQUIVALENT
 
 
 class TestSharpness:

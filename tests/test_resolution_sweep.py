@@ -1,0 +1,242 @@
+"""The limit of resolution by one sweep, its profile, and the numpy Simpson rules.
+
+The sweep in ``resolution_limit`` is checked against the bisection it
+replaced (``oracles.bisection_gamma``), against its own returned window, and
+against every candidate window of a shorter length.  The batched profile is
+checked against ``window_mass_sup`` one width at a time; the Simpson rules
+against scipy's; the matrix-free commutator norm against a dense one.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
+from scipy.integrate import simpson as scipy_simpson
+
+import covpom
+from covpom.cli import main
+from covpom.grids import symmetric_grid
+from covpom.posmom import (
+    PROFILE_POINTS,
+    ProbMeasure1D,
+    SmearedObservable,
+    cumulative_simpson,
+    noncommutativity_witness,
+    resolution_limit,
+    simpson,
+    smeared_profile,
+)
+from oracles import bisection_gamma
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def gaussian(rng, n):
+    grid = symmetric_grid(n, 20.0)
+    return ProbMeasure1D.gaussian(grid, rng.uniform(-2, 2), rng.uniform(0.2, 2.0))
+
+
+def atomic(rng, _n):
+    k = int(rng.integers(1, 7))
+    locs = rng.choice(np.arange(-40, 41) * 0.25, size=k, replace=False)
+    return ProbMeasure1D.from_atoms(list(zip(locs, rng.dirichlet(np.ones(k)))))
+
+
+def half_atom_uniform(rng, _n):
+    grid = symmetric_grid(512, 4.0)
+    lo, hi = rng.uniform(-2, -0.2), rng.uniform(0.2, 2)
+    unif = ProbMeasure1D.uniform(grid, lo, hi)
+    return ProbMeasure1D.convex_mixture([0.5, 0.5], [ProbMeasure1D.point(rng.uniform(lo, hi)), unif])
+
+
+def gaussian_atom(rng, n):
+    w = rng.uniform(0.05, 0.7)
+    atom = ProbMeasure1D.point(float(np.round(rng.uniform(-3, 3), 2)))
+    return ProbMeasure1D.convex_mixture([1 - w, w], [gaussian(rng, n), atom])
+
+
+FAMILIES = {
+    "gaussian": gaussian,
+    "atomic": atomic,
+    "half-atom-uniform": half_atom_uniform,
+    "gaussian-atom": gaussian_atom,
+}
+
+
+def best_candidate(measure, widths):
+    """Per width, the largest mass of a window with an edge or the centre on an anchor."""
+    u = measure._anchors()
+    best = []
+    for i in range(0, len(widths), 32):
+        w = np.asarray(widths[i : i + 32], dtype=float)[:, None]
+        best.append(np.max([
+            measure.mass_interval(u, u + w).max(axis=1),
+            measure.mass_interval(u - w, u).max(axis=1),
+            measure.mass_interval(u - w / 2, u + w / 2).max(axis=1),
+        ], axis=0))
+    return np.concatenate(best)
+
+
+class TestSweepOracle:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.sampled_from([1024, 2048, 4096]), seed=seeds)
+    def test_window_shorter_windows_and_bisection(self, family, n, seed):
+        measure = FAMILIES[family](np.random.default_rng(seed), n)
+        rep = resolution_limit(measure, profile_points=0)
+        a, b = rep.window
+        assert b - a == rep.gamma
+        # [a, b] is a limit of windows above 1/2; D can fall at a node, so the
+        # window an edge beyond a node edge may hold less, and all 9 moves count
+        moves = np.array([-1e-9, 0.0, 1e-9])
+        assert measure.mass_interval(a + moves[:, None], b + moves).max() > 0.5
+        if rep.gamma > 1e-6:
+            top = rep.gamma - 1e-6
+            widths = np.concatenate([
+                np.linspace(0, top, 129)[1:],
+                top - np.geomspace(1e-8, min(1e-3, top / 2), 128),
+            ])
+            assert best_candidate(measure, widths).max() <= 0.5
+        assert rep.gamma == pytest.approx(bisection_gamma(measure), abs=1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([16, 32, 64]), seed=seeds, atom=st.booleans())
+    def test_rough_densities(self, n, seed, atom):
+        # sparse spikes make the node CDF fall and overshoot, so the best
+        # candidate mass is not monotone in the width and bisection is no
+        # oracle here; gamma must still be the infimum over the candidates
+        rng = np.random.default_rng(seed)
+        dens = rng.uniform(size=n) ** 6 * (rng.uniform(size=n) < 0.5)
+        dens[:2] = dens[-2:] = 0.0
+        dens[n // 2] += 1e-3
+        atoms = ((float(np.round(rng.uniform(-2, 2), 3)), 0.3),) if atom else ()
+        measure = ProbMeasure1D.from_density(symmetric_grid(n, 4.0), dens, atoms=atoms,
+                                             normalize=True)
+        gamma = resolution_limit(measure, profile_points=0).gamma
+        assert best_candidate(measure, [gamma + 1e-7])[0] > 0.5
+        assert best_candidate(measure, np.linspace(0, gamma - 1e-6, 257)[1:]).max() <= 0.5
+
+    def test_centred_windows_count(self):
+        # sigma = 1 about the node at 0: the best window is centred there, and
+        # every window with an edge on a node is longer by more than 1e-5
+        grid = symmetric_grid(1024, 20.0)
+        measure = ProbMeasure1D.gaussian(grid, 0.0, 1.0)
+        rep = resolution_limit(measure, profile_points=0)
+        a, b = rep.window
+        assert a == -b
+        x, w = grid.positions(), rep.gamma + 1e-5
+        assert measure.mass_interval(x, x + w).max() <= 0.5
+        assert measure.mass_interval(x - w, x).max() <= 0.5
+
+    def test_profile_skipped_when_not_asked(self):
+        grid = symmetric_grid(256, 8.0)
+        rep = resolution_limit(ProbMeasure1D.gaussian(grid, 0.0, 0.8), profile_points=0)
+        assert rep.alphas.size == 0 and rep.sups.size == 0
+
+
+class TestBatchedProfile:
+    @settings(max_examples=20, deadline=None)
+    @given(family=st.sampled_from(sorted(FAMILIES)), seed=seeds, open_interval=st.booleans())
+    def test_matches_window_mass_sup_per_width(self, family, seed, open_interval):
+        measure = FAMILIES[family](np.random.default_rng(seed), 1024)
+        widths = np.geomspace(1e-4, 30.0, PROFILE_POINTS)
+        got = measure._window_mass_sups(widths, open_interval=open_interval)
+        each = [measure.window_mass_sup(w, open_interval=open_interval)[0] for w in widths]
+        np.testing.assert_allclose(got, each, rtol=0, atol=1e-15)
+        if not open_interval:
+            np.testing.assert_allclose(got, best_candidate(measure, widths), rtol=0, atol=1e-15)
+
+    def test_window_starting_on_an_atom_keeps_it(self):
+        # (0.1 + w/2) - w/2 rounds above 0.1, so the centre route drops the atom
+        grid = symmetric_grid(1024, 20.0)
+        measure = ProbMeasure1D.convex_mixture(
+            [0.945, 0.055], [ProbMeasure1D.gaussian(grid, 1.4, 1.7), ProbMeasure1D.point(0.1)]
+        )
+        w = 2.529
+        lo, hi = (0.1 + w / 2) - w / 2, (0.1 + w / 2) + w / 2
+        assert lo > 0.1
+        sup = measure.window_mass_sup(w)[0]
+        assert sup == float(measure.mass_interval(0.1, 0.1 + w))
+        assert sup > float(measure.mass_interval(lo, hi)) + 0.05
+
+    def test_blocks_of_one_row(self, monkeypatch):
+        import covpom.posmom as posmom_module
+
+        grid = symmetric_grid(512, 10.0)
+        measure = ProbMeasure1D.gaussian(grid, 0.2, 0.9)
+        whole = resolution_limit(measure).sups
+        monkeypatch.setattr(posmom_module, "BLOCK_ENTRIES", 1)
+        np.testing.assert_array_equal(resolution_limit(measure).sups, whole)
+
+    def test_gamma_csv_header_and_columns(self, capsys, tmp_path):
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps({"kind": "uniform", "lo": -1.0, "hi": 2.0}))
+        out = tmp_path / "profile.csv"
+        code = main(["smeared", "gamma", "--measure", str(mpath), "--grid-n", "512",
+                     "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "alpha,sup_window_mass"
+        assert len(lines) == 1 + PROFILE_POINTS
+        assert all(len(line.split(",")) == 2 for line in lines)
+
+
+class TestSimpson:
+    @pytest.mark.parametrize("n", [2**k for k in range(4, 17)])
+    def test_matches_scipy(self, n):
+        rng = np.random.default_rng(n)
+        x = np.linspace(-5, 5, n)
+        for y in (rng.uniform(size=n), np.exp(-x**2), (np.abs(x) < 1.3).astype(float)):
+            dx = rng.uniform(1e-3, 0.5)
+            assert abs(simpson(y, dx) - scipy_simpson(y, dx=dx)) <= 1e-15
+            np.testing.assert_allclose(
+                cumulative_simpson(y, dx), scipy_cumulative_simpson(y, dx=dx, initial=0.0),
+                rtol=0, atol=1e-15,
+            )
+
+    def test_odd_counts_match_scipy(self):
+        y = np.random.default_rng(3).uniform(size=33)
+        assert abs(simpson(y, 0.1) - scipy_simpson(y, dx=0.1)) <= 1e-15
+
+    def test_cli_import_leaves_scipy_integrate_out(self):
+        code = "import sys, covpom.cli; print('scipy.integrate' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(covpom.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        got = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert got.stdout.strip() == "False"
+
+
+class TestCommutatorNorm:
+    @pytest.mark.parametrize("n", [64, 256, 512])
+    def test_matches_dense_eigvalsh(self, n):
+        grid = symmetric_grid(n, 12.0)
+        rho = ProbMeasure1D.gaussian(grid, 0.0, 0.4)
+        nu = ProbMeasure1D.gaussian(grid, 0.0, 0.6)
+        rep = noncommutativity_witness(rho, nu, grid, n_samples=3, seed=n)
+        norms = []
+        for pos, mom in (rep.min_pair, rep.max_pair):
+            a, _ = smeared_profile(SmearedObservable("position", rho, grid), [pos])
+            m, _ = smeared_profile(SmearedObservable("momentum", nu, grid), [mom])
+            comm = 1j * np.subtract.outer(a, a) * grid.momentum_multiplier(m)
+            norms.append(np.max(np.abs(np.linalg.eigvalsh(comm))))
+        assert rep.min_norm == pytest.approx(norms[0], rel=1e-10)
+        assert rep.max_norm == pytest.approx(norms[1], rel=1e-10)
+
+    @pytest.mark.parametrize("n", [16, 128])
+    def test_matrix_free_product(self, n):
+        grid = symmetric_grid(n, 6.0)
+        rng = np.random.default_rng(n)
+        prof = rng.uniform(size=n)
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        np.testing.assert_allclose(
+            grid.apply_momentum_multiplier(prof, v), grid.momentum_multiplier(prof) @ v,
+            rtol=0, atol=1e-13,
+        )
