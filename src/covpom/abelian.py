@@ -7,24 +7,28 @@ is used throughout.  Measure normalisations are fixed once: counting measure
 weight 1/|G/H| per point on the quotient G/H, so that the quotient Fourier
 cotransform is exactly unitary.
 
+Inside the module an element is its row-major mixed-radix code in [0, |G|),
+so every table over G is an integer array; tuples appear only at the
+interface.  Pairings are phase indices mod lcm(moduli) into one exp table.
+
 ``build_covariant_pom`` assembles a covariant POM on G/H from a diagonal
 representation and a family of isometries: every effect is one seed effect
 conjugated by the diagonal phase U(c).  ``sigma_matrix`` is the unitary that
 diagonalises the induced representation and ``translated_pvm_matrix`` the
-translated projection-valued measure.  Pairings are tabulated as integer
-phase indices mod lcm(moduli) into one table of roots of unity.
-Verification (covariance, equivalence) is done numerically with explicit
-defect witnesses.
+translated projection-valued measure.  Verification (covariance,
+equivalence) is done numerically with explicit defect witnesses.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .grids import BLOCK_ENTRIES, Grid1D
 from .hilbert import (
@@ -113,39 +117,90 @@ class FiniteAbelianGroup:
             0 <= x < m for x, m in zip(a, self.moduli)
         )
 
+    @cached_property
+    def _strides(self) -> np.ndarray:
+        """Row-major mixed-radix strides: the code of a is sum a_i stride_i."""
+        return np.cumprod((1,) + self.moduli[:0:-1])[::-1]
+
+
+# --- mixed-radix codes ------------------------------------------------------
+
+
+def _digits(group: FiniteAbelianGroup, codes) -> np.ndarray:
+    """Element rows, shape (..., rank), of an array of codes."""
+    return np.asarray(codes)[..., None] // group._strides % group.moduli
+
+
+def _code_of(group: FiniteAbelianGroup, digits) -> np.ndarray:
+    """Codes of integer element rows (..., rank), each entry taken mod its modulus."""
+    return np.asarray(digits) % group.moduli @ group._strides
+
+
+def _codes(group: FiniteAbelianGroup, elems: Sequence[Element]) -> np.ndarray:
+    """Codes of element tuples, which must lie in the group; they ascend as the tuples do."""
+    elems = [tuple(a) for a in elems]
+    bad = [a for a in elems if not group.contains(a)]
+    if bad:
+        raise ValueError(f"element {bad[0]} outside the parent group")
+    return _code_of(group, np.array(elems, dtype=np.int64).reshape(len(elems), len(group.moduli)))
+
+
+def _tuples(group: FiniteAbelianGroup, codes) -> Tuple[Element, ...]:
+    return tuple(map(tuple, _digits(group, codes).tolist()))
+
+
+def _span(group: FiniteAbelianGroup, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted codes of the subgroup that ``codes`` generate, and the generators used.
+
+    A generator g outside the span S so far makes it the disjoint union of the
+    cosets S + j g, 0 <= j < k, with k g the first multiple of g in S; so each
+    used generator at least doubles S, and at most log2 |S| are used.
+    """
+    member = np.arange(group.order) == 0
+    steps = np.arange(math.lcm(*group.moduli) + 1)[:, None]
+    used = []
+    for g in np.asarray(codes).tolist():
+        if not member[g]:
+            multiples = _code_of(group, steps * _digits(group, g))
+            k = 1 + int(np.argmax(member[multiples[1:]]))
+            span = _digits(group, np.flatnonzero(member))[:, None]
+            member[_code_of(group, span + _digits(group, multiples[:k]))] = True
+            used.append(g)
+    return np.flatnonzero(member), np.array(used, dtype=np.int64)
+
 
 @dataclass(frozen=True)
 class Subgroup:
+    """A subgroup of ``parent``, given by all its elements.
+
+    ``codes`` are their sorted codes, and ``gens`` a generating set of at
+    most log2 |H| of them.
+    """
+
     parent: FiniteAbelianGroup
     elements: Tuple[Element, ...]
+    codes: np.ndarray = field(init=False, repr=False, compare=False)
+    gens: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        elems = set(self.elements)
-        if self.parent.identity not in elems:
+        if self.parent.identity not in self.elements:
             raise ValueError("subgroup must contain the identity")
-        for a in elems:
-            if not self.parent.contains(a):
-                raise ValueError(f"element {a} outside the parent group")
-            for b in elems:
-                if self.parent.add(a, b) not in elems:
-                    raise ValueError("subgroup is not closed under addition")
-        object.__setattr__(self, "elements", tuple(sorted(elems)))
+        codes = np.unique(_codes(self.parent, self.elements))
+        span, gens = _span(self.parent, codes)
+        # the span contains the given set, so it is closed iff they are equal
+        if span.size != codes.size:
+            raise ValueError("subgroup is not closed under addition")
+        object.__setattr__(self, "elements", _tuples(self.parent, codes))
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "gens", gens)
 
     @classmethod
     def from_generators(
         cls, parent: FiniteAbelianGroup, generators: Sequence[Element]
     ) -> "Subgroup":
-        closure = {parent.identity}
-        frontier = [parent.identity]
-        gens = [tuple(g) for g in generators]
-        while frontier:
-            cur = frontier.pop()
-            for g in gens:
-                nxt = parent.add(cur, g)
-                if nxt not in closure:
-                    closure.add(nxt)
-                    frontier.append(nxt)
-        return cls(parent, tuple(sorted(closure)))
+        rows = np.array([tuple(g) for g in generators], dtype=np.int64)
+        span, _ = _span(parent, _code_of(parent, rows.reshape(-1, len(parent.moduli))))
+        return cls(parent, _tuples(parent, span))
 
     @classmethod
     def trivial(cls, parent: FiniteAbelianGroup) -> "Subgroup":
@@ -160,54 +215,73 @@ class Subgroup:
         return len(self.elements)
 
     def __contains__(self, a: Element) -> bool:
-        return tuple(a) in set(self.elements)
+        return self.parent.contains(tuple(a)) and bool(_codes(self.parent, [a])[0] in self.codes)
+
+    @cached_property
+    def _annihilator(self) -> "Subgroup":
+        group = self.parent
+        # a character is trivial on the subgroup iff it is trivial on its generators
+        trivial = ~np.any(_phases(group, np.arange(group.order), self.gens), axis=1)
+        ann = Subgroup(group, _tuples(group, np.flatnonzero(trivial)))
+        if ann.order * self.order != group.order:
+            raise AssertionError("annihilator order check |H| |Hperp| = |G| failed")
+        return ann
+
+    @cached_property
+    def _dual_cosets(self) -> np.ndarray:
+        """Code of the smallest element of x + Hperp, for every code x.
+
+        x - x' lies in Hperp iff x and x' agree on the generators of H, so
+        those pairings label the cosets; codes ascend, so each label's first
+        code is its smallest.
+        """
+        labels = _phases(self.parent, np.arange(self.parent.order), self.gens)
+        _, first, label = np.unique(labels, axis=0, return_index=True, return_inverse=True)
+        return first[label.ravel()]
 
 
-def _as_rows(elems: Sequence[Element]) -> np.ndarray:
-    return np.array(elems, dtype=np.int64).reshape(len(elems), -1)
+def _phases(group: FiniteAbelianGroup, xs, gs) -> np.ndarray:
+    """Integer phase indices mod lcm(moduli) of <x, g> over codes xs (rows) and gs."""
+    period = math.lcm(*group.moduli)
+    scale = np.array([period // m for m in group.moduli], dtype=np.int64)
+    return (_digits(group, xs) * scale) @ _digits(group, gs).T % period
 
 
-def _pairings(
-    group: FiniteAbelianGroup, xs: Sequence[Element], gs: Sequence[Element]
-) -> np.ndarray:
-    """Table of <x, g> over the elements x of ``xs`` (rows) and g of ``gs``.
+def _pairings(group: FiniteAbelianGroup, xs, gs) -> np.ndarray:
+    """Table of <x, g> over the codes x of ``xs`` (rows) and g of ``gs``.
 
     Each phase is an integer index mod lcm(moduli) into one table of roots of
     unity, so <x, g> = 1 holds exactly and equal characters are equal bitwise.
     """
     period = math.lcm(*group.moduli)
-    scale = np.array([period // m for m in group.moduli], dtype=np.int64)
-    index = (_as_rows(xs) * scale) @ _as_rows(gs).T % period
-    return np.exp(2j * np.pi * np.arange(period) / period)[index]
-
-
-def _hperp_mask(group: FiniteAbelianGroup, xs: Sequence[Element], sub: Subgroup) -> np.ndarray:
-    """[x - x' in Hperp] over pairs of ``xs``: x and x' agree on every h in H."""
-    _, label = np.unique(_pairings(group, xs, sub.elements), axis=0, return_inverse=True)
-    label = label.ravel()
-    return label[:, None] == label[None, :]
+    return np.exp(2j * np.pi * np.arange(period) / period)[_phases(group, xs, gs)]
 
 
 def annihilator(group: FiniteAbelianGroup, sub: Subgroup) -> Subgroup:
     """Characters of the group that are trivial on the subgroup."""
     if sub.parent != group:
         raise ValueError("subgroup does not belong to the given group")
-    elems = group.elements()
-    trivial = np.all(_pairings(group, elems, sub.elements) == 1, axis=1)
-    ann = Subgroup(group, tuple(y for y, t in zip(elems, trivial) if t))
-    if ann.order * sub.order != group.order:
-        raise AssertionError("annihilator order check |H| |Hperp| = |G| failed")
-    return ann
+    return sub._annihilator
+
+
+def _dual_coset_table(group: FiniteAbelianGroup, sub: Subgroup) -> np.ndarray:
+    """Code of the smallest element of x + Hperp, for every code x of the dual group."""
+    if sub.parent != group:
+        raise ValueError("subgroup does not belong to the given group")
+    return sub._dual_cosets
+
+
+def _coset_table(group: FiniteAbelianGroup, sub: Subgroup) -> np.ndarray:
+    """Code of the smallest element of g + H, for every code g: H is the annihilator of Hperp."""
+    return _dual_coset_table(group, annihilator(group, sub))
 
 
 def cosets(group: FiniteAbelianGroup, sub: Subgroup) -> Tuple[Tuple[Element, ...], ...]:
     """Cosets of the subgroup, each sorted, ordered by their representative."""
+    table = _coset_table(group, sub)
+    order = np.argsort(table, kind="stable")
+    starts = np.flatnonzero(np.diff(table[order]))
     elems = group.elements()
-    shifted = (_as_rows(elems)[:, None, :] + _as_rows(sub.elements)) % group.moduli
-    # elements() is row-major, so the smallest mixed-radix code is the smallest tuple
-    rep = np.ravel_multi_index(tuple(np.moveaxis(shifted, -1, 0)), group.moduli).min(axis=1)
-    order = np.argsort(rep, kind="stable")
-    starts = np.flatnonzero(np.diff(rep[order]))
     return tuple(
         tuple(elems[i] for i in chunk) for chunk in np.split(order, starts + 1)
     )
@@ -216,17 +290,13 @@ def cosets(group: FiniteAbelianGroup, sub: Subgroup) -> Tuple[Tuple[Element, ...
 def coset_representatives(
     group: FiniteAbelianGroup, sub: Subgroup
 ) -> Tuple[Element, ...]:
-    return tuple(c[0] for c in cosets(group, sub))
+    return _tuples(group, np.unique(_coset_table(group, sub)))
 
 
-def _coset_rep_map(
-    group: FiniteAbelianGroup, sub: Subgroup
-) -> Dict[Element, Element]:
-    rep_of: Dict[Element, Element] = {}
-    for coset in cosets(group, sub):
-        for g in coset:
-            rep_of[g] = coset[0]
-    return rep_of
+def _hperp_mask(group: FiniteAbelianGroup, xs: np.ndarray, sub: Subgroup) -> np.ndarray:
+    """[x - x' in Hperp] over pairs of the codes ``xs``."""
+    label = _dual_coset_table(group, sub)[xs]
+    return label[:, None] == label[None, :]
 
 
 # --- diagonal representations and isometry families -----------------------
@@ -298,6 +368,20 @@ class DiagonalRep:
         return sum(blk.weight_map().get(x, 0.0) for blk in self.blocks)
 
 
+def _basis_codes(rep: DiagonalRep) -> np.ndarray:
+    """Code of the dual point of each basis vector, in ``rep.basis()`` order."""
+    codes = [np.repeat(_codes(rep.group, blk.support()), blk.mult) for blk in rep.blocks]
+    return np.concatenate(codes)
+
+
+def _columns(rep: DiagonalRep, isometries: "IsometryFamily") -> np.ndarray:
+    """The isometries W_k(x) side by side in basis order: aux_dim x dim."""
+    return np.concatenate(
+        [isometries.matrix(k, x) for k, blk in enumerate(rep.blocks) for x in blk.support()],
+        axis=1,
+    )
+
+
 @dataclass(frozen=True)
 class IsometryFamily:
     """Per block, a map from supported dual points to aux_dim x mult isometries."""
@@ -319,11 +403,15 @@ class IsometryFamily:
             frozen.append(tuple(entries))
         return cls(aux_dim, tuple(frozen))
 
+    @cached_property
+    def _lookup(self) -> Tuple[Dict[Element, np.ndarray], ...]:
+        return tuple(dict(blk) for blk in self.blocks)
+
     def matrix(self, k: int, x: Element) -> np.ndarray:
-        for xe, mat in self.blocks[k]:
-            if xe == x:
-                return mat
-        raise KeyError(f"no isometry for block {k} at dual point {x}")
+        try:
+            return self._lookup[k][tuple(x)]
+        except KeyError:
+            raise KeyError(f"no isometry for block {k} at dual point {x}") from None
 
     def validate(self, rep: DiagonalRep, tol: float = 1e-12) -> None:
         if len(self.blocks) != len(rep.blocks):
@@ -382,19 +470,18 @@ def covariance_densities(rep: DiagonalRep, sub: Subgroup) -> CovarianceDensities
     block weight, so covariant POMs always exist.
     """
     group = rep.group
-    nu_tilde: Dict[Element, float] = {}
-    for coset in cosets(group, annihilator(group, sub)):
-        nu_tilde.update(dict.fromkeys(coset, sum(rep.total_weight(x) for x in coset)))
-    alpha = []
-    for blk in rep.blocks:
-        wm = blk.weight_map()
-        alpha.append(
-            {
-                x: (wm[x] / nu_tilde[x] if x in wm else 0.0)
-                for x in group.elements()
-            }
-        )
-    return CovarianceDensities(admits=True, nu_tilde=nu_tilde, alpha=tuple(alpha))
+    weights = np.zeros((len(rep.blocks), group.order))
+    for k, blk in enumerate(rep.blocks):
+        weights[k, _codes(group, blk.support())] = [w for _, w in blk.weights]
+    dual = _dual_coset_table(group, sub)
+    nu_tilde = np.bincount(dual, weights=weights.sum(axis=0), minlength=group.order)[dual]
+    alpha = np.divide(weights, nu_tilde, out=np.zeros_like(weights), where=weights > 0)
+    elems = group.elements()
+    return CovarianceDensities(
+        admits=True,
+        nu_tilde=dict(zip(elems, nu_tilde.tolist())),
+        alpha=tuple(dict(zip(elems, a)) for a in alpha.tolist()),
+    )
 
 
 # --- the covariant POM construction ---------------------------------------
@@ -420,45 +507,38 @@ def build_covariant_pom(
     """
     group = rep.group
     isometries.validate(rep)
-    dens = covariance_densities(rep, sub)
-    for k, blk in enumerate(rep.blocks):
-        for x in blk.support():
-            if dens.alpha[k][x] <= 0:
-                raise ValueError(
-                    f"vanishing density at supported point {x} of block {k}"
-                )
-
-    reps = coset_representatives(group, sub)
-    dual = [x for _, x, _ in rep.basis()]
-    cols = np.concatenate(
-        [isometries.matrix(k, x) for k, blk in enumerate(rep.blocks) for x in blk.support()],
-        axis=1,
-    )
-    seed = np.where(_hperp_mask(group, dual, sub), cols.conj().T @ cols, 0) / len(reps)
+    reps = np.unique(_coset_table(group, sub))
+    dual = _basis_codes(rep)
+    cols = _columns(rep, isometries)
+    seed = np.where(_hperp_mask(group, dual, sub), cols.conj().T @ cols, 0) / reps.size
     effects = tuple(
         Effect(Operator(seed * np.outer(p, p.conj())))
         for p in _pairings(group, dual, reps).T
     )
-    outcomes = tuple(Outcome(label=str(c), cell=PointCell(c)) for c in reps)
+    outcomes = tuple(Outcome(label=str(c), cell=PointCell(c)) for c in _tuples(group, reps))
     tag = f"G/H points, G=Z{'x'.join(map(str, group.moduli))}, |H|={sub.order}"
     return Pom(tag, outcomes, effects)
 
 
 def diagonal_unitaries(rep: DiagonalRep) -> Dict[Element, np.ndarray]:
     """The representation matrices U(g): diagonal phases <x, g> per fiber."""
-    elems = rep.group.elements()
-    table = _pairings(rep.group, [x for _, x, _ in rep.basis()], elems)
-    return {g: np.diag(col) for g, col in zip(elems, table.T)}
+    group = rep.group
+    table = _pairings(group, _basis_codes(rep), np.arange(group.order))
+    return {g: np.diag(col) for g, col in zip(group.elements(), table.T)}
 
 
 def coset_action(
     group: FiniteAbelianGroup, sub: Subgroup
 ) -> Callable[[Element, PointCell], PointCell]:
     """Action of the group on G/H cells: g moves the coset of c to that of g + c."""
-    rep_of = _coset_rep_map(group, sub)
+    elems = group.elements()
+    rep_of = [elems[r] for r in _coset_table(group, sub).tolist()]
 
     def act(g: Element, cell: PointCell) -> PointCell:
-        return PointCell(rep_of[group.add(g, cell.value)])
+        code = 0
+        for x, y, m in zip(g, cell.value, group.moduli):
+            code = code * m + (x + y) % m
+        return PointCell(rep_of[code])
 
     return act
 
@@ -522,13 +602,6 @@ def verify_covariance(
 # --- the diagonalising transform and the translated PVM -------------------
 
 
-def _dual_cosets(group: FiniteAbelianGroup, sub: Subgroup):
-    hperp = annihilator(group, sub)
-    dual_reps = coset_representatives(group, hperp)
-    rep_of = _coset_rep_map(group, hperp)
-    return hperp, dual_reps, rep_of
-
-
 def sigma_matrix(group: FiniteAbelianGroup, sub: Subgroup) -> np.ndarray:
     """Unitary matrix of the transform in weight-orthonormal coordinates.
 
@@ -536,39 +609,40 @@ def sigma_matrix(group: FiniteAbelianGroup, sub: Subgroup) -> np.ndarray:
     (coset representative, dual coset representative) with the dual coset
     forced to match: Sigma[x, (c, xdot)] = [q(x) = xdot] <x, c> / sqrt(|G/H|).
     """
-    _, dual_reps, dual_rep_of = _dual_cosets(group, sub)
-    reps = coset_representatives(group, sub)
-    elems = group.elements()
-    didx = {xd: i for i, xd in enumerate(dual_reps)}
-    mat = np.zeros((len(elems), len(dual_reps), len(reps)), dtype=complex)
-    rows = [didx[dual_rep_of[x]] for x in elems]
-    mat[np.arange(len(elems)), rows] = _pairings(group, elems, reps) / np.sqrt(len(reps))
-    return mat.reshape(len(elems), -1)
+    reps = np.unique(_coset_table(group, sub))
+    dual_reps, rows = np.unique(_dual_coset_table(group, sub), return_inverse=True)
+    elems = np.arange(group.order)
+    mat = np.zeros((group.order, dual_reps.size, reps.size), dtype=complex)
+    mat[elems, rows] = _pairings(group, elems, reps) / np.sqrt(reps.size)
+    return mat.reshape(group.order, -1)
 
 
 def induced_translation_matrix(
     group: FiniteAbelianGroup, sub: Subgroup, a: Element
 ) -> np.ndarray:
-    """Translation by a on the equivariant space, in the sigma_matrix column basis."""
-    _, dual_reps, _ = _dual_cosets(group, sub)
-    reps = coset_representatives(group, sub)
-    rep_of = _coset_rep_map(group, sub)
-    cols = [(c, xd) for xd in dual_reps for c in reps]
-    cidx = {col: i for i, col in enumerate(cols)}
-    mat = np.zeros((len(cols), len(cols)), dtype=complex)
-    for ci, (c, xd) in enumerate(cols):
-        shifted = group.sub(c, a)
-        target_rep = rep_of[shifted]
-        h = group.sub(shifted, target_rep)  # element of the subgroup
-        phase = np.conj(group.pairing(xd, h))
-        mat[ci, cidx[(target_rep, xd)]] = phase
-    # rows index the output: (lambda(a) f)(c, xd) = phase * f(target, xd)
+    """Translation by a on the equivariant space, in the sigma_matrix column basis.
+
+    Rows index the output: (lambda(a) f)(c, xdot) = conj(<xdot, h>) f(t, xdot),
+    where t is the representative of c - a and h = c - a - t lies in H.
+    """
+    table = _coset_table(group, sub)
+    reps = np.unique(table)
+    dual_reps = np.unique(_dual_coset_table(group, sub))
+    shifted = _code_of(group, _digits(group, reps) - np.asarray(a))
+    target = table[shifted]
+    h = _code_of(group, _digits(group, shifted) - _digits(group, target))
+    # column (c, xdot) sits at (index of xdot) |G/H| + (index of c)
+    offset = reps.size * np.arange(dual_reps.size)[:, None]
+    mat = np.zeros((dual_reps.size * reps.size,) * 2, dtype=complex)
+    mat[offset + np.arange(reps.size), offset + np.searchsorted(reps, target)] = np.conj(
+        _pairings(group, dual_reps, h)
+    )
     return mat
 
 
 def dual_translation_matrix(group: FiniteAbelianGroup, a: Element) -> np.ndarray:
     """Diagonal action <x, a> on functions over the dual group."""
-    return np.diag(_pairings(group, group.elements(), [a])[:, 0])
+    return np.diag(_pairings(group, np.arange(group.order), _code_of(group, [a]))[:, 0])
 
 
 def translated_pvm_matrix(
@@ -582,16 +656,15 @@ def translated_pvm_matrix(
     where Fbar(omega)(y) = (1/|G/H|) sum over cosets c of <y, c> omega(c) is
     the quotient cotransform.
     """
-    reps = coset_representatives(group, sub)
-    if not isinstance(omega, Mapping):
-        if len(omega) != len(reps):
-            raise ValueError("omega must list one value per coset")
-        omega = dict(zip(reps, omega))
-    elems = group.elements()
+    reps = np.unique(_coset_table(group, sub))
+    if isinstance(omega, Mapping):
+        omega = [omega[c] for c in _tuples(group, reps)]
+    elif len(omega) != reps.size:
+        raise ValueError("omega must list one value per coset")
+    elems = np.arange(group.order)
     chars = _pairings(group, elems, reps)
-    weights = np.array([omega[c] for c in reps], dtype=complex)
     # <x - x', c> = <x, c> conj(<x', c>), so Fbar(omega)(x - x') is one product
-    fbar = (chars * weights) @ chars.conj().T / len(reps)
+    fbar = (chars * np.asarray(omega, dtype=complex)) @ chars.conj().T / reps.size
     return np.where(_hperp_mask(group, elems, sub), fbar, 0)
 
 
@@ -622,83 +695,56 @@ def verify_pom_equivalence(
         sqrt(a_k(x')) W_j(x)* W_k(x')
             = sqrt(a_k(x')) S_j(x)* W'_j(x)* W'_k(x') S_k(x')
 
-    over all block pairs and same-coset dual pairs; when it holds, the
-    block-diagonal unitary assembled from the S_k is verified to conjugate
-    one built POM into the other.
+    over all block pairs and same-coset dual pairs.  Both sides come from one
+    masked Gram difference of the columns of W and of W' S; the defect of a
+    pair is the spectral norm of its (mult_j, mult_k) block, and ``witness``
+    is the first pair of largest defect in (j, k, x, x') order.  When the
+    criterion holds, the block-diagonal unitary assembled from the S_k is
+    verified to conjugate one built POM into the other.
     """
-    group = rep.group
     w_first.validate(rep)
     w_second.validate(rep)
     dens = covariance_densities(rep, sub)
-    s_maps = []
+    s_mats = []
     for k, blk in enumerate(rep.blocks):
-        entry = {}
         for x in blk.support():
             s = np.asarray(intertwiners[k][x], dtype=complex)
             if s.shape != (blk.mult, blk.mult):
                 raise ValueError(f"S_{k}({x}) has wrong shape {s.shape}")
             if np.linalg.norm(s.conj().T @ s - np.eye(blk.mult), 2) > tol:
                 raise ValueError(f"S_{k}({x}) is not unitary within {tol}")
-            entry[x] = s
-        s_maps.append(entry)
+            s_mats.append(s)
+    s_full = block_diag(*s_mats)
 
-    hperp = annihilator(group, sub)
-    hperp_set = set(hperp.elements)
+    first = _columns(rep, w_first)
+    second = _columns(rep, w_second) @ s_full
+    diff = first.conj().T @ first
+    diff -= second.conj().T @ second
+    diff *= np.sqrt([dens.alpha[k][x] for k, x, _ in rep.basis()])
+    diff[~_hperp_mask(rep.group, _basis_codes(rep), sub)] = 0
+    sizes = [(len(blk.weights), blk.mult) for blk in rep.blocks]
+    ends = np.cumsum([0] + [n * m for n, m in sizes])
     max_defect = 0.0
     witness = None
-    for j, blkj in enumerate(rep.blocks):
-        for k, blkk in enumerate(rep.blocks):
-            for x in blkj.support():
-                for xp in blkk.support():
-                    if group.sub(x, xp) not in hperp_set:
-                        continue
-                    root = np.sqrt(dens.alpha[k][xp])
-                    lhs = root * (
-                        w_first.matrix(j, x).conj().T @ w_first.matrix(k, xp)
-                    )
-                    rhs = root * (
-                        s_maps[j][x].conj().T
-                        @ w_second.matrix(j, x).conj().T
-                        @ w_second.matrix(k, xp)
-                        @ s_maps[k][xp]
-                    )
-                    defect = float(np.linalg.norm(lhs - rhs, 2))
-                    if defect > max_defect:
-                        max_defect = defect
-                        witness = (j, k, x, xp)
+    for j, k in itertools.product(range(len(rep.blocks)), repeat=2):
+        block = diff[ends[j] : ends[j + 1], ends[k] : ends[k + 1]].reshape(*sizes[j], *sizes[k])
+        defects = np.linalg.norm(block.transpose(0, 2, 1, 3), 2, axis=(2, 3))
+        x, xp = np.unravel_index(np.argmax(defects), defects.shape)
+        if defects[x, xp] > max_defect:
+            max_defect = float(defects[x, xp])
+            witness = (j, k, rep.blocks[j].support()[x], rep.blocks[k].support()[xp])
 
     equivalent = max_defect <= tol
     conj_defect = None
     if equivalent:
         pom_first = build_covariant_pom(rep, sub, w_first)
         pom_second = build_covariant_pom(rep, sub, w_second)
-        blocks_s = []
-        for k, blk in enumerate(rep.blocks):
-            for x in blk.support():
-                blocks_s.append(s_maps[k][x])
-        s_full = _block_diag(blocks_s)
-        conj_defect = 0.0
-        for e1, e2 in zip(pom_first.effects, pom_second.effects):
-            conj_defect = max(
-                conj_defect,
-                float(
-                    np.linalg.norm(
-                        s_full @ e1.op.mat - e2.op.mat @ s_full, 2
-                    )
-                ),
-            )
+        conj_defect = max(
+            float(np.linalg.norm(s_full @ e1.op.mat - e2.op.mat @ s_full, 2))
+            for e1, e2 in zip(pom_first.effects, pom_second.effects)
+        )
         equivalent = conj_defect <= max(tol, 1e-9)
     return EquivalenceReport(equivalent, max_defect, witness, conj_defect)
-
-
-def _block_diag(mats: Sequence[np.ndarray]) -> np.ndarray:
-    dim = sum(m.shape[0] for m in mats)
-    out = np.zeros((dim, dim), dtype=complex)
-    pos = 0
-    for m in mats:
-        out[pos : pos + m.shape[0], pos : pos + m.shape[1]] = m
-        pos += m.shape[0]
-    return out
 
 
 # --- torus examples: phase and phase difference ---------------------------

@@ -208,11 +208,10 @@ def cmd_smeared(args) -> int:
                 for a, s in zip(res.alphas, res.sups):
                     fh.write(f"{float(a)!r},{float(s)!r}\n")
     elif args.action == "distribution":
-        state = _parse_state(_load_json(args.state), grid)
-        w0, v0 = state.spectral[0]
-        if abs(w0 - 1.0) > 1e-9:
+        weights, psis = posmom.grid_wavefunctions(_parse_state(_load_json(args.state), grid), grid)
+        if abs(weights.max() - 1.0) > 1e-9:
             raise InputError("distribution action expects a pure state")
-        psi = WaveFunction(grid, v0 / np.sqrt(grid.dx))
+        psi = WaveFunction(grid, psis[np.argmax(weights)])
         obs = posmom.SmearedObservable("position", measure, grid)
         edges = np.linspace(-args.window / 2, args.window / 2, args.cells + 1)
         edges[0], edges[-1] = -np.inf, np.inf  # partition of the whole line
@@ -326,15 +325,19 @@ def cmd_check(args) -> int:
 # --- argument wiring ----------------------------------------------------------
 
 
-def _add_common(parser, tol=1e-10):
+def _add_common(parser, tol=1e-10, grid=False, quad=False, out=True):
+    """Options every subcommand takes, plus the grid, quadrature and output ones it reads."""
     parser.add_argument("--tol", type=float, default=tol)
-    parser.add_argument("--grid-n", dest="grid_n", type=int, default=4096)
-    parser.add_argument("--window", type=float, default=20.0,
-                        help="half width of the symmetric grid window")
-    parser.add_argument("--quad-order", dest="quad_order", type=int, default=16,
-                        help="Gauss-Legendre nodes per q-panel (p is integrated exactly)")
+    if grid:
+        parser.add_argument("--grid-n", dest="grid_n", type=int, default=4096)
+        parser.add_argument("--window", type=float, default=20.0,
+                            help="half width of the symmetric grid window")
+    if quad:
+        parser.add_argument("--quad-order", dest="quad_order", type=int, default=16,
+                            help="Gauss-Legendre nodes per q-panel (p is integrated exactly)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=None)
+    if out:
+        parser.add_argument("--out", default=None)
     parser.add_argument("--report", default=None)
 
 
@@ -375,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure2", default=None)
     p.add_argument("--state", default=None, help="pure state for the distribution action")
     p.add_argument("--cells", type=int, default=16)
-    _add_common(p, tol=1e-6)
+    _add_common(p, tol=1e-6, grid=True)
     p.set_defaults(func=cmd_smeared)
 
     p = sub.add_parser("phasespace", help="covariant phase-space observables")
@@ -385,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell", default="-1,1,-1,1", help="q1,q2,p1,p2 for norm action")
     p.add_argument("--samples", type=int, default=41)
     p.add_argument("--n-test", dest="n_test", type=int, default=12)
-    _add_common(p, tol=1e-3)
+    _add_common(p, tol=1e-3, grid=True, quad=True)
     p.set_defaults(func=cmd_phasespace)
 
     p = sub.add_parser("check", help="verification suites")
@@ -393,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", default=None)
     p.add_argument("--state", default=None)
     p.add_argument("--pairs-from", dest="pairs_from", default=None)
-    _add_common(p, tol=None)
+    _add_common(p, tol=None, grid=True, out=False)
     p.set_defaults(func=cmd_check)
 
     return parser

@@ -100,7 +100,9 @@ class Operator:
         return self.entries
 
     def is_hermitian(self, tol: float = EXACT_TOL) -> bool:
-        return bool(np.linalg.norm(self.entries - self.entries.conj().T, 2) <= tol)
+        """||A - A*|| <= tol, the exact norm taken only when its Frobenius bound exceeds tol."""
+        skew = self.entries - self.entries.conj().T
+        return bool(np.linalg.norm(skew) <= tol or np.linalg.norm(skew, 2) <= tol)
 
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
@@ -138,11 +140,20 @@ class State:
         return self.given_op.dim if self.spectral is None else len(self.spectral[0][1])
 
     def factor(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Weights (r,) and the orthonormal vectors as the rows of an r x dim array."""
+        """Weights (r,) and the orthonormal vectors as the rows of an r x dim array.
+
+        For a given operator these are its eigenpairs of positive eigenvalue.
+        """
         if self.spectral is None:
-            raise ValueError("state carries no spectral data")
+            return tuple(a.copy() for a in self._eigen_factor)
         weights, vecs = zip(*self.spectral)
         return np.array(weights, dtype=float), np.array(vecs, dtype=complex)
+
+    @cached_property
+    def _eigen_factor(self) -> Tuple[np.ndarray, np.ndarray]:
+        vals, vecs = np.linalg.eigh(self.given_op.mat)
+        keep = vals > 0
+        return vals[keep], np.ascontiguousarray(vecs[:, keep].T)
 
     def validate(self, tol: float = EXACT_TOL) -> None:
         """Check a factor in O(dim r^2), a given operator by eigenvalues, both by agreement."""

@@ -1,4 +1,7 @@
 import itertools
+import re
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ import covpom.abelian as abelian_module
 import covpom.hilbert as hilbert_module
 from covpom.abelian import (
     DiagonalRep,
+    EquivalenceReport,
     FiniteAbelianGroup,
     IsometryFamily,
     RepBlock,
@@ -28,11 +32,40 @@ from covpom.abelian import (
     verify_covariance,
     verify_pom_equivalence,
 )
-from covpom.hilbert import Effect, Operator, check_pom_axioms, make_state
+from covpom.hilbert import Effect, Operator, PointCell, check_pom_axioms, make_state
 from covpom.phasespace import finite_weyl_action, finite_weyl_pom, finite_weyl_unitaries
 
 
 # --- loop forms of the array code, kept as oracles -------------------------
+
+
+def subgroup_check_loop(parent, elements):
+    """The pairwise closure check: its error message, or None for a subgroup."""
+    elems = set(elements)
+    if parent.identity not in elems:
+        return "subgroup must contain the identity"
+    for a in elems:
+        if not parent.contains(a):
+            return f"element {a} outside the parent group"
+        for b in elems:
+            if parent.add(a, b) not in elems:
+                return "subgroup is not closed under addition"
+    return None
+
+
+def closure_bfs(parent, generators):
+    """Sorted elements of the subgroup the generators span, by breadth-first search."""
+    closure = {parent.identity}
+    frontier = [parent.identity]
+    gens = [tuple(g) for g in generators]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = parent.add(cur, g)
+            if nxt not in closure:
+                closure.add(nxt)
+                frontier.append(nxt)
+    return tuple(sorted(closure))
 
 
 def cosets_loop(group, sub):
@@ -47,6 +80,90 @@ def cosets_loop(group, sub):
 
 def coset_rep_map_loop(group, sub):
     return {x: coset[0] for coset in cosets_loop(group, sub) for x in coset}
+
+
+def reduced_pairing(group, x, g):
+    """<x, g> with its phase reduced mod 1 exactly, so the angle is below 2 pi.
+
+    ``group.pairing`` exponentiates the unreduced phase sum x.g / m, whose
+    rounding grows with the angle: about 1e-14 on Z_16.
+    """
+    phase = sum(Fraction(xi * gi, m) for xi, gi, m in zip(x, g, group.moduli)) % 1
+    return complex(np.exp(2j * np.pi * float(phase)))
+
+
+def induced_translation_matrix_loop(group, sub, a):
+    """Column by column: (lambda(a) f)(c, xd) = conj(<xd, h>) f(t, xd), t + h = c - a."""
+    hperp = SimpleNamespace(elements=annihilator_loop(group, sub))
+    dual_reps = [coset[0] for coset in cosets_loop(group, hperp)]
+    reps = [coset[0] for coset in cosets_loop(group, sub)]
+    rep_of = coset_rep_map_loop(group, sub)
+    cols = [(c, xd) for xd in dual_reps for c in reps]
+    cidx = {col: i for i, col in enumerate(cols)}
+    mat = np.zeros((len(cols), len(cols)), dtype=complex)
+    for ci, (c, xd) in enumerate(cols):
+        shifted = group.sub(c, a)
+        target_rep = rep_of[shifted]
+        h = group.sub(shifted, target_rep)
+        mat[ci, cidx[(target_rep, xd)]] = np.conj(reduced_pairing(group, xd, h))
+    return mat
+
+
+def block_diag_loop(mats):
+    dim = sum(m.shape[0] for m in mats)
+    out = np.zeros((dim, dim), dtype=complex)
+    pos = 0
+    for m in mats:
+        out[pos : pos + m.shape[0], pos : pos + m.shape[1]] = m
+        pos += m.shape[0]
+    return out
+
+
+def verify_pom_equivalence_loop(rep, sub, w_first, w_second, intertwiners, tol=1e-9):
+    """(report, defects): the defect of each same-coset pair, one pair at a time.
+
+    ``defects`` maps (j, k, x, x') to its defect in loop order; the witness is
+    the first pair of largest defect.
+    """
+    group = rep.group
+    dens = covariance_densities(rep, sub)
+    hperp = set(annihilator_loop(group, sub))
+    s_maps = [{x: np.asarray(s, dtype=complex) for x, s in blk.items()} for blk in intertwiners]
+    defects = {}
+    for j, blkj in enumerate(rep.blocks):
+        for k, blkk in enumerate(rep.blocks):
+            for x in blkj.support():
+                for xp in blkk.support():
+                    if group.sub(x, xp) not in hperp:
+                        continue
+                    root = np.sqrt(dens.alpha[k][xp])
+                    lhs = root * (w_first.matrix(j, x).conj().T @ w_first.matrix(k, xp))
+                    rhs = root * (
+                        s_maps[j][x].conj().T
+                        @ w_second.matrix(j, x).conj().T
+                        @ w_second.matrix(k, xp)
+                        @ s_maps[k][xp]
+                    )
+                    defects[(j, k, x, xp)] = float(np.linalg.norm(lhs - rhs, 2))
+    max_defect, witness = 0.0, None
+    for pair, defect in defects.items():
+        if defect > max_defect:
+            max_defect, witness = defect, pair
+    equivalent = max_defect <= tol
+    conj_defect = None
+    if equivalent:
+        first = build_covariant_pom(rep, sub, w_first)
+        second = build_covariant_pom(rep, sub, w_second)
+        s_full = block_diag_loop(
+            [s_maps[k][x] for k, blk in enumerate(rep.blocks) for x in blk.support()]
+        )
+        conj_defect = 0.0
+        for e1, e2 in zip(first.effects, second.effects):
+            conj_defect = max(
+                conj_defect, float(np.linalg.norm(s_full @ e1.op.mat - e2.op.mat @ s_full, 2))
+            )
+        equivalent = conj_defect <= max(tol, 1e-9)
+    return EquivalenceReport(equivalent, max_defect, witness, conj_defect), defects
 
 
 def annihilator_loop(group, sub):
@@ -697,3 +814,94 @@ class TestArrayFormsMatchLoops:
         out = sigma_matrix(g, sub) @ coords / np.sqrt(len(reps))
         nu = {xd: 1.0 for xd in dual_reps}
         assert np.max(np.abs(out - sigma_transform(f, nu, g, sub))) <= 1e-13
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SMALL_MODULI), st.data())
+    def test_subgroup_checks_match_loop(self, moduli, data):
+        # random sets are mostly not closed; spans and spans with one element
+        # added or removed give subgroups and near misses
+        g = FiniteAbelianGroup(moduli)
+        elems = g.elements()
+        gens = data.draw(st.lists(st.sampled_from(elems), max_size=3))
+        span = closure_bfs(g, gens)
+        assert Subgroup.from_generators(g, gens).elements == span
+        candidates = [
+            span,
+            span + (data.draw(st.sampled_from(elems)),),
+            tuple(e for e in span if e != data.draw(st.sampled_from(span))),
+            tuple(data.draw(st.sets(st.sampled_from(elems), min_size=1))),
+        ]
+        for given_set in candidates:
+            message = subgroup_check_loop(g, given_set)
+            if message is None:
+                assert Subgroup(g, given_set).elements == tuple(sorted(set(given_set)))
+            else:
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    Subgroup(g, given_set)
+
+    def test_generators_are_reduced_and_outside_elements_rejected(self):
+        g = FiniteAbelianGroup((4, 6))
+        gens = [(6, -1), (2, 9)]
+        assert Subgroup.from_generators(g, gens).elements == closure_bfs(g, gens)
+        with pytest.raises(ValueError, match=r"^element \(0, 6\) outside the parent group$"):
+            Subgroup(g, ((0, 0), (0, 6)))
+        assert (0, 6) not in Subgroup.full(g) and (3, 5) in Subgroup.full(g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(covariant_systems())
+    def test_coset_action_and_translations_match_loops(self, system):
+        g, sub, _, _ = system
+        rep_of = coset_rep_map_loop(g, sub)
+        reps = coset_representatives(g, sub)
+        act = coset_action(g, sub)
+        for a in g.elements():
+            for c in reps:
+                assert act(a, PointCell(c)) == PointCell(rep_of[g.add(a, c)])
+            loop = induced_translation_matrix_loop(g, sub, a)
+            assert np.max(np.abs(induced_translation_matrix(g, sub, a) - loop)) <= 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        covariant_systems(),
+        st.sampled_from(["same", "rotated", "intertwined", "other"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equivalence_matches_loop(self, system, kind, seed):
+        g, sub, rep, fam = system
+        rng = np.random.default_rng(seed)
+
+        def unitary(n):
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            return q
+
+        s = [{x: unitary(blk.mult) for x in blk.support()} for blk in rep.blocks]
+        if kind == "same":
+            s = [{x: np.eye(blk.mult) for x in blk.support()} for blk in rep.blocks]
+            second = fam
+        elif kind == "rotated":
+            v = unitary(fam.aux_dim)
+            second = IsometryFamily.from_mappings(fam.aux_dim, [
+                {x: v @ fam.matrix(k, x) @ s[k][x].conj().T for x in blk.support()}
+                for k, blk in enumerate(rep.blocks)
+            ])
+        elif kind == "intertwined":
+            second = IsometryFamily.from_mappings(fam.aux_dim, [
+                {x: fam.matrix(k, x) @ s[k][x].conj().T for x in blk.support()}
+                for k, blk in enumerate(rep.blocks)
+            ])
+        else:
+            second = random_isometries(rep, fam.aux_dim, rng)
+        report = verify_pom_equivalence(rep, sub, fam, second, s)
+        loop, defects = verify_pom_equivalence_loop(rep, sub, fam, second, s)
+        assert report.equivalent == loop.equivalent
+        assert abs(report.max_defect - loop.max_defect) <= 1e-12
+        runner_up = max((d for pair, d in defects.items() if pair != loop.witness), default=0.0)
+        if loop.max_defect - runner_up > 1e-12:
+            assert report.witness == loop.witness
+        elif report.witness is not None:
+            # a tie up to rounding: the witness attains the maximum
+            assert defects[report.witness] >= loop.max_defect - 1e-12
+        if loop.conjugation_defect is None:
+            assert report.conjugation_defect is None
+        else:
+            assert abs(report.conjugation_defect - loop.conjugation_defect) <= 1e-12

@@ -155,6 +155,18 @@ class TestFactorState:
         assert state.op is state.op
         np.testing.assert_allclose(state.op.mat, np.diag([0.25, 0.75, 0.0]), atol=1e-15)
 
+    def test_operator_state_factors_by_positive_eigenpairs(self):
+        rng = np.random.default_rng(3)
+        vecs = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
+        factored = make_state([(0.3, vecs[0]), (0.7, vecs[1])])
+        state = State(Operator(factored.op.mat))
+        weights, rows = state.factor()
+        assert np.all(weights > 0) and weights.sum() == pytest.approx(1.0, abs=1e-14)
+        np.testing.assert_allclose(np.sort(weights)[-2:], [0.3, 0.7], atol=1e-14)
+        np.testing.assert_allclose((rows.T * weights) @ rows.conj(), factored.op.mat, atol=1e-14)
+        rows[0] = 0.0  # each call hands out its own arrays
+        assert np.any(state.factor()[1][0] != 0.0)
+
 
 class TestPomAxioms:
     def test_identity_pom(self):
@@ -300,6 +312,22 @@ class TestOperatorOwnership:
     def test_square_shape_checked(self):
         with pytest.raises(ValueError, match="square"):
             Operator(np.zeros((2, 3), dtype=complex))
+
+
+class TestHermiticity:
+    @pytest.mark.parametrize("skew, tol, expected", [
+        (0.0, 1e-10, True),
+        # ||A - A*|| = 2e-11 <= tol although its Frobenius norm is 2e-11 sqrt(8) > tol
+        (1e-11, 2.5e-11, True),
+        (1e-11, 1e-11, False),
+        (1e-3, 1e-10, False),
+    ])
+    def test_exact_norm_decides_beyond_the_frobenius_screen(self, skew, tol, expected):
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        op = Operator(a + a.conj().T + 1j * skew * np.eye(8))
+        assert op.is_hermitian(tol) is expected
+        assert expected == (np.linalg.norm(op.mat - op.mat.conj().T, 2) <= tol)
 
 
 class TestHelpers:

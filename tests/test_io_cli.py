@@ -16,7 +16,7 @@ from covpom.abelian import (
 from covpom.cli import build_parser, main
 from covpom.grids import symmetric_grid
 from covpom.hilbert import IntervalCell, Operator, PointCell, RectCell, pure_state
-from covpom.phasespace import gaussian_wavefunction
+from covpom.phasespace import gaussian_wavefunction, hermite_wavefunction, state_from_wavefunctions
 from covpom.posmom import ProbMeasure1D
 
 
@@ -353,3 +353,93 @@ class TestCli:
         )
         assert code == 0
         assert report["checks"][0]["value"] < 1.0
+
+    @pytest.mark.parametrize("argv", [
+        [sub, *extra, opt, value]
+        for sub, extra in [
+            ("phase", ["--dim", "2"]),
+            ("phase-diff", ["--dim", "2"]),
+            ("abelian-pom", ["--in", "b.json"]),
+            ("finite-weyl", ["--dim", "2", "--state", "s.json"]),
+        ]
+        for opt, value in [("--grid-n", "64"), ("--window", "8"), ("--quad-order", "4")]
+    ] + [
+        ["smeared", "gamma", "--measure", "m.json", "--quad-order", "4"],
+        ["check", "pom", "--in", "p.json", "--quad-order", "4"],
+        ["check", "pom", "--in", "p.json", "--out", "o.json"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+    def test_options_nothing_reads_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestOperatorOnlyStates:
+    """A state file in the operator form gives the reports of its spectral form."""
+
+    N, WINDOW = 64, 8.0
+
+    @pytest.fixture
+    def state_files(self, tmp_path):
+        grid = symmetric_grid(self.N, self.WINDOW)
+        mixed = state_from_wavefunctions(
+            [(0.7, hermite_wavefunction(grid, 0)), (0.3, hermite_wavefunction(grid, 2))]
+        )
+        pure = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid, a=0.8, center=0.5))])
+        files = {}
+        for name, state in (("mixed", mixed), ("pure", pure)):
+            for form, obj in (
+                ("spectral", io.state_to_json(state)),
+                ("op", {"op": io.operator_to_json(state.op)}),
+            ):
+                files[name, form] = tmp_path / f"{name}-{form}.json"
+                files[name, form].write_text(json.dumps(obj))
+        (tmp_path / "m.json").write_text(json.dumps({"kind": "gaussian", "sigma": 1.0}))
+        files["measure"] = tmp_path / "m.json"
+        return files
+
+    def reports(self, capsys, argv_of):
+        out = {}
+        for form in ("spectral", "op"):
+            code = main(argv_of(form) + ["--grid-n", str(self.N), "--window", str(self.WINDOW)])
+            captured = capsys.readouterr()
+            assert code == 0, captured.err
+            report = json.loads(captured.out)
+            out[form] = [(c["name"], c["pass"], c["value"]) for c in report["checks"]]
+        return out["spectral"], out["op"]
+
+    @staticmethod
+    def assert_same_checks(spectral, op):
+        assert [c[:2] for c in spectral] == [c[:2] for c in op]
+        for (_, _, a), (_, _, b) in zip(spectral, op):
+            assert abs(a - b) <= 1e-12
+
+    def test_margins_and_uncertainty(self, capsys, state_files):
+        f = state_files
+        self.assert_same_checks(*self.reports(
+            capsys, lambda form: ["phasespace", "margins", "--t", str(f["mixed", form])]))
+        self.assert_same_checks(*self.reports(capsys, lambda form: [
+            "check", "uncertainty", "--state", str(f["pure", form]),
+            "--pairs-from", str(f["mixed", form])]))
+
+    def test_smeared_distribution(self, capsys, state_files, tmp_path):
+        f = state_files
+        rows = {}
+        for form in ("spectral", "op"):
+            out = tmp_path / f"dist-{form}.csv"
+            code, _ = run_cli(capsys, [
+                "smeared", "distribution", "--measure", str(f["measure"]),
+                "--state", str(f["pure", form]), "--grid-n", str(self.N),
+                "--window", str(self.WINDOW), "--out", str(out)])
+            assert code == 0
+            rows[form] = np.loadtxt(out, delimiter=",", skiprows=1)
+        np.testing.assert_allclose(rows["op"], rows["spectral"], rtol=0, atol=1e-12)
+
+    def test_distribution_rejects_mixed_op_state(self, capsys, state_files):
+        f = state_files
+        code = main(["smeared", "distribution", "--measure", str(f["measure"]),
+                     "--state", str(f["mixed", "op"]), "--grid-n", str(self.N),
+                     "--window", str(self.WINDOW)])
+        assert code == 2
+        assert "pure state" in capsys.readouterr().err
