@@ -16,16 +16,19 @@ representation and a family of isometries: every effect is one seed effect
 conjugated by the diagonal phase U(c).  ``sigma_matrix`` is the unitary that
 diagonalises the induced representation and ``translated_pvm_matrix`` the
 translated projection-valued measure.  Verification (covariance,
-equivalence) is done numerically with explicit defect witnesses.
+equivalence) is done numerically with explicit defect witnesses; the
+representation is kept as monomial factors (``MonomialUnitaries``), and
+covariance is checked on the generators of G before any full sweep.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -49,6 +52,7 @@ __all__ = [
     "annihilator",
     "covariance_densities",
     "build_covariant_pom",
+    "MonomialUnitaries",
     "diagonal_unitaries",
     "coset_action",
     "verify_covariance",
@@ -108,14 +112,26 @@ class FiniteAbelianGroup:
         return self.add(a, self.neg(b))
 
     def pairing(self, x: Element, g: Element) -> complex:
-        """Bicharacter <x, g> of modulus one."""
-        phase = sum(xi * gi / m for xi, gi, m in zip(x, g, self.moduli))
-        return complex(np.exp(2j * np.pi * phase))
+        """Bicharacter <x, g> of modulus one.
+
+        The phase sum x_i g_i (lcm / n_i) is reduced mod lcm(moduli) on the
+        integers and read from the table of ``_pairings``, so the angle
+        stays below 2 pi and both give the same value bitwise.
+        """
+        period = self._roots.size
+        index = sum(xi * gi * (period // m) for xi, gi, m in zip(x, g, self.moduli))
+        return complex(self._roots[index % period])
 
     def contains(self, a: Element) -> bool:
         return len(a) == len(self.moduli) and all(
             0 <= x < m for x, m in zip(a, self.moduli)
         )
+
+    @cached_property
+    def _roots(self) -> np.ndarray:
+        """exp(2 pi i k / lcm(moduli)) for k = 0, ..., lcm - 1: every pairing is one of them."""
+        period = math.lcm(*self.moduli)
+        return np.exp(2j * np.pi * np.arange(period) / period)
 
     @cached_property
     def _strides(self) -> np.ndarray:
@@ -253,8 +269,7 @@ def _pairings(group: FiniteAbelianGroup, xs, gs) -> np.ndarray:
     Each phase is an integer index mod lcm(moduli) into one table of roots of
     unity, so <x, g> = 1 holds exactly and equal characters are equal bitwise.
     """
-    period = math.lcm(*group.moduli)
-    return np.exp(2j * np.pi * np.arange(period) / period)[_phases(group, xs, gs)]
+    return group._roots[_phases(group, xs, gs)]
 
 
 def annihilator(group: FiniteAbelianGroup, sub: Subgroup) -> Subgroup:
@@ -520,11 +535,62 @@ def build_covariant_pom(
     return Pom(tag, outcomes, effects)
 
 
-def diagonal_unitaries(rep: DiagonalRep) -> Dict[Element, np.ndarray]:
+class MonomialUnitaries(Mapping):
+    """U(g) for every element g of ``group``, each kept as a monomial matrix.
+
+    U(g) = diag(phi_g) P_g with (P_g v)_j = v[pi_g(j)], so conjugation is one
+    gather and one product, (U(g) M U(g)*)_jk = phi_g(j) conj(phi_g(k))
+    M[pi_g(j), pi_g(k)], at O(dim^2) per matrix.  ``factors`` maps an array
+    of element codes to the phases phi (k, dim) and the index maps pi
+    (k, dim), or to None for pi when every U(g) is diagonal.  Keys are the
+    element tuples in code order; only ``__getitem__`` builds a dense U(g).
+    """
+
+    def __init__(
+        self,
+        group: FiniteAbelianGroup,
+        dim: int,
+        factors: Callable[[np.ndarray], Tuple[np.ndarray, Optional[np.ndarray]]],
+    ):
+        self.group = group
+        self.dim = dim
+        self._factors = factors
+
+    # identity, not Mapping's item-by-item equality, which would build every dense U(g)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __len__(self) -> int:
+        return self.group.order
+
+    def __iter__(self):
+        return iter(self.group.elements())
+
+    def __getitem__(self, g: Element) -> np.ndarray:
+        g = tuple(g)
+        if not self.group.contains(g):
+            raise KeyError(g)
+        phases, perms = self._factors(_code_of(self.group, [g]))
+        rows = np.arange(self.dim)
+        mat = np.zeros((self.dim, self.dim), dtype=complex)
+        mat[rows, rows if perms is None else perms[0]] = phases[0]
+        return mat
+
+    def conjugate(self, codes, mats: np.ndarray) -> np.ndarray:
+        """U(g) M U(g)* over the codes g (k,) and matrices M (..., dim, dim): (..., k, dim, dim)."""
+        phases, perms = self._factors(np.asarray(codes))
+        if perms is None:
+            mats = mats[..., None, :, :]
+        else:
+            mats = mats[..., perms[:, :, None], perms[:, None, :]]
+        return mats * (phases[:, :, None] * phases[:, None, :].conj())
+
+
+def diagonal_unitaries(rep: DiagonalRep) -> MonomialUnitaries:
     """The representation matrices U(g): diagonal phases <x, g> per fiber."""
     group = rep.group
-    table = _pairings(group, _basis_codes(rep), np.arange(group.order))
-    return {g: np.diag(col) for g, col in zip(group.elements(), table.T)}
+    dual = _basis_codes(rep)
+    return MonomialUnitaries(group, rep.dim, lambda codes: (_pairings(group, codes, dual), None))
 
 
 def coset_action(
@@ -545,38 +611,53 @@ def coset_action(
 
 @dataclass(frozen=True)
 class CovarianceReport:
+    """``word_length`` is the factor L of a pass on generators, None when every pair was swept."""
+
     passed: bool
     max_defect: float
     worst: Tuple[Element, str]
+    word_length: Optional[int] = None
 
 
 def verify_covariance(
     pom: Pom,
-    unitaries: Mapping[Element, np.ndarray],
+    unitaries: MonomialUnitaries,
     action: Callable[[Element, PointCell], PointCell],
     tol: float = 1e-10,
 ) -> CovarianceReport:
     """Max over (g, cell) of || U(g) E(X) U(g)* - E(g[X]) ||, with its witness.
 
-    For each g, the effects are conjugated in batched products over blocks of
-    about ``BLOCK_ENTRIES`` entries, and each defect is first bounded by its
-    Frobenius norm.  Only a pair whose bound exceeds ``tol`` gets the exact
-    spectral norm.  The Frobenius norm bounds the spectral norm, so
-    ``passed`` is that of the exact check on every pair.  On a pass,
-    ``max_defect`` is the largest bound used, which is at most ``tol``; on a
-    failure it is the exact spectral norm of the first worst pair,
-    ``worst``, in the order of ``unitaries`` and the outcomes.
+    ``action`` must be an action of ``unitaries.group`` on the cells, and
+    ``unitaries`` a projective representation of it, so that Ad U is a
+    representation.  Then D(g) = max_X ||U(g) E(X) U(g)* - E(g[X])|| obeys
+    D(g + h) <= D(g) + D(h) and D(-g) = D(g), and every g is a sum of at
+    most L = sum_i floor(m_i / 2) standard generators e_i and their
+    negatives.  The stored effects are first conjugated by the e_i only;
+    with delta the largest Frobenius defect of a pair (e_i, X), which bounds
+    its spectral defect, every pair has spectral defect at most L delta.  If
+    L delta <= tol the check passes with ``max_defect`` = L delta,
+    ``worst`` the generator pair of defect delta and ``word_length`` = L.
+
+    Otherwise every pair is swept: for each g the effects are conjugated in
+    blocks of about ``BLOCK_ENTRIES`` entries, each defect is bounded by its
+    Frobenius norm, and only a pair whose bound exceeds ``tol`` gets the
+    exact spectral norm, from the dense U(g).  So ``passed`` is that of the
+    exact check on every pair.  On a swept pass ``max_defect`` is the largest
+    bound used, at most ``tol``; on a failure it is the exact spectral norm
+    of the first worst pair, ``worst``, in the order of ``unitaries`` and the
+    outcomes.
     """
     index_of = {}
     for i, out in enumerate(pom.outcomes):
         if not isinstance(out.cell, PointCell):
             raise ValueError("covariance check needs group-labelled cells")
         index_of[out.cell] = i
-    mats = np.stack([e.op.mat for e in pom.effects])
+    mats = [e.op.mat for e in pom.effects]  # stacked block by block: no copy of the whole POM
     step = max(1, BLOCK_ENTRIES // pom.dim**2)
-    worst = ((), "")
-    max_defect = 0.0
-    for g, u in unitaries.items():
+    group = unitaries.group
+
+    def frobenius_defects(code: int) -> Tuple[Element, list, np.ndarray]:
+        (g,) = _tuples(group, [code])
         targets = []
         for out in pom.outcomes:
             target = action(g, out.cell)
@@ -585,13 +666,28 @@ def verify_covariance(
             targets.append(index_of[target])
         defects = np.empty(len(targets))
         for lo in range(0, len(targets), step):
-            moved = u @ mats[lo : lo + step] @ u.conj().T
-            defects[lo : lo + step] = np.linalg.norm(
-                moved - mats[targets[lo : lo + step]], axis=(1, 2)
-            )
-        for i in np.flatnonzero(defects > tol):
-            moved = u @ pom.effects[i].op.mat @ u.conj().T
-            defects[i] = np.linalg.norm(moved - pom.effects[targets[i]].op.mat, 2)
+            moved = unitaries.conjugate([code], np.stack(mats[lo : lo + step]))[:, 0]
+            moved -= np.stack([mats[t] for t in targets[lo : lo + step]])
+            defects[lo : lo + step] = np.linalg.norm(moved, axis=(1, 2))
+        return g, targets, defects
+
+    generators = _code_of(group, np.eye(len(group.moduli), dtype=np.int64))
+    screen = [frobenius_defects(code) for code in generators]
+    word_length = sum(m // 2 for m in group.moduli)
+    k, i = np.unravel_index(np.argmax([d for _, _, d in screen]), (len(screen), len(pom.effects)))
+    bound = word_length * float(screen[k][2][i])
+    if bound <= tol:
+        return CovarianceReport(True, bound, (screen[k][0], pom.outcomes[i].label), word_length)
+
+    worst = ((), "")
+    max_defect = 0.0
+    for code in range(group.order):
+        g, targets, defects = frobenius_defects(code)
+        over = np.flatnonzero(defects > tol)
+        if over.size:
+            u = unitaries[g]
+            for i in over:
+                defects[i] = np.linalg.norm(u @ mats[i] @ u.conj().T - mats[targets[i]], 2)
         i = int(np.argmax(defects))
         if defects[i] > max_defect:
             max_defect = float(defects[i])

@@ -148,6 +148,13 @@ def cmd_phase_diff(args) -> int:
     return rep.finish(args)
 
 
+def _covariance_witness(cov: abelian.CovarianceReport) -> str:
+    """The worst pair, and the word-length factor L when the check passed on generators."""
+    if cov.word_length is None:
+        return str(cov.worst)
+    return f"{cov.worst} L={cov.word_length}"
+
+
 def cmd_abelian_pom(args) -> int:
     bundle = _load_json(args.infile)
     rep_obj = io.rep_from_json(bundle["rep"])
@@ -169,7 +176,7 @@ def cmd_abelian_pom(args) -> int:
         abelian.coset_action(group, sub),
         args.tol,
     )
-    report.add("covariance", cov.passed, cov.max_defect, args.tol, str(cov.worst))
+    report.add("covariance", cov.passed, cov.max_defect, args.tol, _covariance_witness(cov))
     if args.out:
         _write_json(args.out, io.pom_to_json(pom))
     return report.finish(args)
@@ -187,7 +194,7 @@ def cmd_finite_weyl(args) -> int:
         phasespace.finite_weyl_action(args.dim),
         args.tol,
     )
-    report.add("covariance", cov.passed, cov.max_defect, args.tol, str(cov.worst))
+    report.add("covariance", cov.passed, cov.max_defect, args.tol, _covariance_witness(cov))
     if args.out:
         _write_json(args.out, io.pom_to_json(pom))
     return report.finish(args)

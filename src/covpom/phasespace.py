@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -33,6 +33,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg.blas import zgemv
 from scipy.sparse.linalg import LinearOperator, eigsh
 
+from .abelian import FiniteAbelianGroup, MonomialUnitaries
 from .grids import BLOCK_ENTRIES, Grid1D, WaveFunction
 from .hilbert import Effect, Operator, Outcome, PointCell, Pom, RectCell, State
 from .posmom import ProbMeasure1D, WindowLeakageError, _state_densities, grid_wavefunctions
@@ -393,15 +394,20 @@ def margins_of_GT(t_state: State, grid: Grid1D) -> Tuple[ProbMeasure1D, ProbMeas
 # --- the finite Weyl-Heisenberg system ---------------------------------------
 
 
-def _finite_weyl_matrix(d: int, a: int, b: int) -> np.ndarray:
-    """W_(a,b) = Z^b X^a with X the cyclic shift and Z the clock phase."""
-    shift = np.roll(np.eye(d), a, axis=0)
-    clock = np.diag(np.exp(2j * np.pi * b * np.arange(d) / d))
-    return clock @ shift
+def finite_weyl_unitaries(d: int) -> MonomialUnitaries:
+    """W_(a,b) = Z^b X^a on Z_d x Z_d, with X the cyclic shift and Z the clock phase.
 
+    W_(a,b) is monomial: (W_(a,b) v)_j = exp(2 pi i b j / d) v_(j - a).
+    """
+    group = FiniteAbelianGroup((d, d))
+    j = np.arange(d)
+    clock = np.exp(2j * np.pi * j / d)
 
-def finite_weyl_unitaries(d: int) -> Dict[Tuple[int, int], np.ndarray]:
-    return {(a, b): _finite_weyl_matrix(d, a, b) for a in range(d) for b in range(d)}
+    def factors(codes):
+        a, b = np.divmod(codes, d)
+        return clock[b[:, None] * j % d], (j - a[:, None]) % d
+
+    return MonomialUnitaries(group, d, factors)
 
 
 def finite_weyl_action(d: int):
@@ -425,12 +431,10 @@ def finite_weyl_pom(d: int, t_state: State) -> Pom:
     if t_state.dim != d:
         raise ValueError("state dimension does not match d")
     t_state.validate(1e-10)
-    tmat = t_state.op.mat
-    outcomes = []
-    effects = []
-    for a in range(d):
-        for b in range(d):
-            w = _finite_weyl_matrix(d, a, b)
-            effects.append(Effect(Operator(w @ tmat @ w.conj().T / d)))
-            outcomes.append(Outcome(f"({a},{b})", PointCell((a, b))))
-    return Pom(f"Z_{d} x Z_{d} phase space", tuple(outcomes), tuple(effects))
+    effects = finite_weyl_unitaries(d).conjugate(np.arange(d * d), t_state.op.mat / d)
+    outcomes = tuple(
+        Outcome(f"({a},{b})", PointCell((a, b))) for a in range(d) for b in range(d)
+    )
+    return Pom(
+        f"Z_{d} x Z_{d} phase space", outcomes, tuple(Effect(Operator(e)) for e in effects)
+    )

@@ -1,4 +1,4 @@
-"""Dense reference forms that the library computes by FFT, kept as test oracles."""
+"""Dense reference forms of what the library computes by FFT or from monomial factors, kept as test oracles."""
 
 import numpy as np
 
@@ -13,6 +13,17 @@ def dense_fourier_matrix(grid):
     p = grid.momenta()
     mat = np.exp(-1j * np.outer(p, x)) * (grid.dx / np.sqrt(2 * np.pi))
     return mat * np.sqrt(grid.dp / grid.dx)
+
+
+def finite_weyl_matrix(d, a, b):
+    """W_(a,b) = Z^b X^a as a dense product, with X the cyclic shift and Z the clock phase.
+
+    The clock phase b j is reduced mod d on the integers: unreduced, its
+    rounding reaches 1.1e-14 at d = 12.
+    """
+    shift = np.roll(np.eye(d), a, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * (b * np.arange(d) % d) / d))
+    return clock @ shift
 
 
 def bisection_gamma(measure, tol=1e-6):

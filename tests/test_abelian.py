@@ -34,6 +34,7 @@ from covpom.abelian import (
 )
 from covpom.hilbert import Effect, Operator, PointCell, check_pom_axioms, make_state
 from covpom.phasespace import finite_weyl_action, finite_weyl_pom, finite_weyl_unitaries
+from oracles import finite_weyl_matrix
 
 
 # --- loop forms of the array code, kept as oracles -------------------------
@@ -83,10 +84,10 @@ def coset_rep_map_loop(group, sub):
 
 
 def reduced_pairing(group, x, g):
-    """<x, g> with its phase reduced mod 1 exactly, so the angle is below 2 pi.
+    """<x, g> with its phase reduced mod 1 exactly in rationals, so the angle is below 2 pi.
 
-    ``group.pairing`` exponentiates the unreduced phase sum x.g / m, whose
-    rounding grows with the angle: about 1e-14 on Z_16.
+    An unreduced phase sum x.g / m would carry rounding that grows with the
+    angle: about 1e-14 on Z_16.
     """
     phase = sum(Fraction(xi * gi, m) for xi, gi, m in zip(x, g, group.moduli)) % 1
     return complex(np.exp(2j * np.pi * float(phase)))
@@ -289,6 +290,13 @@ class TestGroupBasics:
             rhs = g.pairing(x, a) * g.pairing(y, a)
             assert abs(lhs - rhs) < 1e-12
             assert abs(abs(g.pairing(x, a)) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("moduli", [(6,), (8,), (16,), (4, 6), (2, 2, 4)])
+    def test_pairing_reduces_the_phase(self, moduli):
+        g = FiniteAbelianGroup(moduli)
+        for x, a in itertools.product(g.elements(), repeat=2):
+            # a few ulps; the unreduced phase is 9.2e-15 off on Z_16
+            assert abs(g.pairing(x, a) - reduced_pairing(g, x, a)) <= 2e-15
 
     def test_subgroup_closure_from_generators(self):
         g = FiniteAbelianGroup((4,))
@@ -717,7 +725,7 @@ class TestArrayFormsMatchLoops:
     @settings(max_examples=40, deadline=None)
     @given(
         covariant_systems(),
-        st.sampled_from([0.0, 1e-12, 1e-9, 1e-3]),
+        st.sampled_from([0.0, 1e-12, 3e-11, 1e-9, 1e-3]),
         st.integers(0, 2**32 - 1),
     )
     def test_covariance_matches_loop(self, system, eps, seed):
@@ -729,7 +737,7 @@ class TestArrayFormsMatchLoops:
         assert_covariance_matches_loop(pom, diagonal_unitaries(rep), coset_action(g, sub))
 
     @pytest.mark.parametrize("d", [2, 3, 5])
-    @pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-9, 1e-3])
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, 3e-11, 1e-9, 1e-3])
     def test_finite_weyl_covariance_matches_loop(self, d, eps):
         rng = np.random.default_rng(100 * d + int(-np.log10(eps or 1)))
         vecs = rng.normal(size=(2, d)) + 1j * rng.normal(size=(2, d))
@@ -749,6 +757,78 @@ class TestArrayFormsMatchLoops:
         assert_covariance_matches_loop(
             shuffled, diagonal_unitaries(rep), coset_action(g, Subgroup.trivial(g))
         )
+
+    def test_drift_beyond_the_generator_defect_fails_like_loop(self):
+        # E'(k) = Ad R^s(k) E(k) with R = exp(i eta diag(0..3)) and s = (0, 1, 2, 1):
+        # a generator moves s by 1, but 2 moves it by 2, so D(2) ~ 2 D(1)
+        g = FiniteAbelianGroup((4,))
+        trivial = Subgroup.trivial(g)
+        rep = single_block_rep(g, {(x,): 1.0 for x in range(4)})
+        pom = build_covariant_pom(rep, trivial, random_isometries(rep, 1, np.random.default_rng(3)))
+        drift = np.exp(1e-9j * np.subtract.outer(np.arange(4), np.arange(4)))
+        drifted = type(pom)(pom.space_tag, pom.outcomes, tuple(
+            Effect(Operator(e.op.mat * drift**s)) for e, s in zip(pom.effects, (0, 1, 2, 1))
+        ))
+        unitaries, action = diagonal_unitaries(rep), coset_action(g, trivial)
+        loop_max, loop_worst = verify_covariance_loop(drifted, unitaries, action)
+        u = unitaries[(1,)]
+        delta = max(
+            np.linalg.norm(u @ e.op.mat @ u.conj().T - drifted.effects[(i + 1) % 4].op.mat)
+            for i, e in enumerate(drifted.effects)
+        )
+        assert delta < loop_max
+        # a tolerance above every generator defect but below the worst pair's
+        report = verify_covariance(drifted, unitaries, action, (delta + loop_max) / 2)
+        assert not report.passed and report.word_length is None
+        assert abs(report.max_defect - loop_max) <= 1e-12 and report.worst == loop_worst
+
+    def test_reports_say_how_the_check_was_decided(self):
+        rng = np.random.default_rng(11)
+        vecs = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
+        pom = finite_weyl_pom(5, make_state([(0.6, vecs[0]), (0.4, vecs[1])]))
+        args = (finite_weyl_unitaries(5), finite_weyl_action(5), TOL)
+        on_generators = verify_covariance(pom, *args)
+        assert on_generators.passed and on_generators.word_length == 4
+        assert on_generators.worst[0] in ((1, 0), (0, 1))
+        assert on_generators == verify_covariance(pom, *args)
+        # a defect between tol / L and tol: the screen cannot decide and the sweep passes
+        swept = verify_covariance(perturbed(pom, 7, 3e-11, rng), *args)
+        assert swept.passed and swept.word_length is None
+
+    def test_finite_weyl_d32_passes_covariance(self):
+        rng = np.random.default_rng(32)
+        vecs = rng.normal(size=(2, 32)) + 1j * rng.normal(size=(2, 32))
+        pom = finite_weyl_pom(32, make_state([(0.7, vecs[0]), (0.3, vecs[1])]))
+        report = verify_covariance(pom, finite_weyl_unitaries(32), finite_weyl_action(32), TOL)
+        assert report.passed and report.word_length == 32
+
+    @settings(max_examples=40, deadline=None)
+    @given(covariant_systems(), st.integers(2, 12), st.data())
+    def test_monomial_unitaries_match_dense_oracles(self, system, d, data):
+        g, _, rep, _ = system
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        cases = [
+            (diagonal_unitaries(rep),
+             lambda x: np.diag([g.pairing(y, x) for _, y, _ in rep.basis()])),
+            (finite_weyl_unitaries(d), lambda x: finite_weyl_matrix(d, *x)),
+        ]
+        for unitaries, oracle in cases:
+            elems = unitaries.group.elements()
+            assert tuple(unitaries) == elems
+            x, y = (data.draw(st.sampled_from(elems)) for _ in range(2))
+            xy = unitaries.group.add(x, y)
+            assert np.max(np.abs(unitaries[x] - oracle(x))) <= 1e-14
+            a = rng.normal(size=(unitaries.dim,) * 2) + 1j * rng.normal(size=(unitaries.dim,) * 2)
+            e = (a + a.conj().T) / np.linalg.norm(a + a.conj().T, 2)
+            u, v, w = unitaries[x], unitaries[y], unitaries[xy]
+
+            def ad(z, m):
+                return unitaries.conjugate([elems.index(z)], m)[0]
+
+            assert np.max(np.abs(ad(x, e) - u @ e @ u.conj().T)) <= 1e-14
+            # Ad U(x + y) = Ad U(x) o Ad U(y), densely and by the monomial factors
+            assert np.max(np.abs(w @ e @ w.conj().T - u @ v @ e @ v.conj().T @ u.conj().T)) <= 1e-13
+            assert np.max(np.abs(ad(xy, e) - ad(x, ad(y, e)))) <= 1e-14
 
     @settings(max_examples=40, deadline=None)
     @given(

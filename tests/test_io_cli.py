@@ -172,6 +172,8 @@ class TestCli:
         )
         assert code == 0
         assert [c["pass"] for c in report["checks"]] == [True, True]
+        # passed on the generators of Z_2 x Z_2, whose words have length at most L = 2
+        assert report["checks"][1]["witness"].endswith(" L=2")
 
     def test_abelian_pom_command(self, capsys, tmp_path):
         g = FiniteAbelianGroup((4,))
