@@ -10,11 +10,10 @@ diagnostics (variance uncertainty product, resolution product and total
 noncommutativity witnesses).
 
 Measures combine a finite atom list with an optional sampled density on a
-uniform grid.  The density CDF is accumulated with Simpson weights; interval
-masses handle atoms at endpoints exactly.  The two Simpson rules are written
-out here in scipy's arithmetic (``scipy.integrate.simpson`` and
-``cumulative_simpson`` on a uniform grid), so the same sums come out without
-importing ``scipy.integrate``.
+uniform grid.  The density's mass and moments are trapezoid sums; its CDF is
+one continuous, nondecreasing, piecewise quadratic model of the samples (see
+``ProbMeasure1D.density_mass_below``).  Interval masses handle atoms at
+endpoints exactly.
 """
 
 from __future__ import annotations
@@ -64,41 +63,9 @@ class WindowLeakageError(ValueError):
     """Raised when a computation would silently lose probability mass."""
 
 
-def simpson(y: np.ndarray, dx: float) -> float:
-    """Composite Simpson sum of samples y (at least three) with spacing dx.
-
-    An even count ends with the Cartwright correction on the last interval.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.size % 2:
-        return float(np.sum(y[:-2:2] + 4.0 * y[1:-1:2] + y[2::2]) * (dx / 3.0))
-    total = np.sum(y[:-3:2] + 4.0 * y[1:-2:2] + y[2:-1:2]) * (dx / 3.0)
-    h = np.float64(dx)
-    alpha = (2 * h**2 + 3 * h * h) / (6 * (h + h))
-    beta = (h**2 + 3.0 * h * h) / (6 * h)
-    eta = (1 * h**3) / (6 * h * (h + h))
-    return float(total + (alpha * y[-1] + beta * y[-2] - eta * y[-3]))
-
-
-def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
-    """Running Simpson integral of y from its first sample, starting at 0.
-
-    Interval k uses the parabola through samples k, k+1, k+2 when k is even
-    and through k-1, k, k+1 when k is odd; the last interval always uses the
-    second form.
-    """
-    y = np.asarray(y, dtype=float)
-
-    def first_halves(v):
-        return dx / 3 * (5 * v[:-2] / 4 + 2 * v[1:-1] - v[2:] / 4)
-
-    ahead = first_halves(y)
-    behind = first_halves(y[::-1])[::-1]
-    pieces = np.empty(y.size - 1)
-    pieces[:-1:2] = ahead[::2]
-    pieces[1::2] = behind[::2]
-    pieces[-1] = behind[-1]
-    return np.concatenate([[0.0], np.cumsum(pieces)])
+def _trapezoid(y: np.ndarray, dx: float) -> float:
+    """Trapezoid sum of samples y with spacing dx."""
+    return float((np.sum(y) - (y[0] + y[-1]) / 2) * dx)
 
 
 @dataclass(frozen=True)
@@ -130,7 +97,7 @@ class ProbMeasure1D:
         mass = self.total_mass()
         if abs(mass - 1.0) > MASS_TOL:
             raise ValueError(f"total mass {mass} is not 1")
-        object.__setattr__(self, "_dens_cdf", self._build_density_cdf())
+        object.__setattr__(self, "_dens_cells", self._density_cells())
 
     # -- constructors ------------------------------------------------------
 
@@ -150,7 +117,7 @@ class ProbMeasure1D:
         values = np.asarray(values, dtype=float)
         if normalize:
             atom_mass = sum(w for _, w in atoms)
-            dens_mass = simpson(values, dx=grid.dx)
+            dens_mass = _trapezoid(values, grid.dx)
             if dens_mass <= 0 and atom_mass <= 0:
                 raise ValueError("cannot normalise a zero measure")
             if dens_mass > 0:
@@ -196,51 +163,64 @@ class ProbMeasure1D:
 
     # -- mass and CDF machinery ---------------------------------------------
 
-    def _build_density_cdf(self) -> Optional[np.ndarray]:
-        # Simpson ringing at density jumps cancels between node increments;
-        # forcing monotonicity here would freeze the overshoot instead.
+    def _density_cells(self) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Coefficients (c0, c1, c2) of the CDF model, one entry per cell.
+
+        Entry k + 1 holds the model D(x_k + s) = c0 + c1 s + c2 s^2 on the cell
+        [x_k, x_k+1); entry 0 is the zero left of the grid and entry n the
+        total from its last node on.
+        """
         if self.density is None:
             return None
-        cdf = cumulative_simpson(self.density, self.grid.dx)
-        cdf.setflags(write=False)
-        return cdf
+        rho, dx = self.density, self.grid.dx
+        rate = np.maximum(rho - np.diff(rho, 2, prepend=0.0, append=0.0) / 12, 0.0)
+        raw = _trapezoid(rate, dx)
+        if raw > 0:
+            rate *= _trapezoid(rho, dx) / raw
+        cdf = np.cumsum((rate[:-1] + rate[1:]) * (dx / 2))
+        cells = (np.concatenate([[0.0, 0.0], cdf]),
+                 np.concatenate([[0.0], rate[:-1], [0.0]]),
+                 np.concatenate([[0.0], np.diff(rate) / (2 * dx), [0.0]]))
+        for c in cells:
+            c.setflags(write=False)
+        return cells
+
+    def _cell(self, t):
+        """s = t - x_k and the CDF model's (c0, c1, c2) on the cell [x_k, x_k+1) holding t.
+
+        k is -1 left of the grid and n - 1 from its last node on; s stays finite.
+        """
+        grid = self.grid
+        pos = np.clip((np.asarray(t, dtype=float) - grid.x0) / grid.dx, -1.0, grid.n - 1.0)
+        k = np.floor(pos)
+        c0, c1, c2 = (c[k.astype(int) + 1] for c in getattr(self, "_dens_cells"))
+        return (pos - k) * grid.dx, c0, c1, c2
 
     def total_mass(self) -> float:
         mass = sum(w for _, w in self.atoms)
         if self.density is not None:
-            mass += float(simpson(self.density, dx=self.grid.dx))
+            mass += _trapezoid(self.density, self.grid.dx)
         return float(mass)
 
     def density_mass_below(self, t) -> np.ndarray:
         """Continuous-part mass of (-inf, t], vectorised in t.
 
-        Two rules meet here.  The node values D(x_k) are the Simpson sums of
-        ``cumulative_simpson``, while inside the cell [x_k, x_k+1) the density
-        is taken as linear, so D is the quadratic cdf[k] + (linear-density
-        integral), nondecreasing in the cell.  Its left limit at x_k+1 is a
-        trapezoid sum and differs from cdf[k+1], so D jumps at every node, in
-        either direction: at n = 1024 on a window of 40 the jumps reach
-        5.7e-6 for a Gaussian of sigma 0.7 and -1.6e-3 on a phase-space
-        momentum margin, and Simpson ringing makes cdf itself fall by
-        5.5e-4 at an edge of uniform(-3, 3).  Values are clipped to
-        [0, total].
+        D is the exact integral of the linear interpolant of the node values
+        rho_k - (rho_k+1 - 2 rho_k + rho_k-1) / 12 (the second difference taken
+        with zeros beyond the grid), floored at 0 and rescaled to the
+        trapezoid mass.  Where the floor does not bite, the correction gives
+        the node values the Euler-Maclaurin end term of the trapezoid rule, so
+        D is third-order accurate in dx, where the plain interpolant of rho is
+        second-order; the floor keeps the interpolant nonnegative at zeros and
+        spikes of rho.  So D is continuous, nondecreasing and quadratic on
+        each cell, 0 left of the grid and the density's total mass from its
+        last node on.
         """
         t = np.asarray(t, dtype=float)
         if self.density is None:
             return np.zeros(t.shape)
-        cdf = getattr(self, "_dens_cdf")
-        grid = self.grid
-        total = float(cdf[-1])
-        pos = np.clip((t - grid.x0) / grid.dx, -1.0, float(grid.n))
-        k = np.clip(np.floor(pos).astype(int), 0, grid.n - 2)
-        s = np.clip(pos - k, 0.0, 1.0) * grid.dx
-        rho0 = self.density[k]
-        slope = (self.density[k + 1] - rho0) / grid.dx
-        partial = rho0 * s + 0.5 * slope * s * s
-        out = cdf[k] + partial
-        out = np.where(pos <= 0.0, 0.0, out)
-        out = np.where(pos >= grid.n - 1, total, out)
-        return np.clip(out, 0.0, total)
+        s, c0, c1, c2 = self._cell(t)
+        return c0 + (c1 + c2 * s) * s
 
     def _atom_arrays(self):
         if not self.atoms:
@@ -312,11 +292,11 @@ class ProbMeasure1D:
         """Largest mass of a window of length ``width`` over the candidate placements.
 
         A placement puts the left edge, the right edge or the centre on an
-        anchor (a grid node when there is a density, or an atom).  Within a
-        grid cell the window mass is quadratic in the position, and it jumps
-        where an edge crosses a node (see ``density_mass_below``) or an atom,
-        so this is the maximum over that family, not the supremum over all
-        centres.  Returns (mass, centre), the smallest maximising centre.
+        anchor (a grid node when there is a density, or an atom).  While
+        neither edge crosses an anchor the window mass is quadratic in the
+        position, and it can peak between anchors, so this is the maximum over
+        that family, not the supremum over all centres.  Returns (mass,
+        centre), the smallest maximising centre.
         """
         if width <= 0:
             raise ValueError("window width must be positive")
@@ -343,7 +323,7 @@ class ProbMeasure1D:
         m = sum(x * w for x, w in self.atoms)
         if self.density is not None:
             x = self.grid.positions()
-            m += simpson(x * self.density, dx=self.grid.dx)
+            m += _trapezoid(x * self.density, self.grid.dx)
         return float(m)
 
     def variance(self) -> float:
@@ -351,7 +331,7 @@ class ProbMeasure1D:
         v = sum((x - mu) ** 2 * w for x, w in self.atoms)
         if self.density is not None:
             x = self.grid.positions()
-            v += simpson((x - mu) ** 2 * self.density, dx=self.grid.dx)
+            v += _trapezoid((x - mu) ** 2 * self.density, self.grid.dx)
         return float(v)
 
     def edge_leakage(self) -> float:
@@ -541,49 +521,30 @@ def _root(v0, g0, c2, target):
 class _WindowModel:
     """Masses below t of a measure, as one quadratic per element.
 
-    The breakpoints p are the anchors (grid nodes when there is a density, and
-    atoms) plus the points where the density CDF model leaves [0, total] and
-    starts to be clipped.  Elements alternate: 2i is the open piece between
-    p[i-1] and p[i] (the outer pieces end at p[0] and p[-1], where their
-    constant value is read), 2i + 1 is the point p[i].  On element e the mass
-    of (-inf, t] is  c0 + c1 s + c2 s^2 + atoms_g[e],  s = t - t0[e], and the
-    mass of (-inf, t) the same with atoms_h[e]; both are nondecreasing in t
-    within an element, because the linearly interpolated density is >= 0.
+    The breakpoints p are the anchors: grid nodes when there is a density, and
+    atoms.  Elements alternate: 2i is the open piece between p[i-1] and p[i]
+    (the outer pieces end at p[0] and p[-1], where their constant value is
+    read), 2i + 1 is the point p[i].  On element e the mass of (-inf, t] is
+    c0 + c1 s + c2 s^2 + atoms_g[e],  s = t - t0[e], and the mass of (-inf, t)
+    the same with atoms_h[e]; both are nondecreasing in t, within an element
+    and from one element to the next, because the density CDF model is.
     """
 
     def __init__(self, measure: ProbMeasure1D):
-        anchors = measure._anchors()
-        cuts = [anchors]
-        if measure.density is not None:
-            grid, rho, cdf = measure.grid, measure.density, measure._dens_cdf
-            x, total = grid.positions(), float(cdf[-1])
-            half_slope = 0.5 * np.diff(rho) / grid.dx
-            cell_end = cdf[:-1] + (rho[:-1] + half_slope * grid.dx) * grid.dx
-            for level in (0.0, total):
-                cut = (cdf[:-1] < level) & (cell_end > level)
-                s = _root(cdf[:-1][cut], rho[:-1][cut], half_slope[cut], level)
-                cuts.append(x[:-1][cut] + np.clip(s, 0.0, grid.dx))
-        p = np.unique(np.concatenate(cuts))
+        p = np.unique(measure._anchors())
         t0, c0, c1, c2 = (np.zeros(p.size + 1) for _ in range(4))
         if measure.density is not None:
             mids = np.concatenate([p[:1] - 1.0, (p[:-1] + p[1:]) / 2, p[-1:] + 1.0])
-            k = np.clip(np.floor((mids - grid.x0) / grid.dx).astype(int), 0, grid.n - 2)
-            s = mids - x[k]
-            below = cdf[k] + (rho[k] + half_slope[k] * s) * s
-            quad = (mids > x[0]) & (mids < x[-1]) & (below >= 0.0) & (below <= total)
-            t0 = np.where(quad, x[k], 0.0)
-            c0 = np.where(quad, cdf[k], measure.density_mass_below(mids))
-            c1 = np.where(quad, rho[k], 0.0)
-            c2 = np.where(quad, half_slope[k], 0.0)
-        locs, cum = measure._atom_arrays()
-        piece_atoms = np.append(measure.atom_mass_upto(p, inclusive=False), cum[-1] if locs.size else 0.0)
+            s, c0, c1, c2 = measure._cell(mids)
+            t0 = mids - s
+        piece_atoms = measure.atom_mass_upto(np.append(p, math.inf), inclusive=False)
 
         def interleave(pieces, points):
             out = np.empty(2 * p.size + 1)
             out[0::2], out[1::2] = pieces, points
             return out
 
-        self.p, self.anchors = p, np.isin(p, anchors)
+        self.p = p
         self.lo = interleave(np.concatenate([p[:1], p]), p)
         self.hi = interleave(np.append(p, p[-1]), p)
         self.t0 = interleave(t0, p)
@@ -620,38 +581,37 @@ def _shortest_half(measure: ProbMeasure1D) -> Tuple[float, float]:
     The candidates are those of ``window_mass_sup``: an edge on an anchor, or
     the centre on one; the result is their infimum length.  With the left
     edge a on an anchor, b is the first t where the mass below t passes
-    mass(-inf, a) + 1/2: a search on the running maximum of each element's
-    largest value finds the element, and one quadratic root the point.  The
-    right-edge family runs the same way on the running minimum from the
-    right.  Neither search assumes the CDF is monotone; they only use that it
-    never falls by 1/2, so nothing before an anchor passes its target.
+    mass(-inf, a) + 1/2: a search on the elements' largest values finds the
+    element, and one quadratic root the point.  The right-edge family runs the
+    same way on the elements' least values.  Both searches rest on the mass
+    below t being nondecreasing across the elements.
 
     A centred window can be shorter than both.  For element e, any window
     whose left edge lies in e ends no earlier than the first t passing
     (least mass below e) + 1/2, so  min_e (that t - end of e)  bounds every
     window from below.  Only half-widths from half that bound up to half the
-    best edge window can improve on it, and only centres where the two
-    envelopes leave more than 1/2 at the widest of them.  For each such centre
-    the half-widths split into a few intervals where both edges stay in one
-    element, and on each the mass is one rising quadratic, solved directly.
+    best edge window can improve on it, and only centres where the masses
+    below the two edges leave more than 1/2 at the widest of them.  For each
+    such centre the half-widths split into a few intervals where both edges
+    stay in one element, and on each the mass is one rising quadratic, solved
+    directly.
     """
     model = _WindowModel(measure)
     n_el = model.lo.size
-    u = model.p[model.anchors]
-    at_u = 2 * np.flatnonzero(model.anchors) + 1
+    u = model.p
+    at_u = np.arange(1, n_el, 2)
     every = np.arange(n_el)
-    rising = np.maximum.accumulate(model.value(every, model.hi, model.atoms_g))
+    largest = model.value(every, model.hi, model.atoms_g)
     least = model.value(every, model.lo, model.atoms_h)
-    falling = np.minimum.accumulate(least[::-1])[::-1]
 
     def first_passing(target):
-        e = np.searchsorted(rising, target, side="right")
+        e = np.searchsorted(largest, target, side="right")
         ok = e < n_el
         return ok, model.first_above(e[ok], target[ok])
 
     ok_left, ends = first_passing(least[at_u] + 0.5)
     target = model.value(at_u, u, model.atoms_g) - 0.5
-    e = np.searchsorted(falling, target, side="left") - 1
+    e = np.searchsorted(least, target, side="left") - 1
     ok_right = e >= 0
     lo = np.concatenate([u[ok_left], model.last_below(e[ok_right], target[ok_right])])
     hi = np.concatenate([ends, u[ok_right]])
@@ -662,10 +622,10 @@ def _shortest_half(measure: ProbMeasure1D) -> Tuple[float, float]:
     ok, ends = first_passing(least + 0.5)
     bound = float(np.min(ends - model.hi[ok], initial=math.inf))
     if bound < b - a:
-        # a centre can win only if the envelopes leave room above 1/2 at the widest h
+        # a centre can win only if it leaves room above 1/2 at the widest h
         h_hi = (b - a) / 2
-        room = (rising[2 * np.searchsorted(model.p, u + h_hi, side="right")]
-                - falling[2 * np.searchsorted(model.p, u - h_hi, side="left")])
+        room = (largest[2 * np.searchsorted(u, u + h_hi, side="right")]
+                - least[2 * np.searchsorted(u, u - h_hi, side="left")])
         a, b = _centred_scan(measure, model, u[room > 0.5], max(bound, 0.0) / 2, h_hi, (a, b))
     return a, b
 
@@ -875,7 +835,7 @@ def sharpness_test(measure: ProbMeasure1D, n_widths: int = 7) -> SharpnessReport
     atom_route = (
         len(measure.atoms) == 1
         and abs(measure.atoms[0][1] - 1.0) <= 1e-9
-        and (measure.density is None or simpson(measure.density, dx=measure.grid.dx) <= 1e-9)
+        and (measure.density is None or _trapezoid(measure.density, measure.grid.dx) <= 1e-9)
     )
     location = measure.atoms[0][0] if atom_route else None
 
@@ -916,10 +876,10 @@ def _state_densities(state: State, grid: Grid1D) -> Tuple[np.ndarray, np.ndarray
 
 
 def _density_moments(grid_vals: np.ndarray, axis: np.ndarray, dx: float):
-    mass = simpson(grid_vals, dx=dx)
-    mean = simpson(axis * grid_vals, dx=dx) / mass
-    var = simpson((axis - mean) ** 2 * grid_vals, dx=dx) / mass
-    return float(mass), float(mean), float(var)
+    mass = _trapezoid(grid_vals, dx)
+    mean = _trapezoid(axis * grid_vals, dx) / mass
+    var = _trapezoid((axis - mean) ** 2 * grid_vals, dx) / mass
+    return mass, mean, var
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
-"""The limit of resolution by one sweep, its profile, and the numpy Simpson rules.
+"""The limit of resolution by one sweep, its profile, and the density mass model.
 
 The sweep in ``resolution_limit`` is checked against the bisection it
 replaced (``oracles.bisection_gamma``), against its own returned window, and
 against every candidate window of a shorter length.  The batched profile is
-checked against ``window_mass_sup`` one width at a time; the Simpson rules
-against scipy's; the matrix-free commutator norm against a dense one.
+checked against ``window_mass_sup`` one width at a time; the density CDF model
+for continuity, monotonicity and its error on a Gaussian; the matrix-free
+commutator norm against a dense one.
 """
 
 import json
@@ -14,22 +15,20 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
-from scipy.integrate import simpson as scipy_simpson
+from scipy.stats import norm
 
 import covpom
 from covpom.cli import main
 from covpom.grids import symmetric_grid
+from covpom.phasespace import hermite_wavefunction, margins_of_GT, state_from_wavefunctions
 from covpom.posmom import (
     PROFILE_POINTS,
     ProbMeasure1D,
     SmearedObservable,
-    cumulative_simpson,
     noncommutativity_witness,
     resolution_limit,
-    simpson,
     smeared_profile,
 )
 from oracles import bisection_gamma
@@ -52,7 +51,12 @@ def half_atom_uniform(rng, _n):
     grid = symmetric_grid(512, 4.0)
     lo, hi = rng.uniform(-2, -0.2), rng.uniform(0.2, 2)
     unif = ProbMeasure1D.uniform(grid, lo, hi)
-    return ProbMeasure1D.convex_mixture([0.5, 0.5], [ProbMeasure1D.point(rng.uniform(lo, hi)), unif])
+    loc = rng.uniform(lo, hi)
+    # one draw in four puts the atom on the first or last node of the density
+    edge = int(rng.integers(8)) - 6
+    if edge >= 0:
+        loc = unif.support_bounds()[edge]
+    return ProbMeasure1D.convex_mixture([0.5, 0.5], [ProbMeasure1D.point(loc), unif])
 
 
 def gaussian_atom(rng, n):
@@ -60,6 +64,18 @@ def gaussian_atom(rng, n):
     atom = ProbMeasure1D.point(float(np.round(rng.uniform(-3, 3), 2)))
     return ProbMeasure1D.convex_mixture([1 - w, w], [gaussian(rng, n), atom])
 
+
+def rough(rng, n, atom):
+    """Sparse spikes on a coarse grid, optionally with an atom of mass 0.3."""
+    dens = rng.uniform(size=n) ** 6 * (rng.uniform(size=n) < 0.5)
+    dens[:2] = dens[-2:] = 0.0
+    dens[n // 2] += 1e-3
+    atoms = ((float(np.round(rng.uniform(-2, 2), 3)), 0.3),) if atom else ()
+    return ProbMeasure1D.from_density(symmetric_grid(n, 4.0), dens, atoms=atoms, normalize=True)
+
+
+# the seed at which half_atom_uniform puts its atom on the uniform's last node
+EDGE_SEED = 4
 
 FAMILIES = {
     "gaussian": gaussian,
@@ -87,13 +103,17 @@ class TestSweepOracle:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     @settings(max_examples=15, deadline=None)
     @given(n=st.sampled_from([1024, 2048, 4096]), seed=seeds)
+    # half-atom-uniform: the atom at 0.97599 in the cell after the uniform's
+    # last node, where the density falls to 0; then the atom on that last node
+    @example(n=1024, seed=225)
+    @example(n=1024, seed=EDGE_SEED)
     def test_window_shorter_windows_and_bisection(self, family, n, seed):
         measure = FAMILIES[family](np.random.default_rng(seed), n)
         rep = resolution_limit(measure, profile_points=0)
         a, b = rep.window
         assert b - a == rep.gamma
-        # [a, b] is a limit of windows above 1/2; D can fall at a node, so the
-        # window an edge beyond a node edge may hold less, and all 9 moves count
+        # [a, b] is a limit of windows above 1/2: at gamma = 0 it is [a, a],
+        # whose half atom holds exactly 1/2, so the edges may move by 1e-9
         moves = np.array([-1e-9, 0.0, 1e-9])
         assert measure.mass_interval(a + moves[:, None], b + moves).max() > 0.5
         if rep.gamma > 1e-6:
@@ -108,19 +128,11 @@ class TestSweepOracle:
     @settings(max_examples=40, deadline=None)
     @given(n=st.sampled_from([16, 32, 64]), seed=seeds, atom=st.booleans())
     def test_rough_densities(self, n, seed, atom):
-        # sparse spikes make the node CDF fall and overshoot, so the best
-        # candidate mass is not monotone in the width and bisection is no
-        # oracle here; gamma must still be the infimum over the candidates
-        rng = np.random.default_rng(seed)
-        dens = rng.uniform(size=n) ** 6 * (rng.uniform(size=n) < 0.5)
-        dens[:2] = dens[-2:] = 0.0
-        dens[n // 2] += 1e-3
-        atoms = ((float(np.round(rng.uniform(-2, 2), 3)), 0.3),) if atom else ()
-        measure = ProbMeasure1D.from_density(symmetric_grid(n, 4.0), dens, atoms=atoms,
-                                             normalize=True)
+        measure = rough(np.random.default_rng(seed), n, atom)
         gamma = resolution_limit(measure, profile_points=0).gamma
         assert best_candidate(measure, [gamma + 1e-7])[0] > 0.5
         assert best_candidate(measure, np.linspace(0, gamma - 1e-6, 257)[1:]).max() <= 0.5
+        assert gamma == pytest.approx(bisection_gamma(measure), abs=1e-6)
 
     def test_centred_windows_count(self):
         # sigma = 1 about the node at 0: the best window is centred there, and
@@ -188,22 +200,63 @@ class TestBatchedProfile:
         assert all(len(line.split(",")) == 2 for line in lines)
 
 
-class TestSimpson:
-    @pytest.mark.parametrize("n", [2**k for k in range(4, 17)])
-    def test_matches_scipy(self, n):
-        rng = np.random.default_rng(n)
-        x = np.linspace(-5, 5, n)
-        for y in (rng.uniform(size=n), np.exp(-x**2), (np.abs(x) < 1.3).astype(float)):
-            dx = rng.uniform(1e-3, 0.5)
-            assert abs(simpson(y, dx) - scipy_simpson(y, dx=dx)) <= 1e-15
-            np.testing.assert_allclose(
-                cumulative_simpson(y, dx), scipy_cumulative_simpson(y, dx=dx, initial=0.0),
-                rtol=0, atol=1e-15,
-            )
+class TestMassModel:
+    """``density_mass_below``: continuous, nondecreasing, 0 and the total beyond the grid."""
 
-    def test_odd_counts_match_scipy(self):
-        y = np.random.default_rng(3).uniform(size=33)
-        assert abs(simpson(y, 0.1) - scipy_simpson(y, dx=0.1)) <= 1e-15
+    @staticmethod
+    def assert_model(measure):
+        below = measure.density_mass_below
+        if measure.density is None:
+            assert np.all(below(np.linspace(-20, 20, 101)) == 0)
+            return
+        grid = measure.grid
+        x = grid.positions()
+        h = 1e-9 * grid.dx
+        jumps = below(x + h) - below(x - h)
+        assert jumps.min() >= -1e-15
+        assert jumps.max() <= 4 * h * measure.density.max() + 1e-15
+        t = np.sort(np.concatenate([
+            np.linspace(x[0] - 1, x[-1] + 1, 64 * grid.n), x, x - h, x + h,
+        ]))
+        assert np.diff(below(t)).min() >= -1e-15
+        total = measure.total_mass() - sum(w for _, w in measure.atoms)
+        assert np.all(below([-np.inf, x[0] - 1, x[0] - h, x[0]]) == 0)
+        # the total is the trapezoid sum; the CDF's last node is a running sum
+        np.testing.assert_allclose(below([x[-1], x[-1] + h, x[-1] + 1, np.inf]), total,
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.sampled_from([1024, 2048]), seed=seeds)
+    @example(n=1024, seed=225)
+    @example(n=1024, seed=EDGE_SEED)
+    def test_sweep_families(self, family, n, seed):
+        self.assert_model(FAMILIES[family](np.random.default_rng(seed), n))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([16, 32, 64]), seed=seeds, atom=st.booleans())
+    def test_rough_densities(self, n, seed, atom):
+        self.assert_model(rough(np.random.default_rng(seed), n, atom))
+
+    def test_fock_one_momentum_margin(self):
+        # the margin vanishes at p = 0, where the floor of the model bites
+        grid = symmetric_grid(1024, 20.0)
+        t = state_from_wavefunctions([(1.0, hermite_wavefunction(grid, 1))])
+        _, nu = margins_of_GT(t, grid)
+        self.assert_model(nu)
+
+    @pytest.mark.parametrize("sigma", [0.4, 1.0])
+    @pytest.mark.parametrize("n", [512, 1024, 2048])
+    def test_gaussian_error_is_third_order(self, sigma, n):
+        grid = symmetric_grid(n, 20.0)
+        measure = ProbMeasure1D.gaussian(grid, 0.3, sigma)
+        t = np.linspace(-6 * sigma, 6 * sigma, 32 * n) + 0.3
+        err = np.abs(measure.density_mass_below(t) - norm.cdf(t, 0.3, sigma)).max()
+        assert err <= 0.01 * (grid.dx / sigma) ** 3
+
+
+class TestSimpson:
+    """Importing the CLI loads no ``scipy.integrate``."""
 
     def test_cli_import_leaves_scipy_integrate_out(self):
         code = "import sys, covpom.cli; print('scipy.integrate' in sys.modules)"
