@@ -113,9 +113,9 @@ class Report:
 
 
 def _write_json(path, obj):
-    # one json.dumps runs the C encoder; json.dump with indent is pure Python
+    # compact, unlike the indented reports: data files are read back, not diffed
     with open(path, "w") as fh:
-        fh.write(json.dumps(obj) + "\n")
+        fh.write(io.dumps(obj) + "\n")
 
 
 # --- subcommands -------------------------------------------------------------

@@ -1,15 +1,17 @@
 """JSON codecs for the library's value types.
 
-Conventions: a complex number is a two-element list [re, im]; an operator is
-{"dim": d, "entries": flat row-major complex list}; a state is {"op": ...}
-or {"spectral": [{"weight": w, "vector": [...]}]}; a POM is {"space_tag",
-"outcomes", "effects"}.  Group data uses moduli tuples, dual points are
-encoded as comma-joined index strings.  Measures are {"atoms": [[x, w]],
-"density": {"x0", "dx", "values"}}.
+Conventions: an operator is {"dim": d, "entries": flat row-major complex
+array}; a state is {"op": ...} or {"spectral": [{"weight": w, "vector": [...]}]};
+a POM is {"space_tag", "outcomes", "effects"}.  Group data uses moduli tuples,
+dual points are encoded as comma-joined index strings.  Measures are
+{"atoms": [[x, w]], "density": {"x0", "dx", "values"}}.  In memory the
+documents hold complex ndarrays; ``dumps`` writes each as a list of [re, im]
+pairs, so files are unchanged, and the decoders read either form.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Sequence
 
 import numpy as np
@@ -30,8 +32,7 @@ from .hilbert import (
 from .posmom import ProbMeasure1D
 
 __all__ = [
-    "complex_to_json",
-    "complex_from_json",
+    "dumps",
     "operator_to_json",
     "operator_from_json",
     "state_to_json",
@@ -57,24 +58,48 @@ __all__ = [
 ]
 
 
-def complex_to_json(z: complex) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
+def dumps(doc) -> str:
+    """``json.dumps`` of ``doc`` with each complex ndarray written as [[re, im], ...].
+
+    A covariant POM's effects repeat their entries, so json formats each
+    distinct float of the document (by bit pattern: -0.0 and 0.0 differ) once.
+    """
+    hole, leaves, parts = "", [], []
+
+    def hold(obj):
+        if not (isinstance(obj, np.ndarray) and obj.dtype == complex):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        leaves.append(obj.ravel())
+        return hole
+
+    while len(parts) != len(leaves) + 1:  # a string in doc held the stand-in: lengthen it
+        hole, leaves[:] = hole + "\x00", []
+        parts = json.dumps(doc, default=hold).split(json.dumps(hole))
+    bits = np.concatenate([np.zeros(0, complex), *leaves]).view(np.int64)  # re, im, re, ...
+    uniq, inv = np.unique(bits, return_inverse=True)
+    words = np.array(json.dumps(uniq.view(np.float64).tolist())[1:-1].split(", "), dtype=object)
+    tokens = np.tile(np.array([None, ", ", None, "], ["], dtype=object), bits.size // 2)
+    tokens[0::2] = words[inv]
+    out, stop = [parts[0]], 0
+    for leaf, tail in zip(leaves, parts[1:]):
+        start, stop = stop, stop + 4 * leaf.size
+        out += ["[[" + "".join(tokens[start:stop - 1].tolist()) + "]]" if leaf.size else "[]", tail]
+    return "".join(out)
 
 
-def complex_from_json(obj) -> complex:
-    re, im = obj
-    return complex(float(re), float(im))
-
-
-def _cvector_to_json(vec) -> list:
-    """[[re, im], ...] for the flattened entries, as complex_to_json gives each."""
-    vec = np.asarray(vec, dtype=complex).ravel()
-    return np.stack((vec.real, vec.imag), -1).tolist()
+def _cvector_to_json(vec) -> np.ndarray:
+    """The flattened entries as one complex array, which ``dumps`` writes as [re, im] pairs."""
+    return np.asarray(vec, dtype=complex).ravel()
 
 
 def _cvector_from_json(obj) -> np.ndarray:
-    return np.array([complex_from_json(z) for z in obj], dtype=complex)
+    """Complex entries from [[re, im], ...] pairs, or a copy of an in-memory complex array."""
+    if isinstance(obj, np.ndarray) and obj.dtype == complex:
+        return obj.ravel().copy()
+    pairs = np.ascontiguousarray(obj, dtype=float)
+    if pairs.shape[1:] != (2,) and pairs.shape != (0,):
+        raise ValueError(f"complex entries must be [re, im] pairs, not shape {pairs.shape}")
+    return pairs.reshape(-1, 2).view(complex).ravel()  # bit-exact, unlike re + 1j * im
 
 
 def operator_to_json(op: Operator) -> dict:

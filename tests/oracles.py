@@ -1,4 +1,5 @@
-"""Dense reference forms of what the library computes by FFT or from monomial factors, kept as test oracles."""
+"""Reference forms of what the library computes by FFT, from monomial factors or in one
+document-wide pass, kept as test oracles."""
 
 import numpy as np
 
@@ -54,3 +55,18 @@ def direct_fourier(measure, xis):
             kernel = np.exp(-1j * np.outer(xis.reshape(-1)[i : i + 256], x))
             flat[i : i + 256] += kernel @ measure.density * measure.grid.dx
     return out
+
+
+def list_form(doc):
+    """``doc`` with each complex ndarray as its per-entry [[re, im], ...] list.
+
+    ``json.dumps`` of this is the data-file text, float by float, that
+    ``io.dumps`` must reproduce byte for byte.
+    """
+    if isinstance(doc, np.ndarray):
+        return [[z.real, z.imag] for z in doc.ravel().tolist()]
+    if isinstance(doc, dict):
+        return {k: list_form(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [list_form(v) for v in doc]
+    return doc

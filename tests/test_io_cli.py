@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from covpom import io
 from covpom.abelian import (
@@ -18,6 +21,25 @@ from covpom.grids import symmetric_grid
 from covpom.hilbert import IntervalCell, Operator, PointCell, RectCell, pure_state
 from covpom.phasespace import gaussian_wavefunction, hermite_wavefunction, state_from_wavefunctions
 from covpom.posmom import ProbMeasure1D
+from oracles import list_form
+
+# every float kind the encoder formats differently, drawn often enough to repeat
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.5e-320, 1e300, -1e-300, 0.1, np.nan, np.inf, -np.inf]
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+COMPLEX_ARRAYS = hnp.arrays(
+    np.float64, st.tuples(st.integers(0, 9), st.integers(1, 3)).map(lambda s: (*s, 2)),
+    elements=FLOATS,
+).map(lambda pairs: pairs.view(complex)[..., 0])
+
+
+def _edge_matrix():
+    rng = np.random.default_rng(3)
+    mat = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    mat[0, :4] = [-0.0, 5e-324, 1e300 - 1e-300j, complex(0.1, -0.0)]
+    return mat
+
+
+EDGE_MATRIX = _edge_matrix()
 
 
 class TestRoundTrips:
@@ -25,30 +47,46 @@ class TestRoundTrips:
         rng = np.random.default_rng(0)
         mat = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         op = Operator(mat)
-        back = io.operator_from_json(json.loads(json.dumps(io.operator_to_json(op))))
+        back = io.operator_from_json(json.loads(io.dumps(io.operator_to_json(op))))
         np.testing.assert_allclose(back.mat, op.mat)
 
     def test_state_spectral(self):
         st = pure_state([1.0, 1.0j])
-        back = io.state_from_json(json.loads(json.dumps(io.state_to_json(st))))
+        back = io.state_from_json(json.loads(io.dumps(io.state_to_json(st))))
         np.testing.assert_allclose(back.op.mat, st.op.mat, atol=1e-12)
 
     def test_pom_with_mixed_cells(self):
         pom = phase_pom(canonical_phase_vectors(3), np.linspace(0, 2 * np.pi, 5))
-        back = io.pom_from_json(json.loads(json.dumps(io.pom_to_json(pom))))
+        back = io.pom_from_json(json.loads(io.dumps(io.pom_to_json(pom))))
         assert back.space_tag == pom.space_tag
         assert isinstance(back.outcomes[0].cell, IntervalCell)
         for e1, e2 in zip(back.effects, pom.effects):
             np.testing.assert_allclose(e1.op.mat, e2.op.mat, atol=1e-15)
 
-    def test_operator_encoding_matches_per_entry_form(self):
-        rng = np.random.default_rng(3)
-        mat = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        mat[0, :4] = [-0.0, 5e-324, 1e300 - 1e-300j, complex(0.1, -0.0)]
-        entries = io.operator_to_json(Operator(mat))["entries"]
-        per_entry = [io.complex_to_json(z) for z in mat.ravel()]
-        # json text, so signed zeros and every digit count
-        assert json.dumps(entries) == json.dumps(per_entry)
+    @settings(max_examples=60, deadline=None)
+    @given(arrays=st.lists(COMPLEX_ARRAYS, max_size=4), reals=st.lists(FLOATS, max_size=4),
+           label=st.text(max_size=4))
+    @example(arrays=[EDGE_MATRIX], reals=[], label="")
+    @example(arrays=[EDGE_MATRIX, np.zeros((0, 2), complex), EDGE_MATRIX.T], reals=[-0.0, 1e300],
+             label="\x00")
+    def test_operator_encoding_matches_per_entry_form(self, arrays, reals, label):
+        doc = {
+            "space_tag": label,
+            "reals": reals,
+            "effects": [{"op": {"dim": a.shape[0], "entries": a}} for a in arrays],
+            "deep": [[label, {"values": a, "weights": reals}] for a in arrays[::-1]],
+        }
+        # json text, so signed zeros, non-finite values and every digit count
+        assert io.dumps(doc) == json.dumps(list_form(doc))
+
+    @settings(max_examples=60, deadline=None)
+    @given(COMPLEX_ARRAYS)
+    @example(EDGE_MATRIX)
+    def test_decoding_is_bit_exact(self, arr):
+        # -0.0 and infinite imaginary parts would not survive re + 1j * im
+        back = io._cvector_from_json(list_form(arr))
+        assert back.tobytes() == arr.ravel().tobytes()
+        assert io._cvector_from_json(arr).tobytes() == arr.ravel().tobytes()
 
     def test_cells(self):
         for cell in (PointCell((1, 2)), IntervalCell(0.0, 1.5), RectCell(0, 1, -2, 3)):
@@ -60,7 +98,7 @@ class TestRoundTrips:
         m = ProbMeasure1D.from_density(
             g, np.exp(-g.positions() ** 2), atoms=((0.5, 0.25),), normalize=True
         )
-        back = io.measure_from_json(json.loads(json.dumps(io.measure_to_json(m))))
+        back = io.measure_from_json(json.loads(io.dumps(io.measure_to_json(m))))
         assert back.atoms == m.atoms
         np.testing.assert_allclose(back.density, m.density, atol=1e-15)
         assert back.grid == m.grid
@@ -78,12 +116,12 @@ class TestRoundTrips:
         fam = random_isometries(rep, 3, np.random.default_rng(1))
         g2 = io.group_from_json(io.group_to_json(g))
         assert g2 == g
-        sub2 = io.subgroup_from_json(json.loads(json.dumps(io.subgroup_to_json(sub))))
+        sub2 = io.subgroup_from_json(json.loads(io.dumps(io.subgroup_to_json(sub))))
         assert sub2.elements == sub.elements
-        rep2 = io.rep_from_json(json.loads(json.dumps(io.rep_to_json(rep))))
+        rep2 = io.rep_from_json(json.loads(io.dumps(io.rep_to_json(rep))))
         assert rep2.blocks == rep.blocks
         fam2 = io.isometries_from_json(
-            json.loads(json.dumps(io.isometries_to_json(fam)))
+            json.loads(io.dumps(io.isometries_to_json(fam)))
         )
         for k in range(2):
             for x in rep.blocks[k].support():
@@ -95,7 +133,7 @@ class TestRoundTrips:
         g = symmetric_grid(32, 4.0)
         psi = gaussian_wavefunction(g)
         back = io.wavefunction_from_json(
-            json.loads(json.dumps(io.wavefunction_to_json(psi)))
+            json.loads(io.dumps(io.wavefunction_to_json(psi)))
         )
         np.testing.assert_allclose(back.values, psi.values, atol=1e-15)
 
@@ -132,7 +170,7 @@ class TestCli:
         main(["phase", "--dim", "3", "--cells", "4", "--out", str(out)])
         printed = capsys.readouterr().out
         pom = phase_pom(canonical_phase_vectors(3), np.linspace(0, 2 * np.pi, 5))
-        assert out.read_text() == json.dumps(io.pom_to_json(pom)) + "\n"
+        assert out.read_text() == json.dumps(list_form(io.pom_to_json(pom))) + "\n"
         assert printed.startswith('{\n  "tool": "phase"')
 
     def test_check_pom_roundtrip(self, capsys, tmp_path):
@@ -149,9 +187,10 @@ class TestCli:
     def test_check_pom_detects_violation(self, capsys, tmp_path):
         pom = phase_pom(canonical_phase_vectors(2), np.linspace(0, 2 * np.pi, 3))
         blob = io.pom_to_json(pom)
-        blob["effects"][0]["op"]["entries"][0] = [1.4, 0.0]
+        op = blob["effects"][0]["op"]  # its entries are a read-only view of the effect
+        op["entries"] = np.r_[1.4, op["entries"][1:]]
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(blob))
+        bad.write_text(io.dumps(blob))
         code, report = run_cli(capsys, ["check", "pom", "--in", str(bad)])
         assert code == 1
         assert not all(c["pass"] for c in report["checks"])
@@ -164,9 +203,22 @@ class TestCli:
         assert code == 2
         assert "broken.json:1:" in err
 
+    @pytest.mark.parametrize("entries", [
+        [[1.0, 0.0], [0.0, 0.0], [0.0], [1.0, 0.0]],
+        [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+    ], ids=["ragged", "three-items"])
+    def test_malformed_entries_exit_2(self, capsys, tmp_path, entries):
+        pom = phase_pom(canonical_phase_vectors(2), np.linspace(0, 2 * np.pi, 3))
+        blob = json.loads(io.dumps(io.pom_to_json(pom)))
+        blob["effects"][0]["op"]["entries"] = entries
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(blob))
+        assert main(["check", "pom", "--in", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
+
     def test_finite_weyl_command(self, capsys, tmp_path):
         state_path = tmp_path / "t.json"
-        state_path.write_text(json.dumps(io.state_to_json(pure_state([1, 0]))))
+        state_path.write_text(io.dumps(io.state_to_json(pure_state([1, 0]))))
         code, report = run_cli(
             capsys, ["finite-weyl", "--dim", "2", "--state", str(state_path)]
         )
@@ -396,7 +448,7 @@ class TestOperatorOnlyStates:
                 ("op", {"op": io.operator_to_json(state.op)}),
             ):
                 files[name, form] = tmp_path / f"{name}-{form}.json"
-                files[name, form].write_text(json.dumps(obj))
+                files[name, form].write_text(io.dumps(obj))
         (tmp_path / "m.json").write_text(json.dumps({"kind": "gaussian", "sigma": 1.0}))
         files["measure"] = tmp_path / "m.json"
         return files
