@@ -31,7 +31,6 @@ from functools import cached_property
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .grids import BLOCK_ENTRIES, Grid1D
 from .hilbert import (
@@ -775,6 +774,16 @@ class EquivalenceReport:
     conjugation_defect: Optional[float]
 
 
+def _block_diag(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """The square complex blocks ``mats`` along the diagonal of one zero matrix."""
+    out = np.zeros((sum(len(m) for m in mats),) * 2, dtype=complex)
+    at = 0
+    for m in mats:
+        out[at:at + len(m), at:at + len(m)] = m
+        at += len(m)
+    return out
+
+
 def verify_pom_equivalence(
     rep: DiagonalRep,
     sub: Subgroup,
@@ -810,7 +819,7 @@ def verify_pom_equivalence(
             if np.linalg.norm(s.conj().T @ s - np.eye(blk.mult), 2) > tol:
                 raise ValueError(f"S_{k}({x}) is not unitary within {tol}")
             s_mats.append(s)
-    s_full = block_diag(*s_mats)
+    s_full = _block_diag(s_mats)
 
     first = _columns(rep, w_first)
     second = _columns(rep, w_second) @ s_full

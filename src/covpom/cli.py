@@ -262,7 +262,7 @@ def cmd_phasespace(args) -> int:
         half = args.window / 2
         qs = np.linspace(-half, half, args.samples)
         ps = np.linspace(-half, half, args.samples)
-        res = phasespace.phase_space_density(t_state, s_state, qs, ps, grid)
+        res = phasespace.phase_space_density(t_state, s_state, qs, ps, grid, max_leakage=None)
         report.add("window-leakage", res.leakage_bound <= 0.01, res.leakage_bound, 0.01)
         report.add("pointwise-positive", float(res.values.min()) >= -1e-9,
                    float(res.values.min()), -1e-9)

@@ -9,7 +9,8 @@ A multiplier on the momentum lattice is no dense Fourier product: on the
 Euclidean embedding F[j, k] = exp(-i p_j x_k) / sqrt(n), so F* diag(m) F has
 entry (a, b) equal to c[(a - b) mod n] with c[k] = (-1)^k ifft(m)[k].  It is
 the circulant of one inverse DFT (Golub and Van Loan, Matrix Computations,
-ch. 4), which ``momentum_multiplier`` builds in O(n log n + n^2).
+ch. 4), which ``momentum_multiplier`` builds in O(n log n + n^2) as one copy
+of a sliding window over the doubled, reversed first column.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import circulant
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["Grid1D", "WaveFunction", "symmetric_grid"]
 
@@ -83,9 +84,13 @@ class Grid1D:
     def momentum_multiplier(self, profile: np.ndarray) -> np.ndarray:
         """F* diag(profile) F on Euclidean vectors, F the unitary grid Fourier map.
 
-        The circulant whose first column is (-1)^k ifft(profile)[k]; x0 drops out.
+        The circulant whose first column c is (-1)^k ifft(profile)[k]; x0 drops
+        out.  Entry (i, j) is c[(i - j) mod n], so each row is a window of c
+        reversed and doubled.
         """
-        return circulant(self._signs() * np.fft.ifft(np.asarray(profile, dtype=complex)))
+        col = self._signs() * np.fft.ifft(np.asarray(profile, dtype=complex))
+        rows = sliding_window_view(np.tile(col[::-1], 2), self.n)  # row i is rows[n - 1 - i]
+        return rows[self.n - 1::-1].copy()
 
     def apply_momentum_multiplier(self, profile: np.ndarray, v: np.ndarray) -> np.ndarray:
         """``momentum_multiplier(profile) @ v`` by two FFTs, without the matrix.

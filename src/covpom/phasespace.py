@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg.blas import zgemv
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .abelian import FiniteAbelianGroup, MonomialUnitaries
 from .grids import BLOCK_ENTRIES, Grid1D, WaveFunction
@@ -158,11 +157,20 @@ def _reflect_samples(values: np.ndarray) -> np.ndarray:
     return np.roll(values[::-1], 1)
 
 
+@lru_cache(maxsize=None)
+def _gl_rule(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
+    xs, ws = leggauss(order)
+    xs.setflags(write=False)
+    ws.setflags(write=False)
+    return xs, ws
+
+
 def _gl_panels(lo: float, hi: float, order: int, max_panel: float):
     """Composite Gauss-Legendre nodes/weights with panels of bounded width."""
     if order < 2:
         raise ValueError("quadrature order must be at least 2")
-    xs, ws = leggauss(order)
+    xs, ws = _gl_rule(order)
     edges = np.linspace(lo, hi, max(1, int(np.ceil((hi - lo) / max_panel))) + 1)
     mid, half = 0.5 * (edges[:-1] + edges[1:])[:, None], 0.5 * np.diff(edges)[:, None]
     return (mid + half * xs).ravel(), (half * ws).ravel()
@@ -301,6 +309,10 @@ def phase_space_cell_norm(
     from a fixed start.  The product uses scipy's BLAS, as ARPACK does; numpy's
     has its own thread pool, and the two contending made two threads 30x slower.
     """
+    # scipy loads here, not at module level: no other subcommand needs ARPACK
+    from scipy.linalg.blas import zgemv
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
     mat = phase_space_effect(t_state, cell, grid, order, max_panel).op.mat
     product = LinearOperator(mat.shape, dtype=complex,
                              matvec=lambda v: zgemv(1.0, mat.T, v.ravel(), trans=1))

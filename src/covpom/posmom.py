@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .grids import BLOCK_ENTRIES, Grid1D, WaveFunction
 from .hilbert import Effect, Operator, Pom, State, partition_pom
@@ -971,6 +970,9 @@ def noncommutativity_witness(
     eigenvalues of largest modulus (the spectrum can come in +- pairs) from a
     fixed start, and the norm is the larger modulus.
     """
+    # scipy loads here, not at module level: no other caller needs ARPACK
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
     rng = np.random.default_rng(seed)
     pos_obs = SmearedObservable("position", rho, grid)
     mom_obs = SmearedObservable("momentum", nu, grid)

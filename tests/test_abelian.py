@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 import covpom.abelian as abelian_module
 import covpom.hilbert as hilbert_module
@@ -629,6 +630,13 @@ class TestEquivalence:
         bad = [{(x,): 2.0 * np.eye(1) for x in range(4)}]
         with pytest.raises(ValueError, match="unitary"):
             verify_pom_equivalence(rep, h, fam, fam, bad)
+
+    @settings(max_examples=50, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=6), seed=st.integers(0, 2**32))
+    def test_block_diag_equals_scipy(self, sizes, seed):
+        rng = np.random.default_rng(seed)
+        mats = [rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)) for m in sizes]
+        np.testing.assert_array_equal(abelian_module._block_diag(mats), block_diag(*mats))
 
 
 class TestRandomCovariantSweep:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import covpom
 from covpom import io
 from covpom.abelian import (
     DiagonalRep,
@@ -303,6 +307,22 @@ class TestCli:
         assert len(lines) == 1 + 11 * 11
         assert "," in lines[1] and "." in lines[1]
 
+    def test_phasespace_density_window_leakage_is_a_failing_check(self, capsys, tmp_path):
+        # the ground state's mass far outside [-1, 1]^2 fails the check, not the input
+        tpath = tmp_path / "psi.json"
+        tpath.write_text(json.dumps({"kind": "gaussian"}))
+        code, report = run_cli(
+            capsys,
+            ["phasespace", "density", "--t", str(tpath), "--grid-n", "256", "--window", "2"],
+        )
+        assert code == 1
+        checks = {c["name"]: c for c in report["checks"]}
+        assert sorted(checks) == ["pointwise-positive", "window-leakage"]
+        assert not checks["window-leakage"]["pass"]
+        assert checks["window-leakage"]["value"] == pytest.approx(0.632, abs=1e-3)
+        assert checks["window-leakage"]["bound"] == 0.01
+        assert checks["pointwise-positive"]["pass"]
+
     def test_phasespace_margins_of_non_orthogonal_mixture(self, capsys, tmp_path):
         tpath = tmp_path / "t.json"
         tpath.write_text(json.dumps({"kind": "mixture", "components": [
@@ -497,3 +517,66 @@ class TestOperatorOnlyStates:
                      "--window", str(self.WINDOW)])
         assert code == 2
         assert "pure state" in capsys.readouterr().err
+
+
+class TestImportScope:
+    """Only ARPACK loads scipy: every other subcommand runs on numpy alone.
+
+    The tests import scipy themselves, so the subcommands run in a fresh
+    interpreter, all in one, in the order below.
+    """
+
+    SCRIPT = """
+import json, sys
+from contextlib import redirect_stdout
+from io import StringIO
+from covpom.cli import main
+before, after = json.loads(sys.argv[1])
+with redirect_stdout(StringIO()):
+    codes = [main(argv) for argv in before]
+    loaded = "scipy" in sys.modules
+    codes.append(main(after))
+print(json.dumps({"codes": codes, "before": loaded, "after": "scipy" in sys.modules}))
+"""
+
+    def test_only_the_cell_norm_loads_scipy(self, tmp_path):
+        g = FiniteAbelianGroup((4,))
+        rep = DiagonalRep(g, (RepBlock.from_mapping({(x,): 1.0 for x in range(4)}, 1),))
+        inputs = {
+            "bundle.json": json.dumps({"rep": io.rep_to_json(rep), "aux_dim": 2,
+                                       "subgroup": {"moduli": [4], "generators": [[2]]}}),
+            "qubit.json": io.dumps(io.state_to_json(pure_state([1, 0]))),
+            "gauss.json": json.dumps({"kind": "gaussian", "sigma": 1.0}),
+            "flat.json": json.dumps({"kind": "uniform", "lo": -1.0, "hi": 1.0}),
+            "psi.json": json.dumps({"kind": "gaussian", "a": 0.5}),
+        }
+        for name, text in inputs.items():
+            (tmp_path / name).write_text(text)
+        grid = ["--grid-n", "256", "--window", "12"]
+        before = [
+            ["phase", "--dim", "4", "--cells", "4", "--out", "p.json"],
+            ["phase-diff", "--dim", "3", "--cells", "6"],
+            ["abelian-pom", "--in", "bundle.json"],
+            ["finite-weyl", "--dim", "2", "--state", "qubit.json"],
+            ["check", "pom", "--in", "p.json"],
+            ["smeared", "gamma", "--measure", "gauss.json", *grid],
+            ["smeared", "distribution", "--measure", "gauss.json", "--state", "psi.json",
+             "--cells", "8", *grid],
+            ["smeared", "sharpness", "--measure", "gauss.json", *grid],
+            ["smeared", "compare", "--measure", "gauss.json", "--measure2", "flat.json", *grid],
+            ["check", "uncertainty", "--state", "psi.json", "--pairs-from", "psi.json", *grid],
+            ["phasespace", "margins", "--t", "psi.json", *grid],
+            ["phasespace", "density", "--t", "psi.json", "--samples", "5", *grid],
+            ["phasespace", "roi", "--t", "psi.json", "--n-test", "6", "--quad-order", "8", *grid],
+        ]
+        after = ["phasespace", "norm", "--t", "psi.json", "--quad-order", "8", *grid]
+        src = os.path.dirname(os.path.dirname(covpom.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        got = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps([before, after])],
+            capture_output=True, text=True, check=True, env=env, cwd=tmp_path,
+        )
+        result = json.loads(got.stdout)
+        assert result["codes"] == [0] * (len(before) + 1), got.stderr
+        assert result["before"] is False
+        assert result["after"] is True

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import circulant
 
 from covpom.abelian import (
     canonical_phase_vectors,
@@ -157,6 +158,16 @@ class TestMomentumMultiplier:
             grid.momentum_multiplier(prof), f.conj().T @ np.diag(prof) @ f, rtol=0, atol=1e-12
         )
         np.testing.assert_allclose(grid.momentum_multiplier(np.ones(32)), np.eye(32), atol=1e-15)
+
+    @pytest.mark.parametrize("n", [16, 64, 1024])
+    def test_equals_scipy_circulant(self, n):
+        grid = symmetric_grid(n, 10.0)
+        rng = np.random.default_rng(n)
+        profile = rng.normal(size=n) + 1j * rng.normal(size=n)
+        want = circulant(grid._signs() * np.fft.ifft(profile))
+        got = grid.momentum_multiplier(profile)
+        np.testing.assert_array_equal(got, want)
+        assert got.flags.c_contiguous and got.flags.writeable
 
 
 class TestTranslationEffect:

@@ -19,6 +19,7 @@ from scipy.signal import fftconvolve
 from covpom.grids import WaveFunction, symmetric_grid
 from covpom.hilbert import RectCell
 from covpom.phasespace import (
+    _gl_rule,
     gaussian_wavefunction,
     hermite_wavefunction,
     phase_space_cell_norm,
@@ -212,6 +213,16 @@ def test_default_rule_matches_oracle_away_from_edges():
         expected = oracle_effect(t, cell, grid)
         got = phase_space_effect(t, cell, grid).op.mat
         assert np.linalg.norm(got - expected, 2) <= TOL
+
+
+@pytest.mark.parametrize("order", [2, 12, 16, 40])
+def test_cached_rule_equals_fresh_leggauss(order):
+    xs, ws = _gl_rule(order)
+    assert _gl_rule(order)[0] is xs
+    fresh = leggauss(order)
+    np.testing.assert_array_equal(xs, fresh[0])
+    np.testing.assert_array_equal(ws, fresh[1])
+    assert not xs.flags.writeable and not ws.flags.writeable
 
 
 def test_gate_10_norms_unchanged():
