@@ -267,13 +267,12 @@ def cmd_phasespace(args) -> int:
         report.add("pointwise-positive", float(res.values.min()) >= -1e-9,
                    float(res.values.min()), -1e-9)
         if args.out:
+            q_text = [repr(q) for q in qs.tolist()]
+            p_text = [f",{p!r}," for p in ps.tolist()]
+            lines = [q + p + repr(v) + "\n"
+                     for q, row in zip(q_text, res.values.tolist()) for p, v in zip(p_text, row)]
             with open(args.out, "w") as fh:
-                fh.write("q,p,value\n")
-                for i, q in enumerate(qs):
-                    for j, p in enumerate(ps):
-                        fh.write(
-                            f"{float(q)!r},{float(p)!r},{float(res.values[i, j])!r}\n"
-                        )
+                fh.write("q,p,value\n" + "".join(lines))
     elif args.action == "margins":
         rho, nu = phasespace.margins_of_GT(t_state, grid)
         report.add("position-margin-mass", True, rho.total_mass(), None)

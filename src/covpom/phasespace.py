@@ -19,6 +19,14 @@ p-integral over [p_lo, p_hi) is exact, the Toeplitz S(x-x') with
 S(d) = (e^{i p_hi d} - e^{i p_lo d}) / (i d); only q is integrated by a
 composite Gauss-Legendre rule.  Then G_T(Z) = (dx/2pi) S o (B B*), with o the
 entrywise product and B the bank of weighted translates sqrt(w_n w_q) phi_n(. - q).
+
+Cell norms and identity-resolution Grams run on the support cut I = [i0, i1),
+the grid with its massless ends trimmed.  G is positive, with diagonal
+G_ii = (dx/2pi)(p_hi - p_lo)||B_i||^2; for A = G_II and Z = G_(I^c I^c),
+interlacing and ||G_(I I^c)||^2 <= ||A|| ||Z|| give
+0 <= ||G|| - ||A|| <= sqrt(tr A tr Z) + tr Z, kept at most SUPPORT_TOL.  The
+Gram H* G H is cut where the Hermite test functions leave at most SUPPORT_TOL^2
+of sum_k ||h_k||^2 outside I; as ||G|| <= 1, that moves it by about 2 SUPPORT_TOL.
 """
 
 from __future__ import annotations
@@ -57,6 +65,7 @@ __all__ = [
 ]
 
 DEFAULT_HALF_WIDTH = 20.0
+SUPPORT_TOL = 1e-13  # spectral error a support cut may cause (see the module docstring)
 
 
 # --- states on the grid -----------------------------------------------------
@@ -176,27 +185,54 @@ def _gl_panels(lo: float, hi: float, order: int, max_panel: float):
     return (mid + half * xs).ravel(), (half * ws).ravel()
 
 
-def _kernel_rows(
-    t_state: State, cell: RectCell, grid: Grid1D, order: int, max_panel: float
-) -> Iterator[Tuple[int, int, np.ndarray]]:
-    """Yield (i0, i1, rows [i0, i1) of K = S o (B B*)), so G_T(cell) = (dx/2pi) K.
-
-    B is the n x (r K_q) bank of weighted translates; the Toeplitz S is kept
-    as S(m dx), m = -(n-1) .. n-1, and gathered per block by a strided view.
-    """
-    n = grid.n
+def _bank(t_state: State, cell: RectCell, grid: Grid1D, order: int, max_panel: float):
+    """B*, for the n x (r K_q) bank B of weighted translates sqrt(w_n w_q) phi_n(. - q)."""
     q_nodes, q_w = _gl_panels(cell.q_lo, cell.q_hi, order, max_panel)
     tw, tv = grid_wavefunctions(t_state, grid)
     scale = np.sqrt(np.outer(q_w, tw))[:, :, None]
-    bank_h = (_translates(tv, grid, q_nodes) * scale).reshape(-1, n).conj()  # B*
-    d = np.arange(1 - n, n) * grid.dx
+    return (_translates(tv, grid, q_nodes) * scale).reshape(-1, grid.n).conj()
+
+
+def _kernel_rows(
+    bank_h: np.ndarray, cell: RectCell, grid: Grid1D, i0: int, i1: int
+) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """Yield (a, b, rows [a, b) of K = S o (B B*)) on the index block [i0, i1)^2.
+
+    a and b count from i0, and G_T(cell) = (dx/2pi) K.  The Toeplitz S of the
+    block is kept as S(k dx), k = 1-m .. m-1 with m = i1 - i0, and gathered
+    per block of rows by a strided view.
+    """
+    m = i1 - i0
+    bank = np.ascontiguousarray(bank_h[:, i0:i1])
+    d = np.arange(1 - m, m) * grid.dx
     width = cell.p_hi - cell.p_lo
     symbol = width * np.exp(0.5j * (cell.p_hi + cell.p_lo) * d) * np.sinc(0.5 * width * d / np.pi)
-    toeplitz = sliding_window_view(symbol[::-1], n)  # row i of S is toeplitz[n - 1 - i]
-    step = max(1, BLOCK_ENTRIES // n)
-    for i0 in range(0, n, step):
-        i1 = min(i0 + step, n)
-        yield i0, i1, (bank_h[:, i0:i1].conj().T @ bank_h) * toeplitz[n - i1 : n - i0][::-1]
+    toeplitz = sliding_window_view(symbol[::-1], m)  # row a of S is toeplitz[m - 1 - a]
+    step = max(1, BLOCK_ENTRIES // m)
+    for a in range(0, m, step):
+        b = min(a + step, m)
+        yield a, b, (bank[:, a:b].conj().T @ bank) * toeplitz[m - b : m - a][::-1]
+
+
+def _effect_block(bank_h: np.ndarray, cell: RectCell, grid: Grid1D, i0: int, i1: int):
+    """The block [i0, i1)^2 of G_T(cell), filled by blocks of kernel rows."""
+    out = np.empty((i1 - i0, i1 - i0), dtype=complex)
+    for a, b, rows in _kernel_rows(bank_h, cell, grid, i0, i1):
+        out[a:b] = rows
+    out *= grid.dx / (2 * np.pi)
+    return out
+
+
+def _support(mass: np.ndarray, budget: float) -> Tuple[int, int]:
+    """Widest [i0, i1) leaving at most ``budget`` of ``mass`` outside, half at each end.
+
+    Mass at both ends (translates wrapping round the periodic window) keeps the
+    whole grid, as does a cut of fewer than two points.
+    """
+    tail = 0.5 * budget
+    i0 = int(np.searchsorted(np.cumsum(mass), tail, side="right"))
+    i1 = mass.size - int(np.searchsorted(np.cumsum(mass[::-1]), tail, side="right"))
+    return (i0, i1) if i1 - i0 >= 2 else (0, mass.size)
 
 
 # --- phase-space density -----------------------------------------------------
@@ -293,11 +329,8 @@ def phase_space_effect(
     so it is the only n x n array built.
     """
     _check_cell_in_window(cell, grid)
-    out = np.empty((grid.n, grid.n), dtype=complex)
-    for i0, i1, rows in _kernel_rows(t_state, cell, grid, order, max_panel):
-        out[i0:i1] = rows
-    out *= grid.dx / (2 * np.pi)
-    return Effect(Operator(out))
+    bank_h = _bank(t_state, cell, grid, order, max_panel)
+    return Effect(Operator(_effect_block(bank_h, cell, grid, 0, grid.n)))
 
 
 def phase_space_cell_norm(
@@ -305,18 +338,26 @@ def phase_space_cell_norm(
 ) -> float:
     """Spectral norm of the cell effect (strictly below one on bounded cells).
 
-    The effect is positive: its norm is the top eigenvalue, found by ARPACK
-    from a fixed start.  The product uses scipy's BLAS, as ARPACK does; numpy's
-    has its own thread pool, and the two contending made two threads 30x slower.
+    The effect G is positive: its norm is the top eigenvalue, found by ARPACK
+    from a fixed start on the block G_II of the support cut I, which lowers it
+    by at most SUPPORT_TOL (module docstring).  The product uses scipy's BLAS,
+    as ARPACK does; numpy's has its own thread pool, and the two contending
+    made two threads 30x slower.
     """
     # scipy loads here, not at module level: no other subcommand needs ARPACK
     from scipy.linalg.blas import zgemv
     from scipy.sparse.linalg import LinearOperator, eigsh
 
-    mat = phase_space_effect(t_state, cell, grid, order, max_panel).op.mat
+    _check_cell_in_window(cell, grid)
+    bank_h = _bank(t_state, cell, grid, order, max_panel)
+    mass = (np.abs(bank_h) ** 2).sum(axis=0) * ((cell.p_hi - cell.p_lo) * grid.dx / (2 * np.pi))
+    # sqrt(tr A tr Z) + tr Z <= sqrt(tr G z) + z, which is SUPPORT_TOL at z = root^2
+    root = 2 * SUPPORT_TOL / (np.sqrt(mass.sum()) + np.sqrt(mass.sum() + 4 * SUPPORT_TOL))
+    i0, i1 = _support(mass, root**2)
+    mat = _effect_block(bank_h, cell, grid, i0, i1)
     product = LinearOperator(mat.shape, dtype=complex,
                              matvec=lambda v: zgemv(1.0, mat.T, v.ravel(), trans=1))
-    start = np.random.default_rng(0).standard_normal(grid.n)
+    start = np.random.default_rng(0).standard_normal(grid.n)[i0:i1]
     top = eigsh(product, k=1, which="LA", v0=start, tol=1e-14, return_eigenvectors=False)
     return float(top[0])
 
@@ -369,13 +410,17 @@ def resolution_of_identity_defect(
     is measured against the span of the first ``n_test`` Hermite functions
     (states whose position and momentum content fits the window), as the
     matrix M_ij = <h_i, G h_j>.  The defect is ||M - I||.  M is accumulated
-    over blocks of kernel rows, so no n x n array is built.
+    over blocks of kernel rows on the test functions' support cut, which moves
+    it by about 2 SUPPORT_TOL (module docstring), so no n x n array is built.
     """
     herm = np.stack([hermite_wavefunction(grid, k).values for k in range(n_test)])
+    i0, i1 = _support((np.abs(herm) ** 2).sum(axis=0) * grid.dx, SUPPORT_TOL**2)
+    herm = herm[:, i0:i1]
     window = RectCell(-half_width, half_width, -half_width, half_width)
+    bank_h = _bank(t_state, window, grid, order, max_panel)
     m = np.zeros((n_test, n_test), dtype=complex)
-    for i0, i1, rows in _kernel_rows(t_state, window, grid, order, max_panel):
-        m += herm[:, i0:i1].conj() @ (rows @ herm.T)
+    for a, b, rows in _kernel_rows(bank_h, window, grid, i0, i1):
+        m += herm[:, a:b].conj() @ (rows @ herm.T)
     m *= grid.dx**2 / (2 * np.pi)
     defect = float(np.linalg.norm(m - np.eye(n_test), 2))
     return RoiReport(defect, n_test, "hermite", m)

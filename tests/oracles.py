@@ -1,7 +1,10 @@
-"""Reference forms of what the library computes by FFT, from monomial factors or in one
-document-wide pass, kept as test oracles."""
+"""Reference forms of what the library computes by FFT, from monomial factors, in one
+document-wide pass or on a support cut, kept as test oracles."""
 
 import numpy as np
+
+from covpom.hilbert import RectCell
+from covpom.phasespace import hermite_wavefunction, phase_space_effect
 
 
 def dense_fourier_matrix(grid):
@@ -70,3 +73,11 @@ def list_form(doc):
     if isinstance(doc, (list, tuple)):
         return [list_form(v) for v in doc]
     return doc
+
+
+def full_grid_roi_gram(t_state, grid, half_width, n_test, order=16, max_panel=2.0):
+    """M_ij = <h_i, G h_j> over the whole grid, from the dense window effect G."""
+    herm = np.stack([hermite_wavefunction(grid, k).values for k in range(n_test)])
+    window = RectCell(-half_width, half_width, -half_width, half_width)
+    effect = phase_space_effect(t_state, window, grid, order, max_panel).op.mat
+    return herm.conj() @ effect @ herm.T * grid.dx

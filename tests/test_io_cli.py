@@ -20,10 +20,15 @@ from covpom.abelian import (
     phase_pom,
     random_isometries,
 )
-from covpom.cli import build_parser, main
+from covpom.cli import _build_grid, _parse_state, build_parser, main
 from covpom.grids import symmetric_grid
 from covpom.hilbert import IntervalCell, Operator, PointCell, RectCell, pure_state
-from covpom.phasespace import gaussian_wavefunction, hermite_wavefunction, state_from_wavefunctions
+from covpom.phasespace import (
+    gaussian_wavefunction,
+    hermite_wavefunction,
+    phase_space_density,
+    state_from_wavefunctions,
+)
 from covpom.posmom import ProbMeasure1D
 from oracles import list_form
 
@@ -306,6 +311,27 @@ class TestCli:
         assert lines[0] == "q,p,value"
         assert len(lines) == 1 + 11 * 11
         assert "," in lines[1] and "." in lines[1]
+
+    def test_phasespace_density_csv_matches_row_loop(self, capsys, tmp_path):
+        # the text the former writer gave, one float(...) index and one write per row
+        spec = {"kind": "gaussian", "a": 0.7, "center": 0.3, "momentum": -0.4}
+        tpath = tmp_path / "t.json"
+        tpath.write_text(json.dumps(spec))
+        csv_out = tmp_path / "density.csv"
+        argv = ["phasespace", "density", "--t", str(tpath), "--grid-n", "128",
+                "--window", "8", "--samples", "9", "--out", str(csv_out)]
+        code, _ = run_cli(capsys, argv)
+        assert code == 0
+        grid = _build_grid(build_parser().parse_args(argv))
+        t = _parse_state(spec, grid)
+        qs = ps = np.linspace(-4.0, 4.0, 9)
+        values = phase_space_density(t, t, qs, ps, grid, max_leakage=None).values
+        expected = "q,p,value\n" + "".join(
+            f"{float(q)!r},{float(p)!r},{float(values[i, j])!r}\n"
+            for i, q in enumerate(qs)
+            for j, p in enumerate(ps)
+        )
+        assert csv_out.read_bytes() == expected.encode()
 
     def test_phasespace_density_window_leakage_is_a_failing_check(self, capsys, tmp_path):
         # the ground state's mass far outside [-1, 1]^2 fails the check, not the input

@@ -290,6 +290,8 @@ class TestPhaseSpaceEffect:
         t = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid))])
         with pytest.raises(ValueError, match="outside"):
             phase_space_effect(t, RectCell(-100, 100, 0, 1), grid)
+        with pytest.raises(ValueError, match="outside"):
+            phase_space_cell_norm(t, RectCell(-100, 100, 0, 1), grid)
 
     def test_pom_with_remainder_passes_axioms(self, grid):
         t = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid))])

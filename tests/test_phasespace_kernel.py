@@ -4,10 +4,14 @@
 composite Gauss-Legendre rule.  The oracles below are the former loops: a
 tensor Gauss-Legendre sum over q and p, one translate and one n x n update
 per q-node.  They share the q-rule, so the kernel must match them to rounding
-wherever their p-rule has converged.
+wherever their p-rule has converged.  The cell norm and the identity-resolution
+Gram run on a support cut of the grid; they are checked against the full-grid
+effect, and every cut the code picks against its bound.
 """
 
 import math
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,10 +20,13 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.signal import fftconvolve
 
+from covpom import phasespace
 from covpom.grids import WaveFunction, symmetric_grid
 from covpom.hilbert import RectCell
 from covpom.phasespace import (
+    SUPPORT_TOL,
     _gl_rule,
+    _support,
     gaussian_wavefunction,
     hermite_wavefunction,
     phase_space_cell_norm,
@@ -29,6 +36,7 @@ from covpom.phasespace import (
     state_from_wavefunctions,
 )
 from covpom.posmom import grid_wavefunctions
+from oracles import full_grid_roi_gram
 
 HALF_WIDTH = 8.0
 N_MODES = 4
@@ -119,6 +127,26 @@ def oracle_leakage(t_state, s_state, grid, q_window, p_window):
     return leak_q + leak_p
 
 
+@contextmanager
+def recorded_supports():
+    """Every (i0, i1) that phasespace picks while the block runs."""
+    cuts = []
+
+    def record(mass, budget):
+        cuts.append(_support(mass, budget))
+        return cuts[-1]
+
+    with mock.patch.object(phasespace, "_support", record):
+        yield cuts
+
+
+def norm_cut_bound(diagonal, i0, i1):
+    """sqrt(tr A tr Z) + tr Z for A = G_II and Z = G_(I^c I^c), I = [i0, i1)."""
+    tr_a = diagonal[i0:i1].sum()
+    tr_z = diagonal[:i0].sum() + diagonal[i1:].sum()
+    return math.sqrt(tr_a * tr_z) + tr_z
+
+
 # --- strategies ----------------------------------------------------------------
 
 
@@ -133,9 +161,9 @@ def low_mode_state(grid, coefficients, weights):
 
 
 @st.composite
-def states(draw, max_rank=3):
+def states(draw, max_rank=3, half_width=HALF_WIDTH):
     n = draw(st.sampled_from([64, 128, 256]))
-    grid = symmetric_grid(n, HALF_WIDTH)
+    grid = symmetric_grid(n, half_width)
     rank = draw(st.integers(1, max_rank))
     parts = st.floats(-1.0, 1.0)
     coefficients = [
@@ -201,6 +229,29 @@ def test_density_matches_per_q_oracle(case, s_rank, data):
     assert got.leakage_bound == pytest.approx(leak, abs=1e-14)
 
 
+@settings(max_examples=20, deadline=None)
+@given(case=states(half_width=2 * HALF_WIDTH), data=st.data())
+def test_cut_norm_matches_dense_eigvalsh(case, data):
+    # On the wider window central cells are cut; a third of the cells touch
+    # an end, where the translates wrap round and put mass at both ends.
+    grid, t = case
+    half_width = grid.length / 2
+    p_max = min(np.pi / grid.dx, HALF_WIDTH)
+    q_lo, q_hi = data.draw(intervals(-half_width, half_width, 4.0))
+    edge = data.draw(st.sampled_from(["none", "low", "high"]))
+    if edge == "low":
+        q_lo, q_hi = -half_width, q_hi - q_lo - half_width
+    elif edge == "high":
+        q_lo, q_hi = half_width - (q_hi - q_lo), half_width
+    cell = RectCell(q_lo, q_hi, *data.draw(intervals(-p_max, p_max, 4.0)))
+    effect = phase_space_effect(t, cell, grid).op.mat
+    with recorded_supports() as cuts:
+        norm = phase_space_cell_norm(t, cell, grid)
+    assert abs(norm - np.linalg.eigvalsh(effect).max()) <= TOL
+    [(i0, i1)] = cuts
+    assert norm_cut_bound(np.diag(effect).real, i0, i1) <= SUPPORT_TOL
+
+
 # --- fixed cases -------------------------------------------------------------------
 
 
@@ -233,3 +284,64 @@ def test_gate_10_norms_unchanged():
         norm = phase_space_cell_norm(t, RectCell(-half, half, -half, half), grid)
         assert norm == pytest.approx(value, abs=1e-9)
         assert math.erf(half / math.sqrt(2)) ** 2 - TOL <= norm <= 1 - math.exp(-half**2)
+
+
+def test_support_keeps_the_grid_when_mass_sits_at_both_ends():
+    mass = np.zeros(64)
+    mass[[0, -1]] = 1.0
+    assert _support(mass, 1e-26) == (0, 64)
+
+
+def test_support_trims_all_zero_tails():
+    mass = np.zeros(64)
+    mass[20:30] = 1.0
+    assert _support(mass, 0.0) == (20, 30)
+
+
+def test_support_of_fewer_than_two_points_is_the_grid():
+    mass = np.zeros(64)
+    mass[20] = 1.0
+    assert _support(mass, 0.0) == (0, 64)
+
+
+@pytest.mark.parametrize("budget", [1e-30, 1e-26, 1e-3])
+def test_support_is_the_widest_cut_within_budget(budget):
+    x = np.linspace(-10.0, 12.0, 256)
+    mass = np.exp(-(x**2))
+    i0, i1 = _support(mass, budget)
+    assert 0 < i0 < i1 < mass.size
+    assert mass[:i0].sum() <= budget / 2 and mass[i1:].sum() <= budget / 2
+    assert mass[: i0 + 1].sum() > budget / 2 and mass[i1 - 1 :].sum() > budget / 2
+
+
+@pytest.mark.parametrize("half", [0.5, 2.5])
+@pytest.mark.parametrize("n", [512, 1024])
+def test_norm_supports_are_cut_within_the_bound(n, half):
+    grid = symmetric_grid(n, 16.0)
+    t = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid, center=1.0))])
+    cell = RectCell(1.0 - half, 1.0 + half, -half, half)
+    effect = phase_space_effect(t, cell, grid).op.mat
+    with recorded_supports() as cuts:
+        norm = phase_space_cell_norm(t, cell, grid)
+    [(i0, i1)] = cuts
+    assert i1 - i0 < 0.7 * n
+    assert norm_cut_bound(np.diag(effect).real, i0, i1) <= SUPPORT_TOL
+    assert abs(norm - np.linalg.eigvalsh(effect).max()) <= TOL
+
+
+@pytest.mark.parametrize("n_test", [12, 13])
+@pytest.mark.parametrize("n", [256, 512])
+def test_roi_gram_matches_full_grid_at_cli_sizes(n, n_test):
+    grid = symmetric_grid(n, 20.0)
+    t = state_from_wavefunctions(
+        [(1.0, gaussian_wavefunction(grid, a=0.4, center=1.2, momentum=-0.8))]
+    )
+    with recorded_supports() as cuts:
+        got = resolution_of_identity_defect(t, grid, half_width=10.0, n_test=n_test)
+    expected = full_grid_roi_gram(t, grid, 10.0, n_test)
+    assert np.abs(got.gram - expected).max() <= TOL
+    [(i0, i1)] = cuts
+    assert i1 - i0 < n
+    herm = np.stack([hermite_wavefunction(grid, k).values for k in range(n_test)])
+    mass = (np.abs(herm) ** 2).sum(axis=0) * grid.dx
+    assert mass[:i0].sum() + mass[i1:].sum() <= SUPPORT_TOL**2
