@@ -118,6 +118,14 @@ def _write_json(path, obj):
         fh.write(io.dumps(obj) + "\n")
 
 
+def _check_and_write_pom(report: Report, pom, args) -> None:
+    """Add the pom-axioms check and write the POM to ``--out`` when one is given."""
+    ax = check_pom_axioms(pom, args.tol)
+    report.add("pom-axioms", ax.passed, ax.normalization_defect, args.tol)
+    if args.out:
+        _write_json(args.out, io.pom_to_json(pom))
+
+
 # --- subcommands -------------------------------------------------------------
 
 
@@ -126,13 +134,10 @@ def cmd_phase(args) -> int:
     h = abelian.canonical_phase_vectors(args.dim)
     bounds = np.linspace(0.0, 2 * np.pi, args.cells + 1)
     pom = abelian.phase_pom(h, bounds)
-    ax = check_pom_axioms(pom, args.tol)
-    rep.add("pom-axioms", ax.passed, ax.normalization_defect, args.tol)
+    _check_and_write_pom(rep, pom, args)
     if args.dim >= 2 and args.cells >= 2:
         cell, defect = abelian.sharp_phase_witness(pom)
         rep.add("no-sharp-phase", defect > 0.05, defect, 0.05, cell.label)
-    if args.out:
-        _write_json(args.out, io.pom_to_json(pom))
     return rep.finish(args)
 
 
@@ -140,11 +145,7 @@ def cmd_phase_diff(args) -> int:
     rep = Report("phase-diff", args.tol, args.seed)
     h = {(i, j): np.array([1.0 + 0j]) for i in range(args.dim) for j in range(args.dim)}
     bounds = np.linspace(0.0, 2 * np.pi, args.cells + 1)
-    pom = abelian.phase_difference_pom(args.dim, h, bounds)
-    ax = check_pom_axioms(pom, args.tol)
-    rep.add("pom-axioms", ax.passed, ax.normalization_defect, args.tol)
-    if args.out:
-        _write_json(args.out, io.pom_to_json(pom))
+    _check_and_write_pom(rep, abelian.phase_difference_pom(args.dim, h, bounds), args)
     return rep.finish(args)
 
 
@@ -168,8 +169,7 @@ def cmd_abelian_pom(args) -> int:
         fam = abelian.random_isometries(rep_obj, aux, rng)
     report = Report("abelian-pom", args.tol, args.seed)
     pom = abelian.build_covariant_pom(rep_obj, sub, fam)
-    ax = check_pom_axioms(pom, args.tol)
-    report.add("pom-axioms", ax.passed, ax.normalization_defect, args.tol)
+    _check_and_write_pom(report, pom, args)
     cov = abelian.verify_covariance(
         pom,
         abelian.diagonal_unitaries(rep_obj),
@@ -177,8 +177,6 @@ def cmd_abelian_pom(args) -> int:
         args.tol,
     )
     report.add("covariance", cov.passed, cov.max_defect, args.tol, _covariance_witness(cov))
-    if args.out:
-        _write_json(args.out, io.pom_to_json(pom))
     return report.finish(args)
 
 
@@ -186,8 +184,7 @@ def cmd_finite_weyl(args) -> int:
     report = Report("finite-weyl", args.tol, args.seed)
     state = io.state_from_json(_load_json(args.state))
     pom = phasespace.finite_weyl_pom(args.dim, state)
-    ax = check_pom_axioms(pom, args.tol)
-    report.add("pom-axioms", ax.passed, ax.normalization_defect, args.tol)
+    _check_and_write_pom(report, pom, args)
     cov = abelian.verify_covariance(
         pom,
         phasespace.finite_weyl_unitaries(args.dim),
@@ -195,8 +192,6 @@ def cmd_finite_weyl(args) -> int:
         args.tol,
     )
     report.add("covariance", cov.passed, cov.max_defect, args.tol, _covariance_witness(cov))
-    if args.out:
-        _write_json(args.out, io.pom_to_json(pom))
     return report.finish(args)
 
 
@@ -242,12 +237,10 @@ def cmd_smeared(args) -> int:
             None,
             f"location={res.location}",
         )
-    elif args.action == "compare":
+    else:  # compare
         other = _parse_measure(_load_json(args.measure2), grid)
         order = posmom.distinction_compare(measure, other, grid=grid)
         report.add("distinction-order", True, order.value, None)
-    else:
-        raise InputError(f"unknown smeared action {args.action!r}")
     return report.finish(args)
 
 
@@ -262,7 +255,7 @@ def cmd_phasespace(args) -> int:
         half = args.window / 2
         qs = np.linspace(-half, half, args.samples)
         ps = np.linspace(-half, half, args.samples)
-        res = phasespace.phase_space_density(t_state, s_state, qs, ps, grid, max_leakage=None)
+        res = phasespace.phase_space_density(t_state, s_state, qs, ps, grid)
         report.add("window-leakage", res.leakage_bound <= 0.01, res.leakage_bound, 0.01)
         report.add("pointwise-positive", float(res.values.min()) >= -1e-9,
                    float(res.values.min()), -1e-9)
@@ -291,14 +284,12 @@ def cmd_phasespace(args) -> int:
             n_test=args.n_test, order=args.quad_order,
         )
         report.add("resolution-of-identity", res.defect <= args.tol, res.defect, args.tol)
-    elif args.action == "norm":
+    else:  # norm
         q1, q2, p1, p2 = (float(v) for v in args.cell.split(","))
         val = phasespace.phase_space_cell_norm(
             t_state, RectCell(q1, q2, p1, p2), grid, order=args.quad_order
         )
         report.add("bounded-cell-norm", val < 1.0, val, 1.0)
-    else:
-        raise InputError(f"unknown phasespace action {args.action!r}")
     return report.finish(args)
 
 
@@ -313,19 +304,18 @@ def cmd_check(args) -> int:
         report.add("normalization", ax.normalization_defect <= tol,
                    ax.normalization_defect, tol)
         return report.finish(args)
-    if args.kind == "uncertainty":
-        tol = args.tol if args.tol is not None else 1e-3
-        grid = _build_grid(args)
-        s_state = _parse_state(_load_json(args.state), grid)
-        t_state = _parse_state(_load_json(args.pairs_from), grid)
-        rho, nu = phasespace.margins_of_GT(t_state, grid)
-        report = Report("check-uncertainty", tol, args.seed)
-        unc = posmom.uncertainty_product(s_state, rho, nu, grid, tol=tol)
-        report.add("variance-product", unc.passed, unc.product, 1.0)
-        res = posmom.resolution_product(rho, nu, tol=tol)
-        report.add("resolution-product", res.passed, res.product, res.bound)
-        return report.finish(args)
-    raise InputError(f"unknown check kind {args.kind!r}")
+    # uncertainty
+    tol = args.tol if args.tol is not None else 1e-3
+    grid = _build_grid(args)
+    s_state = _parse_state(_load_json(args.state), grid)
+    t_state = _parse_state(_load_json(args.pairs_from), grid)
+    rho, nu = phasespace.margins_of_GT(t_state, grid)
+    report = Report("check-uncertainty", tol, args.seed)
+    unc = posmom.uncertainty_product(s_state, rho, nu, grid, tol=tol)
+    report.add("variance-product", unc.passed, unc.product, 1.0)
+    res = posmom.resolution_product(rho, nu, tol=tol)
+    report.add("resolution-product", res.passed, res.product, res.bound)
+    return report.finish(args)
 
 
 # --- argument wiring ----------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -82,102 +82,89 @@ class Operator:
     Other input is converted, which copies.
     """
 
-    entries: np.ndarray
+    mat: np.ndarray
 
-    def __init__(self, entries):
-        mat = np.asarray(entries, dtype=complex)
+    def __init__(self, mat):
+        mat = np.asarray(mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {mat.shape}")
         mat.setflags(write=False)
-        object.__setattr__(self, "entries", mat)
+        object.__setattr__(self, "mat", mat)
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.entries
+        return self.mat.shape[0]
 
     def is_hermitian(self, tol: float = EXACT_TOL) -> bool:
         """||A - A*|| <= tol, the exact norm taken only when its Frobenius bound exceeds tol."""
-        skew = self.entries - self.entries.conj().T
+        skew = self.mat - self.mat.conj().T
         return bool(np.linalg.norm(skew) <= tol or np.linalg.norm(skew, 2) <= tol)
 
     def trace(self) -> complex:
-        return complex(np.trace(self.entries))
+        return complex(np.trace(self.mat))
 
 
 @dataclass(frozen=True, eq=False)
 class State:
-    """Positive trace-one operator, held as a low-rank factor when possible.
+    """Positive trace-one operator held as a low-rank factor.
 
-    ``spectral`` is a tuple of ``(weight, vector)`` pairs with orthonormal
-    vectors and weights summing to one, the only stored form of a factor
-    state.  ``op`` is the dense operator: given, for a state known only as a
-    matrix, or else built from the factor on first read and cached.
+    ``weights`` (r,) and ``vectors`` (r, dim), whose rows are orthonormal, give
+    the operator sum_i w_i |v_i><v_i|; both are read-only and C-contiguous
+    (such an input array is kept, not copied, like an ``Operator``'s matrix).
+    ``op``, the dense operator, is built from them on first read and cached.
+    A density matrix is factored once, by ``from_operator``.
     """
 
-    spectral: Optional[Tuple[Tuple[float, np.ndarray], ...]]
-    given_op: Optional[Operator]
+    weights: np.ndarray
+    vectors: np.ndarray
 
-    def __init__(self, op: Optional[Operator] = None, spectral=None):
-        if op is None and not spectral:
-            raise ValueError("a state needs an operator or spectral data")
-        object.__setattr__(self, "spectral", None if spectral is None else tuple(spectral))
-        object.__setattr__(self, "given_op", op)
+    def __init__(self, weights, vectors):
+        weights = np.ascontiguousarray(weights, dtype=float)
+        vectors = np.ascontiguousarray(vectors, dtype=complex)
+        if not weights.size or weights.ndim != 1 or vectors.shape[:-1] != weights.shape:
+            shapes = f"{weights.shape} and {vectors.shape}"
+            raise ValueError(f"need r >= 1 weights and r vectors, not shapes {shapes}")
+        weights.setflags(write=False)
+        vectors.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "vectors", vectors)
+
+    @classmethod
+    def from_operator(cls, op: Operator, tol: float = EXACT_TOL) -> "State":
+        """The eigenpairs of positive eigenvalue of a density matrix.
+
+        Raises unless ``op`` is Hermitian, has no eigenvalue below -tol and
+        has trace within tol of one.
+        """
+        if not op.is_hermitian(tol):
+            raise ValueError("state operator is not Hermitian")
+        vals, vecs = np.linalg.eigh(op.mat)
+        if vals[0] < -tol:
+            raise ValueError(f"state operator has negative eigenvalue {vals[0]:.3e}")
+        tr = op.trace()
+        if abs(tr - 1.0) > tol:
+            raise ValueError(f"state trace {tr} is not 1")
+        keep = vals > 0
+        return cls(vals[keep], vecs[:, keep].T)
 
     @cached_property
     def op(self) -> Operator:
-        """The dense operator: as given, or (V w) V* built once from the factor."""
-        if self.given_op is not None:
-            return self.given_op
-        weights, vecs = self.factor()
-        return Operator((vecs.T * weights) @ vecs.conj())
+        """The dense operator (V w) V*, built once from the factor."""
+        return Operator((self.vectors.T * self.weights) @ self.vectors.conj())
 
     @property
     def dim(self) -> int:
-        return self.given_op.dim if self.spectral is None else len(self.spectral[0][1])
-
-    def factor(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Weights (r,) and the orthonormal vectors as the rows of an r x dim array.
-
-        For a given operator these are its eigenpairs of positive eigenvalue.
-        """
-        if self.spectral is None:
-            return tuple(a.copy() for a in self._eigen_factor)
-        weights, vecs = zip(*self.spectral)
-        return np.array(weights, dtype=float), np.array(vecs, dtype=complex)
-
-    @cached_property
-    def _eigen_factor(self) -> Tuple[np.ndarray, np.ndarray]:
-        vals, vecs = np.linalg.eigh(self.given_op.mat)
-        keep = vals > 0
-        return vals[keep], np.ascontiguousarray(vecs[:, keep].T)
+        return self.vectors.shape[1]
 
     def validate(self, tol: float = EXACT_TOL) -> None:
-        """Check a factor in O(dim r^2), a given operator by eigenvalues, both by agreement."""
-        op = self.given_op
-        if op is not None:
-            if not op.is_hermitian(tol):
-                raise ValueError("state operator is not Hermitian")
-            eigs = np.linalg.eigvalsh(op.mat)
-            if eigs.min() < -tol:
-                raise ValueError(f"state operator has negative eigenvalue {eigs.min():.3e}")
-            tr = op.trace()
-            if abs(tr - 1.0) > tol:
-                raise ValueError(f"state trace {tr} is not 1")
-        if self.spectral is None:
-            return
-        weights, vecs = self.factor()
-        if weights.min() < 0:
-            raise ValueError(f"negative spectral weight {weights.min():.3e}")
-        if abs(weights.sum() - 1.0) > tol:
+        """Check the factor in O(dim r^2): weights >= 0 summing to one, orthonormal vectors."""
+        if self.weights.min() < 0:
+            raise ValueError(f"negative spectral weight {self.weights.min():.3e}")
+        if abs(self.weights.sum() - 1.0) > tol:
             raise ValueError("spectral weights do not sum to 1")
-        if spectral_norm(vecs.conj() @ vecs.T - np.eye(len(weights))) > tol:
+        gram = self.vectors.conj() @ self.vectors.T
+        if spectral_norm(gram - np.eye(self.weights.size)) > tol:
             raise ValueError("spectral vectors are not orthonormal")
-        if op is not None and spectral_norm((vecs.T * weights) @ vecs.conj() - op.mat) > tol:
-            raise ValueError("spectral data does not reproduce the operator")
 
 
 @dataclass(frozen=True)
@@ -339,7 +326,7 @@ def make_state(spectral: Sequence[Tuple[float, Iterable[complex]]]) -> State:
     trace = weights @ np.sum(np.abs(basis) ** 2, axis=1)
     if abs(trace - 1.0) > 1e-10:
         raise AssertionError("constructed state trace deviates from 1")
-    return State(spectral=zip(weights.tolist(), basis))
+    return State(weights, basis)
 
 
 def pure_state(vector: Iterable[complex]) -> State:

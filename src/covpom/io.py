@@ -1,9 +1,11 @@
 """JSON codecs for the library's value types.
 
 Conventions: an operator is {"dim": d, "entries": flat row-major complex
-array}; a state is {"op": ...} or {"spectral": [{"weight": w, "vector": [...]}]};
-a POM is {"space_tag", "outcomes", "effects"}.  Group data uses moduli tuples,
-dual points are encoded as comma-joined index strings.  Measures are
+array}; a state is written in the spectral form {"spectral": [{"weight": w,
+"vector": [...]}]} and read from it or from the operator form {"op": ...},
+which is factored once on reading; a POM is {"space_tag", "outcomes",
+"effects"}.  Group data uses moduli tuples, dual points are encoded as
+comma-joined index strings.  Measures are
 {"atoms": [[x, w]], "density": {"x0", "dx", "values"}}.  In memory the
 documents hold complex ndarrays; ``dumps`` writes each as a list of [re, im]
 pairs, so files are unchanged, and the decoders read either form.
@@ -115,14 +117,11 @@ def operator_from_json(obj) -> Operator:
 
 
 def state_to_json(state: State) -> dict:
-    if state.spectral is not None:
-        return {
-            "spectral": [
-                {"weight": float(w), "vector": _cvector_to_json(v)}
-                for w, v in state.spectral
-            ]
-        }
-    return {"op": operator_to_json(state.op)}
+    return {
+        "spectral": [
+            {"weight": w, "vector": v} for w, v in zip(state.weights.tolist(), state.vectors)
+        ]
+    }
 
 
 def state_from_json(obj) -> State:
@@ -133,9 +132,7 @@ def state_from_json(obj) -> State:
                 for item in obj["spectral"]
             ]
         )
-    state = State(operator_from_json(obj["op"]))
-    state.validate(1e-8)
-    return state
+    return State.from_operator(operator_from_json(obj["op"]), 1e-8)
 
 
 def effect_to_json(effect: Effect) -> dict:

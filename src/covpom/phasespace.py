@@ -66,6 +66,7 @@ __all__ = [
 
 DEFAULT_HALF_WIDTH = 20.0
 SUPPORT_TOL = 1e-13  # spectral error a support cut may cause (see the module docstring)
+MAX_PANEL = 2.0  # widest q-panel of the composite Gauss-Legendre rule
 
 
 # --- states on the grid -----------------------------------------------------
@@ -120,7 +121,7 @@ def state_from_wavefunctions(pairs: Sequence[Tuple[float, WaveFunction]]) -> Sta
     ) * np.sqrt(weights / weights.sum())
     vecs, sing, _ = np.linalg.svd(factor, full_matrices=False)
     power = sing[sing > sing[0] * max(factor.shape) * np.finfo(float).eps] ** 2
-    return State(spectral=zip((power / power.sum()).tolist(), vecs.T[: power.size]))
+    return State(power / power.sum(), vecs.T[: power.size])
 
 
 # --- the Weyl system ---------------------------------------------------------
@@ -175,19 +176,19 @@ def _gl_rule(order: int):
     return xs, ws
 
 
-def _gl_panels(lo: float, hi: float, order: int, max_panel: float):
-    """Composite Gauss-Legendre nodes/weights with panels of bounded width."""
+def _gl_panels(lo: float, hi: float, order: int):
+    """Composite Gauss-Legendre nodes/weights with panels at most MAX_PANEL wide."""
     if order < 2:
         raise ValueError("quadrature order must be at least 2")
     xs, ws = _gl_rule(order)
-    edges = np.linspace(lo, hi, max(1, int(np.ceil((hi - lo) / max_panel))) + 1)
+    edges = np.linspace(lo, hi, max(1, int(np.ceil((hi - lo) / MAX_PANEL))) + 1)
     mid, half = 0.5 * (edges[:-1] + edges[1:])[:, None], 0.5 * np.diff(edges)[:, None]
     return (mid + half * xs).ravel(), (half * ws).ravel()
 
 
-def _bank(t_state: State, cell: RectCell, grid: Grid1D, order: int, max_panel: float):
+def _bank(t_state: State, cell: RectCell, grid: Grid1D, order: int):
     """B*, for the n x (r K_q) bank B of weighted translates sqrt(w_n w_q) phi_n(. - q)."""
-    q_nodes, q_w = _gl_panels(cell.q_lo, cell.q_hi, order, max_panel)
+    q_nodes, q_w = _gl_panels(cell.q_lo, cell.q_hi, order)
     tw, tv = grid_wavefunctions(t_state, grid)
     scale = np.sqrt(np.outer(q_w, tw))[:, :, None]
     return (_translates(tv, grid, q_nodes) * scale).reshape(-1, grid.n).conj()
@@ -275,14 +276,12 @@ def phase_space_density(
     qs: np.ndarray,
     ps: np.ndarray,
     grid: Grid1D,
-    max_leakage: float | None = 0.01,
 ) -> DensityResult:
     """Sample h(q, p) = tr[S W(q,p) T W(q,p)*] / 2pi on a rectangular lattice.
 
     For a Gaussian T this is a Husimi-type density of S.  A union bound on
     the probability mass of the joint observable outside the sampled window
-    is reported; exceeding ``max_leakage`` raises WindowLeakageError.  Pass
-    ``max_leakage=None`` for point probes that do not claim window coverage.
+    is reported as ``leakage_bound``; judging it is left to the caller.
     All overlaps <s_m, W(q,p) phi_n> come from one product with exp(i x p);
     the phase exp(-i p q/2) of W drops out of |.|^2.
     """
@@ -296,8 +295,6 @@ def phase_space_density(
     power = np.abs(overlaps.reshape(qs.size, tw.size, sw.size, ps.size)) ** 2
     out = np.einsum("t,s,qtsp->qp", tw, sw, power) / (2 * np.pi)
     leak = _marginal_leakage(t_state, s_state, grid, (qs.min(), qs.max()), (ps.min(), ps.max()))
-    if max_leakage is not None and leak > max_leakage:
-        raise WindowLeakageError(f"phase-space window leaks {leak:.3e} > {max_leakage}")
     return DensityResult(qs, ps, out, leak)
 
 
@@ -318,23 +315,22 @@ def phase_space_effect(
     cell: RectCell,
     grid: Grid1D,
     order: int = 16,
-    max_panel: float = 2.0,
 ) -> Effect:
     """G_T(Z) = (1/2pi) integral over the cell of W(q,p) T W(q,p)*.
 
     The p-integral is exact (the Toeplitz symbol S of the module docstring);
-    ``order`` and ``max_panel`` set only the composite Gauss-Legendre rule in
-    q.  The translates use Fourier phases, so the q-integrand is analytic and
-    the rule converges spectrally.  The matrix is filled in blocks of rows,
-    so it is the only n x n array built.
+    ``order`` sets only the composite Gauss-Legendre rule in q, whose panels
+    are at most MAX_PANEL wide.  The translates use Fourier phases, so the
+    q-integrand is analytic and the rule converges spectrally.  The matrix is
+    filled in blocks of rows, so it is the only n x n array built.
     """
     _check_cell_in_window(cell, grid)
-    bank_h = _bank(t_state, cell, grid, order, max_panel)
+    bank_h = _bank(t_state, cell, grid, order)
     return Effect(Operator(_effect_block(bank_h, cell, grid, 0, grid.n)))
 
 
 def phase_space_cell_norm(
-    t_state: State, cell: RectCell, grid: Grid1D, order: int = 16, max_panel: float = 2.0
+    t_state: State, cell: RectCell, grid: Grid1D, order: int = 16
 ) -> float:
     """Spectral norm of the cell effect (strictly below one on bounded cells).
 
@@ -349,7 +345,7 @@ def phase_space_cell_norm(
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     _check_cell_in_window(cell, grid)
-    bank_h = _bank(t_state, cell, grid, order, max_panel)
+    bank_h = _bank(t_state, cell, grid, order)
     mass = (np.abs(bank_h) ** 2).sum(axis=0) * ((cell.p_hi - cell.p_lo) * grid.dx / (2 * np.pi))
     # sqrt(tr A tr Z) + tr Z <= sqrt(tr G z) + z, which is SUPPORT_TOL at z = root^2
     root = 2 * SUPPORT_TOL / (np.sqrt(mass.sum()) + np.sqrt(mass.sum() + 4 * SUPPORT_TOL))
@@ -367,11 +363,9 @@ def phase_space_pom(
     cells: Sequence[RectCell],
     grid: Grid1D,
     order: int = 16,
-    max_panel: float = 2.0,
-    remainder_label: str = "outside-window",
 ) -> Pom:
     """POM from disjoint cells plus the complement effect I - sum G(Z_i)."""
-    effects = [phase_space_effect(t_state, c, grid, order, max_panel) for c in cells]
+    effects = [phase_space_effect(t_state, c, grid, order) for c in cells]
     outcomes = [
         Outcome(f"q[{c.q_lo:.3g},{c.q_hi:.3g}) p[{c.p_lo:.3g},{c.p_hi:.3g})", c)
         for c in cells
@@ -379,9 +373,7 @@ def phase_space_pom(
     rest = np.eye(grid.n) - sum(e.op.mat for e in effects)
     effects.append(Effect(Operator(rest)))
     lim = np.pi / grid.dx
-    outcomes.append(
-        Outcome(remainder_label, RectCell(grid.x0, grid.x0 + grid.length, -lim, lim))
-    )
+    outcomes.append(Outcome("outside-window", RectCell(grid.x0, grid.x0 + grid.length, -lim, lim)))
     return Pom("phase-space cells", tuple(outcomes), tuple(effects))
 
 
@@ -402,7 +394,6 @@ def resolution_of_identity_defect(
     half_width: float = DEFAULT_HALF_WIDTH,
     n_test: int = 13,
     order: int = 16,
-    max_panel: float = 2.0,
 ) -> RoiReport:
     """Defect of (1/2pi) integral over the window of W T W* against identity.
 
@@ -417,7 +408,7 @@ def resolution_of_identity_defect(
     i0, i1 = _support((np.abs(herm) ** 2).sum(axis=0) * grid.dx, SUPPORT_TOL**2)
     herm = herm[:, i0:i1]
     window = RectCell(-half_width, half_width, -half_width, half_width)
-    bank_h = _bank(t_state, window, grid, order, max_panel)
+    bank_h = _bank(t_state, window, grid, order)
     m = np.zeros((n_test, n_test), dtype=complex)
     for a, b, rows in _kernel_rows(bank_h, window, grid, i0, i1):
         m += herm[:, a:b].conj() @ (rows @ herm.T)
@@ -460,11 +451,11 @@ def finite_weyl_unitaries(d: int) -> MonomialUnitaries:
     j = np.arange(d)
     clock = np.exp(2j * np.pi * j / d)
 
-    def factors(codes):
+    def phases_and_sources(codes):
         a, b = np.divmod(codes, d)
         return clock[b[:, None] * j % d], (j - a[:, None]) % d
 
-    return MonomialUnitaries(group, d, factors)
+    return MonomialUnitaries(group, d, phases_and_sources)
 
 
 def finite_weyl_action(d: int):

@@ -823,13 +823,14 @@ class SharpnessReport:
     sampled_norms: Tuple[Tuple[float, float], ...]
 
 
-def sharpness_test(measure: ProbMeasure1D, n_widths: int = 7) -> SharpnessReport:
+def sharpness_test(measure: ProbMeasure1D) -> SharpnessReport:
     """Classify a confidence measure as a point mass or properly smeared.
 
     Sharp means a single atom of weight one.  Independently, the operator
     norm of the effect of any open interval of width w is the supremum over
     translates of the open-window mass, which equals one for every width
-    exactly in the sharp case; both routes are reported and compared.
+    exactly in the sharp case; both routes are reported and compared, the
+    second at the seven widths span / 2, span / 4, ..., span / 128.
     """
     atom_route = (
         len(measure.atoms) == 1
@@ -840,7 +841,7 @@ def sharpness_test(measure: ProbMeasure1D, n_widths: int = 7) -> SharpnessReport
 
     lo_sup, hi_sup = measure.support_bounds()
     span = max(hi_sup - lo_sup, 1.0)
-    widths = span * 2.0 ** -np.arange(1, n_widths + 1)
+    widths = span * 2.0 ** -np.arange(1, 8)
     sups = measure._window_mass_sups(widths, open_interval=True)
     norm_ok = bool(np.all(sups >= 1.0 - 1e-9))
     return SharpnessReport(
@@ -863,9 +864,8 @@ def grid_wavefunctions(state: State, grid: Grid1D) -> Tuple[np.ndarray, np.ndarr
     """
     if state.dim != grid.n:
         raise ValueError("state dimension does not match the grid")
-    weights, vecs = state.factor()
-    keep = weights > 0
-    return weights[keep], vecs[keep] / np.sqrt(grid.dx)
+    keep = state.weights > 0
+    return state.weights[keep], state.vectors[keep] / np.sqrt(grid.dx)
 
 
 def _state_densities(state: State, grid: Grid1D) -> Tuple[np.ndarray, np.ndarray]:
@@ -886,7 +886,7 @@ class UncertaintyReport:
     product: float
     var_position: float
     var_momentum: float
-    passed: Optional[bool]
+    passed: bool
     leakage: float
 
 
@@ -895,15 +895,14 @@ def uncertainty_product(
     rho: ProbMeasure1D,
     nu: ProbMeasure1D,
     grid: Grid1D,
-    coexistent: bool = True,
     tol: float = 1e-3,
 ) -> UncertaintyReport:
     """Variance product of the smeared position/momentum statistics.
 
     Var of the outcome distribution is the sharp-state variance plus the
     confidence-measure variance (variances add under convolution).  The
-    bound >= 1 is asserted only for coexistent pairs, i.e. margins of one
-    covariant phase-space observable.
+    bound >= 1 holds when ``rho`` and ``nu`` are the margins of one covariant
+    phase-space observable, as every caller passes them.
     """
     pos, mom = _state_densities(state, grid)
     x = grid.positions()
@@ -919,8 +918,7 @@ def uncertainty_product(
     var_pos = var_q + rho.variance()
     var_mom = var_p + nu.variance()
     product = var_pos * var_mom
-    passed = bool(product >= 1.0 - tol) if coexistent else None
-    return UncertaintyReport(product, var_pos, var_mom, passed, float(leakage))
+    return UncertaintyReport(product, var_pos, var_mom, bool(product >= 1.0 - tol), float(leakage))
 
 
 @dataclass(frozen=True)

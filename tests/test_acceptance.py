@@ -96,10 +96,9 @@ def abelian_test_systems():
 
 
 def low_rank_state_gap(t1, t2):
-    """Spectral norm of t1.op - t2.op from spectral data (rank-compressed)."""
-    vs = [v for _, v in t1.spectral] + [v for _, v in t2.spectral]
-    cs = np.array([w for w, _ in t1.spectral] + [-w for w, _ in t2.spectral])
-    stack = np.stack(vs, axis=1)
+    """Spectral norm of t1.op - t2.op from the factors (rank-compressed)."""
+    stack = np.concatenate([t1.vectors, t2.vectors]).T
+    cs = np.concatenate([t1.weights, -t2.weights])
     q, _ = np.linalg.qr(stack)
     a = q.conj().T @ stack
     m = (a * cs) @ a.conj().T

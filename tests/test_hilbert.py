@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from covpom.hilbert import (
@@ -46,8 +46,7 @@ class TestMakeState:
         st = make_state([(2.0, [1, 0]), (2.0, [1, 1])])
         np.testing.assert_allclose(st.op.mat, np.diag([0.5, 0.5]), atol=1e-12)
         assert abs(st.op.trace() - 1.0) < 1e-12
-        vecs = [v for _, v in st.spectral]
-        np.testing.assert_allclose(np.abs(np.vdot(vecs[0], vecs[1])), 0.0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(np.vdot(*st.vectors)), 0.0, atol=1e-12)
 
     def test_zero_total_weight(self):
         with pytest.raises(ValueError, match="zero total weight"):
@@ -115,17 +114,105 @@ class TestMakeStateMatchesGramSchmidt:
             return
         state = make_state(spectral)
         assert "op" not in vars(state)
-        got_w, got_v = state.factor()
-        np.testing.assert_allclose(got_w, weights, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(got_v, np.stack(ortho), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(state.weights, weights, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(state.vectors, np.stack(ortho), rtol=0, atol=1e-12)
         assert spectral_norm(state.op.mat - dense) <= 1e-14
         state.validate()
 
 
+def factor_state(pairs):
+    """A State holding the (weight, vector) pairs as they are, unchecked."""
+    return State([w for w, _ in pairs], [v for _, v in pairs])
+
+
+def former_operator_check(op, tol):
+    """Oracle: the operator branch of the former State.validate, by eigvalsh."""
+    if not op.is_hermitian(tol):
+        raise ValueError("state operator is not Hermitian")
+    eigs = np.linalg.eigvalsh(op.mat)
+    if eigs.min() < -tol:
+        raise ValueError(f"state operator has negative eigenvalue {eigs.min():.3e}")
+    tr = op.trace()
+    if abs(tr - 1.0) > tol:
+        raise ValueError(f"state trace {tr} is not 1")
+
+
+@st.composite
+def near_one(draw):
+    """A float in [0, 2] within 10^-k of 1, k = 0 .. 4."""
+    return 1.0 + draw(st.floats(-1.0, 1.0)) * 10.0 ** -draw(st.integers(0, 4))
+
+
+@st.composite
+def near_threshold_operators(draw, tol=1e-8):
+    """Hermitian matrices, some with a skew part, whose flaws sit near tol.
+
+    One eigenvalue is -tol * near_one, the trace is 1 +- tol * near_one, one
+    eigenvalue may be zero or tiny, and the skew part A - A* has norm 0 or
+    tol * near_one.  Returns the operator, the skew norm / tol and the
+    operator's positive part, which is all a state keeps.
+    """
+    dim = draw(st.integers(3, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    vals = rng.uniform(0.0, 1.0, size=dim)
+    vals[0] = -tol * draw(near_one())
+    vals[-1] = draw(st.sampled_from([vals[-1], 0.0, 1e-14, 1e-11]))
+    trace = 1.0 + tol * draw(near_one()) * draw(st.sampled_from([-1.0, 1.0]))
+    vals[1:-1] *= (trace - vals[0] - vals[-1]) / vals[1:-1].sum()
+    mat = (u * vals) @ u.conj().T
+    skew = draw(st.one_of(st.just(0.0), near_one()))
+    if skew:
+        k = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        k += k.conj().T
+        mat = mat + 0.5j * tol * skew * k / np.linalg.norm(k, 2)
+    return Operator(mat), skew, (u * np.maximum(vals, 0.0)) @ u.conj().T
+
+
+def rejection(message):
+    """Which check a state-operator error names."""
+    return next(k for k in ("Hermitian", "negative eigenvalue", "trace") if k in message)
+
+
+class TestFromOperator:
+    @settings(max_examples=300, deadline=None)
+    @given(case=near_threshold_operators())
+    def test_accepts_and_rejects_as_the_former_check(self, case):
+        op, skew, positive_part = case
+        tol = 1e-8
+        # eigh and eigvalsh round differently, by about eps ||op||: an eigenvalue
+        # that close to -tol may fall either way
+        assume(abs(np.linalg.eigvalsh(op.mat).min() + tol) > 1e-13)
+        try:
+            former_operator_check(op, tol)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=rejection(str(exc))):
+                State.from_operator(op, tol)
+            return
+        state = State.from_operator(op, tol)
+        assert np.all(state.weights > 0)
+        if skew == 0.0:
+            assert spectral_norm(state.op.mat - positive_part) <= 1e-13
+
+
 class TestFactorState:
-    def test_needs_an_argument(self):
-        with pytest.raises(ValueError, match="operator or spectral"):
-            State()
+    def test_factor_is_read_only(self):
+        state = make_state([(0.25, [1, 0, 0]), (0.75, [0, 1j, 1])])
+        with pytest.raises(ValueError, match="read-only"):
+            state.weights[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            state.vectors[0, 0] = 0.0
+        with pytest.raises(AttributeError):
+            state.weights = np.array([1.0])
+
+    @pytest.mark.parametrize("weights, vectors", [
+        ([0.5, 0.5], [[1.0, 0.0]]),
+        ([1.0], [1.0, 0.0]),
+        (np.zeros(0), np.zeros((0, 3))),
+    ])
+    def test_shapes_must_match(self, weights, vectors):
+        with pytest.raises(ValueError, match="r >= 1 weights and r vectors"):
+            State(weights, vectors)
 
     def test_dim_from_factor(self):
         assert make_state([(1.0, np.ones(5))]).dim == 5
@@ -135,19 +222,14 @@ class TestFactorState:
         [(1.0, np.array([1.0, 1.0]))],
     ])
     def test_validate_rejects_non_orthonormal_vectors(self, spectral):
-        state = State(spectral=spectral)
+        state = factor_state(spectral)
         with pytest.raises(ValueError, match="orthonormal"):
             state.validate()
         assert "op" not in vars(state)
 
     def test_validate_rejects_weights_not_summing_to_one(self):
-        state = State(spectral=[(0.5, np.array([1, 0])), (0.4, np.array([0, 1]))])
+        state = factor_state([(0.5, np.array([1, 0])), (0.4, np.array([0, 1]))])
         with pytest.raises(ValueError, match="sum to 1"):
-            state.validate()
-
-    def test_validate_rejects_factor_not_reproducing_operator(self):
-        state = State(op=Operator(np.diag([0.5, 0.5])), spectral=[(1.0, np.array([1, 0]))])
-        with pytest.raises(ValueError, match="reproduce"):
             state.validate()
 
     def test_op_is_built_once(self):
@@ -159,13 +241,11 @@ class TestFactorState:
         rng = np.random.default_rng(3)
         vecs = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
         factored = make_state([(0.3, vecs[0]), (0.7, vecs[1])])
-        state = State(Operator(factored.op.mat))
-        weights, rows = state.factor()
+        state = State.from_operator(Operator(factored.op.mat))
+        weights, rows = state.weights, state.vectors
         assert np.all(weights > 0) and weights.sum() == pytest.approx(1.0, abs=1e-14)
         np.testing.assert_allclose(np.sort(weights)[-2:], [0.3, 0.7], atol=1e-14)
         np.testing.assert_allclose((rows.T * weights) @ rows.conj(), factored.op.mat, atol=1e-14)
-        rows[0] = 0.0  # each call hands out its own arrays
-        assert np.any(state.factor()[1][0] != 0.0)
 
 
 class TestPomAxioms:
@@ -219,7 +299,7 @@ class TestOutcomeDistribution:
             v2 = rng.normal(size=d) + 1j * rng.normal(size=d)
             s1, s2 = pure_state(v1), pure_state(v2)
             t = rng.uniform()
-            mix = State(Operator(t * s1.op.mat + (1 - t) * s2.op.mat))
+            mix = State.from_operator(Operator(t * s1.op.mat + (1 - t) * s2.op.mat))
             a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             h = a @ a.conj().T
             h = h / (np.linalg.eigvalsh(h).max() * 2)
@@ -239,7 +319,7 @@ class TestOutcomeDistribution:
             h = (a + a.conj().T) / 4
             pom = point_pom([Effect(Operator(h)), Effect(Operator(np.eye(d) - h))])
             expected = np.array([np.trace(state.op.mat @ e.op.mat).real for e in pom.effects])
-            for st in (state, State(op=state.op)):
+            for st in (state, State.from_operator(state.op)):
                 dist = outcome_distribution(st, pom)
                 np.testing.assert_allclose(dist.raw, expected, rtol=0, atol=1e-13)
                 assert dist.negativity_defect == pytest.approx(
@@ -351,7 +431,7 @@ class TestHelpers:
 
     def test_state_validation_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            State(Operator(np.diag([1.0, 1.0]))).validate()
+            State.from_operator(Operator(np.diag([1.0, 1.0])))
 
     def test_effect_validation(self):
         with pytest.raises(ValueError, match="spectrum"):

@@ -22,7 +22,7 @@ from covpom.abelian import (
 )
 from covpom.cli import _build_grid, _parse_state, build_parser, main
 from covpom.grids import symmetric_grid
-from covpom.hilbert import IntervalCell, Operator, PointCell, RectCell, pure_state
+from covpom.hilbert import IntervalCell, Operator, PointCell, RectCell, make_state, pure_state
 from covpom.phasespace import (
     gaussian_wavefunction,
     hermite_wavefunction,
@@ -63,6 +63,19 @@ class TestRoundTrips:
         st = pure_state([1.0, 1.0j])
         back = io.state_from_json(json.loads(io.dumps(io.state_to_json(st))))
         np.testing.assert_allclose(back.op.mat, st.op.mat, atol=1e-12)
+
+    def test_state_factor_is_written_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        vecs = rng.normal(size=(3, 7)) + 1j * rng.normal(size=(3, 7))
+        st = make_state(list(zip(rng.uniform(0.1, 1.0, size=3), vecs)))
+        doc = json.loads(io.dumps(io.state_to_json(st)))
+        weights = np.array([item["weight"] for item in doc["spectral"]])
+        rows = np.array([item["vector"] for item in doc["spectral"]]).view(complex)[..., 0]
+        assert np.array_equal(weights, st.weights) and np.array_equal(rows, st.vectors)
+        # reading runs make_state's orthonormalisation again, which moves the last bits
+        back = io.state_from_json(doc)
+        np.testing.assert_allclose(back.weights, st.weights, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(back.vectors, st.vectors, rtol=0, atol=1e-14)
 
     def test_pom_with_mixed_cells(self):
         pom = phase_pom(canonical_phase_vectors(3), np.linspace(0, 2 * np.pi, 5))
@@ -325,7 +338,7 @@ class TestCli:
         grid = _build_grid(build_parser().parse_args(argv))
         t = _parse_state(spec, grid)
         qs = ps = np.linspace(-4.0, 4.0, 9)
-        values = phase_space_density(t, t, qs, ps, grid, max_leakage=None).values
+        values = phase_space_density(t, t, qs, ps, grid).values
         expected = "q,p,value\n" + "".join(
             f"{float(q)!r},{float(p)!r},{float(values[i, j])!r}\n"
             for i, q in enumerate(qs)

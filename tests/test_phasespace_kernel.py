@@ -222,7 +222,7 @@ def test_density_matches_per_q_oracle(case, s_rank, data):
     qs = np.array(data.draw(coords))
     ps = np.array(data.draw(coords))
     expected = oracle_density(t, s, qs, ps, grid)
-    got = phase_space_density(t, s, qs, ps, grid, max_leakage=None)
+    got = phase_space_density(t, s, qs, ps, grid)
     assert np.abs(got.values - expected).max() <= TOL
     window_q, window_p = (qs.min(), qs.max()), (ps.min(), ps.max())
     leak = oracle_leakage(t, s, grid, window_q, window_p)

@@ -442,8 +442,8 @@ class TestCoexistenceDiagnostics:
         state = make_state([(w, v * np.sqrt(grid.dx)) for w, v in zip((0.3, 0.7), vecs)])
         pos = np.zeros(grid.n)
         mom = np.zeros(grid.n)
-        for w, vec in state.spectral:
-            psi = np.asarray(vec, dtype=complex) / np.sqrt(grid.dx)
+        for w, vec in zip(state.weights, state.vectors):
+            psi = vec / np.sqrt(grid.dx)
             pos += w * np.abs(psi) ** 2
             mom += w * np.abs(grid.to_momentum(psi)) ** 2
         got_pos, got_mom = _state_densities(state, grid)
