@@ -57,6 +57,34 @@ def spectral_norm(mat: np.ndarray) -> float:
     return float(np.linalg.norm(mat, 2))
 
 
+LANCZOS_TOL = 1e-14  # Ritz residual per unit |Ritz value| at which _lanczos_norm stops
+
+
+def _lanczos_norm(matvec: Callable[[np.ndarray], np.ndarray], start: np.ndarray) -> float:
+    """max |lambda| of a Hermitian operator on C^m known only by its product.
+
+    Lanczos from ``start``, each step reorthogonalised against the whole basis
+    by Gram-Schmidt run twice, without restarts.  The Ritz value theta_i of
+    largest modulus is returned once beta_j |s_ji| <= LANCZOS_TOL |theta_i|
+    (ARPACK's residual test, also met when the Krylov space is invariant,
+    beta_j = 0), or at j = m, where the Ritz values are the eigenvalues.
+    """
+    basis = [start / np.linalg.norm(start)]
+    alpha, beta = [], []
+    while True:
+        w = matvec(basis[-1])
+        alpha.append(np.vdot(basis[-1], w).real)
+        kept = np.array(basis)
+        for _ in range(2):
+            w = w - (kept @ w.conj()).conj() @ kept  # <q_k, w> without a conjugated copy of kept
+        beta.append(np.linalg.norm(w))
+        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], -1))
+        i = np.argmax(np.abs(theta))
+        if beta[-1] * abs(s[-1, i]) <= LANCZOS_TOL * abs(theta[i]) or len(basis) == start.size:
+            return float(abs(theta[i]))
+        basis.append(w / beta[-1])
+
+
 def eigh_fixed(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Hermitian eigendecomposition with a reproducible gauge.
 

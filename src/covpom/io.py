@@ -3,9 +3,9 @@
 Conventions: an operator is {"dim": d, "entries": flat row-major complex
 array}; a state is written in the spectral form {"spectral": [{"weight": w,
 "vector": [...]}]} and read from it or from the operator form {"op": ...},
-which is factored once on reading; a POM is {"space_tag", "outcomes",
-"effects"}.  Group data uses moduli tuples, dual points are encoded as
-comma-joined index strings.  Measures are
+which is factored once on reading and its weights renormalised; a POM is
+{"space_tag", "outcomes", "effects"}.  Group data uses moduli tuples, dual
+points are encoded as comma-joined index strings.  Measures are
 {"atoms": [[x, w]], "density": {"x0", "dx", "values"}}.  In memory the
 documents hold complex ndarrays; ``dumps`` writes each as a list of [re, im]
 pairs, so files are unchanged, and the decoders read either form.
@@ -132,7 +132,8 @@ def state_from_json(obj) -> State:
                 for item in obj["spectral"]
             ]
         )
-    return State.from_operator(operator_from_json(obj["op"]), 1e-8)
+    state = State.from_operator(operator_from_json(obj["op"]), 1e-8)
+    return State(state.weights / state.weights.sum(), state.vectors)  # as make_state leaves them
 
 
 def effect_to_json(effect: Effect) -> dict:

@@ -42,7 +42,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .abelian import FiniteAbelianGroup, MonomialUnitaries
 from .grids import BLOCK_ENTRIES, Grid1D, WaveFunction
-from .hilbert import Effect, Operator, Outcome, PointCell, Pom, RectCell, State
+from .hilbert import Effect, Operator, Outcome, PointCell, Pom, RectCell, State, _lanczos_norm
 from .posmom import ProbMeasure1D, WindowLeakageError, _state_densities, grid_wavefunctions
 
 __all__ = [
@@ -334,16 +334,10 @@ def phase_space_cell_norm(
 ) -> float:
     """Spectral norm of the cell effect (strictly below one on bounded cells).
 
-    The effect G is positive: its norm is the top eigenvalue, found by ARPACK
-    from a fixed start on the block G_II of the support cut I, which lowers it
-    by at most SUPPORT_TOL (module docstring).  The product uses scipy's BLAS,
-    as ARPACK does; numpy's has its own thread pool, and the two contending
-    made two threads 30x slower.
+    The effect G is positive, so its norm is its largest eigenvalue, found by
+    Lanczos from a fixed start on the block G_II of the support cut I, which
+    lowers it by at most SUPPORT_TOL (module docstring).
     """
-    # scipy loads here, not at module level: no other subcommand needs ARPACK
-    from scipy.linalg.blas import zgemv
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
     _check_cell_in_window(cell, grid)
     bank_h = _bank(t_state, cell, grid, order)
     mass = (np.abs(bank_h) ** 2).sum(axis=0) * ((cell.p_hi - cell.p_lo) * grid.dx / (2 * np.pi))
@@ -351,11 +345,8 @@ def phase_space_cell_norm(
     root = 2 * SUPPORT_TOL / (np.sqrt(mass.sum()) + np.sqrt(mass.sum() + 4 * SUPPORT_TOL))
     i0, i1 = _support(mass, root**2)
     mat = _effect_block(bank_h, cell, grid, i0, i1)
-    product = LinearOperator(mat.shape, dtype=complex,
-                             matvec=lambda v: zgemv(1.0, mat.T, v.ravel(), trans=1))
     start = np.random.default_rng(0).standard_normal(grid.n)[i0:i1]
-    top = eigsh(product, k=1, which="LA", v0=start, tol=1e-14, return_eigenvectors=False)
-    return float(top[0])
+    return _lanczos_norm(lambda v: mat @ v, start)
 
 
 def phase_space_pom(

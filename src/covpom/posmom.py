@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .grids import BLOCK_ENTRIES, Grid1D, WaveFunction
-from .hilbert import Effect, Operator, Pom, State, partition_pom
+from .hilbert import Effect, Operator, Pom, State, _lanczos_norm, partition_pom
 
 __all__ = [
     "ProbMeasure1D",
@@ -962,21 +962,18 @@ def noncommutativity_witness(
 
     Samples bounded intervals for both observables and reports the extreme
     commutator norms with their witnesses; some pair must fail to commute.
-    The position effect is diag(a) and the momentum effect the circulant C,
-    so i [diag(a), C] is Hermitian with the matrix-free product
-    v -> i (a * Cv - C(a * v)), two FFTs per C.  ARPACK finds its two
-    eigenvalues of largest modulus (the spectrum can come in +- pairs) from a
-    fixed start, and the norm is the larger modulus.
+    The position effect is diag(q) and the momentum effect the circulant C,
+    so i [diag(q), C] is Hermitian with the matrix-free product
+    v -> i (q * Cv - C(q * v)), two FFTs per C.  Its spectrum can come in
+    +- pairs; Lanczos from a fixed start finds its largest modulus, the norm.
     """
-    # scipy loads here, not at module level: no other caller needs ARPACK
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
     rng = np.random.default_rng(seed)
     pos_obs = SmearedObservable("position", rho, grid)
     mom_obs = SmearedObservable("momentum", nu, grid)
     half_q = grid.length / 4
     half_p = np.pi / grid.dx / 4
     start = np.random.default_rng(0).standard_normal(grid.n)
+    mult = grid.apply_momentum_multiplier
 
     results = []
     for _ in range(n_samples):
@@ -984,17 +981,10 @@ def noncommutativity_witness(
         b = a + rng.uniform(0.2, half_q / 2)
         c = rng.uniform(-half_p, half_p / 2)
         d = c + rng.uniform(0.2, half_p / 2)
-        prof_q, _ = smeared_profile(pos_obs, [(a, b)])
-        prof_p, _ = smeared_profile(mom_obs, [(c, d)])
-
-        def matvec(v, q=prof_q, m=prof_p):
-            v = v.ravel()
-            mult = grid.apply_momentum_multiplier
-            return 1j * (q * mult(m, v) - mult(m, q * v))
-
-        comm = LinearOperator((grid.n, grid.n), matvec=matvec, dtype=complex)
-        vals = eigsh(comm, k=2, which="LM", v0=start, tol=0, return_eigenvectors=False)
-        results.append((float(np.max(np.abs(vals))), ((a, b), (c, d))))
+        q, _ = smeared_profile(pos_obs, [(a, b)])
+        p, _ = smeared_profile(mom_obs, [(c, d)])
+        norm = _lanczos_norm(lambda v: 1j * (q * mult(p, v) - mult(p, q * v)), start)
+        results.append((norm, ((a, b), (c, d))))
     results.sort(key=lambda r: r[0])
     return NoncommutativityReport(
         min_norm=results[0][0],

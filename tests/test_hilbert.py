@@ -12,6 +12,7 @@ from covpom.hilbert import (
     PointCell,
     Pom,
     State,
+    _lanczos_norm,
     check_pom_axioms,
     commutator_norm,
     effect_is_regular,
@@ -371,6 +372,62 @@ class TestCommutatorNorm:
         z = Operator(np.array([[1, 0], [0, -1]], dtype=complex))
         # XZ - ZX = -2iY, spectral norm 2
         assert commutator_norm(x, z) == pytest.approx(2.0, abs=1e-14)
+
+
+def hermitian_with_spectrum(eigenvalues, rng):
+    m = len(eigenvalues)
+    u, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    return (u * np.asarray(eigenvalues)) @ u.conj().T
+
+
+@st.composite
+def spectra(draw):
+    """(kind, eigenvalues, seed) covering the exits and spectra Lanczos meets."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["low-rank", "paired", "clustered", "tiny"]))
+    if kind == "tiny":
+        m = draw(st.integers(1, 2))
+        return kind, rng.uniform(-2.0, 2.0, m), seed
+    m = draw(st.integers(3, 60))
+    if kind == "low-rank":
+        rank = draw(st.integers(1, m - 1))
+        return kind, np.concatenate([rng.uniform(0.1, 1.0, rank), np.zeros(m - rank)]), seed
+    if kind == "paired":
+        half = rng.uniform(0.0, 1.0, m // 2)
+        return kind, np.concatenate([half, -half, np.zeros(m % 2)]), seed
+    gap = draw(st.floats(1e-9, 1e-7))
+    return kind, np.concatenate([[1.0, 1.0 - gap], rng.uniform(0.0, 0.9, m - 2)]), seed
+
+
+class TestLanczosNorm:
+    @settings(max_examples=200, deadline=None)
+    @given(case=spectra())
+    def test_matches_dense_eigvalsh(self, case):
+        kind, eigenvalues, seed = case
+        rng = np.random.default_rng(seed)
+        mat = hermitian_with_spectrum(eigenvalues, rng)
+        got = _lanczos_norm(lambda v: mat @ v, rng.standard_normal(len(eigenvalues)))
+        expected = np.abs(np.linalg.eigvalsh(mat)).max()
+        assert got == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_stops_once_the_krylov_space_is_invariant(self, rank):
+        # exactly after rank + 1 steps; rounding in the basis may cost one more
+        rng = np.random.default_rng(0)
+        mat = hermitian_with_spectrum(np.r_[rng.uniform(0.1, 1.0, rank), np.zeros(64 - rank)], rng)
+        calls = []
+
+        def matvec(v):
+            calls.append(None)
+            return mat @ v
+
+        got = _lanczos_norm(matvec, rng.standard_normal(64))
+        assert got == pytest.approx(np.linalg.eigvalsh(mat).max(), rel=1e-12, abs=0)
+        assert len(calls) <= rank + 2
+
+    def test_zero_operator(self):
+        assert _lanczos_norm(lambda v: 0 * v, np.ones(5)) == 0.0
 
 
 class TestOperatorOwnership:

@@ -549,6 +549,19 @@ class TestOperatorOnlyStates:
             rows[form] = np.loadtxt(out, delimiter=",", skiprows=1)
         np.testing.assert_allclose(rows["op"], rows["spectral"], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("offset, code", [(5e-9, 0), (1e-6, 2)])
+    def test_finite_weyl_takes_every_trace_the_reader_accepts(self, capsys, tmp_path, offset, code):
+        # the reader accepts a trace within 1e-8 of one; the POM checks its state at 1e-10
+        path = tmp_path / "op.json"
+        path.write_text(io.dumps({"op": io.operator_to_json(
+            Operator(np.diag([0.5 + offset, 0.3, 0.2]).astype(complex)))}))
+        assert main(["finite-weyl", "--dim", "3", "--state", str(path)]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert all(c["pass"] for c in json.loads(captured.out)["checks"])
+        else:
+            assert "trace" in captured.err
+
     def test_distribution_rejects_mixed_op_state(self, capsys, state_files):
         f = state_files
         code = main(["smeared", "distribution", "--measure", str(f["measure"]),
@@ -558,11 +571,11 @@ class TestOperatorOnlyStates:
         assert "pure state" in capsys.readouterr().err
 
 
-class TestImportScope:
-    """Only ARPACK loads scipy: every other subcommand runs on numpy alone.
+class TestNoSubcommandLoadsScipy:
+    """Every subcommand runs on numpy alone.
 
     The tests import scipy themselves, so the subcommands run in a fresh
-    interpreter, all in one, in the order below.
+    interpreter, all in one.
     """
 
     SCRIPT = """
@@ -570,15 +583,12 @@ import json, sys
 from contextlib import redirect_stdout
 from io import StringIO
 from covpom.cli import main
-before, after = json.loads(sys.argv[1])
 with redirect_stdout(StringIO()):
-    codes = [main(argv) for argv in before]
-    loaded = "scipy" in sys.modules
-    codes.append(main(after))
-print(json.dumps({"codes": codes, "before": loaded, "after": "scipy" in sys.modules}))
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
-    def test_only_the_cell_norm_loads_scipy(self, tmp_path):
+    def test_no_subcommand_loads_scipy(self, tmp_path):
         g = FiniteAbelianGroup((4,))
         rep = DiagonalRep(g, (RepBlock.from_mapping({(x,): 1.0 for x in range(4)}, 1),))
         inputs = {
@@ -592,7 +602,7 @@ print(json.dumps({"codes": codes, "before": loaded, "after": "scipy" in sys.modu
         for name, text in inputs.items():
             (tmp_path / name).write_text(text)
         grid = ["--grid-n", "256", "--window", "12"]
-        before = [
+        argvs = [
             ["phase", "--dim", "4", "--cells", "4", "--out", "p.json"],
             ["phase-diff", "--dim", "3", "--cells", "6"],
             ["abelian-pom", "--in", "bundle.json"],
@@ -607,15 +617,14 @@ print(json.dumps({"codes": codes, "before": loaded, "after": "scipy" in sys.modu
             ["phasespace", "margins", "--t", "psi.json", *grid],
             ["phasespace", "density", "--t", "psi.json", "--samples", "5", *grid],
             ["phasespace", "roi", "--t", "psi.json", "--n-test", "6", "--quad-order", "8", *grid],
+            ["phasespace", "norm", "--t", "psi.json", "--quad-order", "8", *grid],
         ]
-        after = ["phasespace", "norm", "--t", "psi.json", "--quad-order", "8", *grid]
         src = os.path.dirname(os.path.dirname(covpom.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         got = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, json.dumps([before, after])],
+            [sys.executable, "-c", self.SCRIPT, json.dumps(argvs)],
             capture_output=True, text=True, check=True, env=env, cwd=tmp_path,
         )
         result = json.loads(got.stdout)
-        assert result["codes"] == [0] * (len(before) + 1), got.stderr
-        assert result["before"] is False
-        assert result["after"] is True
+        assert result["codes"] == [0] * len(argvs), got.stderr
+        assert result["scipy"] == []
