@@ -28,7 +28,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -151,13 +151,15 @@ def _code_of(group: FiniteAbelianGroup, digits) -> np.ndarray:
     return np.asarray(digits) % group.moduli @ group._strides
 
 
-def _codes(group: FiniteAbelianGroup, elems: Sequence[Element]) -> np.ndarray:
-    """Codes of element tuples, which must lie in the group; they ascend as the tuples do."""
-    elems = [tuple(a) for a in elems]
-    bad = [a for a in elems if not group.contains(a)]
-    if bad:
-        raise ValueError(f"element {bad[0]} outside the parent group")
-    return _code_of(group, np.array(elems, dtype=np.int64).reshape(len(elems), len(group.moduli)))
+def _codes(group: FiniteAbelianGroup, elems) -> np.ndarray:
+    """Codes of element rows (s, rank), which must lie in the group; they ascend as the rows do."""
+    rows = np.asarray(elems, dtype=np.int64)
+    if rows.ndim != 2 or rows.shape[1] != len(group.moduli):
+        raise ValueError(f"elements of rank {len(group.moduli)} needed, not shape {rows.shape}")
+    bad = np.flatnonzero(np.any((rows < 0) | (rows >= group.moduli), axis=1))
+    if bad.size:
+        raise ValueError(f"element {tuple(rows[bad[0]].tolist())} outside the parent group")
+    return rows @ group._strides
 
 
 def _tuples(group: FiniteAbelianGroup, codes) -> Tuple[Element, ...]:
@@ -290,17 +292,6 @@ def _coset_table(group: FiniteAbelianGroup, sub: Subgroup) -> np.ndarray:
     return _dual_coset_table(group, annihilator(group, sub))
 
 
-def cosets(group: FiniteAbelianGroup, sub: Subgroup) -> Tuple[Tuple[Element, ...], ...]:
-    """Cosets of the subgroup, each sorted, ordered by their representative."""
-    table = _coset_table(group, sub)
-    order = np.argsort(table, kind="stable")
-    starts = np.flatnonzero(np.diff(table[order]))
-    elems = group.elements()
-    return tuple(
-        tuple(elems[i] for i in chunk) for chunk in np.split(order, starts + 1)
-    )
-
-
 def coset_representatives(
     group: FiniteAbelianGroup, sub: Subgroup
 ) -> Tuple[Element, ...]:
@@ -316,163 +307,171 @@ def _hperp_mask(group: FiniteAbelianGroup, xs: np.ndarray, sub: Subgroup) -> np.
 # --- diagonal representations and isometry families -----------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RepBlock:
-    """One multiplicity block: nonnegative weights on dual points.
+    """One multiplicity block: positive weights on dual points.
 
-    ``weights`` maps dual elements to strictly positive reals (the support);
-    ``mult`` is the dimension of the multiplicity space.
+    ``points`` (s, rank) are the supported dual points in ascending row
+    order and ``weights`` (s,) their finite, strictly positive weights, both
+    read-only arrays; ``mult`` is the dimension of the multiplicity space.
     """
 
-    weights: Tuple[Tuple[Element, float], ...]
+    points: np.ndarray
+    weights: np.ndarray
     mult: int
 
-    def __post_init__(self):
-        if self.mult < 1:
+    def __init__(self, points, weights, mult: int):
+        points = np.array(points, dtype=np.int64)
+        weights = np.array(weights, dtype=float)
+        if mult < 1:
             raise ValueError("multiplicity must be positive")
-        if not self.weights:
+        if not weights.size:
             raise ValueError("block has empty support")
-        for x, w in self.weights:
-            if w <= 0:
-                raise ValueError(f"non-positive weight {w} at {x}")
-        object.__setattr__(self, "weights", tuple(sorted(self.weights)))
+        if points.ndim != 2 or weights.shape != points.shape[:1]:
+            shapes = f"{weights.shape} and {points.shape}"
+            raise ValueError(f"need one weight per point row, not shapes {shapes}")
+        bad = np.flatnonzero(~(np.isfinite(weights) & (weights > 0)))
+        if bad.size:
+            x = tuple(points[bad[0]].tolist())
+            raise ValueError(f"weight {weights[bad[0]]} at {x} is not positive and finite")
+        order = np.lexsort(points.T[::-1])
+        for name, arr in (("points", points[order]), ("weights", weights[order])):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "mult", int(mult))
 
     @classmethod
     def from_mapping(cls, weights: Mapping[Element, float], mult: int) -> "RepBlock":
-        return cls(tuple((tuple(x), float(w)) for x, w in weights.items() if w > 0), mult)
-
-    def weight_map(self) -> Dict[Element, float]:
-        return dict(self.weights)
-
-    def support(self) -> Tuple[Element, ...]:
-        return tuple(x for x, _ in self.weights)
+        """The block on the points of nonzero weight: a weight of exactly 0 is no support."""
+        kept = [(tuple(x), float(w)) for x, w in weights.items() if w != 0]
+        by_rank = {len(x): x for x, _ in kept}
+        if len(by_rank) > 1:
+            raise ValueError(f"points {' and '.join(map(str, by_rank.values()))} differ in rank")
+        return cls([x for x, _ in kept], [w for _, w in kept], mult)
 
 
 @dataclass(frozen=True)
 class DiagonalRep:
-    """Unitary representation acting diagonally on dual-indexed fibers."""
+    """Unitary representation acting diagonally on dual-indexed fibers.
+
+    Its orthonormal basis is (block k, dual point x, fiber i) in that nesting
+    order, the points of a block ascending; ``codes`` holds the code of the
+    dual point of each basis vector.
+    """
 
     group: FiniteAbelianGroup
     blocks: Tuple[RepBlock, ...]
+    codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.blocks:
             raise ValueError("representation needs at least one block")
-        seen: set = set()
-        for blk in self.blocks:
-            sup = set(blk.support())
-            if seen & sup:
-                raise ValueError("block weight supports must be pairwise disjoint")
-            seen |= sup
-
-    def basis(self) -> Tuple[Tuple[int, Element, int], ...]:
-        """Orthonormal basis labels (block index, dual point, fiber index)."""
-        out = []
-        for k, blk in enumerate(self.blocks):
-            for x in blk.support():
-                for i in range(blk.mult):
-                    out.append((k, x, i))
-        return tuple(out)
+        points = [_codes(self.group, blk.points) for blk in self.blocks]
+        if np.unique(np.concatenate(points)).size != sum(p.size for p in points):
+            raise ValueError("block weight supports must be pairwise disjoint")
+        codes = np.concatenate([np.repeat(p, blk.mult) for p, blk in zip(points, self.blocks)])
+        codes.setflags(write=False)
+        object.__setattr__(self, "codes", codes)
 
     @property
     def dim(self) -> int:
-        return sum(len(blk.weights) * blk.mult for blk in self.blocks)
-
-    def total_weight(self, x: Element) -> float:
-        return sum(blk.weight_map().get(x, 0.0) for blk in self.blocks)
+        return self.codes.size
 
 
-def _basis_codes(rep: DiagonalRep) -> np.ndarray:
-    """Code of the dual point of each basis vector, in ``rep.basis()`` order."""
-    codes = [np.repeat(_codes(rep.group, blk.support()), blk.mult) for blk in rep.blocks]
-    return np.concatenate(codes)
+def _point_blocks(rep: DiagonalRep, columns: np.ndarray) -> list:
+    """Per block k, its isometries W_k(x) over the points x, stacked: (s_k, aux_dim, mult_k)."""
+    sizes = [len(blk.weights) * blk.mult for blk in rep.blocks]
+    return [
+        part.reshape(len(columns), len(blk.weights), blk.mult).transpose(1, 0, 2)
+        for blk, part in zip(rep.blocks, np.split(columns, np.cumsum(sizes)[:-1], axis=1))
+    ]
 
 
-def _columns(rep: DiagonalRep, isometries: "IsometryFamily") -> np.ndarray:
-    """The isometries W_k(x) side by side in basis order: aux_dim x dim."""
-    return np.concatenate(
-        [isometries.matrix(k, x) for k, blk in enumerate(rep.blocks) for x in blk.support()],
-        axis=1,
-    )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsometryFamily:
-    """Per block, a map from supported dual points to aux_dim x mult isometries."""
+    """The isometries W_k(x) side by side in the basis order of a representation.
 
-    aux_dim: int
-    blocks: Tuple[Tuple[Tuple[Element, np.ndarray], ...], ...]
+    ``columns`` is one read-only aux_dim x dim array: the columns of basis
+    vectors (k, x, 0), ..., (k, x, mult_k - 1) hold W_k(x).
+    """
+
+    columns: np.ndarray
+
+    def __init__(self, columns):
+        columns = np.array(columns, dtype=complex, order="C")
+        if columns.ndim != 2:
+            raise ValueError(f"isometry columns must be a matrix, not shape {columns.shape}")
+        columns.setflags(write=False)
+        object.__setattr__(self, "columns", columns)
+
+    @property
+    def aux_dim(self) -> int:
+        return self.columns.shape[0]
 
     @classmethod
     def from_mappings(
-        cls, aux_dim: int, blocks: Sequence[Mapping[Element, np.ndarray]]
+        cls, rep: DiagonalRep, aux_dim: int, blocks: Sequence[Mapping[Element, np.ndarray]]
     ) -> "IsometryFamily":
-        frozen = []
-        for blk in blocks:
-            entries = []
-            for x, mat in sorted(blk.items()):
-                arr = np.asarray(mat, dtype=complex).copy()
-                arr.setflags(write=False)
-                entries.append((tuple(x), arr))
-            frozen.append(tuple(entries))
-        return cls(aux_dim, tuple(frozen))
-
-    @cached_property
-    def _lookup(self) -> Tuple[Dict[Element, np.ndarray], ...]:
-        return tuple(dict(blk) for blk in self.blocks)
-
-    def matrix(self, k: int, x: Element) -> np.ndarray:
-        try:
-            return self._lookup[k][tuple(x)]
-        except KeyError:
-            raise KeyError(f"no isometry for block {k} at dual point {x}") from None
+        """The family with W_k(x) = ``blocks[k][x]``, aux_dim x mult_k, at each point of ``rep``."""
+        if len(blocks) != len(rep.blocks):
+            raise ValueError("isometry family and representation block counts differ")
+        mats = []
+        for k, (blk, given) in enumerate(zip(rep.blocks, blocks)):
+            for x in map(tuple, blk.points.tolist()):
+                if x not in given:
+                    raise KeyError(f"no isometry for block {k} at dual point {x}")
+                mats.append(np.asarray(given[x], dtype=complex))
+                if mats[-1].shape != (aux_dim, blk.mult):
+                    raise ValueError(
+                        f"isometry at block {k}, {x} has shape {mats[-1].shape}, "
+                        f"expected {(aux_dim, blk.mult)}"
+                    )
+        return cls(np.concatenate(mats, axis=1))
 
     def validate(self, rep: DiagonalRep, tol: float = 1e-12) -> None:
-        if len(self.blocks) != len(rep.blocks):
-            raise ValueError("isometry family and representation block counts differ")
-        for k, blk in enumerate(rep.blocks):
-            for x in blk.support():
-                w = self.matrix(k, x)
-                if w.shape != (self.aux_dim, blk.mult):
-                    raise ValueError(
-                        f"isometry at block {k}, {x} has shape {w.shape}, "
-                        f"expected {(self.aux_dim, blk.mult)}"
-                    )
-                defect = np.linalg.norm(w.conj().T @ w - np.eye(blk.mult), 2)
-                if defect > tol:
-                    raise ValueError(
-                        f"W_{k}({x}) is not an isometry (defect {defect:.3e})"
-                    )
+        """Raise unless each ||W_k(x)* W_k(x) - I|| <= tol, naming a block's first worst point."""
+        if self.columns.shape[1] != rep.dim:
+            raise ValueError(
+                f"isometry family has {self.columns.shape[1]} columns, "
+                f"the representation dimension is {rep.dim}"
+            )
+        for k, (blk, w) in enumerate(zip(rep.blocks, _point_blocks(rep, self.columns))):
+            gram = w.conj().transpose(0, 2, 1) @ w - np.eye(blk.mult)
+            defects = np.linalg.norm(gram, 2, axis=(1, 2))
+            i = int(np.argmax(defects))
+            if defects[i] > tol:
+                x = tuple(blk.points[i].tolist())
+                raise ValueError(f"W_{k}({x}) is not an isometry (defect {defects[i]:.3e})")
 
 
 def random_isometries(
     rep: DiagonalRep, aux_dim: int, rng: np.random.Generator
 ) -> IsometryFamily:
-    """Haar-ish random isometries consistent with the representation."""
+    """Haar-ish random isometries consistent with the representation.
+
+    Per point in basis order, a real then an imaginary Gaussian aux_dim x
+    mult block is drawn and orthonormalised by QR.
+    """
     max_mult = max(blk.mult for blk in rep.blocks)
     if aux_dim < max_mult:
         raise ValueError(f"aux_dim {aux_dim} below maximal multiplicity {max_mult}")
-    blocks = []
+    parts = []
     for blk in rep.blocks:
-        entries = {}
-        for x in blk.support():
-            a = rng.normal(size=(aux_dim, blk.mult)) + 1j * rng.normal(
-                size=(aux_dim, blk.mult)
-            )
-            q, _ = np.linalg.qr(a)
-            entries[x] = q[:, : blk.mult]
-        blocks.append(entries)
-    return IsometryFamily.from_mappings(aux_dim, blocks)
+        a = rng.normal(size=(len(blk.weights), 2, aux_dim, blk.mult))
+        q, _ = np.linalg.qr(a[:, 0] + 1j * a[:, 1])
+        parts.append(q.transpose(1, 0, 2).reshape(aux_dim, -1))
+    return IsometryFamily(np.concatenate(parts, axis=1))
 
 
 # --- admissibility densities ----------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceDensities:
-    admits: bool
-    nu_tilde: Dict[Element, float]
-    alpha: Tuple[Dict[Element, float], ...]
+    """``nu_tilde`` (|G|,) and ``alpha`` (blocks, |G|), each indexed by the code of a dual point."""
+
+    nu_tilde: np.ndarray
+    alpha: np.ndarray
 
 
 def covariance_densities(rep: DiagonalRep, sub: Subgroup) -> CovarianceDensities:
@@ -486,16 +485,11 @@ def covariance_densities(rep: DiagonalRep, sub: Subgroup) -> CovarianceDensities
     group = rep.group
     weights = np.zeros((len(rep.blocks), group.order))
     for k, blk in enumerate(rep.blocks):
-        weights[k, _codes(group, blk.support())] = [w for _, w in blk.weights]
+        weights[k, _codes(group, blk.points)] = blk.weights
     dual = _dual_coset_table(group, sub)
     nu_tilde = np.bincount(dual, weights=weights.sum(axis=0), minlength=group.order)[dual]
     alpha = np.divide(weights, nu_tilde, out=np.zeros_like(weights), where=weights > 0)
-    elems = group.elements()
-    return CovarianceDensities(
-        admits=True,
-        nu_tilde=dict(zip(elems, nu_tilde.tolist())),
-        alpha=tuple(dict(zip(elems, a)) for a in alpha.tolist()),
-    )
+    return CovarianceDensities(nu_tilde, alpha)
 
 
 # --- the covariant POM construction ---------------------------------------
@@ -522,8 +516,8 @@ def build_covariant_pom(
     group = rep.group
     isometries.validate(rep)
     reps = np.unique(_coset_table(group, sub))
-    dual = _basis_codes(rep)
-    cols = _columns(rep, isometries)
+    dual = rep.codes
+    cols = isometries.columns
     seed = np.where(_hperp_mask(group, dual, sub), cols.conj().T @ cols, 0) / reps.size
     effects = tuple(
         Effect(Operator(seed * np.outer(p, p.conj())))
@@ -587,9 +581,8 @@ class MonomialUnitaries(Mapping):
 
 def diagonal_unitaries(rep: DiagonalRep) -> MonomialUnitaries:
     """The representation matrices U(g): diagonal phases <x, g> per fiber."""
-    group = rep.group
-    dual = _basis_codes(rep)
-    return MonomialUnitaries(group, rep.dim, lambda codes: (_pairings(group, codes, dual), None))
+    dual = rep.codes
+    return MonomialUnitaries(rep.group, dual.size, lambda g: (_pairings(rep.group, g, dual), None))
 
 
 def coset_action(
@@ -812,7 +805,7 @@ def verify_pom_equivalence(
     dens = covariance_densities(rep, sub)
     s_mats = []
     for k, blk in enumerate(rep.blocks):
-        for x in blk.support():
+        for x in map(tuple, blk.points.tolist()):
             s = np.asarray(intertwiners[k][x], dtype=complex)
             if s.shape != (blk.mult, blk.mult):
                 raise ValueError(f"S_{k}({x}) has wrong shape {s.shape}")
@@ -821,14 +814,15 @@ def verify_pom_equivalence(
             s_mats.append(s)
     s_full = _block_diag(s_mats)
 
-    first = _columns(rep, w_first)
-    second = _columns(rep, w_second) @ s_full
+    first = w_first.columns
+    second = w_second.columns @ s_full
     diff = first.conj().T @ first
     diff -= second.conj().T @ second
-    diff *= np.sqrt([dens.alpha[k][x] for k, x, _ in rep.basis()])
-    diff[~_hperp_mask(rep.group, _basis_codes(rep), sub)] = 0
     sizes = [(len(blk.weights), blk.mult) for blk in rep.blocks]
     ends = np.cumsum([0] + [n * m for n, m in sizes])
+    block_of = np.repeat(np.arange(len(rep.blocks)), np.diff(ends))
+    diff *= np.sqrt(dens.alpha[block_of, rep.codes])
+    diff[~_hperp_mask(rep.group, rep.codes, sub)] = 0
     max_defect = 0.0
     witness = None
     for j, k in itertools.product(range(len(rep.blocks)), repeat=2):
@@ -837,7 +831,8 @@ def verify_pom_equivalence(
         x, xp = np.unravel_index(np.argmax(defects), defects.shape)
         if defects[x, xp] > max_defect:
             max_defect = float(defects[x, xp])
-            witness = (j, k, rep.blocks[j].support()[x], rep.blocks[k].support()[xp])
+            witness = (j, k, tuple(rep.blocks[j].points[x].tolist()),
+                       tuple(rep.blocks[k].points[xp].tolist()))
 
     equivalent = max_defect <= tol
     conj_defect = None

@@ -162,7 +162,7 @@ def cmd_abelian_pom(args) -> int:
     group = rep_obj.group
     sub = io.subgroup_from_json(bundle["subgroup"], parent=group)
     if "isometries" in bundle:
-        fam = io.isometries_from_json(bundle["isometries"])
+        fam = io.isometries_from_json(bundle["isometries"], rep_obj)
     else:
         rng = np.random.default_rng(args.seed)
         aux = int(bundle.get("aux_dim", max(b.mult for b in rep_obj.blocks)))

@@ -38,7 +38,6 @@ __all__ = [
     "effect_is_regular",
     "commutator_norm",
     "spectral_norm",
-    "eigh_fixed",
 ]
 
 # Tolerance for algebraically exact constructions (finite groups, closed-form
@@ -83,22 +82,6 @@ def _lanczos_norm(matvec: Callable[[np.ndarray], np.ndarray], start: np.ndarray)
         if beta[-1] * abs(s[-1, i]) <= LANCZOS_TOL * abs(theta[i]) or len(basis) == start.size:
             return float(abs(theta[i]))
         basis.append(w / beta[-1])
-
-
-def eigh_fixed(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Hermitian eigendecomposition with a reproducible gauge.
-
-    Eigenvalues ascend; each eigenvector is rephased so its
-    largest-magnitude component is real and positive.
-    """
-    vals, vecs = np.linalg.eigh(np.asarray(mat, dtype=complex))
-    for i in range(vecs.shape[1]):
-        col = vecs[:, i]
-        j = int(np.argmax(np.abs(col)))
-        pivot = col[j]
-        if abs(pivot) > 0:
-            vecs[:, i] = col * (abs(pivot) / pivot)
-    return vals, vecs
 
 
 @dataclass(frozen=True)
@@ -184,35 +167,16 @@ class State:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def validate(self, tol: float = EXACT_TOL) -> None:
-        """Check the factor in O(dim r^2): weights >= 0 summing to one, orthonormal vectors."""
-        if self.weights.min() < 0:
-            raise ValueError(f"negative spectral weight {self.weights.min():.3e}")
-        if abs(self.weights.sum() - 1.0) > tol:
-            raise ValueError("spectral weights do not sum to 1")
-        gram = self.vectors.conj() @ self.vectors.T
-        if spectral_norm(gram - np.eye(self.weights.size)) > tol:
-            raise ValueError("spectral vectors are not orthonormal")
-
 
 @dataclass(frozen=True)
 class Effect:
-    """Hermitian operator with spectrum in [0, 1] (within tolerance)."""
+    """Hermitian operator with spectrum in [0, 1]; ``check_pom_axioms`` checks a POM's effects."""
 
     op: Operator
 
     @property
     def dim(self) -> int:
         return self.op.dim
-
-    def validate(self, tol: float = EXACT_TOL) -> None:
-        if not self.op.is_hermitian(tol):
-            raise ValueError("effect is not Hermitian")
-        eigs = np.linalg.eigvalsh(self.op.mat)
-        if eigs.min() < -tol or eigs.max() > 1.0 + tol:
-            raise ValueError(
-                f"effect spectrum [{eigs.min():.3e}, {eigs.max():.3e}] leaves [0, 1]"
-            )
 
 
 # --- outcome cells -------------------------------------------------------

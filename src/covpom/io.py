@@ -5,10 +5,13 @@ array}; a state is written in the spectral form {"spectral": [{"weight": w,
 "vector": [...]}]} and read from it or from the operator form {"op": ...},
 which is factored once on reading and its weights renormalised; a POM is
 {"space_tag", "outcomes", "effects"}.  Group data uses moduli tuples, dual
-points are encoded as comma-joined index strings.  Measures are
-{"atoms": [[x, w]], "density": {"x0", "dx", "values"}}.  In memory the
-documents hold complex ndarrays; ``dumps`` writes each as a list of [re, im]
-pairs, so files are unchanged, and the decoders read either form.
+points are encoded as comma-joined index strings; isometries are keyed by
+dual point and read and written against a representation, which orders
+them.  Measures are {"atoms": [[x, w]], "density": {"x0", "dx", "values"}}.
+The codecs cover the files the CLI reads and writes, and the writers of its
+state and group-bundle inputs.  In memory the documents hold complex
+ndarrays; ``dumps`` writes each as a list of [re, im] pairs, so files are
+unchanged, and the decoders read either form.
 """
 
 from __future__ import annotations
@@ -18,8 +21,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .abelian import DiagonalRep, FiniteAbelianGroup, IsometryFamily, RepBlock, Subgroup
-from .grids import Grid1D, WaveFunction
+from .abelian import (
+    DiagonalRep,
+    FiniteAbelianGroup,
+    IsometryFamily,
+    RepBlock,
+    Subgroup,
+    _point_blocks,
+)
+from .grids import Grid1D
 from .hilbert import (
     Effect,
     IntervalCell,
@@ -43,20 +53,14 @@ __all__ = [
     "effect_from_json",
     "pom_to_json",
     "pom_from_json",
-    "grid_to_json",
-    "grid_from_json",
     "measure_to_json",
     "measure_from_json",
-    "group_to_json",
-    "group_from_json",
     "subgroup_to_json",
     "subgroup_from_json",
     "rep_to_json",
     "rep_from_json",
     "isometries_to_json",
     "isometries_from_json",
-    "wavefunction_to_json",
-    "wavefunction_from_json",
 ]
 
 
@@ -188,14 +192,6 @@ def pom_from_json(obj) -> Pom:
     return Pom(str(obj["space_tag"]), outcomes, effects)
 
 
-def grid_to_json(grid: Grid1D) -> dict:
-    return {"n": grid.n, "x0": grid.x0, "dx": grid.dx}
-
-
-def grid_from_json(obj) -> Grid1D:
-    return Grid1D(int(obj["n"]), float(obj["x0"]), float(obj["dx"]))
-
-
 def measure_to_json(measure: ProbMeasure1D) -> dict:
     out: dict = {"atoms": [[x, w] for x, w in measure.atoms]}
     if measure.density is not None:
@@ -217,24 +213,7 @@ def measure_from_json(obj) -> ProbMeasure1D:
     return ProbMeasure1D(atoms=atoms, grid=grid, density=values)
 
 
-def wavefunction_to_json(psi: WaveFunction) -> dict:
-    return {"grid": grid_to_json(psi.grid), "values": _cvector_to_json(psi.values)}
-
-
-def wavefunction_from_json(obj) -> WaveFunction:
-    grid = grid_from_json(obj["grid"])
-    return WaveFunction(grid, _cvector_from_json(obj["values"]))
-
-
 # --- group-side data --------------------------------------------------------
-
-
-def group_to_json(group: FiniteAbelianGroup) -> dict:
-    return {"moduli": list(group.moduli)}
-
-
-def group_from_json(obj) -> FiniteAbelianGroup:
-    return FiniteAbelianGroup(tuple(int(m) for m in obj["moduli"]))
 
 
 def subgroup_to_json(sub: Subgroup) -> dict:
@@ -263,7 +242,7 @@ def rep_to_json(rep: DiagonalRep) -> dict:
         "moduli": list(rep.group.moduli),
         "blocks": [
             {
-                "weights": {_dual_key(x): w for x, w in blk.weights},
+                "weights": dict(zip(map(_dual_key, blk.points.tolist()), blk.weights.tolist())),
                 "mult": blk.mult,
             }
             for blk in rep.blocks
@@ -293,23 +272,21 @@ def _cmatrix_from_json(obj) -> np.ndarray:
     return _cvector_from_json(obj["entries"]).reshape(shape)
 
 
-def isometries_to_json(fam: IsometryFamily) -> dict:
+def isometries_to_json(fam: IsometryFamily, rep: DiagonalRep) -> dict:
+    """Each W_k(x) under its dual point; ``rep`` orders the columns of ``fam``."""
     return {
         "aux_dim": fam.aux_dim,
         "blocks": [
-            {"entries": {_dual_key(x): _cmatrix_to_json(m) for x, m in blk}}
-            for blk in fam.blocks
+            {"entries": {_dual_key(x): _cmatrix_to_json(m) for x, m in zip(blk.points.tolist(), w)}}
+            for blk, w in zip(rep.blocks, _point_blocks(rep, fam.columns))
         ],
     }
 
 
-def isometries_from_json(obj) -> IsometryFamily:
-    blocks = []
-    for blk in obj["blocks"]:
-        blocks.append(
-            {
-                _dual_from_key(k): _cmatrix_from_json(m)
-                for k, m in blk["entries"].items()
-            }
-        )
-    return IsometryFamily.from_mappings(int(obj["aux_dim"]), blocks)
+def isometries_from_json(obj, rep: DiagonalRep) -> IsometryFamily:
+    """The family of the matrices keyed by dual point, in the basis order of ``rep``."""
+    blocks = [
+        {_dual_from_key(k): _cmatrix_from_json(m) for k, m in blk["entries"].items()}
+        for blk in obj["blocks"]
+    ]
+    return IsometryFamily.from_mappings(rep, int(obj["aux_dim"]), blocks)

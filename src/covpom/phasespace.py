@@ -463,13 +463,14 @@ def finite_weyl_pom(d: int, t_state: State) -> Pom:
 
     Normalisation is exact by the orthogonality of the discrete Weyl
     operators, and covariance under the projective Weyl action is exact
-    because the composition phases cancel in conjugation.
+    because the composition phases cancel in conjugation.  ``t_state`` is
+    taken as checked where it was made (``make_state``, ``State.from_operator``
+    or ``io.state_from_json``).
     """
     if d < 2:
         raise ValueError("need dimension at least 2")
     if t_state.dim != d:
         raise ValueError("state dimension does not match d")
-    t_state.validate(1e-10)
     effects = finite_weyl_unitaries(d).conjugate(np.arange(d * d), t_state.op.mat / d)
     outcomes = tuple(
         Outcome(f"({a},{b})", PointCell((a, b))) for a in range(d) for b in range(d)

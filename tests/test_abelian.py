@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
@@ -22,7 +22,6 @@ from covpom.abelian import (
     build_covariant_pom,
     coset_action,
     coset_representatives,
-    cosets,
     covariance_densities,
     diagonal_unitaries,
     dual_translation_matrix,
@@ -39,6 +38,39 @@ from oracles import finite_weyl_matrix
 
 
 # --- loop forms of the array code, kept as oracles -------------------------
+
+
+def points(blk):
+    """The dual points of a block as tuples, in its order."""
+    return [tuple(x) for x in blk.points.tolist()]
+
+
+def basis_loop(rep):
+    """Basis labels (block k, dual point x, fiber i) in basis order."""
+    return [
+        (k, x, i) for k, blk in enumerate(rep.blocks) for x in points(blk) for i in range(blk.mult)
+    ]
+
+
+def isometry(rep, fam, k, x):
+    """W_k(x): the columns of the family at the basis vectors (k, x, i)."""
+    cols = [i for i, label in enumerate(basis_loop(rep)) if label[:2] == (k, tuple(x))]
+    return fam.columns[:, cols]
+
+
+def total_weight(rep, x):
+    return sum(w for blk in rep.blocks for y, w in zip(points(blk), blk.weights) if y == x)
+
+
+def validate_loop(rep, fam, tol):
+    """(k, x, defect) of the first point whose W_k(x) is not an isometry within tol, or None."""
+    for k, blk in enumerate(rep.blocks):
+        for x in points(blk):
+            w = isometry(rep, fam, k, x)
+            defect = float(np.linalg.norm(w.conj().T @ w - np.eye(blk.mult), 2))
+            if defect > tol:
+                return k, x, defect
+    return None
 
 
 def subgroup_check_loop(parent, elements):
@@ -128,22 +160,25 @@ def verify_pom_equivalence_loop(rep, sub, w_first, w_second, intertwiners, tol=1
     the first pair of largest defect.
     """
     group = rep.group
+    code = {x: i for i, x in enumerate(group.elements())}
     dens = covariance_densities(rep, sub)
     hperp = set(annihilator_loop(group, sub))
     s_maps = [{x: np.asarray(s, dtype=complex) for x, s in blk.items()} for blk in intertwiners]
     defects = {}
     for j, blkj in enumerate(rep.blocks):
         for k, blkk in enumerate(rep.blocks):
-            for x in blkj.support():
-                for xp in blkk.support():
+            for x in points(blkj):
+                for xp in points(blkk):
                     if group.sub(x, xp) not in hperp:
                         continue
-                    root = np.sqrt(dens.alpha[k][xp])
-                    lhs = root * (w_first.matrix(j, x).conj().T @ w_first.matrix(k, xp))
+                    root = np.sqrt(dens.alpha[k, code[xp]])
+                    lhs = root * (
+                        isometry(rep, w_first, j, x).conj().T @ isometry(rep, w_first, k, xp)
+                    )
                     rhs = root * (
                         s_maps[j][x].conj().T
-                        @ w_second.matrix(j, x).conj().T
-                        @ w_second.matrix(k, xp)
+                        @ isometry(rep, w_second, j, x).conj().T
+                        @ isometry(rep, w_second, k, xp)
                         @ s_maps[k][xp]
                     )
                     defects[(j, k, x, xp)] = float(np.linalg.norm(lhs - rhs, 2))
@@ -157,7 +192,7 @@ def verify_pom_equivalence_loop(rep, sub, w_first, w_second, intertwiners, tol=1
         first = build_covariant_pom(rep, sub, w_first)
         second = build_covariant_pom(rep, sub, w_second)
         s_full = block_diag_loop(
-            [s_maps[k][x] for k, blk in enumerate(rep.blocks) for x in blk.support()]
+            [s_maps[k][x] for k, blk in enumerate(rep.blocks) for x in points(blk)]
         )
         conj_defect = 0.0
         for e1, e2 in zip(first.effects, second.effects):
@@ -182,16 +217,17 @@ def build_covariant_pom_loop(rep, sub, isometries):
     reps = [coset[0] for coset in cosets_loop(group, sub)]
     offsets, pos = {}, 0
     for k, blk in enumerate(rep.blocks):
-        for x in blk.support():
+        for x in points(blk):
             offsets[(k, x)] = pos
             pos += blk.mult
     pairs = []
     for (k1, blk1), (k2, blk2) in itertools.product(enumerate(rep.blocks), repeat=2):
-        for x1 in blk1.support():
-            for x2 in blk2.support():
+        for x1 in points(blk1):
+            for x2 in points(blk2):
                 d = group.sub(x1, x2)
                 if d in hperp:
-                    gram = isometries.matrix(k1, x1).conj().T @ isometries.matrix(k2, x2)
+                    gram = isometry(rep, isometries, k1, x1).conj().T @ isometry(
+                        rep, isometries, k2, x2)
                     pairs.append((offsets[(k1, x1)], offsets[(k2, x2)], d, gram))
     mats = []
     for c in reps:
@@ -339,10 +375,15 @@ class TestAnnihilator:
 
 class TestCovarianceDensities:
     def test_always_admits(self):
+        # nu_tilde dominates the weight of every block, so each alpha_k(x) lies in [0, 1]
         g = FiniteAbelianGroup((4,))
-        rep = single_block_rep(g, {(0,): 0.2, (3,): 1.5})
+        rep = DiagonalRep(g, (
+            RepBlock.from_mapping({(0,): 0.2, (3,): 1.5}, 1), RepBlock.from_mapping({(1,): 0.7}, 2),
+        ))
         dens = covariance_densities(rep, Subgroup(g, ((0,), (2,))))
-        assert dens.admits
+        assert dens.nu_tilde.shape == (4,) and dens.alpha.shape == (2, 4)
+        assert np.all(dens.nu_tilde > 0)
+        assert np.all(dens.alpha >= 0) and np.all(dens.alpha.sum(axis=0) <= 1 + 1e-15)
 
     def test_z2_uniform_trivial_subgroup(self):
         # Hperp is the whole dual, so nu_tilde is the constant total mass and
@@ -350,17 +391,16 @@ class TestCovarianceDensities:
         g = FiniteAbelianGroup((2,))
         rep = single_block_rep(g, {(0,): 0.5, (1,): 0.5})
         dens = covariance_densities(rep, Subgroup.trivial(g))
-        assert dens.nu_tilde == {(0,): 1.0, (1,): 1.0}
-        assert dens.alpha[0][(0,)] == pytest.approx(0.5)
-        assert dens.alpha[0][(1,)] == pytest.approx(0.5)
+        np.testing.assert_array_equal(dens.nu_tilde, [1.0, 1.0])
+        np.testing.assert_allclose(dens.alpha, [[0.5, 0.5]])
 
     def test_z4_point_mass(self):
         g = FiniteAbelianGroup((4,))
         rep = single_block_rep(g, {(1,): 1.0})
         dens = covariance_densities(rep, Subgroup(g, ((0,), (2,))))
-        assert dens.alpha[0][(1,)] == pytest.approx(1.0)
-        assert dens.alpha[0][(0,)] == 0.0
-        assert dens.alpha[0][(3,)] == 0.0
+        assert dens.alpha[0, 1] == pytest.approx(1.0)
+        assert dens.alpha[0, 0] == 0.0
+        assert dens.alpha[0, 3] == 0.0
 
 
 def brute_force_sharp_pvm(d):
@@ -380,7 +420,7 @@ class TestBuildCovariantPom:
         rep = single_block_rep(g, {(x,): 1.0 for x in range(d)})
         column = np.zeros((3, 1), dtype=complex)
         column[0, 0] = 1.0
-        fam = IsometryFamily.from_mappings(3, [{(x,): column for x in range(d)}])
+        fam = IsometryFamily.from_mappings(rep, 3, [{(x,): column for x in range(d)}])
         pom = build_covariant_pom(rep, Subgroup.trivial(g), fam)
         expected = brute_force_sharp_pvm(d)
         for eff, mat in zip(pom.effects, expected):
@@ -502,7 +542,7 @@ class TestSigmaTransform:
                 )
             )
             rep_of = {}
-            for coset in cosets(g, hperp):
+            for coset in cosets_loop(g, hperp):
                 for x in coset:
                     rep_of[x] = coset[0]
             norm_out = np.sqrt(
@@ -607,9 +647,7 @@ class TestEquivalence:
         fam = random_isometries(rep, 2, rng)
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         v, _ = np.linalg.qr(a)
-        rotated = IsometryFamily.from_mappings(
-            2, [{(x,): v @ fam.matrix(0, (x,)) for x in range(4)}]
-        )
+        rotated = IsometryFamily(v @ fam.columns)
         eye = [{(x,): np.eye(1) for x in range(4)}]
         report = verify_pom_equivalence(rep, h, fam, rotated, eye)
         assert report.equivalent
@@ -817,7 +855,7 @@ class TestArrayFormsMatchLoops:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         cases = [
             (diagonal_unitaries(rep),
-             lambda x: np.diag([g.pairing(y, x) for _, y, _ in rep.basis()])),
+             lambda x: np.diag([g.pairing(y, x) for _, y, _ in basis_loop(rep)])),
             (finite_weyl_unitaries(d), lambda x: finite_weyl_matrix(d, *x)),
         ]
         for unitaries, oracle in cases:
@@ -876,14 +914,13 @@ class TestArrayFormsMatchLoops:
     @given(covariant_systems())
     def test_group_tables_match_loops(self, system):
         g, sub, rep, _ = system
-        assert cosets(g, sub) == cosets_loop(g, sub)
         assert annihilator(g, sub).elements == annihilator_loop(g, sub)
         nu_tilde = covariance_densities(rep, sub).nu_tilde
-        for x in g.elements():
-            loop = sum(rep.total_weight(g.add(x, y)) for y in annihilator_loop(g, sub))
-            assert nu_tilde[x] == pytest.approx(loop, abs=1e-14)
+        for i, x in enumerate(g.elements()):
+            loop = sum(total_weight(rep, g.add(x, y)) for y in annihilator_loop(g, sub))
+            assert nu_tilde[i] == pytest.approx(loop, abs=1e-14)
         for x, u in diagonal_unitaries(rep).items():
-            loop = np.diag([g.pairing(y, x) for _, y, _ in rep.basis()])
+            loop = np.diag([g.pairing(y, x) for _, y, _ in basis_loop(rep)])
             assert np.max(np.abs(u - loop)) <= 1e-14
 
     @settings(max_examples=40, deadline=None)
@@ -962,19 +999,19 @@ class TestArrayFormsMatchLoops:
             q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
             return q
 
-        s = [{x: unitary(blk.mult) for x in blk.support()} for blk in rep.blocks]
+        s = [{x: unitary(blk.mult) for x in points(blk)} for blk in rep.blocks]
         if kind == "same":
-            s = [{x: np.eye(blk.mult) for x in blk.support()} for blk in rep.blocks]
+            s = [{x: np.eye(blk.mult) for x in points(blk)} for blk in rep.blocks]
             second = fam
         elif kind == "rotated":
             v = unitary(fam.aux_dim)
-            second = IsometryFamily.from_mappings(fam.aux_dim, [
-                {x: v @ fam.matrix(k, x) @ s[k][x].conj().T for x in blk.support()}
+            second = IsometryFamily.from_mappings(rep, fam.aux_dim, [
+                {x: v @ isometry(rep, fam, k, x) @ s[k][x].conj().T for x in points(blk)}
                 for k, blk in enumerate(rep.blocks)
             ])
         elif kind == "intertwined":
-            second = IsometryFamily.from_mappings(fam.aux_dim, [
-                {x: fam.matrix(k, x) @ s[k][x].conj().T for x in blk.support()}
+            second = IsometryFamily.from_mappings(rep, fam.aux_dim, [
+                {x: isometry(rep, fam, k, x) @ s[k][x].conj().T for x in points(blk)}
                 for k, blk in enumerate(rep.blocks)
             ])
         else:
@@ -993,3 +1030,93 @@ class TestArrayFormsMatchLoops:
             assert report.conjugation_defect is None
         else:
             assert abs(report.conjugation_defect - loop.conjugation_defect) <= 1e-12
+
+
+class TestArrayInputs:
+    def test_rep_block_sorts_points_and_checks_weights(self):
+        blk = RepBlock.from_mapping({(1, 0): 0.5, (0, 3): 2.0, (0, 1): 0.0}, 2)
+        np.testing.assert_array_equal(blk.points, [[0, 3], [1, 0]])
+        np.testing.assert_array_equal(blk.weights, [2.0, 0.5])
+        assert not blk.points.flags.writeable and not blk.weights.flags.writeable
+        for bad in (-0.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match=r"weight .* at \(1,\) is not positive and finite"):
+                RepBlock.from_mapping({(0,): 1.0, (1,): bad}, 1)
+        with pytest.raises(ValueError, match="empty support"):
+            RepBlock.from_mapping({(0,): 0.0}, 1)
+
+    def test_rep_checks_rank_range_and_disjointness(self):
+        g = FiniteAbelianGroup((4, 6))
+        with pytest.raises(ValueError, match=r"^elements of rank 2 needed"):
+            DiagonalRep(g, (RepBlock.from_mapping({(1,): 1.0}, 1),))
+        with pytest.raises(ValueError, match=r"^points \(0, 1\) and \(1,\) differ in rank$"):
+            RepBlock.from_mapping({(0, 1): 1.0, (1,): 1.0}, 1)
+        with pytest.raises(ValueError, match=r"^element \(0, 6\) outside the parent group$"):
+            DiagonalRep(g, (RepBlock.from_mapping({(0, 0): 1.0, (0, 6): 1.0}, 1),))
+        with pytest.raises(ValueError, match="pairwise disjoint"):
+            DiagonalRep(g, (RepBlock.from_mapping({(0, 1): 1.0}, 1),
+                            RepBlock.from_mapping({(2, 2): 1.0, (0, 1): 1.0}, 2)))
+        rep = DiagonalRep(g, (RepBlock.from_mapping({(0, 1): 1.0, (3, 5): 2.0}, 2),
+                              RepBlock.from_mapping({(1, 0): 1.0}, 1)))
+        np.testing.assert_array_equal(rep.codes, [1, 1, 23, 23, 6])
+        assert rep.dim == 5
+
+    def test_from_mappings_orders_by_the_rep(self):
+        g = FiniteAbelianGroup((2, 2))
+        rep = DiagonalRep(g, (RepBlock.from_mapping({(1, 1): 1.0, (0, 0): 1.0}, 1),
+                              RepBlock.from_mapping({(1, 0): 1.0}, 2)))
+        fam = random_isometries(rep, 3, np.random.default_rng(0))
+        given = [{x: isometry(rep, fam, k, x) for x in reversed(points(blk))}
+                 for k, blk in enumerate(rep.blocks)]
+        ordered = IsometryFamily.from_mappings(rep, 3, given)
+        np.testing.assert_array_equal(ordered.columns, fam.columns)
+        del given[0][(1, 1)]
+        with pytest.raises(KeyError, match=r"block 0 at dual point \(1, 1\)"):
+            IsometryFamily.from_mappings(rep, 3, given)
+        given[0][(1, 1)] = np.ones((3, 2))
+        with pytest.raises(ValueError, match=r"block 0, \(1, 1\) has shape \(3, 2\)"):
+            IsometryFamily.from_mappings(rep, 3, given)
+        with pytest.raises(ValueError, match="block counts differ"):
+            IsometryFamily.from_mappings(rep, 3, given[:1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        covariant_systems(),
+        st.integers(0, 4),
+        st.sampled_from([-1, 1]),
+        st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3]),
+        st.data(),
+    )
+    def test_batched_isometry_check_matches_loop(self, system, k_exp, sign, tol, data):
+        _, _, rep, fam = system
+        k = data.draw(st.integers(0, len(rep.blocks) - 1))
+        x = data.draw(st.sampled_from(points(rep.blocks[k])))
+        # W (I + delta H) with ||H|| = 1 has defect 2 delta + delta^2 = tol (1 + sign 10^-k_exp)
+        target = tol * (1 + sign * 10.0**-k_exp)
+        delta = target / (1 + np.sqrt(1 + target))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        m = rep.blocks[k].mult
+        a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        h = (a + a.conj().T) / np.linalg.norm(a + a.conj().T, 2)
+        cols = np.array(fam.columns)
+        at = [i for i, label in enumerate(basis_loop(rep)) if label[:2] == (k, x)]
+        cols[:, at] = cols[:, at] @ (np.eye(m) + delta * h)
+        moved = IsometryFamily(cols)
+        w = isometry(rep, moved, k, x)
+        # both forms round W*W - I at about 1e-15; closer to tol than that they may split
+        assume(abs(np.linalg.norm(w.conj().T @ w - np.eye(m), 2) - tol) > 1e-14)
+        loop = validate_loop(rep, moved, tol)
+        if loop is None:
+            moved.validate(rep, tol)
+        else:
+            assert loop[:2] == (k, x)
+            named = rf"^W_{k}\({re.escape(str(x))}\) is not an isometry"
+            with pytest.raises(ValueError, match=named):
+                moved.validate(rep, tol)
+
+    @settings(max_examples=20, deadline=None)
+    @given(covariant_systems(), st.booleans())
+    def test_wrong_column_count_raises(self, system, extra):
+        g, sub, rep, fam = system
+        cols = np.hstack([fam.columns, fam.columns[:, :1]]) if extra else fam.columns[:, :-1]
+        with pytest.raises(ValueError, match=f"has {rep.dim + (1 if extra else -1)} columns"):
+            build_covariant_pom(rep, sub, IsometryFamily(cols))

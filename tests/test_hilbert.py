@@ -16,7 +16,6 @@ from covpom.hilbert import (
     check_pom_axioms,
     commutator_norm,
     effect_is_regular,
-    eigh_fixed,
     make_state,
     outcome_distribution,
     pure_state,
@@ -118,12 +117,10 @@ class TestMakeStateMatchesGramSchmidt:
         np.testing.assert_allclose(state.weights, weights, rtol=0, atol=1e-15)
         np.testing.assert_allclose(state.vectors, np.stack(ortho), rtol=0, atol=1e-12)
         assert spectral_norm(state.op.mat - dense) <= 1e-14
-        state.validate()
-
-
-def factor_state(pairs):
-    """A State holding the (weight, vector) pairs as they are, unchecked."""
-    return State([w for w, _ in pairs], [v for _, v in pairs])
+        # a valid factor: weights >= 0 summing to one, orthonormal vectors
+        assert state.weights.min() >= 0 and abs(state.weights.sum() - 1.0) <= 1e-10
+        gram = state.vectors.conj() @ state.vectors.T
+        assert spectral_norm(gram - np.eye(state.weights.size)) <= 1e-10
 
 
 def former_operator_check(op, tol):
@@ -217,21 +214,6 @@ class TestFactorState:
 
     def test_dim_from_factor(self):
         assert make_state([(1.0, np.ones(5))]).dim == 5
-
-    @pytest.mark.parametrize("spectral", [
-        [(0.5, np.array([1, 0])), (0.5, np.array([1, 1]) / np.sqrt(2))],
-        [(1.0, np.array([1.0, 1.0]))],
-    ])
-    def test_validate_rejects_non_orthonormal_vectors(self, spectral):
-        state = factor_state(spectral)
-        with pytest.raises(ValueError, match="orthonormal"):
-            state.validate()
-        assert "op" not in vars(state)
-
-    def test_validate_rejects_weights_not_summing_to_one(self):
-        state = factor_state([(0.5, np.array([1, 0])), (0.4, np.array([0, 1]))])
-        with pytest.raises(ValueError, match="sum to 1"):
-            state.validate()
 
     def test_op_is_built_once(self):
         state = make_state([(0.25, [1, 0, 0]), (0.75, [0, 1j, 0])])
@@ -473,27 +455,18 @@ class TestHelpers:
         m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         assert spectral_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-12)
 
-    def test_eigh_fixed_gauge(self):
-        rng = np.random.default_rng(9)
-        a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        h = a + a.conj().T
-        vals, vecs = eigh_fixed(h)
-        assert np.all(np.diff(vals) >= -1e-12)
-        for i in range(5):
-            j = np.argmax(np.abs(vecs[:, i]))
-            pivot = vecs[j, i]
-            assert pivot.imag == pytest.approx(0.0, abs=1e-12)
-            assert pivot.real > 0
-        np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.conj().T, h, atol=1e-12)
-
     def test_state_validation_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
             State.from_operator(Operator(np.diag([1.0, 1.0])))
 
     def test_effect_validation(self):
-        with pytest.raises(ValueError, match="spectrum"):
-            diag_effect(1.5, 0.0).validate()
-        diag_effect(1.0, 0.0).validate()
+        # an effect with spectrum outside [0, 1] makes its complement negative
+        pom = Pom("two outcomes", (Outcome("a", PointCell((0,))), Outcome("b", PointCell((1,)))),
+                  (diag_effect(1.5, 0.0), diag_effect(-0.5, 1.0)))
+        report = check_pom_axioms(pom, 1e-10)
+        assert not report.passed and report.worst_negativity == pytest.approx(0.5)
+        pom = Pom("two outcomes", pom.outcomes, (diag_effect(1.0, 0.0), diag_effect(0.0, 1.0)))
+        assert check_pom_axioms(pom, 1e-10).passed
 
     def test_axiom_report_is_plain_data(self):
         rep = AxiomReport(True, 0.0, 0.0)

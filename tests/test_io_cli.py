@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -16,13 +17,25 @@ from covpom.abelian import (
     FiniteAbelianGroup,
     RepBlock,
     Subgroup,
+    build_covariant_pom,
     canonical_phase_vectors,
+    coset_action,
+    diagonal_unitaries,
     phase_pom,
     random_isometries,
+    verify_covariance,
 )
 from covpom.cli import _build_grid, _parse_state, build_parser, main
 from covpom.grids import symmetric_grid
-from covpom.hilbert import IntervalCell, Operator, PointCell, RectCell, make_state, pure_state
+from covpom.hilbert import (
+    IntervalCell,
+    Operator,
+    PointCell,
+    RectCell,
+    check_pom_axioms,
+    make_state,
+    pure_state,
+)
 from covpom.phasespace import (
     gaussian_wavefunction,
     hermite_wavefunction,
@@ -136,28 +149,21 @@ class TestRoundTrips:
             ),
         )
         fam = random_isometries(rep, 3, np.random.default_rng(1))
-        g2 = io.group_from_json(io.group_to_json(g))
-        assert g2 == g
         sub2 = io.subgroup_from_json(json.loads(io.dumps(io.subgroup_to_json(sub))))
         assert sub2.elements == sub.elements
         rep2 = io.rep_from_json(json.loads(io.dumps(io.rep_to_json(rep))))
-        assert rep2.blocks == rep.blocks
-        fam2 = io.isometries_from_json(
-            json.loads(io.dumps(io.isometries_to_json(fam)))
-        )
-        for k in range(2):
-            for x in rep.blocks[k].support():
-                np.testing.assert_allclose(
-                    fam2.matrix(k, x), fam.matrix(k, x), atol=1e-15
-                )
+        assert rep2.group == rep.group
+        for blk2, blk in zip(rep2.blocks, rep.blocks, strict=True):
+            np.testing.assert_array_equal(blk2.points, blk.points)
+            np.testing.assert_array_equal(blk2.weights, blk.weights)
+            assert blk2.mult == blk.mult
+        doc = json.loads(io.dumps(io.isometries_to_json(fam, rep)))
+        assert [sorted(blk["entries"]) for blk in doc["blocks"]] == [["0,0", "1,1"], ["0,2"]]
+        np.testing.assert_array_equal(io.isometries_from_json(doc, rep2).columns, fam.columns)
 
-    def test_wavefunction(self):
-        g = symmetric_grid(32, 4.0)
-        psi = gaussian_wavefunction(g)
-        back = io.wavefunction_from_json(
-            json.loads(io.dumps(io.wavefunction_to_json(psi)))
-        )
-        np.testing.assert_allclose(back.values, psi.values, atol=1e-15)
+
+def without_timestamp(report_text):
+    return re.sub(r'"timestamp": "[^"]*"', "", report_text)
 
 
 def run_cli(capsys, argv):
@@ -264,6 +270,77 @@ class TestCli:
         )
         assert code == 0
         assert all(c["pass"] for c in report["checks"])
+
+    @staticmethod
+    def bundle_with_isometries():
+        g = FiniteAbelianGroup((6, 2))
+        sub = Subgroup.from_generators(g, [(3, 1)])
+        rep = DiagonalRep(g, (
+            RepBlock.from_mapping({(0, 0): 0.7, (2, 1): 1.3, (5, 0): 0.4}, 1),
+            RepBlock.from_mapping({(1, 1): 1.1, (4, 0): 0.6}, 2),
+        ))
+        fam = random_isometries(rep, 3, np.random.default_rng(12))
+        bundle = {"rep": io.rep_to_json(rep), "subgroup": io.subgroup_to_json(sub),
+                  "isometries": io.isometries_to_json(fam, rep)}
+        return rep, sub, fam, json.loads(io.dumps(bundle))
+
+    def test_abelian_pom_with_explicit_isometries(self, capsys, tmp_path):
+        rep, sub, fam, bundle = self.bundle_with_isometries()
+        pom = build_covariant_pom(rep, sub, fam)
+        axioms = check_pom_axioms(pom, 1e-10)
+        cov = verify_covariance(pom, diagonal_unitaries(rep), coset_action(rep.group, sub), 1e-10)
+        witness = f"{cov.worst} L={cov.word_length}" if cov.word_length else str(cov.worst)
+        expected = [
+            {"name": "pom-axioms", "pass": axioms.passed, "value": axioms.normalization_defect,
+             "bound": 1e-10, "witness": None},
+            {"name": "covariance", "pass": cov.passed, "value": cov.max_defect,
+             "bound": 1e-10, "witness": witness},
+        ]
+        shuffled = json.loads(json.dumps(bundle))
+        for blk in shuffled["rep"]["blocks"]:
+            blk["weights"] = dict(reversed(blk["weights"].items()))
+        for blk in shuffled["isometries"]["blocks"]:
+            blk["entries"] = dict(reversed(blk["entries"].items()))
+        assert list(shuffled["rep"]["blocks"][0]["weights"])[0] == "5,0"
+        texts = []
+        for name, doc in (("sorted", bundle), ("shuffled", shuffled)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+            argv = ["abelian-pom", "--in", str(tmp_path / f"{name}.json"),
+                    "--out", str(tmp_path / f"{name}-pom.json"),
+                    "--report", str(tmp_path / f"{name}-report.json")]
+            code, report = run_cli(capsys, argv)
+            assert code == 0 and report["checks"] == expected
+            text = (tmp_path / f"{name}-report.json").read_text()
+            texts.append(without_timestamp(text))
+            texts.append((tmp_path / f"{name}-pom.json").read_text())
+        assert texts[0] == texts[2] and texts[1] == texts[3]
+        # a point of the rep with no isometry is malformed input
+        del bundle["isometries"]["blocks"][1]["entries"]["4,0"]
+        (tmp_path / "missing.json").write_text(json.dumps(bundle))
+        assert main(["abelian-pom", "--in", str(tmp_path / "missing.json")]) == 2
+        assert "no isometry for block 1 at dual point (4, 0)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weight", [-0.5, float("nan"), 0.0])
+    def test_abelian_pom_weights(self, capsys, tmp_path, weight):
+        # a weight of 0 leaves its point out of the support; a negative or NaN one is rejected
+        weights = {"0": 1.0, "1": weight, "2": 1.0, "3": 1.0}
+        reports = []
+        without = {k: v for k, v in weights.items() if k != "1"}
+        for name, w in (("given", weights), ("without", without)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({
+                "rep": {"moduli": [4], "blocks": [{"weights": w, "mult": 1}]},
+                "subgroup": {"moduli": [4], "generators": [[2]]},
+            }))
+            code = main(["abelian-pom", "--in", str(path), "--seed", "3"])
+            reports.append((code, *capsys.readouterr()))
+        assert reports[1][0] == 0
+        if weight == 0:
+            assert reports[0][0] == 0
+            assert without_timestamp(reports[0][1]) == without_timestamp(reports[1][1])
+        else:
+            assert reports[0][0] == 2
+            assert f"weight {weight} at (1,) is not positive and finite" in reports[0][2]
 
     def test_smeared_gamma_quantile(self, capsys, tmp_path):
         mpath = tmp_path / "gauss.json"

@@ -73,7 +73,8 @@ class TestStateFromWavefunctions:
         a, b = psi_a.values * np.sqrt(g.dx), psi_b.values * np.sqrt(g.dx)
         expected = 0.5 * np.outer(a, a.conj()) + 0.5 * np.outer(b, b.conj())
         assert spectral_norm(t.op.mat - expected) <= 1e-12
-        t.validate(1e-12)
+        assert abs(t.weights.sum() - 1.0) <= 1e-12
+        assert spectral_norm(t.vectors.conj() @ t.vectors.T - np.eye(t.weights.size)) <= 1e-12
         rho, _ = margins_of_GT(t, g)
         # 1/(4a) from each packet plus the spread 0.5^2 of their centres
         assert rho.variance() == pytest.approx(0.75, abs=1e-12)
@@ -260,7 +261,9 @@ class TestPhaseSpaceEffect:
         rng = np.random.default_rng(3)
         t = random_rank2_state(grid, rng)
         eff = phase_space_effect(t, RectCell(-1.0, 2.0, -0.5, 1.5), grid, order=12)
-        eff.validate(1e-9)
+        assert eff.op.is_hermitian(1e-9)
+        eigs = np.linalg.eigvalsh(eff.op.mat)
+        assert eigs.min() >= -1e-9 and eigs.max() <= 1.0 + 1e-9
 
     def test_covariance_under_lattice_translations(self, grid):
         t = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid))])
