@@ -417,9 +417,13 @@ class IsometryFamily:
             raise ValueError("isometry family and representation block counts differ")
         mats = []
         for k, (blk, given) in enumerate(zip(rep.blocks, blocks)):
-            for x in map(tuple, blk.points.tolist()):
+            points = list(map(tuple, blk.points.tolist()))
+            x = min(set(given).difference(points), default=None)
+            if x is not None:
+                raise ValueError(f"isometry for block {k} at dual point {x} outside its support")
+            for x in points:
                 if x not in given:
-                    raise KeyError(f"no isometry for block {k} at dual point {x}")
+                    raise ValueError(f"no isometry for block {k} at dual point {x}")
                 mats.append(np.asarray(given[x], dtype=complex))
                 if mats[-1].shape != (aux_dim, blk.mult):
                     raise ValueError(

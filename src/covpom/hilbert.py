@@ -57,6 +57,7 @@ def spectral_norm(mat: np.ndarray) -> float:
 
 
 LANCZOS_TOL = 1e-14  # Ritz residual per unit |Ritz value| at which _lanczos_norm stops
+LANCZOS_ROWS = 32  # first capacity of the Lanczos basis, doubled when full
 
 
 def _lanczos_norm(matvec: Callable[[np.ndarray], np.ndarray], start: np.ndarray) -> float:
@@ -68,20 +69,23 @@ def _lanczos_norm(matvec: Callable[[np.ndarray], np.ndarray], start: np.ndarray)
     (ARPACK's residual test, also met when the Krylov space is invariant,
     beta_j = 0), or at j = m, where the Ritz values are the eigenvalues.
     """
-    basis = [start / np.linalg.norm(start)]
-    alpha, beta = [], []
-    while True:
-        w = matvec(basis[-1])
-        alpha.append(np.vdot(basis[-1], w).real)
-        kept = np.array(basis)
-        for _ in range(2):
-            w = w - (kept @ w.conj()).conj() @ kept  # <q_k, w> without a conjugated copy of kept
-        beta.append(np.linalg.norm(w))
-        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], -1))
+    m = start.size
+    basis = np.empty((min(m, LANCZOS_ROWS), m), dtype=complex)
+    tri = np.zeros((len(basis), len(basis)))  # alpha on the diagonal, beta below it
+    basis[0] = start / np.linalg.norm(start)
+    for j in range(m):
+        w = matvec(basis[j])
+        tri[j, j] = np.vdot(basis[j], w).real
+        for _ in range(2):  # <q_k, w> as conj(q_k . conj(w)): no conjugated copy of the basis
+            w = w - (basis[: j + 1] @ w.conj()).conj() @ basis[: j + 1]
+        beta = np.linalg.norm(w)
+        theta, s = np.linalg.eigh(tri[: j + 1, : j + 1])
         i = np.argmax(np.abs(theta))
-        if beta[-1] * abs(s[-1, i]) <= LANCZOS_TOL * abs(theta[i]) or len(basis) == start.size:
+        if beta * abs(s[-1, i]) <= LANCZOS_TOL * abs(theta[i]) or j + 1 == m:
             return float(abs(theta[i]))
-        basis.append(w / beta[-1])
+        if j + 1 == len(basis):
+            basis, tri = np.concatenate([basis, basis])[:m], np.pad(tri, (0, min(j + 1, m - j - 1)))
+        basis[j + 1], tri[j + 1, j] = w / beta, beta
 
 
 @dataclass(frozen=True)

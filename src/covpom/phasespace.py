@@ -15,10 +15,11 @@ and the exact finite Weyl-Heisenberg system on Z_d are provided, with
 resolution-of-identity and covariance checks reporting explicit defects.
 
 W T W* has kernel sum_n w_n e^{ip(x-x')} phi_n(x-q) conj(phi_n(x'-q)), so the
-p-integral over [p_lo, p_hi) is exact, the Toeplitz S(x-x') with
-S(d) = (e^{i p_hi d} - e^{i p_lo d}) / (i d); only q is integrated by a
-composite Gauss-Legendre rule.  Then G_T(Z) = (dx/2pi) S o (B B*), with o the
-entrywise product and B the bank of weighted translates sqrt(w_n w_q) phi_n(. - q).
+p-integral is exact: G_T(Z) = S_0 o (B B*), with o the entrywise product, S_0 the
+real Toeplitz (dx/2pi) width sinc(width (x - x')/2), width = p_hi - p_lo, and B the
+bank of translates sqrt(w_n w_q) phi_n(. - q) e^{i mu x} at the nodes of a composite
+Gauss-Legendre rule in q; e^{i mu x}, mu the mid-momentum, carries the phase of the
+p-integral.  Rows of G are GEMMs scaled by S_0 in place; plane waves use _exp_i_outer.
 
 Cell norms and identity-resolution Grams run on the support cut I = [i0, i1),
 the grid with its massless ends trimmed.  G is positive, with diagonal
@@ -153,11 +154,25 @@ def weyl_apply(q: float, p: float, psi: WaveFunction) -> WeylApplied:
     return WeylApplied(WaveFunction(grid, vals), q_s, p_s, snap)
 
 
+def _exp_i_outer(theta: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """exp(i theta_a m_j) for integers m = base + w hi + lo, 0 <= lo < w = ceil(sqrt(span)).
+
+    The product of the gathered tables exp(i theta (base + w hi)) and exp(i theta lo), about
+    sqrt(span) exps per theta; integer arguments keep the direct form's error, |theta m| eps.
+    """
+    base = int(m.min())
+    w = math.isqrt(int(m.max()) - base) + 1
+    hi, lo = np.divmod(m - base, w)
+    out = np.exp(1j * np.outer(theta, base + w * np.arange(hi.max() + 1))).take(hi, axis=1)
+    out *= np.exp(1j * np.outer(theta, np.arange(w))).take(lo, axis=1)
+    return out
+
+
 def _translates(vecs: np.ndarray, grid: Grid1D, qs: np.ndarray) -> np.ndarray:
     """Fourier translates phi(. - q), analytic in q: shape (len(qs), len(vecs), n)."""
-    k = 2 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
-    spectra = np.fft.fft(vecs, axis=-1)
-    return np.fft.ifft(spectra[None] * np.exp(-1j * np.outer(qs, k))[:, None], axis=-1)
+    freqs = np.fft.fftfreq(grid.n, d=1.0 / grid.n).astype(int)
+    out = np.fft.fft(vecs, axis=-1)[None] * _exp_i_outer(-grid.dp * qs, freqs)[:, None]
+    return np.fft.ifft(out, axis=-1, out=out)
 
 
 # --- the phase-space kernel --------------------------------------------------
@@ -187,41 +202,33 @@ def _gl_panels(lo: float, hi: float, order: int):
 
 
 def _bank(t_state: State, cell: RectCell, grid: Grid1D, order: int):
-    """B*, for the n x (r K_q) bank B of weighted translates sqrt(w_n w_q) phi_n(. - q)."""
+    """B*, for the n x (r K_q) bank B of sqrt(w_n w_q) phi_n(. - q) e^{i mu x}, mu mid-cell."""
     q_nodes, q_w = _gl_panels(cell.q_lo, cell.q_hi, order)
     tw, tv = grid_wavefunctions(t_state, grid)
-    scale = np.sqrt(np.outer(q_w, tw))[:, :, None]
-    return (_translates(tv, grid, q_nodes) * scale).reshape(-1, grid.n).conj()
+    bank = _translates(tv * np.sqrt(tw)[:, None], grid, q_nodes)
+    bank *= np.sqrt(q_w)[:, None, None] * np.exp(0.5j * (cell.p_hi + cell.p_lo) * grid.positions())
+    return np.conjugate(bank, out=bank).reshape(-1, grid.n)
 
 
 def _kernel_rows(
-    bank_h: np.ndarray, cell: RectCell, grid: Grid1D, i0: int, i1: int
+    bank_h: np.ndarray, cell: RectCell, grid: Grid1D, i0: int, i1: int, step: int
 ) -> Iterator[Tuple[int, int, np.ndarray]]:
-    """Yield (a, b, rows [a, b) of K = S o (B B*)) on the index block [i0, i1)^2.
+    """Yield (a, b, rows [a, b) of G_T(cell)) on the index block [i0, i1)^2, m = i1 - i0.
 
-    a and b count from i0, and G_T(cell) = (dx/2pi) K.  The Toeplitz S of the
-    block is kept as S(k dx), k = 1-m .. m-1 with m = i1 - i0, and gathered
-    per block of rows by a strided view.
+    a and b count from i0.  The rows, ``step`` at a time, are one GEMM written in
+    place into one reused buffer, times the real Toeplitz S_0 in place, which is
+    kept as S_0(k dx), k = 1-m .. m-1, and gathered per block by a strided view.
     """
     m = i1 - i0
     bank = np.ascontiguousarray(bank_h[:, i0:i1])
-    d = np.arange(1 - m, m) * grid.dx
-    width = cell.p_hi - cell.p_lo
-    symbol = width * np.exp(0.5j * (cell.p_hi + cell.p_lo) * d) * np.sinc(0.5 * width * d / np.pi)
-    toeplitz = sliding_window_view(symbol[::-1], m)  # row a of S is toeplitz[m - 1 - a]
-    step = max(1, BLOCK_ENTRIES // m)
-    for a in range(0, m, step):
-        b = min(a + step, m)
-        yield a, b, (bank[:, a:b].conj().T @ bank) * toeplitz[m - b : m - a][::-1]
-
-
-def _effect_block(bank_h: np.ndarray, cell: RectCell, grid: Grid1D, i0: int, i1: int):
-    """The block [i0, i1)^2 of G_T(cell), filled by blocks of kernel rows."""
-    out = np.empty((i1 - i0, i1 - i0), dtype=complex)
-    for a, b, rows in _kernel_rows(bank_h, cell, grid, i0, i1):
-        out[a:b] = rows
-    out *= grid.dx / (2 * np.pi)
-    return out
+    c = (cell.p_hi - cell.p_lo) * grid.dx / (2 * np.pi)
+    toeplitz = sliding_window_view(c * np.sinc(c * np.arange(1 - m, m)), m)  # row a: [m - 1 - a]
+    buf = np.empty((min(step, m), m), dtype=complex)
+    for a in range(0, m, len(buf)):
+        b = min(a + len(buf), m)
+        np.matmul(bank[:, a:b].T.conj(), bank, out=buf[: b - a])
+        buf[: b - a] *= toeplitz[m - b : m - a][::-1]
+        yield a, b, buf[: b - a]
 
 
 def _support(mass: np.ndarray, budget: float) -> Tuple[int, int]:
@@ -282,18 +289,17 @@ def phase_space_density(
     For a Gaussian T this is a Husimi-type density of S.  A union bound on
     the probability mass of the joint observable outside the sampled window
     is reported as ``leakage_bound``; judging it is left to the caller.
-    All overlaps <s_m, W(q,p) phi_n> come from one product with exp(i x p);
-    the phase exp(-i p q/2) of W drops out of |.|^2.
+    All overlaps <s_m, W(q,p) phi_n> come from one product with exp(i p j dx) at
+    x = x0 + j dx; the phases exp(i p x0) and exp(-i p q/2) drop out of |.|^2.
     """
     qs = np.asarray(qs, dtype=float)
     ps = np.asarray(ps, dtype=float)
     tw, tv = grid_wavefunctions(t_state, grid)
     sw, sv = grid_wavefunctions(s_state, grid)
     integrands = sv.conj()[None, None] * _translates(tv, grid, qs)[:, :, None]
-    phase = np.exp(1j * np.outer(grid.positions(), ps))
-    overlaps = integrands.reshape(-1, grid.n) @ phase * grid.dx
+    overlaps = integrands.reshape(-1, grid.n) @ _exp_i_outer(ps * grid.dx, np.arange(grid.n)).T
     power = np.abs(overlaps.reshape(qs.size, tw.size, sw.size, ps.size)) ** 2
-    out = np.einsum("t,s,qtsp->qp", tw, sw, power) / (2 * np.pi)
+    out = np.einsum("t,s,qtsp->qp", tw, sw, power) * (grid.dx**2 / (2 * np.pi))
     leak = _marginal_leakage(t_state, s_state, grid, (qs.min(), qs.max()), (ps.min(), ps.max()))
     return DensityResult(qs, ps, out, leak)
 
@@ -326,7 +332,7 @@ def phase_space_effect(
     """
     _check_cell_in_window(cell, grid)
     bank_h = _bank(t_state, cell, grid, order)
-    return Effect(Operator(_effect_block(bank_h, cell, grid, 0, grid.n)))
+    return Effect(Operator(next(_kernel_rows(bank_h, cell, grid, 0, grid.n, grid.n))[2]))
 
 
 def phase_space_cell_norm(
@@ -344,9 +350,9 @@ def phase_space_cell_norm(
     # sqrt(tr A tr Z) + tr Z <= sqrt(tr G z) + z, which is SUPPORT_TOL at z = root^2
     root = 2 * SUPPORT_TOL / (np.sqrt(mass.sum()) + np.sqrt(mass.sum() + 4 * SUPPORT_TOL))
     i0, i1 = _support(mass, root**2)
-    mat = _effect_block(bank_h, cell, grid, i0, i1)
+    _, _, mat = next(_kernel_rows(bank_h, cell, grid, i0, i1, i1 - i0))
     start = np.random.default_rng(0).standard_normal(grid.n)[i0:i1]
-    return _lanczos_norm(lambda v: mat @ v, start)
+    return _lanczos_norm(mat.dot, start)
 
 
 def phase_space_pom(
@@ -401,9 +407,9 @@ def resolution_of_identity_defect(
     window = RectCell(-half_width, half_width, -half_width, half_width)
     bank_h = _bank(t_state, window, grid, order)
     m = np.zeros((n_test, n_test), dtype=complex)
-    for a, b, rows in _kernel_rows(bank_h, window, grid, i0, i1):
-        m += herm[:, a:b].conj() @ (rows @ herm.T)
-    m *= grid.dx**2 / (2 * np.pi)
+    step = max(1, BLOCK_ENTRIES // (i1 - i0))
+    for a, b, rows in _kernel_rows(bank_h, window, grid, i0, i1, step):
+        m += grid.dx * (herm[:, a:b].conj() @ (rows @ herm.T))
     defect = float(np.linalg.norm(m - np.eye(n_test), 2))
     return RoiReport(defect, n_test, "hermite", m)
 

@@ -2,9 +2,11 @@
 document-wide pass or on a support cut, kept as test oracles."""
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from covpom.hilbert import RectCell
-from covpom.phasespace import hermite_wavefunction, phase_space_effect
+from covpom.phasespace import _gl_panels, hermite_wavefunction, phase_space_effect
+from covpom.posmom import grid_wavefunctions
 
 
 def dense_fourier_matrix(grid):
@@ -81,3 +83,28 @@ def full_grid_roi_gram(t_state, grid, half_width, n_test, order=16):
     window = RectCell(-half_width, half_width, -half_width, half_width)
     effect = phase_space_effect(t_state, window, grid, order).op.mat
     return herm.conj() @ effect @ herm.T * grid.dx
+
+
+def direct_translates(vecs, grid, qs):
+    """Fourier translates phi(. - q) with the n-point plane wave exp(-i q k) taken entry by entry."""
+    k = 2 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+    spectra = np.fft.fft(vecs, axis=-1)
+    return np.fft.ifft(spectra[None] * np.exp(-1j * np.outer(qs, k))[:, None], axis=-1)
+
+
+def complex_symbol_block(t_state, cell, grid, i0, i1, order=16):
+    """The block [i0, i1)^2 of G_T(cell) = (dx/2pi) S o (B B*), S the complex Toeplitz symbol.
+
+    S(d) = (e^{i p_hi d} - e^{i p_lo d}) / (i d) of d = x - x', and B the bank of
+    weighted translates sqrt(w_n w_q) phi_n(. - q) without a momentum phase.
+    """
+    q_nodes, q_w = _gl_panels(cell.q_lo, cell.q_hi, order)
+    tw, tv = grid_wavefunctions(t_state, grid)
+    scale = np.sqrt(np.outer(q_w, tw))[:, :, None]
+    bank = (direct_translates(tv, grid, q_nodes) * scale).reshape(-1, grid.n).conj()[:, i0:i1]
+    m = i1 - i0
+    d = np.arange(1 - m, m) * grid.dx
+    width = cell.p_hi - cell.p_lo
+    symbol = width * np.exp(0.5j * (cell.p_hi + cell.p_lo) * d) * np.sinc(0.5 * width * d / np.pi)
+    toeplitz = sliding_window_view(symbol[::-1], m)[::-1]  # row a of S
+    return (bank.conj().T @ bank) * toeplitz * (grid.dx / (2 * np.pi))

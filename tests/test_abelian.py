@@ -1070,13 +1070,23 @@ class TestArrayInputs:
         ordered = IsometryFamily.from_mappings(rep, 3, given)
         np.testing.assert_array_equal(ordered.columns, fam.columns)
         del given[0][(1, 1)]
-        with pytest.raises(KeyError, match=r"block 0 at dual point \(1, 1\)"):
+        with pytest.raises(ValueError, match=r"block 0 at dual point \(1, 1\)"):
             IsometryFamily.from_mappings(rep, 3, given)
         given[0][(1, 1)] = np.ones((3, 2))
         with pytest.raises(ValueError, match=r"block 0, \(1, 1\) has shape \(3, 2\)"):
             IsometryFamily.from_mappings(rep, 3, given)
         with pytest.raises(ValueError, match="block counts differ"):
             IsometryFamily.from_mappings(rep, 3, given[:1])
+
+    def test_from_mappings_rejects_points_outside_the_support(self):
+        # an entry the family would drop is an isometry nothing checks: Z4 with "3" of norm 5
+        g = FiniteAbelianGroup((4,))
+        rep = DiagonalRep(g, (RepBlock.from_mapping({(0,): 1.0, (1,): 1.0, (2,): 1.0}, 1),))
+        given = [{(x,): np.ones((1, 1)) for x in range(3)}]
+        np.testing.assert_array_equal(IsometryFamily.from_mappings(rep, 1, given).columns, [[1, 1, 1]])
+        given[0][(3,)] = np.full((1, 1), 5.0)
+        with pytest.raises(ValueError, match=r"block 0 at dual point \(3,\) outside its support"):
+            IsometryFamily.from_mappings(rep, 1, given)
 
     @settings(max_examples=60, deadline=None)
     @given(

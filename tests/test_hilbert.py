@@ -7,6 +7,7 @@ from covpom.hilbert import (
     AxiomReport,
     Effect,
     IntervalCell,
+    LANCZOS_ROWS,
     Operator,
     Outcome,
     PointCell,
@@ -410,6 +411,22 @@ class TestLanczosNorm:
 
     def test_zero_operator(self):
         assert _lanczos_norm(lambda v: 0 * v, np.ones(5)) == 0.0
+
+    def test_basis_grows_past_its_first_capacity(self):
+        # a cluster of three at the top and a 1% gap below: over a hundred steps,
+        # so the basis doubles from LANCZOS_ROWS rows more than once
+        rng = np.random.default_rng(5)
+        eigenvalues = np.r_[1.0, 1.0 - 1e-9, 1.0 - 2e-9, rng.uniform(0.0, 0.99, 157)]
+        mat = hermitian_with_spectrum(eigenvalues, rng)
+        calls = []
+
+        def matvec(v):
+            calls.append(None)
+            return mat @ v
+
+        got = _lanczos_norm(matvec, rng.standard_normal(160))
+        assert got == pytest.approx(np.abs(np.linalg.eigvalsh(mat)).max(), rel=1e-12, abs=0)
+        assert 2 * LANCZOS_ROWS < len(calls) <= 160
 
 
 class TestOperatorOwnership:

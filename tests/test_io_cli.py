@@ -15,6 +15,7 @@ from covpom import io
 from covpom.abelian import (
     DiagonalRep,
     FiniteAbelianGroup,
+    IsometryFamily,
     RepBlock,
     Subgroup,
     build_covariant_pom,
@@ -318,7 +319,29 @@ class TestCli:
         del bundle["isometries"]["blocks"][1]["entries"]["4,0"]
         (tmp_path / "missing.json").write_text(json.dumps(bundle))
         assert main(["abelian-pom", "--in", str(tmp_path / "missing.json")]) == 2
-        assert "no isometry for block 1 at dual point (4, 0)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "no isometry for block 1 at dual point (4, 0)" in err
+        assert "'" not in err and '"' not in err
+
+    def test_abelian_pom_rejects_an_isometry_outside_the_support(self, capsys, tmp_path):
+        # Z4 with weights on 0, 1, 2 only: an entry at 3 of norm 5 is no isometry and no input
+        g = FiniteAbelianGroup((4,))
+        rep = DiagonalRep(g, (RepBlock.from_mapping({(0,): 1.0, (1,): 1.0, (2,): 1.0}, 1),))
+        fam = IsometryFamily(np.ones((1, 3)))
+        bundle = {"rep": io.rep_to_json(rep), "subgroup": {"moduli": [4], "generators": [[2]]},
+                  "isometries": io.isometries_to_json(fam, rep)}
+        doc = json.loads(io.dumps(bundle))
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(doc))
+        assert main(["abelian-pom", "--in", str(path)]) == 0
+        capsys.readouterr()
+        doc["isometries"]["blocks"][0]["entries"]["3"] = {"shape": [1, 1], "entries": [[5.0, 0.0]]}
+        path.write_text(json.dumps(doc))
+        assert main(["abelian-pom", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err == "input error: isometry for block 0 at dual point (3,) outside its support"
 
     @pytest.mark.parametrize("weight", [-0.5, float("nan"), 0.0])
     def test_abelian_pom_weights(self, capsys, tmp_path, weight):

@@ -6,7 +6,9 @@ tensor Gauss-Legendre sum over q and p, one translate and one n x n update
 per q-node.  They share the q-rule, so the kernel must match them to rounding
 wherever their p-rule has converged.  The cell norm and the identity-resolution
 Gram run on a support cut of the grid; they are checked against the full-grid
-effect, and every cut the code picks against its bound.
+effect, and every cut the code picks against its bound.  The last section checks
+the factored plane-wave tables and the real cell block against the direct forms
+kept in ``oracles``.
 """
 
 import math
@@ -25,6 +27,7 @@ from covpom.grids import WaveFunction, symmetric_grid
 from covpom.hilbert import RectCell
 from covpom.phasespace import (
     SUPPORT_TOL,
+    _exp_i_outer,
     _gl_rule,
     _support,
     gaussian_wavefunction,
@@ -36,7 +39,7 @@ from covpom.phasespace import (
     state_from_wavefunctions,
 )
 from covpom.posmom import grid_wavefunctions
-from oracles import full_grid_roi_gram
+from oracles import complex_symbol_block, full_grid_roi_gram
 
 HALF_WIDTH = 8.0
 N_MODES = 4
@@ -345,3 +348,71 @@ def test_roi_gram_matches_full_grid_at_cli_sizes(n, n_test):
     herm = np.stack([hermite_wavefunction(grid, k).values for k in range(n_test)])
     mass = (np.abs(herm) ** 2).sum(axis=0) * grid.dx
     assert mass[:i0].sum() + mass[i1:].sum() <= SUPPORT_TOL**2
+
+
+# --- the factored plane waves and the real in-place cell block ----------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(16, 65536),
+    kind=st.sampled_from(["fftfreq", "arange", "one"]),
+    theta=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6),
+    data=st.data(),
+)
+def test_exp_i_outer_matches_direct_exp(n, kind, theta, data):
+    if kind == "fftfreq":
+        m = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    elif kind == "arange":
+        m = np.arange(n)
+    else:
+        m = np.array([data.draw(st.integers(-n, n))])
+    theta = np.array(theta)
+    expected = np.exp(1j * np.outer(theta, m))
+    got = _exp_i_outer(theta, m)
+    assert got.shape == expected.shape and got.flags.c_contiguous
+    eps = np.finfo(float).eps
+    assert np.abs(got - expected).max() <= 8 * eps * (1 + np.abs(np.outer(theta, m)).max())
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("half", [0.5, 1.5, 2.5])
+@pytest.mark.parametrize("n", [256, 512, 1024])
+def test_real_cell_block_matches_complex_symbol(n, half, rank):
+    # an off-centre cell, so the momentum phase carried by the bank is not trivial
+    grid = symmetric_grid(n, 16.0)
+    coefficients = [np.exp(1j * np.arange(N_MODES) * (k + 1)) for k in range(rank)]
+    t = low_mode_state(grid, coefficients, [1.0 / (k + 1) for k in range(rank)])
+    cell = RectCell(0.4 - half, 0.4 + half, -0.7 - half, -0.7 + half)
+    expected = complex_symbol_block(t, cell, grid, 0, n)
+    got = phase_space_effect(t, cell, grid).op.mat
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_roi_cycles_one_row_buffer():
+    grid = symmetric_grid(256, 20.0)
+    t = state_from_wavefunctions(
+        [(1.0, gaussian_wavefunction(grid, a=0.4, center=1.2, momentum=-0.8))]
+    )
+    with recorded_supports() as cuts:
+        resolution_of_identity_defect(t, grid, half_width=10.0, n_test=12)
+    [(i0, i1)] = cuts
+    m = i1 - i0
+    step = m // 4 - 1  # four full blocks of rows, then a short one
+    assert m % step and m // step >= 3
+    kernel_rows = phasespace._kernel_rows
+    blocks = []
+
+    def recorded_rows(*args):
+        for a, b, rows in kernel_rows(*args):
+            blocks.append((a, b, rows.__array_interface__["data"][0]))
+            yield a, b, rows
+
+    with mock.patch.object(phasespace, "BLOCK_ENTRIES", step * m), \
+            mock.patch.object(phasespace, "_kernel_rows", recorded_rows):
+        got = resolution_of_identity_defect(t, grid, half_width=10.0, n_test=12)
+    assert [(a, b) for a, b, _ in blocks] == [(a, min(a + step, m)) for a in range(0, m, step)]
+    assert len(blocks) >= 3 and blocks[-1][1] - blocks[-1][0] < step
+    assert len({address for _, _, address in blocks}) == 1
+    expected = full_grid_roi_gram(t, grid, 10.0, 12)
+    assert np.abs(got.gram - expected).max() <= TOL
