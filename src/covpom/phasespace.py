@@ -172,7 +172,7 @@ def _translates(vecs: np.ndarray, grid: Grid1D, qs: np.ndarray) -> np.ndarray:
     """Fourier translates phi(. - q), analytic in q: shape (len(qs), len(vecs), n)."""
     freqs = np.fft.fftfreq(grid.n, d=1.0 / grid.n).astype(int)
     out = np.fft.fft(vecs, axis=-1)[None] * _exp_i_outer(-grid.dp * qs, freqs)[:, None]
-    return np.fft.ifft(out, axis=-1, out=out)
+    return np.fft.ifft(out, axis=-1)
 
 
 # --- the phase-space kernel --------------------------------------------------
@@ -216,8 +216,9 @@ def _kernel_rows(
     """Yield (a, b, rows [a, b) of G_T(cell)) on the index block [i0, i1)^2, m = i1 - i0.
 
     a and b count from i0.  The rows, ``step`` at a time, are one GEMM written in
-    place into one reused buffer, times the real Toeplitz S_0 in place, which is
-    kept as S_0(k dx), k = 1-m .. m-1, and gathered per block by a strided view.
+    place into one reused buffer, valid only until the next step, times the real
+    Toeplitz S_0 in place, kept as S_0(k dx), k = 1-m .. m-1, and gathered per
+    block by a strided view.
     """
     m = i1 - i0
     bank = np.ascontiguousarray(bank_h[:, i0:i1])
@@ -324,11 +325,11 @@ def phase_space_effect(
 ) -> Effect:
     """G_T(Z) = (1/2pi) integral over the cell of W(q,p) T W(q,p)*.
 
-    The p-integral is exact (the Toeplitz symbol S of the module docstring);
-    ``order`` sets only the composite Gauss-Legendre rule in q, whose panels
-    are at most MAX_PANEL wide.  The translates use Fourier phases, so the
-    q-integrand is analytic and the rule converges spectrally.  The matrix is
-    filled in blocks of rows, so it is the only n x n array built.
+    The p-integral is exact: the bank carries e^{i mu x}, leaving the real Toeplitz
+    S_0 of the module docstring.  ``order`` sets only the composite Gauss-Legendre
+    rule in q, whose panels are at most MAX_PANEL wide.  The translates use Fourier
+    phases, so the q-integrand is analytic and the rule converges spectrally.  One
+    GEMM into one n x n buffer, scaled by S_0 in place, is the only n x n array built.
     """
     _check_cell_in_window(cell, grid)
     bank_h = _bank(t_state, cell, grid, order)
