@@ -855,37 +855,39 @@ def verify_pom_equivalence(
 
 
 def _interval_coefficient(n: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """(1/2pi) integral over [lo, hi) of exp(i n theta), in closed form, for integer arrays n."""
-    n = np.asarray(n)
-    nonzero = np.where(n == 0, 1, n)
-    ends = (np.exp(1j * n * hi) - np.exp(1j * n * lo)) / (2j * np.pi * nonzero)
-    return np.where(n == 0, (hi - lo) / (2 * np.pi), ends)
+    """(1/2pi) integral over [lo, hi) of exp(i n theta) for integer arrays n, once per integer."""
+    m = np.arange(n.min(), n.max() + 1)
+    nonzero = np.where(m == 0, 1, m)
+    ends = (np.exp(1j * m * hi) - np.exp(1j * m * lo)) / (2j * np.pi * nonzero)
+    return np.where(m == 0, (hi - lo) / (2 * np.pi), ends)[n - m[0]]
 
 
-def _check_phase_vectors(h: Sequence[np.ndarray]) -> list[np.ndarray]:
+def _phase_parts(h: Sequence[np.ndarray]):
+    """Gram matrix <h_j, h_k>, index differences j - k and mask (none) of a phase observable."""
     vecs = [np.asarray(v, dtype=complex).ravel() for v in h]
-    dims = {v.shape[0] for v in vecs}
-    if len(dims) != 1:
+    if len({v.shape[0] for v in vecs}) != 1:
         raise ValueError("phase vectors must share one dimension")
-    for i, v in enumerate(vecs):
-        if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-            raise ValueError(f"phase vector {i} is not normalised")
-    return vecs
+    vecs = np.array(vecs)
+    bad = np.flatnonzero(np.abs(np.linalg.norm(vecs, axis=1) - 1.0) > 1e-9)
+    if bad.size:
+        raise ValueError(f"phase vector {bad[0]} is not normalised")
+    return vecs.conj() @ vecs.T, np.subtract.outer(range(len(vecs)), range(len(vecs))), True
 
 
-def _check_phase_interval(interval: Tuple[float, float]) -> Tuple[float, float]:
+def _torus_effect(gram, diff, mask, interval: Tuple[float, float]) -> Effect:
+    """Effect c_diff(interval) gram on the mask and 0 off it."""
     lo, hi = float(interval[0]), float(interval[1])
     if not (0.0 <= lo < hi <= 2 * np.pi + 1e-12):
         raise ValueError(f"need 0 <= lo < hi <= 2 pi, got [{lo}, {hi})")
-    return lo, hi
+    return Effect(Operator(np.where(mask, _interval_coefficient(diff, lo, hi) * gram, 0)))
 
 
-def _torus_partition(space_tag: str, boundaries: Sequence[float], effect_of) -> Pom:
-    """Partition POM over boundaries that run from 0 to 2 pi."""
+def _torus_partition(space_tag: str, boundaries: Sequence[float], parts) -> Pom:
+    """Partition POM over boundaries from 0 to 2 pi, one ``_torus_effect`` of ``parts`` per cell."""
     bounds = np.asarray(boundaries, dtype=float)
     if bounds.size < 2 or abs(bounds[0]) > 1e-12 or abs(bounds[-1] - 2 * np.pi) > 1e-12:
         raise ValueError("boundaries must run from 0 to 2 pi")
-    return partition_pom(space_tag, bounds, effect_of, ".6f")
+    return partition_pom(space_tag, bounds, lambda lo, hi: _torus_effect(*parts, (lo, hi)), ".6f")
 
 
 def phase_observable_effect(
@@ -896,18 +898,12 @@ def phase_observable_effect(
     Entry (j, k) is c_{j-k}(interval) <h_j, h_k> with the closed-form
     interval coefficients; no quadrature is involved.
     """
-    lo, hi = _check_phase_interval(interval)
-    vecs = np.array(_check_phase_vectors(h))
-    idx = np.arange(len(vecs))
-    coeff = _interval_coefficient(idx[:, None] - idx[None, :], lo, hi)
-    return Effect(Operator(coeff * (vecs.conj() @ vecs.T)))
+    return _torus_effect(*_phase_parts(h), interval)
 
 
 def phase_pom(h: Sequence[np.ndarray], boundaries: Sequence[float]) -> Pom:
     """Covariant phase POM over a partition of [0, 2 pi) into intervals."""
-    return _torus_partition(
-        "theta in [0, 2 pi)", boundaries, lambda lo, hi: phase_observable_effect(h, (lo, hi))
-    )
+    return _torus_partition("theta in [0, 2 pi)", boundaries, _phase_parts(h))
 
 
 def canonical_phase_vectors(d: int) -> list[np.ndarray]:
@@ -936,6 +932,17 @@ def sharp_phase_witness(pom: Pom) -> Tuple[Outcome, float]:
     return best, best_defect
 
 
+def _difference_parts(d: int, h: Mapping[Tuple[int, int], np.ndarray]):
+    """Gram matrix of the stacked h vectors, differences j - m and the mask l+m = i+j."""
+    keys = [(i, j) for i in range(d) for j in range(d)]
+    vecs = np.stack([np.asarray(h[key], dtype=complex).ravel() for key in keys])
+    bad = np.flatnonzero(np.abs(np.linalg.norm(vecs, axis=1) - 1.0) > 1e-9)
+    if bad.size:
+        raise ValueError(f"h[{keys[bad[0]]}] is not normalised")
+    i, j = np.divmod(np.arange(d * d), d)
+    return vecs.conj() @ vecs.T, j[None, :] - j[:, None], (i + j)[:, None] == (i + j)[None, :]
+
+
 def phase_difference_effect(
     d: int, h: Mapping[Tuple[int, int], np.ndarray], interval: Tuple[float, float]
 ) -> Effect:
@@ -946,26 +953,13 @@ def phase_difference_effect(
     is otherwise c_{j-m}(interval) <h_{l,m}, h_{i,j}>: the mask l+m = i+j
     times the coefficients times the Gram matrix of the stacked h vectors.
     """
-    lo, hi = _check_phase_interval(interval)
-    keys = [(i, j) for i in range(d) for j in range(d)]
-    vecs = np.stack([np.asarray(h[key], dtype=complex).ravel() for key in keys])
-    bad = np.flatnonzero(np.abs(np.linalg.norm(vecs, axis=1) - 1.0) > 1e-9)
-    if bad.size:
-        raise ValueError(f"h[{keys[bad[0]]}] is not normalised")
-    i, j = np.divmod(np.arange(d * d), d)
-    coeff = _interval_coefficient(j[None, :] - j[:, None], lo, hi)
-    mask = (i + j)[:, None] == (i + j)[None, :]
-    return Effect(Operator(np.where(mask, coeff * (vecs.conj() @ vecs.T), 0)))
+    return _torus_effect(*_difference_parts(d, h), interval)
 
 
 def phase_difference_pom(
     d: int, h: Mapping[Tuple[int, int], np.ndarray], boundaries: Sequence[float]
 ) -> Pom:
-    return _torus_partition(
-        "phase difference in [0, 2 pi)",
-        boundaries,
-        lambda lo, hi: phase_difference_effect(d, h, (lo, hi)),
-    )
+    return _torus_partition("phase difference in [0, 2 pi)", boundaries, _difference_parts(d, h))
 
 
 # --- translation covariant observables on a grid --------------------------

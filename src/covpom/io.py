@@ -112,11 +112,13 @@ def operator_to_json(op: Operator) -> dict:
     return {"dim": op.dim, "entries": _cvector_to_json(op.mat)}
 
 
-def operator_from_json(obj) -> Operator:
+def operator_from_json(obj, name: str = "operator") -> Operator:
     dim = int(obj["dim"])
     entries = _cvector_from_json(obj["entries"])
     if entries.size != dim * dim:
-        raise ValueError(f"operator entry count {entries.size} is not dim^2 = {dim * dim}")
+        raise ValueError(f"{name} entry count {entries.size} is not dim^2 = {dim * dim}")
+    if not np.isfinite(entries).all():
+        raise ValueError(f"{name} has a non-finite entry")
     return Operator(entries.reshape(dim, dim))
 
 
@@ -144,8 +146,8 @@ def effect_to_json(effect: Effect) -> dict:
     return {"op": operator_to_json(effect.op)}
 
 
-def effect_from_json(obj) -> Effect:
-    return Effect(operator_from_json(obj["op"]))
+def effect_from_json(obj, name: str = "effect") -> Effect:
+    return Effect(operator_from_json(obj["op"], name))
 
 
 def _cell_to_json(cell) -> dict:
@@ -188,7 +190,7 @@ def pom_from_json(obj) -> Pom:
     outcomes = tuple(
         Outcome(str(o["label"]), _cell_from_json(o["cell"])) for o in obj["outcomes"]
     )
-    effects = tuple(effect_from_json(e) for e in obj["effects"])
+    effects = tuple(effect_from_json(e, f"effect {i}") for i, e in enumerate(obj["effects"]))
     return Pom(str(obj["space_tag"]), outcomes, effects)
 
 

@@ -32,6 +32,18 @@ def finite_weyl_matrix(d, a, b):
     return clock @ shift
 
 
+def check_pom_axioms_loop(pom):
+    """(worst_negativity, normalization_defect) with an eigvalsh and an SVD per effect."""
+    worst = 0.0
+    for eff in pom.effects:
+        mat = eff.op.mat
+        herm = np.linalg.norm(mat - mat.conj().T, 2)
+        eigs = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
+        worst = max(worst, -float(eigs.min()), float(herm))
+    defect = np.linalg.norm(sum(e.op.mat for e in pom.effects) - np.eye(pom.dim), 2)
+    return worst, float(defect)
+
+
 def bisection_gamma(measure, tol=1e-6):
     """Limit of resolution by bisecting the window-mass supremum to ``tol`` (upper end)."""
     lo_sup, hi_sup = measure.support_bounds()

@@ -34,7 +34,7 @@ from covpom.abelian import (
 )
 from covpom.hilbert import Effect, Operator, PointCell, check_pom_axioms, make_state
 from covpom.phasespace import finite_weyl_action, finite_weyl_pom, finite_weyl_unitaries
-from oracles import finite_weyl_matrix
+from oracles import check_pom_axioms_loop, finite_weyl_matrix
 
 
 # --- loop forms of the array code, kept as oracles -------------------------
@@ -251,18 +251,6 @@ def verify_covariance_loop(pom, unitaries, action):
             if defect > max_defect:
                 max_defect, worst = defect, (g, out.label)
     return max_defect, worst
-
-
-def check_pom_axioms_loop(pom):
-    """(worst_negativity, normalization_defect) with an SVD per effect."""
-    worst = 0.0
-    for eff in pom.effects:
-        mat = eff.op.mat
-        herm = np.linalg.norm(mat - mat.conj().T, 2)
-        eigs = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
-        worst = max(worst, -float(eigs.min()), float(herm))
-    defect = np.linalg.norm(pom.effect_sum() - np.eye(pom.dim), 2)
-    return worst, float(defect)
 
 
 def sigma_transform(f, nu, group, sub, equivariance_tol=1e-9):
@@ -896,6 +884,32 @@ class TestArrayFormsMatchLoops:
                 pom = type(pom)(pom.space_tag, pom.outcomes,
                                 pom.effects[:i] + (Effect(Operator(skew)),) + pom.effects[i + 1:])
         assert_axioms_match_loop(pom)
+
+    def test_effect_pushed_below_minus_tol_fails(self):
+        # the groups workload's Z8 x Z8 system: 16 effects of dimension 32, passed by the
+        # Cholesky certificate until one effect is moved to lambda_min = -2 tol; the move
+        # is added back to another effect, so the sum stays the identity
+        g = FiniteAbelianGroup((8, 8))
+        sub = Subgroup.from_generators(g, [(4, 0), (0, 4)])
+        rng = np.random.default_rng(64)
+        support = [g.elements()[i] for i in rng.permutation(64)[:20]]
+        rep = DiagonalRep(g, (
+            RepBlock.from_mapping({x: rng.uniform(0.1, 2.0) for x in support[:12]}, 2),
+            RepBlock.from_mapping({x: rng.uniform(0.1, 2.0) for x in support[12:]}, 1),
+        ))
+        pom = build_covariant_pom(rep, sub, random_isometries(rep, 2, rng))
+        report = check_pom_axioms(pom, TOL)
+        assert report.passed and TOL / 2 <= report.worst_negativity <= TOL
+        vals, vecs = np.linalg.eigh(pom.effects[3].op.mat)
+        move = (vals[0] + 2 * TOL) * np.outer(vecs[:, 0], vecs[:, 0].conj())
+        effects = list(pom.effects)
+        effects[3] = Effect(Operator(effects[3].op.mat - move))
+        effects[4] = Effect(Operator(effects[4].op.mat + move))
+        pushed = type(pom)(pom.space_tag, pom.outcomes, tuple(effects))
+        report = check_pom_axioms(pushed, TOL)
+        assert not report.passed and report.normalization_defect <= TOL
+        assert report.worst_negativity == pytest.approx(2 * TOL, rel=1e-4)
+        assert_axioms_match_loop(pushed)
 
     @pytest.mark.parametrize("block", [1, 200])
     def test_blocked_sweeps_match_loop(self, monkeypatch, block):

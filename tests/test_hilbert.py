@@ -22,6 +22,7 @@ from covpom.hilbert import (
     pure_state,
     spectral_norm,
 )
+from oracles import check_pom_axioms_loop
 
 
 def diag_effect(*vals):
@@ -251,6 +252,72 @@ class TestPomAxioms:
     def test_empty_pom_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             Pom("empty", (), ())
+
+
+@st.composite
+def certificate_poms(draw, tol=1e-10):
+    """Two-effect POMs {H, I - H} of dimension 1 .. 40, and whether both are dominant.
+
+    H is bitwise Hermitian and of one of three kinds: diagonally dominant
+    (and so is I - H) with some rows zero; full rank; or rank deficient.
+    The last two have a random eigenbasis and lambda_min planted at -tol *
+    near_one or -tol/2 * near_one, the thresholds of the check and of the
+    Cholesky tier.
+    """
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["dominant", "full rank", "rank deficient"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if kind == "dominant":
+        h = a + a.conj().T
+        np.fill_diagonal(h, 0.0)
+        h[rng.random(n) < 0.3] = 0.0
+        h[:, np.all(h == 0.0, axis=1)] = 0.0
+        h *= 0.25 / max(np.abs(h).sum(axis=1).max(), 1.0)
+        rows = np.abs(h).sum(axis=1)
+        # 2 H_ii - s_i and 2 (1 - H_ii) - s_i are both at least 0.005, or a row is zero
+        lift = rng.uniform(0.01, 0.99, n) * (1 - 2 * rows)
+        h[np.diag_indices(n)] = np.where(rows > 0, rows + lift, 0.0)
+    else:
+        u, _ = np.linalg.qr(a)
+        vals = rng.uniform(0.0, 1.0, n)
+        if kind == "rank deficient":
+            vals[1 : draw(st.integers(1, n))] = 0.0
+        vals[0] = -draw(st.sampled_from([tol, tol / 2])) * draw(near_one())
+        h = (u * vals) @ u.conj().T
+        h = (h + h.conj().T) / 2
+    effects = (Effect(Operator(h)), Effect(Operator(np.eye(n) - h)))
+    return point_pom(effects), kind == "dominant"
+
+
+class TestPositivityCertificate:
+    @settings(max_examples=300, deadline=None)
+    @given(case=certificate_poms())
+    def test_agrees_with_eigvalsh(self, case):
+        pom, dominant = case
+        tol = 1e-10
+        worst, defect = check_pom_axioms_loop(pom)
+        # eigvalsh errs by up to about n eps ||H|| <= 1e-14 here: a deficit that close to
+        # tol may fall either way, while the certificate proves its bound
+        assume(abs(worst - tol) > 1e-14)
+        report = check_pom_axioms(pom, tol)
+        assert report.passed == (worst <= tol and defect <= tol)
+        assert report.normalization_defect == pytest.approx(defect, abs=1e-15)
+        if report.passed:
+            assert worst - 1e-15 <= report.worst_negativity <= tol
+        else:
+            assert report.worst_negativity == pytest.approx(worst, abs=1e-15)
+        if dominant:
+            assert report.worst_negativity == 0.0
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.nan)])
+    def test_non_finite_entry_fails(self, bad):
+        # eigvalsh gives [0, -0] for diag(nan, 1), and Python's max drops a NaN
+        first = np.diag([1.0, 0.0]).astype(complex)
+        first[0, 0] = bad
+        report = check_pom_axioms(point_pom([Effect(Operator(first)), diag_effect(0, 1)]))
+        assert not report.passed
+        assert np.isnan(report.worst_negativity) and np.isnan(report.normalization_defect)
 
 
 class TestOutcomeDistribution:

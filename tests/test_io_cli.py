@@ -245,6 +245,19 @@ class TestCli:
         assert main(["check", "pom", "--in", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("input error:")
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["Infinity", "NaN"])
+    def test_non_finite_entry_exit_2(self, capsys, tmp_path, bad):
+        # at 2 x 2 the positivity check once passed Infinity with value 0.0, and NaN
+        # reached an SVD that did not converge
+        cell = {"kind": "point", "value": [0]}
+        effects = [[[bad, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0], [1, 0]]]
+        bad_file = tmp_path / "bad.json"
+        bad_file.write_text(json.dumps({  # json writes Infinity and NaN
+            "space_tag": "t", "outcomes": [{"label": "a", "cell": cell}] * 2,
+            "effects": [{"op": {"dim": 2, "entries": e}} for e in effects]}))
+        assert main(["check", "pom", "--in", str(bad_file)]) == 2
+        assert capsys.readouterr().err == "input error: effect 0 has a non-finite entry\n"
+
     def test_finite_weyl_command(self, capsys, tmp_path):
         state_path = tmp_path / "t.json"
         state_path.write_text(io.dumps(io.state_to_json(pure_state([1, 0]))))

@@ -396,7 +396,7 @@ class TestFiniteWeyl:
         for eff in pom.effects:
             eigs = np.linalg.eigvalsh(eff.op.mat)
             np.testing.assert_allclose(sorted(eigs), [0.0, 0.5], atol=1e-14)
-        np.testing.assert_allclose(pom.effect_sum(), np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(sum(e.op.mat for e in pom.effects), np.eye(2), atol=1e-14)
 
     def test_maximally_mixed_gives_flat_effects(self):
         d = 3
