@@ -11,7 +11,6 @@ from .grids import Grid1D, WaveFunction, symmetric_grid
 from .hilbert import (
     Operator,
     State,
-    Effect,
     Pom,
     Outcome,
     PointCell,

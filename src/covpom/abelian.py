@@ -11,14 +11,14 @@ Inside the module an element is its row-major mixed-radix code in [0, |G|),
 so every table over G is an integer array; tuples appear only at the
 interface.  Pairings are phase indices mod lcm(moduli) into one exp table.
 
-``build_covariant_pom`` assembles a covariant POM on G/H from a diagonal
-representation and a family of isometries: every effect is one seed effect
-conjugated by the diagonal phase U(c).  ``sigma_matrix`` is the unitary that
-diagonalises the induced representation and ``translated_pvm_matrix`` the
-translated projection-valued measure.  Verification (covariance,
-equivalence) is done numerically with explicit defect witnesses; the
-representation is kept as monomial factors (``MonomialUnitaries``), and
-covariance is checked on the generators of G before any full sweep.
+A representation is kept as monomial factors (``MonomialUnitaries``), and a
+covariant POM is one seed effect moved by it: the (k, dim, dim) effect stack
+U(c) E_0 U(c)* over the cells c that ``conjugate`` returns, on G/H from a
+diagonal representation and isometries in ``build_covariant_pom``.
+``sigma_matrix`` diagonalises the induced representation and
+``translated_pvm_matrix`` is the translated projection-valued measure.
+Covariance and equivalence are verified numerically with explicit defect
+witnesses, covariance on the generators of G before any full sweep.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import numpy as np
 
 from .grids import BLOCK_ENTRIES, Grid1D
 from .hilbert import (
-    Effect,
     Operator,
     Outcome,
     PointCell,
@@ -515,7 +514,7 @@ def build_covariant_pom(
     coordinates because the lifted quotient measure is constant on cosets of
     the annihilator.  The pairing is a character in x, so <x - x', c> =
     p_c(x) conj(p_c(x')) with p_c = <., c>: each effect is the seed effect
-    E_0 times p_c p_c*, that is U(c) E_0 U(c)*, at O(dim^2) per coset.
+    E_0 conjugated by the diagonal U(c), at O(dim^2) per coset.
     """
     group = rep.group
     isometries.validate(rep)
@@ -523,10 +522,7 @@ def build_covariant_pom(
     dual = rep.codes
     cols = isometries.columns
     seed = np.where(_hperp_mask(group, dual, sub), cols.conj().T @ cols, 0) / reps.size
-    effects = tuple(
-        Effect(Operator(seed * np.outer(p, p.conj())))
-        for p in _pairings(group, dual, reps).T
-    )
+    effects = diagonal_unitaries(rep).conjugate(reps, seed)
     outcomes = tuple(Outcome(label=str(c), cell=PointCell(c)) for c in _tuples(group, reps))
     tag = f"G/H points, G=Z{'x'.join(map(str, group.moduli))}, |H|={sub.order}"
     return Pom(tag, outcomes, effects)
@@ -574,13 +570,20 @@ class MonomialUnitaries(Mapping):
         return mat
 
     def conjugate(self, codes, mats: np.ndarray) -> np.ndarray:
-        """U(g) M U(g)* over the codes g (k,) and matrices M (..., dim, dim): (..., k, dim, dim)."""
+        """U(g) M U(g)* over the codes g (k,) and matrices M (..., dim, dim): (..., k, dim, dim).
+
+        Each is M[pi_g, pi_g] * (phi_g phi_g*).  Unpermuted, the outer products fill
+        one new array and take the product in place, M first.  A gathered M is new;
+        numpy's temporary elision writes its product into the outer products'
+        buffer, as (phi_g phi_g*) * M, when that has the product's shape and 256 KiB.
+        """
         phases, perms = self._factors(np.asarray(codes))
-        if perms is None:
-            mats = mats[..., None, :, :]
-        else:
-            mats = mats[..., perms[:, :, None], perms[:, None, :]]
-        return mats * (phases[:, :, None] * phases[:, None, :].conj())
+        if perms is not None:
+            moved = mats[..., perms[:, :, None], perms[:, None, :]]
+            return moved * (phases[:, :, None] * phases[:, None, :].conj())
+        out = np.empty(mats.shape[:-2] + (len(phases), self.dim, self.dim), dtype=complex)
+        np.multiply(phases[:, :, None], phases[:, None, :].conj(), out=out)
+        return np.multiply(mats[..., None, :, :], out, out=out)
 
 
 def diagonal_unitaries(rep: DiagonalRep) -> MonomialUnitaries:
@@ -641,29 +644,33 @@ def verify_covariance(
     exact check on every pair.  On a swept pass ``max_defect`` is the largest
     bound used, at most ``tol``; on a failure it is the exact spectral norm
     of the first worst pair, ``worst``, in the order of ``unitaries`` and the
-    outcomes.
+    outcomes.  A non-finite effect fails the check with ``max_defect`` NaN and
+    ``worst`` the identity paired with the first such effect.
     """
     index_of = {}
     for i, out in enumerate(pom.outcomes):
         if not isinstance(out.cell, PointCell):
             raise ValueError("covariance check needs group-labelled cells")
         index_of[out.cell] = i
-    mats = [e.op.mat for e in pom.effects]  # stacked block by block: no copy of the whole POM
+    mats = pom.effects
     step = max(1, BLOCK_ENTRIES // pom.dim**2)
     group = unitaries.group
+    bad = np.flatnonzero(~np.isfinite(mats).all(axis=(1, 2)))
+    if bad.size:
+        return CovarianceReport(False, math.nan, (group.identity, pom.outcomes[bad[0]].label))
 
-    def frobenius_defects(code: int) -> Tuple[Element, list, np.ndarray]:
+    def frobenius_defects(code: int) -> Tuple[Element, np.ndarray, np.ndarray]:
         (g,) = _tuples(group, [code])
-        targets = []
-        for out in pom.outcomes:
+        targets = np.empty(len(mats), dtype=np.int64)
+        for i, out in enumerate(pom.outcomes):
             target = action(g, out.cell)
             if target not in index_of:
                 raise ValueError(f"action of {g} leaves the declared cell set")
-            targets.append(index_of[target])
+            targets[i] = index_of[target]
         defects = np.empty(len(targets))
         for lo in range(0, len(targets), step):
-            moved = unitaries.conjugate([code], np.stack(mats[lo : lo + step]))[:, 0]
-            moved -= np.stack([mats[t] for t in targets[lo : lo + step]])
+            moved = unitaries.conjugate([code], mats[lo : lo + step])[:, 0]
+            moved -= mats[targets[lo : lo + step]]
             defects[lo : lo + step] = np.linalg.norm(moved, axis=(1, 2))
         return g, targets, defects
 
@@ -843,10 +850,8 @@ def verify_pom_equivalence(
     if equivalent:
         pom_first = build_covariant_pom(rep, sub, w_first)
         pom_second = build_covariant_pom(rep, sub, w_second)
-        conj_defect = max(
-            float(np.linalg.norm(s_full @ e1.op.mat - e2.op.mat @ s_full, 2))
-            for e1, e2 in zip(pom_first.effects, pom_second.effects)
-        )
+        moved = s_full @ pom_first.effects - pom_second.effects @ s_full
+        conj_defect = float(np.linalg.norm(moved, 2, axis=(1, 2)).max())
         equivalent = conj_defect <= max(tol, 1e-9)
     return EquivalenceReport(equivalent, max_defect, witness, conj_defect)
 
@@ -874,12 +879,12 @@ def _phase_parts(h: Sequence[np.ndarray]):
     return vecs.conj() @ vecs.T, np.subtract.outer(range(len(vecs)), range(len(vecs))), True
 
 
-def _torus_effect(gram, diff, mask, interval: Tuple[float, float]) -> Effect:
+def _torus_effect(gram, diff, mask, interval: Tuple[float, float]) -> Operator:
     """Effect c_diff(interval) gram on the mask and 0 off it."""
     lo, hi = float(interval[0]), float(interval[1])
     if not (0.0 <= lo < hi <= 2 * np.pi + 1e-12):
         raise ValueError(f"need 0 <= lo < hi <= 2 pi, got [{lo}, {hi})")
-    return Effect(Operator(np.where(mask, _interval_coefficient(diff, lo, hi) * gram, 0)))
+    return Operator(np.where(mask, _interval_coefficient(diff, lo, hi) * gram, 0))
 
 
 def _torus_partition(space_tag: str, boundaries: Sequence[float], parts) -> Pom:
@@ -892,7 +897,7 @@ def _torus_partition(space_tag: str, boundaries: Sequence[float], parts) -> Pom:
 
 def phase_observable_effect(
     h: Sequence[np.ndarray], interval: Tuple[float, float]
-) -> Effect:
+) -> Operator:
     """Effect of a covariant phase observable on one theta interval.
 
     Entry (j, k) is c_{j-k}(interval) <h_j, h_k> with the closed-form
@@ -912,7 +917,7 @@ def canonical_phase_vectors(d: int) -> list[np.ndarray]:
 
 
 def sharp_phase_witness(pom: Pom) -> Tuple[Outcome, float]:
-    """Cell maximising the projection defect ||E^2 - E|| of a phase POM.
+    """Cell maximising the projection defect ||E^2 - E|| of a phase POM, the first on ties.
 
     For a nontrivial partition in dimension >= 2 the defect is strictly
     positive: no covariant phase observable is sharp.
@@ -921,15 +926,10 @@ def sharp_phase_witness(pom: Pom) -> Tuple[Outcome, float]:
         raise ValueError("phase observables need dimension >= 2")
     if len(pom.effects) < 2:
         raise ValueError("trivial partition: single cell is the whole circle")
-    best = None
-    best_defect = -1.0
-    for out, eff in zip(pom.outcomes, pom.effects):
-        m = eff.op.mat
-        defect = float(np.linalg.norm(m @ m - m, 2))
-        if defect > best_defect:
-            best_defect = defect
-            best = out
-    return best, best_defect
+    m = pom.effects
+    defects = np.linalg.norm(m @ m - m, 2, axis=(1, 2))
+    i = int(np.argmax(defects))
+    return pom.outcomes[i], float(defects[i])
 
 
 def _difference_parts(d: int, h: Mapping[Tuple[int, int], np.ndarray]):
@@ -945,7 +945,7 @@ def _difference_parts(d: int, h: Mapping[Tuple[int, int], np.ndarray]):
 
 def phase_difference_effect(
     d: int, h: Mapping[Tuple[int, int], np.ndarray], interval: Tuple[float, float]
-) -> Effect:
+) -> Operator:
     """Effect of a covariant phase-difference observable for two d-level modes.
 
     Acts on C^d tensor C^d with basis e_{i,j} flattened as i*d + j; the
@@ -984,7 +984,7 @@ def _snap_outcome_intervals(
 
 def translation_covariant_effect(
     h: np.ndarray, intervals: Sequence[Tuple[float, float]], grid: Grid1D
-) -> Effect:
+) -> Operator:
     """Effect of a translation covariant observable, frequency-side realisation.
 
     ``h`` holds one unit vector in C^m per grid node.  Outcomes are intervals
@@ -1007,7 +1007,7 @@ def translation_covariant_effect(
     if np.max(np.abs(norms - 1.0)) > 1e-9:
         raise ValueError("direction vectors must be normalised")
     mask = _snap_outcome_intervals(grid, intervals)
-    return Effect(Operator(grid.momentum_multiplier(mask) * (h.conj() @ h.T)))
+    return Operator(grid.momentum_multiplier(mask) * (h.conj() @ h.T))
 
 
 def translation_covariant_pom(

@@ -37,10 +37,6 @@ def _load_json(path: str):
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
 
 
-def _build_grid(args) -> "symmetric_grid":
-    return symmetric_grid(args.grid_n, args.window)
-
-
 def _parse_state(obj, grid):
     """Parametric or explicit state description on the given grid."""
     if "kind" not in obj:
@@ -185,18 +181,15 @@ def cmd_finite_weyl(args) -> int:
     state = io.state_from_json(_load_json(args.state))
     pom = phasespace.finite_weyl_pom(args.dim, state)
     _check_and_write_pom(report, pom, args)
-    cov = abelian.verify_covariance(
-        pom,
-        phasespace.finite_weyl_unitaries(args.dim),
-        phasespace.finite_weyl_action(args.dim),
-        args.tol,
-    )
+    unitaries = phasespace.finite_weyl_unitaries(args.dim)
+    action = abelian.coset_action(unitaries.group, abelian.Subgroup.trivial(unitaries.group))
+    cov = abelian.verify_covariance(pom, unitaries, action, args.tol)
     report.add("covariance", cov.passed, cov.max_defect, args.tol, _covariance_witness(cov))
     return report.finish(args)
 
 
 def cmd_smeared(args) -> int:
-    grid = _build_grid(args)
+    grid = symmetric_grid(args.grid_n, args.window)
     measure = _parse_measure(_load_json(args.measure), grid)
     report = Report(f"smeared-{args.action}", args.tol, args.seed)
     if args.action == "gamma":
@@ -245,7 +238,7 @@ def cmd_smeared(args) -> int:
 
 
 def cmd_phasespace(args) -> int:
-    grid = _build_grid(args)
+    grid = symmetric_grid(args.grid_n, args.window)
     t_state = _parse_state(_load_json(args.t), grid)
     report = Report(f"phasespace-{args.action}", args.tol, args.seed)
     if args.action == "density":
@@ -306,7 +299,7 @@ def cmd_check(args) -> int:
         return report.finish(args)
     # uncertainty
     tol = args.tol if args.tol is not None else 1e-3
-    grid = _build_grid(args)
+    grid = symmetric_grid(args.grid_n, args.window)
     s_state = _parse_state(_load_json(args.state), grid)
     t_state = _parse_state(_load_json(args.pairs_from), grid)
     rho, nu = phasespace.margins_of_GT(t_state, grid)

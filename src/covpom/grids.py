@@ -37,6 +37,8 @@ class Grid1D:
     def __post_init__(self):
         if self.n < 16 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 16, got {self.n}")
+        if not (np.isfinite(self.x0) and np.isfinite(self.dx)):
+            raise ValueError(f"x0 and dx must be finite, got {self.x0} and {self.dx}")
         if self.dx <= 0:
             raise ValueError("dx must be positive")
 

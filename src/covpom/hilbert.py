@@ -1,13 +1,15 @@
-"""Core linear-algebra substrate: operators, states, effects and POMs.
+"""Core linear-algebra substrate: operators, states and POMs.
 
 Everything lives on a finite-dimensional Hilbert space.  Operators are dense
 complex matrices; Hermiticity and positivity are tolerance-gated predicates
 rather than assumptions.  A ``State`` is a low-rank factor (weights and
 orthonormal vectors); its dense operator is built only on demand.  A ``Pom``
-is a finite family of effects labelled by disjoint outcome cells;
-``partition_pom`` builds one over the intervals between boundaries, and
-``check_pom_axioms`` verifies positivity and normalisation with explicit
-witnesses.
+is one read-only (k, dim, dim) stack of effects, one per disjoint outcome
+cell, and a single effect built on its own is an ``Operator``.
+``partition_pom`` fills a stack over the intervals between boundaries; a
+covariant POM is one seed effect moved by the group, the stack that
+``abelian.MonomialUnitaries.conjugate`` returns.  ``check_pom_axioms``
+verifies positivity and normalisation with explicit witnesses.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .grids import BLOCK_ENTRIES
 __all__ = [
     "Operator",
     "State",
-    "Effect",
     "Pom",
     "Outcome",
     "PointCell",
@@ -172,17 +173,6 @@ class State:
         return self.vectors.shape[1]
 
 
-@dataclass(frozen=True)
-class Effect:
-    """Hermitian operator with spectrum in [0, 1]; ``check_pom_axioms`` checks a POM's effects."""
-
-    op: Operator
-
-    @property
-    def dim(self) -> int:
-        return self.op.dim
-
-
 # --- outcome cells -------------------------------------------------------
 
 
@@ -228,26 +218,32 @@ class Outcome:
     cell: Cell
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pom:
-    """Finite indexed family of effects over a declared outcome partition."""
+    """Effects over a declared outcome partition: ``effects[i]`` belongs to ``outcomes[i]``.
+
+    ``effects`` is one read-only complex (k, dim, dim) stack, kept uncopied
+    when given as a complex ndarray, like an ``Operator``'s matrix.
+    """
 
     space_tag: str
     outcomes: Tuple[Outcome, ...]
-    effects: Tuple[Effect, ...]
+    effects: np.ndarray
 
     def __post_init__(self):
-        if len(self.outcomes) != len(self.effects):
-            raise ValueError("outcomes and effects must have the same length")
-        if not self.effects:
+        effects = np.asarray(self.effects, dtype=complex)
+        if not len(effects):
             raise ValueError("empty POM")
-        dims = {e.dim for e in self.effects}
-        if len(dims) != 1:
-            raise ValueError(f"effects have mixed dimensions {dims}")
+        if effects.ndim != 3 or effects.shape[1] != effects.shape[2]:
+            raise ValueError(f"expected a (k, dim, dim) effect stack, got shape {effects.shape}")
+        if len(self.outcomes) != len(effects):
+            raise ValueError("outcomes and effects must have the same length")
+        effects.setflags(write=False)
+        object.__setattr__(self, "effects", effects)
 
     @property
     def dim(self) -> int:
-        return self.effects[0].dim
+        return self.effects.shape[1]
 
     def labels(self) -> Tuple[str, ...]:
         return tuple(o.label for o in self.outcomes)
@@ -286,13 +282,13 @@ def make_state(spectral: Sequence[Tuple[float, Iterable[complex]]]) -> State:
     Vectors are orthonormalised in order by one reduced QR, each column
     rephased so R has a positive diagonal (the Gram-Schmidt vectors), and
     weights are renormalised to sum to one.  Raises on zero total weight,
-    dimension mismatch, or linearly dependent vectors.
+    dimension mismatch, non-finite input, or linearly dependent vectors.
     """
     if not spectral:
         raise ValueError("empty spectral data")
     weights = np.array([float(w) for w, _ in spectral])
-    if np.any(weights < 0):
-        raise ValueError("negative weight")
+    if not np.all(np.isfinite(weights) & (weights >= 0)):
+        raise ValueError("non-finite or negative weight")
     total = weights.sum()
     if total <= 0:
         raise ValueError("zero total weight")
@@ -304,6 +300,8 @@ def make_state(spectral: Sequence[Tuple[float, Iterable[complex]]]) -> State:
         raise ValueError(f"vectors must share one dimension, got shapes {dims}")
 
     mat = np.stack(vectors, axis=1)
+    if not np.isfinite(mat).all():
+        raise ValueError("non-finite vector entry in spectral data")
     norms = np.linalg.norm(mat, axis=0)
     q, r = np.linalg.qr(mat)
     # |R_ii| is the part of vector i orthogonal to the earlier ones; past the
@@ -327,24 +325,37 @@ def pure_state(vector: Iterable[complex]) -> State:
     return make_state([(1.0, vector)])
 
 
+def _fill_stack(mats: Iterable[np.ndarray], count: int) -> np.ndarray:
+    """The ``count`` matrices of ``mats``, each written into its slot of one complex stack."""
+    out = np.empty((count, 0, 0), dtype=complex)
+    for i, mat in enumerate(mats):
+        if not i:
+            out = np.empty((count, *np.shape(mat)), dtype=complex)
+        elif np.shape(mat) != out.shape[1:]:
+            raise ValueError(f"effect {i} has shape {np.shape(mat)}, effect 0 {out.shape[1:]}")
+        out[i] = mat
+    return out
+
+
 def partition_pom(
     space_tag: str,
     bounds: Sequence[float],
-    effect_of: Callable[[float, float], Effect],
+    effect_of: Callable[[float, float], Operator],
     fmt: str,
 ) -> Pom:
     """POM of the interval cells [lo, hi) between consecutive ``bounds``.
 
     ``bounds`` must strictly increase.  Each cell gets the label ``[lo,hi)``,
     both ends written in the format ``fmt`` (such as ".6f"), and the effect
-    ``effect_of(lo, hi)``.
+    ``effect_of(lo, hi)``, written into its slot of the stack.
     """
     bounds = np.asarray(bounds, dtype=float)
     if bounds.size < 2 or not np.all(bounds[1:] > bounds[:-1]):
         raise ValueError("boundaries must be strictly increasing")
     cells = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
     outcomes = tuple(Outcome(f"[{lo:{fmt}},{hi:{fmt}})", IntervalCell(lo, hi)) for lo, hi in cells)
-    return Pom(space_tag, outcomes, tuple(effect_of(lo, hi) for lo, hi in cells))
+    effects = _fill_stack((effect_of(lo, hi).mat for lo, hi in cells), len(cells))
+    return Pom(space_tag, outcomes, effects)
 
 
 def _deficits(mats: np.ndarray, tol: float, rows: np.ndarray) -> np.ndarray:
@@ -387,7 +398,7 @@ def check_pom_axioms(pom: Pom, tol: float = EXACT_TOL) -> AxiomReport:
     worst, total = 0.0, np.zeros((pom.dim, pom.dim), dtype=complex)
     step = max(1, BLOCK_ENTRIES // pom.dim**2)
     for lo in range(0, len(pom.effects), step):
-        mats = np.stack([total, *(eff.op.mat for eff in pom.effects[lo : lo + step])])
+        mats = np.concatenate([total[None], pom.effects[lo : lo + step]])
         if not np.isfinite(mats).all():
             return AxiomReport(False, np.nan, np.nan)
         total, mats = mats.sum(0), mats[1:]  # the running sum, added effect by effect
@@ -414,7 +425,7 @@ def outcome_distribution(state: State, pom: Pom) -> ProbVector:
     """Probability of each outcome: Re tr(T E_i) = Re sum_jk T_jk (E_i)_kj, O(d^2) each."""
     if state.dim != pom.dim:
         raise ValueError(f"dimension mismatch: state {state.dim}, pom {pom.dim}")
-    raw = np.array([np.sum(state.op.mat * e.op.mat.T).real for e in pom.effects])
+    raw = np.array([np.sum(state.op.mat * e.T).real for e in pom.effects])
     negativity = float(max(0.0, -raw.min()))
     norm_defect = float(abs(raw.sum() - 1.0))
     clipped = np.clip(raw, 0.0, 1.0)
@@ -423,9 +434,9 @@ def outcome_distribution(state: State, pom: Pom) -> ProbVector:
     return ProbVector(probs, raw, negativity, norm_defect)
 
 
-def effect_is_regular(effect: Effect, tol: float = EXACT_TOL) -> bool:
+def effect_is_regular(effect: Operator, tol: float = EXACT_TOL) -> bool:
     """True iff the effect's spectrum extends both above and below 1/2."""
-    eigs = np.linalg.eigvalsh(effect.op.mat)
+    eigs = np.linalg.eigvalsh(effect.mat)
     return bool(eigs.max() > 0.5 + tol and eigs.min() < 0.5 - tol)
 
 

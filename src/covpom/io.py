@@ -4,7 +4,8 @@ Conventions: an operator is {"dim": d, "entries": flat row-major complex
 array}; a state is written in the spectral form {"spectral": [{"weight": w,
 "vector": [...]}]} and read from it or from the operator form {"op": ...},
 which is factored once on reading and its weights renormalised; a POM is
-{"space_tag", "outcomes", "effects"}.  Group data uses moduli tuples, dual
+{"space_tag", "outcomes", "effects"} with each effect {"op": operator}, read
+into its slot of one (k, dim, dim) stack.  Group data uses moduli tuples, dual
 points are encoded as comma-joined index strings; isometries are keyed by
 dual point and read and written against a representation, which orders
 them.  Measures are {"atoms": [[x, w]], "density": {"x0", "dx", "values"}}.
@@ -31,7 +32,6 @@ from .abelian import (
 )
 from .grids import Grid1D
 from .hilbert import (
-    Effect,
     IntervalCell,
     Operator,
     Outcome,
@@ -39,6 +39,7 @@ from .hilbert import (
     Pom,
     RectCell,
     State,
+    _fill_stack,
     make_state,
 )
 from .posmom import ProbMeasure1D
@@ -49,8 +50,6 @@ __all__ = [
     "operator_from_json",
     "state_to_json",
     "state_from_json",
-    "effect_to_json",
-    "effect_from_json",
     "pom_to_json",
     "pom_from_json",
     "measure_to_json",
@@ -142,14 +141,6 @@ def state_from_json(obj) -> State:
     return State(state.weights / state.weights.sum(), state.vectors)  # as make_state leaves them
 
 
-def effect_to_json(effect: Effect) -> dict:
-    return {"op": operator_to_json(effect.op)}
-
-
-def effect_from_json(obj, name: str = "effect") -> Effect:
-    return Effect(operator_from_json(obj["op"], name))
-
-
 def _cell_to_json(cell) -> dict:
     if isinstance(cell, PointCell):
         return {"kind": "point", "value": list(cell.value)}
@@ -182,7 +173,7 @@ def pom_to_json(pom: Pom) -> dict:
         "outcomes": [
             {"label": o.label, "cell": _cell_to_json(o.cell)} for o in pom.outcomes
         ],
-        "effects": [effect_to_json(e) for e in pom.effects],
+        "effects": [{"op": operator_to_json(Operator(e))} for e in pom.effects],
     }
 
 
@@ -190,8 +181,9 @@ def pom_from_json(obj) -> Pom:
     outcomes = tuple(
         Outcome(str(o["label"]), _cell_from_json(o["cell"])) for o in obj["outcomes"]
     )
-    effects = tuple(effect_from_json(e, f"effect {i}") for i, e in enumerate(obj["effects"]))
-    return Pom(str(obj["space_tag"]), outcomes, effects)
+    docs = obj["effects"]
+    mats = (operator_from_json(e["op"], f"effect {i}").mat for i, e in enumerate(docs))
+    return Pom(str(obj["space_tag"]), outcomes, _fill_stack(mats, len(docs)))
 
 
 def measure_to_json(measure: ProbMeasure1D) -> dict:

@@ -43,7 +43,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .abelian import FiniteAbelianGroup, MonomialUnitaries
 from .grids import BLOCK_ENTRIES, Grid1D, WaveFunction
-from .hilbert import Effect, Operator, Outcome, PointCell, Pom, RectCell, State, _lanczos_norm
+from .hilbert import Operator, Outcome, PointCell, Pom, RectCell, State, _lanczos_norm
 from .posmom import ProbMeasure1D, WindowLeakageError, _state_densities, grid_wavefunctions
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "margins_of_GT",
     "finite_weyl_pom",
     "finite_weyl_unitaries",
-    "finite_weyl_action",
 ]
 
 DEFAULT_HALF_WIDTH = 20.0
@@ -322,7 +321,7 @@ def phase_space_effect(
     cell: RectCell,
     grid: Grid1D,
     order: int = 16,
-) -> Effect:
+) -> Operator:
     """G_T(Z) = (1/2pi) integral over the cell of W(q,p) T W(q,p)*.
 
     The p-integral is exact: the bank carries e^{i mu x}, leaving the real Toeplitz
@@ -333,7 +332,7 @@ def phase_space_effect(
     """
     _check_cell_in_window(cell, grid)
     bank_h = _bank(t_state, cell, grid, order)
-    return Effect(Operator(next(_kernel_rows(bank_h, cell, grid, 0, grid.n, grid.n))[2]))
+    return Operator(next(_kernel_rows(bank_h, cell, grid, 0, grid.n, grid.n))[2])
 
 
 def phase_space_cell_norm(
@@ -362,17 +361,18 @@ def phase_space_pom(
     grid: Grid1D,
     order: int = 16,
 ) -> Pom:
-    """POM from disjoint cells plus the complement effect I - sum G(Z_i)."""
-    effects = [phase_space_effect(t_state, c, grid, order) for c in cells]
+    """POM from disjoint cells plus the complement effect I - sum G(Z_i), in one stack."""
+    effects = np.empty((len(cells) + 1, grid.n, grid.n), dtype=complex)
+    for i, c in enumerate(cells):
+        effects[i] = phase_space_effect(t_state, c, grid, order).mat
+    np.subtract(np.eye(grid.n), effects[:-1].sum(0), out=effects[-1])
     outcomes = [
         Outcome(f"q[{c.q_lo:.3g},{c.q_hi:.3g}) p[{c.p_lo:.3g},{c.p_hi:.3g})", c)
         for c in cells
     ]
-    rest = np.eye(grid.n) - sum(e.op.mat for e in effects)
-    effects.append(Effect(Operator(rest)))
     lim = np.pi / grid.dx
     outcomes.append(Outcome("outside-window", RectCell(grid.x0, grid.x0 + grid.length, -lim, lim)))
-    return Pom("phase-space cells", tuple(outcomes), tuple(effects))
+    return Pom("phase-space cells", tuple(outcomes), effects)
 
 
 # --- resolution of identity --------------------------------------------------
@@ -456,17 +456,8 @@ def finite_weyl_unitaries(d: int) -> MonomialUnitaries:
     return MonomialUnitaries(group, d, phases_and_sources)
 
 
-def finite_weyl_action(d: int):
-    """Translation action of Z_d x Z_d on its own points as POM cells."""
-
-    def act(g: Tuple[int, int], cell: PointCell) -> PointCell:
-        return PointCell(((g[0] + cell.value[0]) % d, (g[1] + cell.value[1]) % d))
-
-    return act
-
-
 def finite_weyl_pom(d: int, t_state: State) -> Pom:
-    """Covariant POM over Z_d x Z_d: effects (1/d) W_(a,b) T W_(a,b)*.
+    """Covariant POM over Z_d x Z_d: effects (1/d) W_(a,b) T W_(a,b)*, one ``conjugate`` stack.
 
     Normalisation is exact by the orthogonality of the discrete Weyl
     operators, and covariance under the projective Weyl action is exact
@@ -482,6 +473,4 @@ def finite_weyl_pom(d: int, t_state: State) -> Pom:
     outcomes = tuple(
         Outcome(f"({a},{b})", PointCell((a, b))) for a in range(d) for b in range(d)
     )
-    return Pom(
-        f"Z_{d} x Z_{d} phase space", outcomes, tuple(Effect(Operator(e)) for e in effects)
-    )
+    return Pom(f"Z_{d} x Z_{d} phase space", outcomes, effects)

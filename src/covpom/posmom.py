@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .grids import BLOCK_ENTRIES, Grid1D, WaveFunction
-from .hilbert import Effect, Operator, Pom, State, _lanczos_norm, partition_pom
+from .hilbert import Operator, Pom, State, _lanczos_norm, partition_pom
 
 __all__ = [
     "ProbMeasure1D",
@@ -77,11 +77,11 @@ class ProbMeasure1D:
 
     def __post_init__(self):
         atoms = tuple((float(x), float(w)) for x, w in self.atoms)
+        if not all(math.isfinite(x) and math.isfinite(w) and w >= 0 for x, w in atoms):
+            raise ValueError("atom locations must be finite, their weights finite and nonnegative")
         locs = [x for x, _ in atoms]
         if len(set(locs)) != len(locs):
             raise ValueError("atom locations must be distinct")
-        if any(w < 0 for _, w in atoms):
-            raise ValueError("atom weights must be nonnegative")
         object.__setattr__(self, "atoms", tuple(sorted(atoms)))
         if (self.grid is None) != (self.density is None):
             raise ValueError("grid and density must be given together")
@@ -89,8 +89,8 @@ class ProbMeasure1D:
             dens = np.asarray(self.density, dtype=float).copy()
             if dens.shape != (self.grid.n,):
                 raise ValueError("density length does not match the grid")
-            if dens.min() < 0:
-                raise ValueError(f"negative density value {dens.min()}")
+            if not 0 <= dens.min() <= dens.max() < math.inf:  # NaN fails every comparison
+                raise ValueError("density values must be finite and nonnegative")
             dens.setflags(write=False)
             object.__setattr__(self, "density", dens)
         mass = self.total_mass()
@@ -424,7 +424,7 @@ def smeared_profile(obs: SmearedObservable, intervals) -> Tuple[np.ndarray, floa
     return clipped, defect
 
 
-def smeared_effect(obs: SmearedObservable, intervals) -> Effect:
+def smeared_effect(obs: SmearedObservable, intervals) -> Operator:
     """Effect of a union of grid intervals.
 
     Position kind: diagonal multiplication by the smeared indicator.
@@ -434,8 +434,8 @@ def smeared_effect(obs: SmearedObservable, intervals) -> Effect:
     """
     prof, _ = smeared_profile(obs, intervals)
     if obs.kind == "position":
-        return Effect(Operator(np.diag(prof.astype(complex))))
-    return Effect(Operator(obs.grid.momentum_multiplier(prof)))
+        return Operator(np.diag(prof.astype(complex)))
+    return Operator(obs.grid.momentum_multiplier(prof))
 
 
 def smeared_pom(obs: SmearedObservable, boundaries: Sequence[float]) -> Pom:

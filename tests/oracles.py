@@ -36,12 +36,22 @@ def check_pom_axioms_loop(pom):
     """(worst_negativity, normalization_defect) with an eigvalsh and an SVD per effect."""
     worst = 0.0
     for eff in pom.effects:
-        mat = eff.op.mat
+        mat = eff
         herm = np.linalg.norm(mat - mat.conj().T, 2)
         eigs = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
         worst = max(worst, -float(eigs.min()), float(herm))
-    defect = np.linalg.norm(sum(e.op.mat for e in pom.effects) - np.eye(pom.dim), 2)
+    defect = np.linalg.norm(sum(pom.effects) - np.eye(pom.dim), 2)
     return worst, float(defect)
+
+
+def sharp_phase_witness_loop(pom):
+    """(outcome, ||E^2 - E||) of the first effect of largest projection defect, one SVD each."""
+    best, best_defect = None, -1.0
+    for out, mat in zip(pom.outcomes, pom.effects):
+        defect = float(np.linalg.norm(mat @ mat - mat, 2))
+        if defect > best_defect:
+            best, best_defect = out, defect
+    return best, best_defect
 
 
 def bisection_gamma(measure, tol=1e-6):
@@ -93,7 +103,7 @@ def full_grid_roi_gram(t_state, grid, half_width, n_test, order=16):
     """M_ij = <h_i, G h_j> over the whole grid, from the dense window effect G."""
     herm = np.stack([hermite_wavefunction(grid, k).values for k in range(n_test)])
     window = RectCell(-half_width, half_width, -half_width, half_width)
-    effect = phase_space_effect(t_state, window, grid, order).op.mat
+    effect = phase_space_effect(t_state, window, grid, order).mat
     return herm.conj() @ effect @ herm.T * grid.dx
 
 

@@ -32,9 +32,15 @@ from covpom.abelian import (
     verify_covariance,
     verify_pom_equivalence,
 )
-from covpom.hilbert import Effect, Operator, PointCell, check_pom_axioms, make_state
-from covpom.phasespace import finite_weyl_action, finite_weyl_pom, finite_weyl_unitaries
+from covpom.hilbert import PointCell, check_pom_axioms, make_state
+from covpom.phasespace import finite_weyl_pom, finite_weyl_unitaries
 from oracles import check_pom_axioms_loop, finite_weyl_matrix
+
+
+def weyl_action(d):
+    """Translations of Z_d x Z_d on its points: the cosets of the trivial subgroup."""
+    group = FiniteAbelianGroup((d, d))
+    return coset_action(group, Subgroup.trivial(group))
 
 
 # --- loop forms of the array code, kept as oracles -------------------------
@@ -197,7 +203,7 @@ def verify_pom_equivalence_loop(rep, sub, w_first, w_second, intertwiners, tol=1
         conj_defect = 0.0
         for e1, e2 in zip(first.effects, second.effects):
             conj_defect = max(
-                conj_defect, float(np.linalg.norm(s_full @ e1.op.mat - e2.op.mat @ s_full, 2))
+                conj_defect, float(np.linalg.norm(s_full @ e1 - e2 @ s_full, 2))
             )
         equivalent = conj_defect <= max(tol, 1e-9)
     return EquivalenceReport(equivalent, max_defect, witness, conj_defect), defects
@@ -245,8 +251,8 @@ def verify_covariance_loop(pom, unitaries, action):
     worst, max_defect = ((), ""), 0.0
     for g, u in unitaries.items():
         for i, out in enumerate(pom.outcomes):
-            moved = u @ pom.effects[i].op.mat @ u.conj().T
-            target = pom.effects[index_of[action(g, out.cell)]].op.mat
+            moved = u @ pom.effects[i] @ u.conj().T
+            target = pom.effects[index_of[action(g, out.cell)]]
             defect = float(np.linalg.norm(moved - target, 2))
             if defect > max_defect:
                 max_defect, worst = defect, (g, out.label)
@@ -412,7 +418,7 @@ class TestBuildCovariantPom:
         pom = build_covariant_pom(rep, Subgroup.trivial(g), fam)
         expected = brute_force_sharp_pvm(d)
         for eff, mat in zip(pom.effects, expected):
-            np.testing.assert_allclose(eff.op.mat, mat, atol=1e-13)
+            np.testing.assert_allclose(eff, mat, atol=1e-13)
 
     def test_full_subgroup_trivial_quotient(self):
         g = FiniteAbelianGroup((2,))
@@ -420,7 +426,7 @@ class TestBuildCovariantPom:
         fam = random_isometries(rep, 2, np.random.default_rng(0))
         pom = build_covariant_pom(rep, Subgroup.full(g), fam)
         assert len(pom.effects) == 1
-        np.testing.assert_allclose(pom.effects[0].op.mat, np.eye(2), atol=1e-13)
+        np.testing.assert_allclose(pom.effects[0], np.eye(2), atol=1e-13)
 
     def test_axioms_and_covariance_z4(self):
         g = FiniteAbelianGroup((4,))
@@ -461,7 +467,7 @@ class TestBuildCovariantPom:
         shuffled = type(pom)(
             pom.space_tag,
             pom.outcomes,
-            (pom.effects[1], pom.effects[0]) + pom.effects[2:],
+            pom.effects[[1, 0, 2, 3]],
         )
         covrep = verify_covariance(
             shuffled, diagonal_unitaries(rep), coset_action(g, h), 1e-10
@@ -716,10 +722,9 @@ def perturbed(pom, index, eps, rng):
     """The POM with effect ``index`` moved by eps times a unit-norm Hermitian."""
     a = rng.normal(size=(pom.dim, pom.dim)) + 1j * rng.normal(size=(pom.dim, pom.dim))
     herm = a + a.conj().T
-    mat = pom.effects[index].op.mat + eps * herm / np.linalg.norm(herm, 2)
-    effects = list(pom.effects)
-    effects[index] = Effect(Operator(mat))
-    return type(pom)(pom.space_tag, pom.outcomes, tuple(effects))
+    effects = pom.effects.copy()
+    effects[index] += eps * herm / np.linalg.norm(herm, 2)
+    return type(pom)(pom.space_tag, pom.outcomes, effects)
 
 
 def assert_covariance_matches_loop(pom, unitaries, action):
@@ -754,7 +759,7 @@ class TestArrayFormsMatchLoops:
         reps, mats = build_covariant_pom_loop(rep, sub, fam)
         assert pom.labels() == tuple(str(c) for c in reps)
         for eff, mat in zip(pom.effects, mats):
-            assert np.max(np.abs(eff.op.mat - mat)) <= 1e-14
+            assert np.max(np.abs(eff - mat)) <= 1e-14
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -778,7 +783,7 @@ class TestArrayFormsMatchLoops:
         pom = finite_weyl_pom(d, make_state([(0.7, vecs[0]), (0.3, vecs[1])]))
         if eps:
             pom = perturbed(pom, int(rng.integers(len(pom.effects))), eps, rng)
-        assert_covariance_matches_loop(pom, finite_weyl_unitaries(d), finite_weyl_action(d))
+        assert_covariance_matches_loop(pom, finite_weyl_unitaries(d), weyl_action(d))
 
     def test_permuted_effects_fail_like_loop(self):
         g = FiniteAbelianGroup((4,))
@@ -786,7 +791,7 @@ class TestArrayFormsMatchLoops:
         pom = build_covariant_pom(rep, Subgroup.trivial(g), random_isometries(
             rep, 2, np.random.default_rng(9)))
         shuffled = type(pom)(
-            pom.space_tag, pom.outcomes, (pom.effects[1], pom.effects[0]) + pom.effects[2:]
+            pom.space_tag, pom.outcomes, pom.effects[[1, 0, 2, 3]]
         )
         assert_covariance_matches_loop(
             shuffled, diagonal_unitaries(rep), coset_action(g, Subgroup.trivial(g))
@@ -800,14 +805,14 @@ class TestArrayFormsMatchLoops:
         rep = single_block_rep(g, {(x,): 1.0 for x in range(4)})
         pom = build_covariant_pom(rep, trivial, random_isometries(rep, 1, np.random.default_rng(3)))
         drift = np.exp(1e-9j * np.subtract.outer(np.arange(4), np.arange(4)))
-        drifted = type(pom)(pom.space_tag, pom.outcomes, tuple(
-            Effect(Operator(e.op.mat * drift**s)) for e, s in zip(pom.effects, (0, 1, 2, 1))
-        ))
+        drifted = type(pom)(pom.space_tag, pom.outcomes, np.array([
+            e * drift**s for e, s in zip(pom.effects, (0, 1, 2, 1))
+        ]))
         unitaries, action = diagonal_unitaries(rep), coset_action(g, trivial)
         loop_max, loop_worst = verify_covariance_loop(drifted, unitaries, action)
         u = unitaries[(1,)]
         delta = max(
-            np.linalg.norm(u @ e.op.mat @ u.conj().T - drifted.effects[(i + 1) % 4].op.mat)
+            np.linalg.norm(u @ e @ u.conj().T - drifted.effects[(i + 1) % 4])
             for i, e in enumerate(drifted.effects)
         )
         assert delta < loop_max
@@ -820,7 +825,7 @@ class TestArrayFormsMatchLoops:
         rng = np.random.default_rng(11)
         vecs = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
         pom = finite_weyl_pom(5, make_state([(0.6, vecs[0]), (0.4, vecs[1])]))
-        args = (finite_weyl_unitaries(5), finite_weyl_action(5), TOL)
+        args = (finite_weyl_unitaries(5), weyl_action(5), TOL)
         on_generators = verify_covariance(pom, *args)
         assert on_generators.passed and on_generators.word_length == 4
         assert on_generators.worst[0] in ((1, 0), (0, 1))
@@ -833,7 +838,7 @@ class TestArrayFormsMatchLoops:
         rng = np.random.default_rng(32)
         vecs = rng.normal(size=(2, 32)) + 1j * rng.normal(size=(2, 32))
         pom = finite_weyl_pom(32, make_state([(0.7, vecs[0]), (0.3, vecs[1])]))
-        report = verify_covariance(pom, finite_weyl_unitaries(32), finite_weyl_action(32), TOL)
+        report = verify_covariance(pom, finite_weyl_unitaries(32), weyl_action(32), TOL)
         assert report.passed and report.word_length == 32
 
     @settings(max_examples=40, deadline=None)
@@ -864,6 +869,42 @@ class TestArrayFormsMatchLoops:
             assert np.max(np.abs(w @ e @ w.conj().T - u @ v @ e @ v.conj().T @ u.conj().T)) <= 1e-13
             assert np.max(np.abs(ad(xy, e) - ad(x, ad(y, e)))) <= 1e-14
 
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 2)])
+    def test_conjugate_with_batch_axes_matches_dense(self, batch):
+        g = FiniteAbelianGroup((6, 2))
+        rep = DiagonalRep(g, (
+            RepBlock.from_mapping({(0, 0): 1.0, (1, 1): 0.5, (3, 0): 2.0}, 2),
+            RepBlock.from_mapping({(5, 1): 1.0}, 1),
+        ))
+        rng = np.random.default_rng(len(batch))
+        for unitaries in (diagonal_unitaries(rep), finite_weyl_unitaries(5)):
+            elems = unitaries.group.elements()
+            codes = rng.permutation(len(elems))[:4]
+            dims = (*batch, unitaries.dim, unitaries.dim)
+            mats = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+            got = unitaries.conjugate(codes, mats)
+            assert got.shape == (*batch, 4, unitaries.dim, unitaries.dim)
+            for i, code in enumerate(codes):
+                u = unitaries[elems[code]]
+                assert np.max(np.abs(got[..., i, :, :] - u @ mats @ u.conj().T)) <= 1e-14
+
+    @pytest.mark.parametrize("where", ["one", "all"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_effects_fail_covariance(self, where, bad):
+        # NaN > tol is false: the sweep once passed a NaN stack with max_defect 0.0
+        rng = np.random.default_rng(3)
+        vecs = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+        pom = finite_weyl_pom(3, make_state([(0.6, vecs[0]), (0.4, vecs[1])]))
+        effects = pom.effects.copy()
+        if where == "one":
+            effects[4, 1, 2] = bad
+        else:
+            effects[:] = bad
+        broken = type(pom)(pom.space_tag, pom.outcomes, effects)
+        report = verify_covariance(broken, finite_weyl_unitaries(3), weyl_action(3), TOL)
+        assert not report.passed and np.isnan(report.max_defect)
+        assert report.worst == ((0, 0), pom.outcomes[4 if where == "one" else 0].label)
+
     @settings(max_examples=40, deadline=None)
     @given(
         covariant_systems(),
@@ -880,9 +921,9 @@ class TestArrayFormsMatchLoops:
             pom = perturbed(pom, int(rng.integers(len(pom.effects))), eps, rng)
             if not hermitian:
                 i = int(rng.integers(len(pom.effects)))
-                skew = pom.effects[i].op.mat + 1j * eps * np.eye(pom.dim)
-                pom = type(pom)(pom.space_tag, pom.outcomes,
-                                pom.effects[:i] + (Effect(Operator(skew)),) + pom.effects[i + 1:])
+                effects = pom.effects.copy()
+                effects[i] += 1j * eps * np.eye(pom.dim)
+                pom = type(pom)(pom.space_tag, pom.outcomes, effects)
         assert_axioms_match_loop(pom)
 
     def test_effect_pushed_below_minus_tol_fails(self):
@@ -900,12 +941,12 @@ class TestArrayFormsMatchLoops:
         pom = build_covariant_pom(rep, sub, random_isometries(rep, 2, rng))
         report = check_pom_axioms(pom, TOL)
         assert report.passed and TOL / 2 <= report.worst_negativity <= TOL
-        vals, vecs = np.linalg.eigh(pom.effects[3].op.mat)
+        vals, vecs = np.linalg.eigh(pom.effects[3])
         move = (vals[0] + 2 * TOL) * np.outer(vecs[:, 0], vecs[:, 0].conj())
-        effects = list(pom.effects)
-        effects[3] = Effect(Operator(effects[3].op.mat - move))
-        effects[4] = Effect(Operator(effects[4].op.mat + move))
-        pushed = type(pom)(pom.space_tag, pom.outcomes, tuple(effects))
+        effects = pom.effects.copy()
+        effects[3] -= move
+        effects[4] += move
+        pushed = type(pom)(pom.space_tag, pom.outcomes, effects)
         report = check_pom_axioms(pushed, TOL)
         assert not report.passed and report.normalization_defect <= TOL
         assert report.worst_negativity == pytest.approx(2 * TOL, rel=1e-4)
@@ -921,7 +962,7 @@ class TestArrayFormsMatchLoops:
         pom = finite_weyl_pom(5, make_state([(0.6, vecs[0]), (0.4, vecs[1])]))
         for eps in (0.0, 1e-3):
             moved = perturbed(pom, 17, eps, rng)
-            assert_covariance_matches_loop(moved, finite_weyl_unitaries(5), finite_weyl_action(5))
+            assert_covariance_matches_loop(moved, finite_weyl_unitaries(5), weyl_action(5))
             assert_axioms_match_loop(moved)
 
     @settings(max_examples=40, deadline=None)

@@ -45,7 +45,6 @@ from covpom.hilbert import (
     spectral_norm,
 )
 from covpom.phasespace import (
-    finite_weyl_action,
     finite_weyl_pom,
     finite_weyl_unitaries,
     gaussian_wavefunction,
@@ -169,9 +168,9 @@ def test_criterion_02_covariance_soundness():
     for d in (2, 3, 5):
         vec = rng.normal(size=d) + 1j * rng.normal(size=d)
         pom = finite_weyl_pom(d, pure_state(vec))
-        cov = verify_covariance(
-            pom, finite_weyl_unitaries(d), finite_weyl_action(d), 1e-13
-        )
+        unitaries = finite_weyl_unitaries(d)
+        action = coset_action(unitaries.group, Subgroup.trivial(unitaries.group))
+        cov = verify_covariance(pom, unitaries, action, 1e-13)
         worst_weyl = max(worst_weyl, cov.max_defect)
         assert cov.passed, cov
     ok = worst_abelian <= 1e-10 and worst_weyl <= 1e-13
@@ -507,7 +506,7 @@ def test_criterion_11_injectivity():
         p1 = finite_weyl_pom(d, pure_state(v1))
         p2 = finite_weyl_pom(d, pure_state(v2))
         gap = max(
-            spectral_norm(e1.op.mat - e2.op.mat)
+            spectral_norm(e1 - e2)
             for e1, e2 in zip(p1.effects, p2.effects)
         )
         weyl_min_gap = min(weyl_min_gap, gap)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from covpom.hilbert import (
     AxiomReport,
-    Effect,
     IntervalCell,
     LANCZOS_ROWS,
     Operator,
@@ -26,12 +25,12 @@ from oracles import check_pom_axioms_loop
 
 
 def diag_effect(*vals):
-    return Effect(Operator(np.diag([complex(v) for v in vals])))
+    return Operator(np.diag([complex(v) for v in vals]))
 
 
 def point_pom(effects, tag="test"):
     outcomes = tuple(Outcome(str(i), PointCell((i,))) for i in range(len(effects)))
-    return Pom(tag, outcomes, tuple(effects))
+    return Pom(tag, outcomes, [e.mat for e in effects])
 
 
 class TestMakeState:
@@ -235,7 +234,7 @@ class TestFactorState:
 
 class TestPomAxioms:
     def test_identity_pom(self):
-        pom = point_pom([Effect(Operator(np.eye(3)))])
+        pom = point_pom([Operator(np.eye(3))])
         rep = check_pom_axioms(pom, 1e-12)
         assert rep.passed
         assert rep.worst_negativity == 0.0
@@ -252,6 +251,39 @@ class TestPomAxioms:
     def test_empty_pom_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             Pom("empty", (), ())
+
+
+class TestPomStack:
+    OUTCOMES = (Outcome("a", PointCell((0,))), Outcome("b", PointCell((1,))))
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (0,)])
+    def test_empty_stack_rejected(self, shape):
+        with pytest.raises(ValueError, match="empty"):
+            Pom("t", (), np.zeros(shape, dtype=complex))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 3), (2, 1, 2, 2)])
+    def test_stack_must_be_square_3d(self, shape):
+        with pytest.raises(ValueError, match="effect stack"):
+            Pom("t", self.OUTCOMES, np.zeros(shape, dtype=complex))
+
+    def test_one_effect_per_outcome(self):
+        with pytest.raises(ValueError, match="same length"):
+            Pom("t", self.OUTCOMES, np.zeros((3, 2, 2), dtype=complex))
+
+    def test_complex_stack_is_kept_and_frozen(self):
+        stack = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+        pom = Pom("t", self.OUTCOMES, stack)
+        assert np.shares_memory(pom.effects, stack) and pom.dim == 2
+        assert not pom.effects.flags.writeable
+        with pytest.raises(ValueError):
+            pom.effects[0, 0, 0] = 2.0
+        with pytest.raises(ValueError):
+            stack[1] = 0.0
+
+    def test_other_input_is_converted(self):
+        pom = Pom("t", self.OUTCOMES, [np.eye(2), np.zeros((2, 2))])
+        assert pom.effects.dtype == complex and pom.effects.shape == (2, 2, 2)
+        assert not pom.effects.flags.writeable
 
 
 @st.composite
@@ -286,7 +318,7 @@ def certificate_poms(draw, tol=1e-10):
         vals[0] = -draw(st.sampled_from([tol, tol / 2])) * draw(near_one())
         h = (u * vals) @ u.conj().T
         h = (h + h.conj().T) / 2
-    effects = (Effect(Operator(h)), Effect(Operator(np.eye(n) - h)))
+    effects = (Operator(h), Operator(np.eye(n) - h))
     return point_pom(effects), kind == "dominant"
 
 
@@ -315,7 +347,7 @@ class TestPositivityCertificate:
         # eigvalsh gives [0, -0] for diag(nan, 1), and Python's max drops a NaN
         first = np.diag([1.0, 0.0]).astype(complex)
         first[0, 0] = bad
-        report = check_pom_axioms(point_pom([Effect(Operator(first)), diag_effect(0, 1)]))
+        report = check_pom_axioms(point_pom([Operator(first), diag_effect(0, 1)]))
         assert not report.passed
         assert np.isnan(report.worst_negativity) and np.isnan(report.normalization_defect)
 
@@ -336,10 +368,10 @@ class TestOutcomeDistribution:
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         h = a @ a.conj().T
         h = h / (np.linalg.eigvalsh(h).max() * 1.5)
-        pom = point_pom([Effect(Operator(h)), Effect(Operator(np.eye(d) - h))])
+        pom = point_pom([Operator(h), Operator(np.eye(d) - h)])
         dist = outcome_distribution(st, pom)
         for p, eff in zip(dist.probs, pom.effects):
-            assert p == pytest.approx(np.trace(eff.op.mat).real / d, abs=1e-12)
+            assert p == pytest.approx(np.trace(eff).real / d, abs=1e-12)
 
     def test_affine_in_the_state(self):
         # p over a convex mixture equals the mixture of p's, to 1e-12
@@ -354,7 +386,7 @@ class TestOutcomeDistribution:
             a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             h = a @ a.conj().T
             h = h / (np.linalg.eigvalsh(h).max() * 2)
-            pom = point_pom([Effect(Operator(h)), Effect(Operator(np.eye(d) - h))])
+            pom = point_pom([Operator(h), Operator(np.eye(d) - h)])
             p_mix = outcome_distribution(mix, pom).raw
             p1 = outcome_distribution(s1, pom).raw
             p2 = outcome_distribution(s2, pom).raw
@@ -368,8 +400,8 @@ class TestOutcomeDistribution:
             state = make_state(list(zip(rng.uniform(0.1, 1.0, size=rank), vecs)))
             a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             h = (a + a.conj().T) / 4
-            pom = point_pom([Effect(Operator(h)), Effect(Operator(np.eye(d) - h))])
-            expected = np.array([np.trace(state.op.mat @ e.op.mat).real for e in pom.effects])
+            pom = point_pom([Operator(h), Operator(np.eye(d) - h)])
+            expected = np.array([np.trace(state.op.mat @ e).real for e in pom.effects])
             for st in (state, State.from_operator(state.op)):
                 dist = outcome_distribution(st, pom)
                 np.testing.assert_allclose(dist.raw, expected, rtol=0, atol=1e-13)
@@ -393,7 +425,7 @@ class TestEffectRegularity:
         assert not effect_is_regular(diag_effect(0.6, 0.7))
 
     def test_boundary_half_identity(self):
-        assert not effect_is_regular(Effect(Operator(0.5 * np.eye(2))))
+        assert not effect_is_regular(Operator(0.5 * np.eye(2)))
 
     def test_symmetric_under_complement(self):
         rng = np.random.default_rng(3)
@@ -402,8 +434,8 @@ class TestEffectRegularity:
             a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             h = a @ a.conj().T
             h = h / (np.linalg.eigvalsh(h).max() * rng.uniform(1.0, 3.0))
-            e = Effect(Operator(h))
-            comp = Effect(Operator(np.eye(d) - h))
+            e = Operator(h)
+            comp = Operator(np.eye(d) - h)
             assert effect_is_regular(e) == effect_is_regular(comp)
 
 
@@ -546,10 +578,11 @@ class TestHelpers:
     def test_effect_validation(self):
         # an effect with spectrum outside [0, 1] makes its complement negative
         pom = Pom("two outcomes", (Outcome("a", PointCell((0,))), Outcome("b", PointCell((1,)))),
-                  (diag_effect(1.5, 0.0), diag_effect(-0.5, 1.0)))
+                  (diag_effect(1.5, 0.0).mat, diag_effect(-0.5, 1.0).mat))
         report = check_pom_axioms(pom, 1e-10)
         assert not report.passed and report.worst_negativity == pytest.approx(0.5)
-        pom = Pom("two outcomes", pom.outcomes, (diag_effect(1.0, 0.0), diag_effect(0.0, 1.0)))
+        pom = Pom("two outcomes", pom.outcomes,
+                  (diag_effect(1.0, 0.0).mat, diag_effect(0.0, 1.0).mat))
         assert check_pom_axioms(pom, 1e-10).passed
 
     def test_axiom_report_is_plain_data(self):

@@ -26,7 +26,7 @@ from covpom.abelian import (
     random_isometries,
     verify_covariance,
 )
-from covpom.cli import _build_grid, _parse_state, build_parser, main
+from covpom.cli import _parse_state, build_parser, main
 from covpom.grids import symmetric_grid
 from covpom.hilbert import (
     IntervalCell,
@@ -97,7 +97,7 @@ class TestRoundTrips:
         assert back.space_tag == pom.space_tag
         assert isinstance(back.outcomes[0].cell, IntervalCell)
         for e1, e2 in zip(back.effects, pom.effects):
-            np.testing.assert_allclose(e1.op.mat, e2.op.mat, atol=1e-15)
+            np.testing.assert_allclose(e1, e2, atol=1e-15)
 
     @settings(max_examples=60, deadline=None)
     @given(arrays=st.lists(COMPLEX_ARRAYS, max_size=4), reals=st.lists(FLOATS, max_size=4),
@@ -257,6 +257,48 @@ class TestCli:
             "effects": [{"op": {"dim": 2, "entries": e}} for e in effects]}))
         assert main(["check", "pom", "--in", str(bad_file)]) == 2
         assert capsys.readouterr().err == "input error: effect 0 has a non-finite entry\n"
+
+    def test_effects_of_different_dim_exit_2(self, capsys, tmp_path):
+        # each effect is decoded into its slot of one stack, which effect 0 sizes
+        cell = {"kind": "point", "value": [0]}
+        ops = [{"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]},
+               {"dim": 1, "entries": [[1, 0]]}]
+        bad_file = tmp_path / "bad.json"
+        bad_file.write_text(json.dumps({
+            "space_tag": "t", "outcomes": [{"label": "a", "cell": cell}] * 2,
+            "effects": [{"op": op} for op in ops]}))
+        assert main(["check", "pom", "--in", str(bad_file)]) == 2
+        err = capsys.readouterr().err
+        assert err == "input error: effect 1 has shape (1, 1), effect 0 (2, 2)\n"
+
+    @pytest.mark.parametrize("doc", [
+        {"atoms": [[0.0, float("nan")]]},
+        {"atoms": [[float("nan"), 1.0]]},
+        {"atoms": [[float("inf"), 1.0]]},
+        {"density": {"x0": -8.0, "dx": 1.0, "values": [float("nan")] + [1 / 15] * 15}},
+        {"density": {"x0": float("nan"), "dx": 1.0, "values": [1 / 16] * 16}},
+        {"density": {"x0": -8.0, "dx": float("nan"), "values": [1 / 16] * 16}},
+        {"density": {"x0": -8.0, "dx": float("inf"), "values": [1 / 16] * 16}},
+    ], ids=["atom-weight", "atom-location", "infinite-atom", "density-value", "x0", "dx",
+            "infinite-dx"])
+    def test_non_finite_measure_exit_2(self, capsys, tmp_path, doc):
+        # abs(nan - 1) > tol is false: a NaN mass once passed, and gamma-finite with it
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))  # json writes NaN and Infinity
+        assert main(["smeared", "gamma", "--measure", str(path), "--grid-n", "256"]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
+
+    @pytest.mark.parametrize("weight, entry", [(float("nan"), 0.0), (0.5, float("nan")),
+                                               (float("inf"), 0.0)],
+                             ids=["weight", "vector", "infinite-weight"])
+    def test_non_finite_state_exit_2(self, capsys, tmp_path, weight, entry):
+        # a NaN weight once reached finite-weyl, whose covariance check passed it with 0.0
+        spectral = [{"weight": weight, "vector": [[1, 0], [entry, 0], [0, 0]]},
+                    {"weight": 0.5, "vector": [[0, 0], [0, 0], [1, 0]]}]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"spectral": spectral}))
+        assert main(["finite-weyl", "--dim", "3", "--state", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("input error: non-finite")
 
     def test_finite_weyl_command(self, capsys, tmp_path):
         state_path = tmp_path / "t.json"
@@ -448,7 +490,8 @@ class TestCli:
                 "--window", "8", "--samples", "9", "--out", str(csv_out)]
         code, _ = run_cli(capsys, argv)
         assert code == 0
-        grid = _build_grid(build_parser().parse_args(argv))
+        args = build_parser().parse_args(argv)
+        grid = symmetric_grid(args.grid_n, args.window)
         t = _parse_state(spec, grid)
         qs = ps = np.linspace(-4.0, 4.0, 9)
         values = phase_space_density(t, t, qs, ps, grid).values

@@ -116,7 +116,7 @@ def assert_same_partition(pom, expected, atol=1e-14):
     assert pom.labels() == tuple(label for label, _, _ in expected)
     assert tuple(o.cell for o in pom.outcomes) == tuple(cell for _, cell, _ in expected)
     for eff, (_, _, mat) in zip(pom.effects, expected):
-        np.testing.assert_allclose(eff.op.mat, mat, rtol=0, atol=atol)
+        np.testing.assert_allclose(eff, mat, rtol=0, atol=atol)
 
 
 # --- strategies ----------------------------------------------------------------
@@ -182,7 +182,7 @@ class TestTranslationEffect:
         i, j = np.sort(rng.choice(n, size=2, replace=False))
         lo, hi = t[i] - 0.5 * grid.dp, t[j] + 0.5 * grid.dp
         np.testing.assert_allclose(
-            translation_covariant_effect(h, [(lo, hi)], grid).op.mat,
+            translation_covariant_effect(h, [(lo, hi)], grid).mat,
             gathered_translation_effect(h, lo, hi, grid),
             rtol=0,
             atol=1e-12,
@@ -197,7 +197,7 @@ class TestTorusEffects:
         h = list(unit_rows(rng, d, width))
         lo, hi = np.sort(rng.uniform(0.0, TWO_PI, 2))
         np.testing.assert_allclose(
-            phase_observable_effect(h, (lo, hi)).op.mat,
+            phase_observable_effect(h, (lo, hi)).mat,
             loop_phase_effect(h, lo, hi),
             rtol=0,
             atol=1e-14,
@@ -211,7 +211,7 @@ class TestTorusEffects:
         h = {(i, j): rows[i * d + j] for i in range(d) for j in range(d)}
         lo, hi = np.sort(rng.uniform(0.0, TWO_PI, 2))
         np.testing.assert_allclose(
-            phase_difference_effect(d, h, (lo, hi)).op.mat,
+            phase_difference_effect(d, h, (lo, hi)).mat,
             loop_phase_difference_effect(d, h, lo, hi),
             rtol=0,
             atol=1e-14,

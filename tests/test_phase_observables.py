@@ -14,12 +14,15 @@ from covpom.abelian import (
 )
 from covpom.grids import Grid1D
 from covpom.hilbert import (
+    Outcome,
+    PointCell,
+    Pom,
     check_pom_axioms,
     commutator_norm,
     outcome_distribution,
     pure_state,
 )
-from oracles import dense_fourier_matrix
+from oracles import dense_fourier_matrix, sharp_phase_witness_loop
 
 
 def quad_coefficient(n, lo, hi):
@@ -37,7 +40,7 @@ class TestPhaseObservable:
     def test_full_circle_is_identity(self):
         h = canonical_phase_vectors(4)
         eff = phase_observable_effect(h, (0.0, 2 * np.pi))
-        np.testing.assert_allclose(eff.op.mat, np.eye(4), atol=1e-14)
+        np.testing.assert_allclose(eff.mat, np.eye(4), atol=1e-14)
 
     def test_canonical_d2_half_circle(self):
         # frozen closed form: c_1 = i/pi, so the (1,0) entry is -1/(i pi)
@@ -46,11 +49,11 @@ class TestPhaseObservable:
         expected = np.array(
             [[0.5, 1.0 / (1j * np.pi)], [-1.0 / (1j * np.pi), 0.5]]
         )
-        np.testing.assert_allclose(eff.op.mat, expected, atol=1e-14)
+        np.testing.assert_allclose(eff.mat, expected, atol=1e-14)
         # cross-check every entry against the quadrature oracle
         for j in range(2):
             for k in range(2):
-                assert eff.op.mat[j, k] == pytest.approx(
+                assert eff.mat[j, k] == pytest.approx(
                     quad_coefficient(j - k, 0.0, np.pi), abs=1e-12
                 )
 
@@ -58,7 +61,7 @@ class TestPhaseObservable:
         h = [np.eye(3)[i] for i in range(3)]
         eff = phase_observable_effect(h, (0.5, 1.7))
         np.testing.assert_allclose(
-            eff.op.mat, (1.2 / (2 * np.pi)) * np.eye(3), atol=1e-14
+            eff.mat, (1.2 / (2 * np.pi)) * np.eye(3), atol=1e-14
         )
 
     @pytest.mark.parametrize("d,cells", [(2, 4), (3, 8), (8, 16)])
@@ -83,8 +86,8 @@ class TestPhaseObservable:
         theta = 2 * np.pi / cells
         u = np.diag(np.exp(1j * theta * np.arange(d)))
         for i in range(cells):
-            moved = u @ pom.effects[i].op.mat @ u.conj().T
-            target = pom.effects[(i + 1) % cells].op.mat
+            moved = u @ pom.effects[i] @ u.conj().T
+            target = pom.effects[(i + 1) % cells]
             np.testing.assert_allclose(moved, target, atol=1e-12)
 
 
@@ -119,6 +122,29 @@ class TestSharpPhaseWitness:
         p = 1.0 / 3.0
         assert defect == pytest.approx(p * (1 - p), abs=1e-12)
 
+    @pytest.mark.parametrize("d, cells, seed", [
+        (2, 2, None), (3, 5, None), (8, 8, None), (32, 16, None), (2, 3, 1), (5, 7, 2), (12, 4, 3),
+    ])
+    def test_matches_loop_oracle(self, d, cells, seed):
+        # one batched norm over the stack: the same cell and the same bits as a loop
+        if seed is None:
+            h = canonical_phase_vectors(d)
+        else:
+            rng = np.random.default_rng(seed)
+            raw = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
+            h = list(raw / np.linalg.norm(raw, axis=1, keepdims=True))
+        pom = phase_pom(h, equal_boundaries(cells))
+        cell, defect = sharp_phase_witness(pom)
+        want_cell, want_defect = sharp_phase_witness_loop(pom)
+        assert cell == want_cell
+        assert np.float64(defect).tobytes() == np.float64(want_defect).tobytes()
+
+    def test_first_cell_on_ties(self):
+        half = 0.5 * np.eye(2)
+        outcomes = tuple(Outcome(str(i), PointCell((i,))) for i in range(4))
+        pom = Pom("ties", outcomes, [np.zeros((2, 2)), half, half, np.zeros((2, 2))])
+        assert sharp_phase_witness(pom) == sharp_phase_witness_loop(pom) == (outcomes[1], 0.25)
+
 
 def constant_pair_vectors(d):
     return {(i, j): np.array([1.0 + 0j]) for i in range(d) for j in range(d)}
@@ -128,12 +154,12 @@ class TestPhaseDifference:
     def test_full_circle_identity(self):
         d = 3
         eff = phase_difference_effect(d, constant_pair_vectors(d), (0.0, 2 * np.pi))
-        np.testing.assert_allclose(eff.op.mat, np.eye(d * d), atol=1e-14)
+        np.testing.assert_allclose(eff.mat, np.eye(d * d), atol=1e-14)
 
     def test_off_sector_entries_exactly_zero(self):
         d = 3
         eff = phase_difference_effect(d, constant_pair_vectors(d), (0.2, 1.9))
-        mat = eff.op.mat
+        mat = eff.mat
         for l in range(d):
             for m in range(d):
                 for i in range(d):
@@ -149,8 +175,8 @@ class TestPhaseDifference:
         # With l+m = i+j fixed the element c_{j-m} equals c_{l-i}, so the block
         # reproduces the single-mode phase matrix indexed by the first mode.
         sector = np.ix_([1, 2], [1, 2])
-        block = eff.op.mat[sector]
-        np.testing.assert_allclose(block, phase_eff.op.mat, atol=1e-14)
+        block = eff.mat[sector]
+        np.testing.assert_allclose(block, phase_eff.mat, atol=1e-14)
         # quadrature oracle for one entry: <e_10, E e_01> = c_{1-0}(X)
         assert block[1, 0] == pytest.approx(quad_coefficient(1, 0.0, np.pi), abs=1e-12)
 
@@ -170,8 +196,8 @@ class TestPhaseDifference:
         )
         u = np.diag(np.exp(1j * phases))
         for i in range(cells):
-            moved = u @ pom.effects[i].op.mat @ u.conj().T
-            target = pom.effects[(i + 1) % cells].op.mat
+            moved = u @ pom.effects[i] @ u.conj().T
+            target = pom.effects[(i + 1) % cells]
             np.testing.assert_allclose(moved, target, atol=1e-12)
 
     def test_degenerate_interval_rejected(self):
@@ -192,7 +218,7 @@ class TestTranslationCovariant:
         eff = translation_covariant_effect(
             h, [(t[0] - 0.1, t[-1] + 0.1)], grid
         )
-        np.testing.assert_allclose(eff.op.mat, np.eye(grid.n), atol=1e-10)
+        np.testing.assert_allclose(eff.mat, np.eye(grid.n), atol=1e-10)
 
     def test_constant_h_conjugates_to_sharp_indicator(self):
         grid = self_dual_grid(64)
@@ -202,7 +228,7 @@ class TestTranslationCovariant:
         eff = translation_covariant_effect(h, [(lo, hi)], grid)
         f = dense_fourier_matrix(grid)
         expected = np.diag(((t >= lo) & (t < hi)).astype(float))
-        np.testing.assert_allclose(f @ eff.op.mat @ f.conj().T, expected, atol=1e-8)
+        np.testing.assert_allclose(f @ eff.mat @ f.conj().T, expected, atol=1e-8)
 
     def test_partition_passes_axioms(self):
         grid = self_dual_grid(32)
@@ -227,7 +253,7 @@ class TestTranslationCovariant:
         e = translation_covariant_effect(h, [(t[10], t[30])], grid)
         e_shift = translation_covariant_effect(h, [(t[10] + a, t[30] + a)], grid)
         np.testing.assert_allclose(
-            u @ e.op.mat @ u.conj().T, e_shift.op.mat, atol=1e-10
+            u @ e.mat @ u.conj().T, e_shift.mat, atol=1e-10
         )
 
     def test_rotating_directions_do_not_commute(self):
@@ -237,7 +263,7 @@ class TestTranslationCovariant:
         t = grid.momenta()
         ex = translation_covariant_effect(h, [(t[5], t[20])], grid)
         ey = translation_covariant_effect(h, [(t[30], t[45])], grid)
-        assert commutator_norm(ex.op, ey.op) > 1e-3
+        assert commutator_norm(ex, ey) > 1e-3
 
     def test_interval_outside_grid_rejected(self):
         grid = self_dual_grid(32)

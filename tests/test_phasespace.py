@@ -3,15 +3,15 @@ import pytest
 
 from covpom.grids import WaveFunction, symmetric_grid
 from covpom.hilbert import (
+    PointCell,
     RectCell,
     check_pom_axioms,
     make_state,
     pure_state,
     spectral_norm,
 )
-from covpom.abelian import verify_covariance
+from covpom.abelian import FiniteAbelianGroup, Subgroup, coset_action, verify_covariance
 from covpom.phasespace import (
-    finite_weyl_action,
     finite_weyl_pom,
     finite_weyl_unitaries,
     gaussian_wavefunction,
@@ -237,7 +237,7 @@ class TestPhaseSpaceEffect:
         e1 = phase_space_effect(t, c1, grid, order=12)
         e2 = phase_space_effect(t, c2, grid, order=12)
         e12 = phase_space_effect(t, c12, grid, order=12)
-        assert spectral_norm(e1.op.mat + e2.op.mat - e12.op.mat) < 1e-12
+        assert spectral_norm(e1.mat + e2.mat - e12.mat) < 1e-12
 
     def test_bounded_cells_have_norm_below_one(self, grid):
         t = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid))])
@@ -261,8 +261,8 @@ class TestPhaseSpaceEffect:
         rng = np.random.default_rng(3)
         t = random_rank2_state(grid, rng)
         eff = phase_space_effect(t, RectCell(-1.0, 2.0, -0.5, 1.5), grid, order=12)
-        assert eff.op.is_hermitian(1e-9)
-        eigs = np.linalg.eigvalsh(eff.op.mat)
+        assert eff.is_hermitian(1e-9)
+        eigs = np.linalg.eigvalsh(eff.mat)
         assert eigs.min() >= -1e-9 and eigs.max() <= 1.0 + 1e-9
 
     def test_covariance_under_lattice_translations(self, grid):
@@ -274,7 +274,7 @@ class TestPhaseSpaceEffect:
         w = weyl_matrix(grid, a, b)
         e = phase_space_effect(t, cell, grid, order=14)
         e_moved = phase_space_effect(t, moved_cell, grid, order=14)
-        defect = spectral_norm(w @ e.op.mat @ w.conj().T - e_moved.op.mat)
+        defect = spectral_norm(w @ e.mat @ w.conj().T - e_moved.mat)
         assert defect < 1e-6
 
     def test_quadrature_order_validated(self, grid):
@@ -394,9 +394,9 @@ class TestFiniteWeyl:
         pom = finite_weyl_pom(2, t)
         assert len(pom.effects) == 4
         for eff in pom.effects:
-            eigs = np.linalg.eigvalsh(eff.op.mat)
+            eigs = np.linalg.eigvalsh(eff)
             np.testing.assert_allclose(sorted(eigs), [0.0, 0.5], atol=1e-14)
-        np.testing.assert_allclose(sum(e.op.mat for e in pom.effects), np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(sum(pom.effects), np.eye(2), atol=1e-14)
 
     def test_maximally_mixed_gives_flat_effects(self):
         d = 3
@@ -406,7 +406,7 @@ class TestFiniteWeyl:
         mixed = make_state([(1.0 / d, np.eye(d)[i]) for i in range(d)])
         pom = finite_weyl_pom(d, mixed)
         for eff in pom.effects:
-            np.testing.assert_allclose(eff.op.mat, np.eye(d) / d**2, atol=1e-14)
+            np.testing.assert_allclose(eff, np.eye(d) / d**2, atol=1e-14)
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_axioms_and_exact_covariance(self, d):
@@ -416,10 +416,19 @@ class TestFiniteWeyl:
         pom = finite_weyl_pom(d, t)
         report = check_pom_axioms(pom, 1e-13)
         assert report.passed, report
-        cov = verify_covariance(
-            pom, finite_weyl_unitaries(d), finite_weyl_action(d), 1e-13
-        )
+        unitaries = finite_weyl_unitaries(d)
+        action = coset_action(unitaries.group, Subgroup.trivial(unitaries.group))
+        cov = verify_covariance(pom, unitaries, action, 1e-13)
         assert cov.passed, cov
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_trivial_cosets_move_by_translation(self, d):
+        # the finite Weyl cells are the points of Z_d x Z_d, each moved by g to itself plus g
+        group = FiniteAbelianGroup((d, d))
+        act = coset_action(group, Subgroup.trivial(group))
+        for g in group.elements():
+            for c in group.elements():
+                assert act(g, PointCell(c)) == PointCell(((g[0] + c[0]) % d, (g[1] + c[1]) % d))
 
     def test_injectivity_on_random_pairs(self):
         d = 3
@@ -433,7 +442,7 @@ class TestFiniteWeyl:
             p1 = finite_weyl_pom(d, t1)
             p2 = finite_weyl_pom(d, t2)
             gap = max(
-                spectral_norm(e1.op.mat - e2.op.mat)
+                spectral_norm(e1 - e2)
                 for e1, e2 in zip(p1.effects, p2.effects)
             )
             assert gap > 0
