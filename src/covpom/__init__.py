@@ -9,7 +9,6 @@ their regularity, resolution, distinction-power and coexistence diagnostics.
 
 from .grids import Grid1D, WaveFunction, symmetric_grid
 from .hilbert import (
-    Operator,
     State,
     Pom,
     Outcome,

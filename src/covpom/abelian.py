@@ -33,13 +33,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .grids import BLOCK_ENTRIES, Grid1D
-from .hilbert import (
-    Operator,
-    Outcome,
-    PointCell,
-    Pom,
-    partition_pom,
-)
+from .hilbert import Outcome, PointCell, Pom, partition_pom
 
 __all__ = [
     "FiniteAbelianGroup",
@@ -429,6 +423,8 @@ class IsometryFamily:
                         f"isometry at block {k}, {x} has shape {mats[-1].shape}, "
                         f"expected {(aux_dim, blk.mult)}"
                     )
+                if not np.isfinite(mats[-1]).all():
+                    raise ValueError(f"isometry at block {k}, {x} has a non-finite entry")
         return cls(np.concatenate(mats, axis=1))
 
     def validate(self, rep: DiagonalRep, tol: float = 1e-12) -> None:
@@ -572,18 +568,19 @@ class MonomialUnitaries(Mapping):
     def conjugate(self, codes, mats: np.ndarray) -> np.ndarray:
         """U(g) M U(g)* over the codes g (k,) and matrices M (..., dim, dim): (..., k, dim, dim).
 
-        Each is M[pi_g, pi_g] * (phi_g phi_g*).  Unpermuted, the outer products fill
-        one new array and take the product in place, M first.  A gathered M is new;
-        numpy's temporary elision writes its product into the outer products'
-        buffer, as (phi_g phi_g*) * M, when that has the product's shape and 256 KiB.
+        Each is M[pi_g, pi_g] * (phi_g phi_g*).  The outer products fill one new
+        array, which takes the product in place with M first; M is gathered only
+        when the U(g) permute.  So the product's order, and its last bits, do not
+        depend on the size of the stack.
         """
         phases, perms = self._factors(np.asarray(codes))
-        if perms is not None:
-            moved = mats[..., perms[:, :, None], perms[:, None, :]]
-            return moved * (phases[:, :, None] * phases[:, None, :].conj())
         out = np.empty(mats.shape[:-2] + (len(phases), self.dim, self.dim), dtype=complex)
         np.multiply(phases[:, :, None], phases[:, None, :].conj(), out=out)
-        return np.multiply(mats[..., None, :, :], out, out=out)
+        if perms is None:
+            moved = mats[..., None, :, :]
+        else:
+            moved = mats[..., perms[:, :, None], perms[:, None, :]]
+        return np.multiply(moved, out, out=out)
 
 
 def diagonal_unitaries(rep: DiagonalRep) -> MonomialUnitaries:
@@ -879,12 +876,12 @@ def _phase_parts(h: Sequence[np.ndarray]):
     return vecs.conj() @ vecs.T, np.subtract.outer(range(len(vecs)), range(len(vecs))), True
 
 
-def _torus_effect(gram, diff, mask, interval: Tuple[float, float]) -> Operator:
+def _torus_effect(gram, diff, mask, interval: Tuple[float, float]) -> np.ndarray:
     """Effect c_diff(interval) gram on the mask and 0 off it."""
     lo, hi = float(interval[0]), float(interval[1])
     if not (0.0 <= lo < hi <= 2 * np.pi + 1e-12):
         raise ValueError(f"need 0 <= lo < hi <= 2 pi, got [{lo}, {hi})")
-    return Operator(np.where(mask, _interval_coefficient(diff, lo, hi) * gram, 0))
+    return np.where(mask, _interval_coefficient(diff, lo, hi) * gram, 0)
 
 
 def _torus_partition(space_tag: str, boundaries: Sequence[float], parts) -> Pom:
@@ -897,7 +894,7 @@ def _torus_partition(space_tag: str, boundaries: Sequence[float], parts) -> Pom:
 
 def phase_observable_effect(
     h: Sequence[np.ndarray], interval: Tuple[float, float]
-) -> Operator:
+) -> np.ndarray:
     """Effect of a covariant phase observable on one theta interval.
 
     Entry (j, k) is c_{j-k}(interval) <h_j, h_k> with the closed-form
@@ -945,7 +942,7 @@ def _difference_parts(d: int, h: Mapping[Tuple[int, int], np.ndarray]):
 
 def phase_difference_effect(
     d: int, h: Mapping[Tuple[int, int], np.ndarray], interval: Tuple[float, float]
-) -> Operator:
+) -> np.ndarray:
     """Effect of a covariant phase-difference observable for two d-level modes.
 
     Acts on C^d tensor C^d with basis e_{i,j} flattened as i*d + j; the
@@ -984,7 +981,7 @@ def _snap_outcome_intervals(
 
 def translation_covariant_effect(
     h: np.ndarray, intervals: Sequence[Tuple[float, float]], grid: Grid1D
-) -> Operator:
+) -> np.ndarray:
     """Effect of a translation covariant observable, frequency-side realisation.
 
     ``h`` holds one unit vector in C^m per grid node.  Outcomes are intervals
@@ -1007,7 +1004,7 @@ def translation_covariant_effect(
     if np.max(np.abs(norms - 1.0)) > 1e-9:
         raise ValueError("direction vectors must be normalised")
     mask = _snap_outcome_intervals(grid, intervals)
-    return Operator(grid.momentum_multiplier(mask) * (h.conj() @ h.T))
+    return grid.momentum_multiplier(mask) * (h.conj() @ h.T)
 
 
 def translation_covariant_pom(

@@ -396,10 +396,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (KeyError, ValueError, TypeError) as exc:
+    except (InputError, KeyError, ValueError, TypeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

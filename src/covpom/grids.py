@@ -63,9 +63,6 @@ class Grid1D:
     def norm(self, values: np.ndarray) -> float:
         return float(np.sqrt(np.sum(np.abs(values) ** 2) * self.dx))
 
-    def inner(self, u: np.ndarray, v: np.ndarray) -> complex:
-        return complex(np.vdot(u, v) * self.dx)
-
     def _signs(self) -> np.ndarray:
         """(-1)^k over the nodes, from the index shift j - n/2 of the momenta."""
         return np.where(np.arange(self.n) % 2 == 0, 1.0, -1.0)

@@ -1,11 +1,12 @@
 """Core linear-algebra substrate: operators, states and POMs.
 
-Everything lives on a finite-dimensional Hilbert space.  Operators are dense
-complex matrices; Hermiticity and positivity are tolerance-gated predicates
-rather than assumptions.  A ``State`` is a low-rank factor (weights and
-orthonormal vectors); its dense operator is built only on demand.  A ``Pom``
-is one read-only (k, dim, dim) stack of effects, one per disjoint outcome
-cell, and a single effect built on its own is an ``Operator``.
+Everything lives on a finite-dimensional Hilbert space.  An operator is a
+dense complex (dim, dim) ndarray; Hermiticity and positivity are
+tolerance-gated predicates rather than assumptions.  A ``State`` is a
+low-rank factor (weights and orthonormal vectors); its dense operator is
+built only on demand.  A ``Pom`` is one read-only (k, dim, dim) stack of
+effects, one per disjoint outcome cell, and an effect built on its own is
+one (dim, dim) array.
 ``partition_pom`` fills a stack over the intervals between boundaries; a
 covariant POM is one seed effect moved by the group, the stack that
 ``abelian.MonomialUnitaries.conjugate`` returns.  ``check_pom_axioms``
@@ -23,7 +24,6 @@ import numpy as np
 from .grids import BLOCK_ENTRIES
 
 __all__ = [
-    "Operator",
     "State",
     "Pom",
     "Outcome",
@@ -89,46 +89,15 @@ def _lanczos_norm(matvec: Callable[[np.ndarray], np.ndarray], start: np.ndarray)
         basis[j + 1], tri[j + 1, j] = w / beta, beta
 
 
-@dataclass(frozen=True)
-class Operator:
-    """Dense complex square matrix acting on a finite-dimensional space.
-
-    The operator owns its matrix: a complex ndarray is kept as it is, not
-    copied, and made read-only, so the caller must not write to it again.
-    Other input is converted, which copies.
-    """
-
-    mat: np.ndarray
-
-    def __init__(self, mat):
-        mat = np.asarray(mat, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-        mat.setflags(write=False)
-        object.__setattr__(self, "mat", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    def is_hermitian(self, tol: float = EXACT_TOL) -> bool:
-        """||A - A*|| <= tol, the exact norm taken only when its Frobenius bound exceeds tol."""
-        skew = self.mat - self.mat.conj().T
-        return bool(np.linalg.norm(skew) <= tol or np.linalg.norm(skew, 2) <= tol)
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.mat))
-
-
 @dataclass(frozen=True, eq=False)
 class State:
     """Positive trace-one operator held as a low-rank factor.
 
     ``weights`` (r,) and ``vectors`` (r, dim), whose rows are orthonormal, give
     the operator sum_i w_i |v_i><v_i|; both are read-only and C-contiguous
-    (such an input array is kept, not copied, like an ``Operator``'s matrix).
-    ``op``, the dense operator, is built from them on first read and cached.
-    A density matrix is factored once, by ``from_operator``.
+    (such an input array is kept, not copied).  ``op``, the dense operator,
+    is built from them on first read, cached and read-only too.  A density
+    matrix is factored once, by ``from_operator``.
     """
 
     weights: np.ndarray
@@ -146,27 +115,34 @@ class State:
         object.__setattr__(self, "vectors", vectors)
 
     @classmethod
-    def from_operator(cls, op: Operator, tol: float = EXACT_TOL) -> "State":
+    def from_operator(cls, mat, tol: float = EXACT_TOL) -> "State":
         """The eigenpairs of positive eigenvalue of a density matrix.
 
-        Raises unless ``op`` is Hermitian, has no eigenvalue below -tol and
-        has trace within tol of one.
+        Raises unless ``mat`` is square, has ||A - A*|| <= tol (the exact norm
+        taken only when its Frobenius bound exceeds tol), has no eigenvalue
+        below -tol and has trace within tol of one.
         """
-        if not op.is_hermitian(tol):
+        mat = np.asarray(mat, dtype=complex)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+        skew = mat - mat.conj().T
+        if not (np.linalg.norm(skew) <= tol or np.linalg.norm(skew, 2) <= tol):
             raise ValueError("state operator is not Hermitian")
-        vals, vecs = np.linalg.eigh(op.mat)
+        vals, vecs = np.linalg.eigh(mat)
         if vals[0] < -tol:
             raise ValueError(f"state operator has negative eigenvalue {vals[0]:.3e}")
-        tr = op.trace()
+        tr = complex(np.trace(mat))
         if abs(tr - 1.0) > tol:
             raise ValueError(f"state trace {tr} is not 1")
         keep = vals > 0
         return cls(vals[keep], vecs[:, keep].T)
 
     @cached_property
-    def op(self) -> Operator:
-        """The dense operator (V w) V*, built once from the factor."""
-        return Operator((self.vectors.T * self.weights) @ self.vectors.conj())
+    def op(self) -> np.ndarray:
+        """The dense operator (V w) V*, built once from the factor and read-only."""
+        op = (self.vectors.T * self.weights) @ self.vectors.conj()
+        op.setflags(write=False)
+        return op
 
     @property
     def dim(self) -> int:
@@ -223,7 +199,7 @@ class Pom:
     """Effects over a declared outcome partition: ``effects[i]`` belongs to ``outcomes[i]``.
 
     ``effects`` is one read-only complex (k, dim, dim) stack, kept uncopied
-    when given as a complex ndarray, like an ``Operator``'s matrix.
+    when given as a complex ndarray, like a ``State``'s factor.
     """
 
     space_tag: str
@@ -340,7 +316,7 @@ def _fill_stack(mats: Iterable[np.ndarray], count: int) -> np.ndarray:
 def partition_pom(
     space_tag: str,
     bounds: Sequence[float],
-    effect_of: Callable[[float, float], Operator],
+    effect_of: Callable[[float, float], np.ndarray],
     fmt: str,
 ) -> Pom:
     """POM of the interval cells [lo, hi) between consecutive ``bounds``.
@@ -354,7 +330,7 @@ def partition_pom(
         raise ValueError("boundaries must be strictly increasing")
     cells = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
     outcomes = tuple(Outcome(f"[{lo:{fmt}},{hi:{fmt}})", IntervalCell(lo, hi)) for lo, hi in cells)
-    effects = _fill_stack((effect_of(lo, hi).mat for lo, hi in cells), len(cells))
+    effects = _fill_stack((effect_of(lo, hi) for lo, hi in cells), len(cells))
     return Pom(space_tag, outcomes, effects)
 
 
@@ -425,7 +401,7 @@ def outcome_distribution(state: State, pom: Pom) -> ProbVector:
     """Probability of each outcome: Re tr(T E_i) = Re sum_jk T_jk (E_i)_kj, O(d^2) each."""
     if state.dim != pom.dim:
         raise ValueError(f"dimension mismatch: state {state.dim}, pom {pom.dim}")
-    raw = np.array([np.sum(state.op.mat * e.T).real for e in pom.effects])
+    raw = np.array([np.sum(state.op * e.T).real for e in pom.effects])
     negativity = float(max(0.0, -raw.min()))
     norm_defect = float(abs(raw.sum() - 1.0))
     clipped = np.clip(raw, 0.0, 1.0)
@@ -434,15 +410,16 @@ def outcome_distribution(state: State, pom: Pom) -> ProbVector:
     return ProbVector(probs, raw, negativity, norm_defect)
 
 
-def effect_is_regular(effect: Operator, tol: float = EXACT_TOL) -> bool:
+def effect_is_regular(effect: np.ndarray, tol: float = EXACT_TOL) -> bool:
     """True iff the effect's spectrum extends both above and below 1/2."""
-    eigs = np.linalg.eigvalsh(effect.mat)
+    eigs = np.linalg.eigvalsh(effect)
     return bool(eigs.max() > 0.5 + tol and eigs.min() < 0.5 - tol)
 
 
-def commutator_norm(a: Operator, b: Operator) -> float:
-    """Spectral norm of the commutator ab - ba."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    comm = a.mat @ b.mat - b.mat @ a.mat
+def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
+    """Spectral norm of the commutator ab - ba of two square matrices of one shape."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    comm = a @ b - b @ a
     return float(np.linalg.norm(comm, 2))

@@ -1,11 +1,12 @@
 """JSON codecs for the library's value types.
 
-Conventions: an operator is {"dim": d, "entries": flat row-major complex
-array}; a state is written in the spectral form {"spectral": [{"weight": w,
-"vector": [...]}]} and read from it or from the operator form {"op": ...},
-which is factored once on reading and its weights renormalised; a POM is
-{"space_tag", "outcomes", "effects"} with each effect {"op": operator}, read
-into its slot of one (k, dim, dim) stack.  Group data uses moduli tuples, dual
+Conventions: an operator, a complex (d, d) array, is {"dim": d, "entries":
+flat row-major complex array}; a state is written in the spectral form
+{"spectral": [{"weight": w, "vector": [...]}]} and read from it or from the
+operator form {"op": ...}, which is factored once on reading and its weights
+renormalised; a POM is {"space_tag", "outcomes", "effects"} with each slice
+of its effect stack written as {"op": operator} and read into its slot of
+one (k, dim, dim) stack.  Group data uses moduli tuples, dual
 points are encoded as comma-joined index strings; isometries are keyed by
 dual point and read and written against a representation, which orders
 them.  Measures are {"atoms": [[x, w]], "density": {"x0", "dx", "values"}}.
@@ -33,7 +34,6 @@ from .abelian import (
 from .grids import Grid1D
 from .hilbert import (
     IntervalCell,
-    Operator,
     Outcome,
     PointCell,
     Pom,
@@ -107,18 +107,18 @@ def _cvector_from_json(obj) -> np.ndarray:
     return pairs.reshape(-1, 2).view(complex).ravel()  # bit-exact, unlike re + 1j * im
 
 
-def operator_to_json(op: Operator) -> dict:
-    return {"dim": op.dim, "entries": _cvector_to_json(op.mat)}
+def operator_to_json(mat: np.ndarray) -> dict:
+    return {"dim": len(mat), "entries": _cvector_to_json(mat)}
 
 
-def operator_from_json(obj, name: str = "operator") -> Operator:
+def operator_from_json(obj, name: str = "operator") -> np.ndarray:
     dim = int(obj["dim"])
     entries = _cvector_from_json(obj["entries"])
     if entries.size != dim * dim:
         raise ValueError(f"{name} entry count {entries.size} is not dim^2 = {dim * dim}")
     if not np.isfinite(entries).all():
         raise ValueError(f"{name} has a non-finite entry")
-    return Operator(entries.reshape(dim, dim))
+    return entries.reshape(dim, dim)
 
 
 def state_to_json(state: State) -> dict:
@@ -173,7 +173,7 @@ def pom_to_json(pom: Pom) -> dict:
         "outcomes": [
             {"label": o.label, "cell": _cell_to_json(o.cell)} for o in pom.outcomes
         ],
-        "effects": [{"op": operator_to_json(Operator(e))} for e in pom.effects],
+        "effects": [{"op": operator_to_json(e)} for e in pom.effects],
     }
 
 
@@ -182,7 +182,7 @@ def pom_from_json(obj) -> Pom:
         Outcome(str(o["label"]), _cell_from_json(o["cell"])) for o in obj["outcomes"]
     )
     docs = obj["effects"]
-    mats = (operator_from_json(e["op"], f"effect {i}").mat for i, e in enumerate(docs))
+    mats = (operator_from_json(e["op"], f"effect {i}") for i, e in enumerate(docs))
     return Pom(str(obj["space_tag"]), outcomes, _fill_stack(mats, len(docs)))
 
 

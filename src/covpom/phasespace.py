@@ -43,7 +43,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .abelian import FiniteAbelianGroup, MonomialUnitaries
 from .grids import BLOCK_ENTRIES, Grid1D, WaveFunction
-from .hilbert import Operator, Outcome, PointCell, Pom, RectCell, State, _lanczos_norm
+from .hilbert import Outcome, PointCell, Pom, RectCell, State, _lanczos_norm
 from .posmom import ProbMeasure1D, WindowLeakageError, _state_densities, grid_wavefunctions
 
 __all__ = [
@@ -321,7 +321,7 @@ def phase_space_effect(
     cell: RectCell,
     grid: Grid1D,
     order: int = 16,
-) -> Operator:
+) -> np.ndarray:
     """G_T(Z) = (1/2pi) integral over the cell of W(q,p) T W(q,p)*.
 
     The p-integral is exact: the bank carries e^{i mu x}, leaving the real Toeplitz
@@ -332,7 +332,7 @@ def phase_space_effect(
     """
     _check_cell_in_window(cell, grid)
     bank_h = _bank(t_state, cell, grid, order)
-    return Operator(next(_kernel_rows(bank_h, cell, grid, 0, grid.n, grid.n))[2])
+    return next(_kernel_rows(bank_h, cell, grid, 0, grid.n, grid.n))[2]
 
 
 def phase_space_cell_norm(
@@ -364,7 +364,7 @@ def phase_space_pom(
     """POM from disjoint cells plus the complement effect I - sum G(Z_i), in one stack."""
     effects = np.empty((len(cells) + 1, grid.n, grid.n), dtype=complex)
     for i, c in enumerate(cells):
-        effects[i] = phase_space_effect(t_state, c, grid, order).mat
+        effects[i] = phase_space_effect(t_state, c, grid, order)
     np.subtract(np.eye(grid.n), effects[:-1].sum(0), out=effects[-1])
     outcomes = [
         Outcome(f"q[{c.q_lo:.3g},{c.q_hi:.3g}) p[{c.p_lo:.3g},{c.p_hi:.3g})", c)
@@ -469,7 +469,7 @@ def finite_weyl_pom(d: int, t_state: State) -> Pom:
         raise ValueError("need dimension at least 2")
     if t_state.dim != d:
         raise ValueError("state dimension does not match d")
-    effects = finite_weyl_unitaries(d).conjugate(np.arange(d * d), t_state.op.mat / d)
+    effects = finite_weyl_unitaries(d).conjugate(np.arange(d * d), t_state.op / d)
     outcomes = tuple(
         Outcome(f"({a},{b})", PointCell((a, b))) for a in range(d) for b in range(d)
     )

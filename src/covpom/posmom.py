@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .grids import BLOCK_ENTRIES, Grid1D, WaveFunction
-from .hilbert import Operator, Pom, State, _lanczos_norm, partition_pom
+from .hilbert import Pom, State, _lanczos_norm, partition_pom
 
 __all__ = [
     "ProbMeasure1D",
@@ -424,7 +424,7 @@ def smeared_profile(obs: SmearedObservable, intervals) -> Tuple[np.ndarray, floa
     return clipped, defect
 
 
-def smeared_effect(obs: SmearedObservable, intervals) -> Operator:
+def smeared_effect(obs: SmearedObservable, intervals) -> np.ndarray:
     """Effect of a union of grid intervals.
 
     Position kind: diagonal multiplication by the smeared indicator.
@@ -434,8 +434,8 @@ def smeared_effect(obs: SmearedObservable, intervals) -> Operator:
     """
     prof, _ = smeared_profile(obs, intervals)
     if obs.kind == "position":
-        return Operator(np.diag(prof.astype(complex)))
-    return Operator(obs.grid.momentum_multiplier(prof))
+        return np.diag(prof.astype(complex))
+    return obs.grid.momentum_multiplier(prof)
 
 
 def smeared_pom(obs: SmearedObservable, boundaries: Sequence[float]) -> Pom:

@@ -841,6 +841,18 @@ class TestArrayFormsMatchLoops:
         report = verify_covariance(pom, finite_weyl_unitaries(32), weyl_action(32), TOL)
         assert report.passed and report.word_length == 32
 
+    @pytest.mark.parametrize("d", [11, 12, 16])
+    def test_finite_weyl_product_order_is_fixed(self, d):
+        # each effect is M[pi, pi] * (phi phi*), M first, bit for bit at every size; from
+        # d = 12 numpy's temporary elision once turned the permuted product round
+        rng = np.random.default_rng(d)
+        vecs = rng.normal(size=(2, d)) + 1j * rng.normal(size=(2, d))
+        state = make_state([(0.7, vecs[0]), (0.3, vecs[1])])
+        phases, perms = finite_weyl_unitaries(d)._factors(np.arange(d * d))
+        moved = (state.op / d)[perms[:, :, None], perms[:, None, :]]
+        outer = phases[:, :, None] * phases[:, None, :].conj()
+        assert np.array_equal(finite_weyl_pom(d, state).effects, np.multiply(moved, outer))
+
     @settings(max_examples=40, deadline=None)
     @given(covariant_systems(), st.integers(2, 12), st.data())
     def test_monomial_unitaries_match_dense_oracles(self, system, d, data):

@@ -7,7 +7,6 @@ from covpom.hilbert import (
     AxiomReport,
     IntervalCell,
     LANCZOS_ROWS,
-    Operator,
     Outcome,
     PointCell,
     Pom,
@@ -25,28 +24,28 @@ from oracles import check_pom_axioms_loop
 
 
 def diag_effect(*vals):
-    return Operator(np.diag([complex(v) for v in vals]))
+    return np.diag([complex(v) for v in vals])
 
 
 def point_pom(effects, tag="test"):
     outcomes = tuple(Outcome(str(i), PointCell((i,))) for i in range(len(effects)))
-    return Pom(tag, outcomes, [e.mat for e in effects])
+    return Pom(tag, outcomes, effects)
 
 
 class TestMakeState:
     def test_pure_projector(self):
         st = make_state([(1.0, [1, 0])])
-        np.testing.assert_allclose(st.op.mat, np.diag([1.0, 0.0]), atol=1e-14)
+        np.testing.assert_allclose(st.op, np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_equal_mixture(self):
         st = make_state([(0.5, [1, 0]), (0.5, [0, 1])])
-        np.testing.assert_allclose(st.op.mat, np.diag([0.5, 0.5]), atol=1e-14)
+        np.testing.assert_allclose(st.op, np.diag([0.5, 0.5]), atol=1e-14)
 
     def test_gram_schmidt_and_weight_renormalisation(self):
         # second vector e0+e1 orthogonalises against e0 to give e1
         st = make_state([(2.0, [1, 0]), (2.0, [1, 1])])
-        np.testing.assert_allclose(st.op.mat, np.diag([0.5, 0.5]), atol=1e-12)
-        assert abs(st.op.trace() - 1.0) < 1e-12
+        np.testing.assert_allclose(st.op, np.diag([0.5, 0.5]), atol=1e-12)
+        assert abs(np.trace(st.op) - 1.0) < 1e-12
         np.testing.assert_allclose(np.abs(np.vdot(*st.vectors)), 0.0, atol=1e-12)
 
     def test_zero_total_weight(self):
@@ -117,7 +116,7 @@ class TestMakeStateMatchesGramSchmidt:
         assert "op" not in vars(state)
         np.testing.assert_allclose(state.weights, weights, rtol=0, atol=1e-15)
         np.testing.assert_allclose(state.vectors, np.stack(ortho), rtol=0, atol=1e-12)
-        assert spectral_norm(state.op.mat - dense) <= 1e-14
+        assert spectral_norm(state.op - dense) <= 1e-14
         # a valid factor: weights >= 0 summing to one, orthonormal vectors
         assert state.weights.min() >= 0 and abs(state.weights.sum() - 1.0) <= 1e-10
         gram = state.vectors.conj() @ state.vectors.T
@@ -126,12 +125,12 @@ class TestMakeStateMatchesGramSchmidt:
 
 def former_operator_check(op, tol):
     """Oracle: the operator branch of the former State.validate, by eigvalsh."""
-    if not op.is_hermitian(tol):
+    if np.linalg.norm(op - op.conj().T, 2) > tol:
         raise ValueError("state operator is not Hermitian")
-    eigs = np.linalg.eigvalsh(op.mat)
+    eigs = np.linalg.eigvalsh(op)
     if eigs.min() < -tol:
         raise ValueError(f"state operator has negative eigenvalue {eigs.min():.3e}")
-    tr = op.trace()
+    tr = np.trace(op)
     if abs(tr - 1.0) > tol:
         raise ValueError(f"state trace {tr} is not 1")
 
@@ -165,7 +164,7 @@ def near_threshold_operators(draw, tol=1e-8):
         k = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         k += k.conj().T
         mat = mat + 0.5j * tol * skew * k / np.linalg.norm(k, 2)
-    return Operator(mat), skew, (u * np.maximum(vals, 0.0)) @ u.conj().T
+    return mat, skew, (u * np.maximum(vals, 0.0)) @ u.conj().T
 
 
 def rejection(message):
@@ -181,7 +180,7 @@ class TestFromOperator:
         tol = 1e-8
         # eigh and eigvalsh round differently, by about eps ||op||: an eigenvalue
         # that close to -tol may fall either way
-        assume(abs(np.linalg.eigvalsh(op.mat).min() + tol) > 1e-13)
+        assume(abs(np.linalg.eigvalsh(op).min() + tol) > 1e-13)
         try:
             former_operator_check(op, tol)
         except ValueError as exc:
@@ -191,7 +190,12 @@ class TestFromOperator:
         state = State.from_operator(op, tol)
         assert np.all(state.weights > 0)
         if skew == 0.0:
-            assert spectral_norm(state.op.mat - positive_part) <= 1e-13
+            assert spectral_norm(state.op - positive_part) <= 1e-13
+
+    def test_square_shape_checked(self):
+        for shape in [(2, 3), (4,), (1, 2, 2)]:
+            with pytest.raises(ValueError, match="square"):
+                State.from_operator(np.ones(shape, dtype=complex) / 2)
 
 
 class TestFactorState:
@@ -218,23 +222,26 @@ class TestFactorState:
 
     def test_op_is_built_once(self):
         state = make_state([(0.25, [1, 0, 0]), (0.75, [0, 1j, 0])])
-        assert state.op is state.op
-        np.testing.assert_allclose(state.op.mat, np.diag([0.25, 0.75, 0.0]), atol=1e-15)
+        assert "op" not in vars(state)
+        assert state.op is state.op and state.op.dtype == complex
+        np.testing.assert_allclose(state.op, np.diag([0.25, 0.75, 0.0]), atol=1e-15)
+        with pytest.raises(ValueError, match="read-only"):
+            state.op[0, 0] = 1.0
 
     def test_operator_state_factors_by_positive_eigenpairs(self):
         rng = np.random.default_rng(3)
         vecs = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
         factored = make_state([(0.3, vecs[0]), (0.7, vecs[1])])
-        state = State.from_operator(Operator(factored.op.mat))
+        state = State.from_operator(factored.op)
         weights, rows = state.weights, state.vectors
         assert np.all(weights > 0) and weights.sum() == pytest.approx(1.0, abs=1e-14)
         np.testing.assert_allclose(np.sort(weights)[-2:], [0.3, 0.7], atol=1e-14)
-        np.testing.assert_allclose((rows.T * weights) @ rows.conj(), factored.op.mat, atol=1e-14)
+        np.testing.assert_allclose((rows.T * weights) @ rows.conj(), factored.op, atol=1e-14)
 
 
 class TestPomAxioms:
     def test_identity_pom(self):
-        pom = point_pom([Operator(np.eye(3))])
+        pom = point_pom([np.eye(3)])
         rep = check_pom_axioms(pom, 1e-12)
         assert rep.passed
         assert rep.worst_negativity == 0.0
@@ -318,7 +325,7 @@ def certificate_poms(draw, tol=1e-10):
         vals[0] = -draw(st.sampled_from([tol, tol / 2])) * draw(near_one())
         h = (u * vals) @ u.conj().T
         h = (h + h.conj().T) / 2
-    effects = (Operator(h), Operator(np.eye(n) - h))
+    effects = (h, np.eye(n) - h)
     return point_pom(effects), kind == "dominant"
 
 
@@ -347,7 +354,7 @@ class TestPositivityCertificate:
         # eigvalsh gives [0, -0] for diag(nan, 1), and Python's max drops a NaN
         first = np.diag([1.0, 0.0]).astype(complex)
         first[0, 0] = bad
-        report = check_pom_axioms(point_pom([Operator(first), diag_effect(0, 1)]))
+        report = check_pom_axioms(point_pom([first, diag_effect(0, 1)]))
         assert not report.passed
         assert np.isnan(report.worst_negativity) and np.isnan(report.normalization_defect)
 
@@ -368,7 +375,7 @@ class TestOutcomeDistribution:
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         h = a @ a.conj().T
         h = h / (np.linalg.eigvalsh(h).max() * 1.5)
-        pom = point_pom([Operator(h), Operator(np.eye(d) - h)])
+        pom = point_pom([h, np.eye(d) - h])
         dist = outcome_distribution(st, pom)
         for p, eff in zip(dist.probs, pom.effects):
             assert p == pytest.approx(np.trace(eff).real / d, abs=1e-12)
@@ -382,11 +389,11 @@ class TestOutcomeDistribution:
             v2 = rng.normal(size=d) + 1j * rng.normal(size=d)
             s1, s2 = pure_state(v1), pure_state(v2)
             t = rng.uniform()
-            mix = State.from_operator(Operator(t * s1.op.mat + (1 - t) * s2.op.mat))
+            mix = State.from_operator(t * s1.op + (1 - t) * s2.op)
             a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             h = a @ a.conj().T
             h = h / (np.linalg.eigvalsh(h).max() * 2)
-            pom = point_pom([Operator(h), Operator(np.eye(d) - h)])
+            pom = point_pom([h, np.eye(d) - h])
             p_mix = outcome_distribution(mix, pom).raw
             p1 = outcome_distribution(s1, pom).raw
             p2 = outcome_distribution(s2, pom).raw
@@ -400,8 +407,8 @@ class TestOutcomeDistribution:
             state = make_state(list(zip(rng.uniform(0.1, 1.0, size=rank), vecs)))
             a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             h = (a + a.conj().T) / 4
-            pom = point_pom([Operator(h), Operator(np.eye(d) - h)])
-            expected = np.array([np.trace(state.op.mat @ e).real for e in pom.effects])
+            pom = point_pom([h, np.eye(d) - h])
+            expected = np.array([np.trace(state.op @ e).real for e in pom.effects])
             for st in (state, State.from_operator(state.op)):
                 dist = outcome_distribution(st, pom)
                 np.testing.assert_allclose(dist.raw, expected, rtol=0, atol=1e-13)
@@ -425,7 +432,7 @@ class TestEffectRegularity:
         assert not effect_is_regular(diag_effect(0.6, 0.7))
 
     def test_boundary_half_identity(self):
-        assert not effect_is_regular(Operator(0.5 * np.eye(2)))
+        assert not effect_is_regular(0.5 * np.eye(2))
 
     def test_symmetric_under_complement(self):
         rng = np.random.default_rng(3)
@@ -434,24 +441,22 @@ class TestEffectRegularity:
             a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             h = a @ a.conj().T
             h = h / (np.linalg.eigvalsh(h).max() * rng.uniform(1.0, 3.0))
-            e = Operator(h)
-            comp = Operator(np.eye(d) - h)
-            assert effect_is_regular(e) == effect_is_regular(comp)
+            assert effect_is_regular(h) == effect_is_regular(np.eye(d) - h)
 
 
 class TestCommutatorNorm:
     def test_self_commutes(self):
-        a = Operator(np.array([[1, 2j], [-2j, 3]]))
+        a = np.array([[1, 2j], [-2j, 3]])
         assert commutator_norm(a, a) == 0.0
 
     def test_diagonal_family_commutes(self):
-        a = Operator(np.diag([1.0, 2.0, 3.0]))
-        b = Operator(np.diag([5.0, -1.0, 0.5]))
+        a = np.diag([1.0, 2.0, 3.0])
+        b = np.diag([5.0, -1.0, 0.5])
         assert commutator_norm(a, b) == 0.0
 
     def test_pauli_x_z(self):
-        x = Operator(np.array([[0, 1], [1, 0]], dtype=complex))
-        z = Operator(np.array([[1, 0], [0, -1]], dtype=complex))
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        z = np.array([[1, 0], [0, -1]], dtype=complex)
         # XZ - ZX = -2iY, spectral norm 2
         assert commutator_norm(x, z) == pytest.approx(2.0, abs=1e-14)
 
@@ -528,27 +533,6 @@ class TestLanczosNorm:
         assert 2 * LANCZOS_ROWS < len(calls) <= 160
 
 
-class TestOperatorOwnership:
-    def test_complex_array_is_kept_and_frozen(self):
-        a = np.arange(9, dtype=complex).reshape(3, 3)
-        op = Operator(a)
-        assert np.shares_memory(op.mat, a)
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0, 0] = 1.0
-
-    def test_conversion_copies(self):
-        a = np.eye(3)
-        op = Operator(a)
-        assert not np.shares_memory(op.mat, a)
-        assert a.flags.writeable and not op.mat.flags.writeable
-        assert op.mat.dtype == complex
-
-    def test_square_shape_checked(self):
-        with pytest.raises(ValueError, match="square"):
-            Operator(np.zeros((2, 3), dtype=complex))
-
-
 class TestHermiticity:
     @pytest.mark.parametrize("skew, tol, expected", [
         (0.0, 1e-10, True),
@@ -558,11 +542,17 @@ class TestHermiticity:
         (1e-3, 1e-10, False),
     ])
     def test_exact_norm_decides_beyond_the_frobenius_screen(self, skew, tol, expected):
+        # a trace-one positive matrix plus a traceless skew part i skew diag(1, -1, ...)
         rng = np.random.default_rng(4)
         a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        op = Operator(a + a.conj().T + 1j * skew * np.eye(8))
-        assert op.is_hermitian(tol) is expected
-        assert expected == (np.linalg.norm(op.mat - op.mat.conj().T, 2) <= tol)
+        h = a @ a.conj().T + np.eye(8)
+        op = h / np.trace(h).real + 1j * skew * np.diag(np.tile([1.0, -1.0], 4))
+        assert expected == (np.linalg.norm(op - op.conj().T, 2) <= tol)
+        if expected:
+            assert State.from_operator(op, tol).weights.size == 8
+        else:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                State.from_operator(op, tol)
 
 
 class TestHelpers:
@@ -573,16 +563,16 @@ class TestHelpers:
 
     def test_state_validation_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            State.from_operator(Operator(np.diag([1.0, 1.0])))
+            State.from_operator(np.diag([1.0, 1.0]))
 
     def test_effect_validation(self):
         # an effect with spectrum outside [0, 1] makes its complement negative
         pom = Pom("two outcomes", (Outcome("a", PointCell((0,))), Outcome("b", PointCell((1,)))),
-                  (diag_effect(1.5, 0.0).mat, diag_effect(-0.5, 1.0).mat))
+                  (diag_effect(1.5, 0.0), diag_effect(-0.5, 1.0)))
         report = check_pom_axioms(pom, 1e-10)
         assert not report.passed and report.worst_negativity == pytest.approx(0.5)
         pom = Pom("two outcomes", pom.outcomes,
-                  (diag_effect(1.0, 0.0).mat, diag_effect(0.0, 1.0).mat))
+                  (diag_effect(1.0, 0.0), diag_effect(0.0, 1.0)))
         assert check_pom_axioms(pom, 1e-10).passed
 
     def test_axiom_report_is_plain_data(self):

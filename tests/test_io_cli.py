@@ -30,7 +30,6 @@ from covpom.cli import _parse_state, build_parser, main
 from covpom.grids import symmetric_grid
 from covpom.hilbert import (
     IntervalCell,
-    Operator,
     PointCell,
     RectCell,
     check_pom_axioms,
@@ -69,14 +68,13 @@ class TestRoundTrips:
     def test_operator(self):
         rng = np.random.default_rng(0)
         mat = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        op = Operator(mat)
-        back = io.operator_from_json(json.loads(io.dumps(io.operator_to_json(op))))
-        np.testing.assert_allclose(back.mat, op.mat)
+        back = io.operator_from_json(json.loads(io.dumps(io.operator_to_json(mat))))
+        np.testing.assert_array_equal(back, mat)
 
     def test_state_spectral(self):
         st = pure_state([1.0, 1.0j])
         back = io.state_from_json(json.loads(io.dumps(io.state_to_json(st))))
-        np.testing.assert_allclose(back.op.mat, st.op.mat, atol=1e-12)
+        np.testing.assert_allclose(back.op, st.op, atol=1e-12)
 
     def test_state_factor_is_written_bit_for_bit(self):
         rng = np.random.default_rng(5)
@@ -398,6 +396,22 @@ class TestCli:
         err = captured.err.strip()
         assert err == "input error: isometry for block 0 at dual point (3,) outside its support"
 
+    @pytest.mark.parametrize("entry", [[float("nan"), 0.0], [0.0, float("-inf")]])
+    def test_abelian_pom_rejects_a_non_finite_isometry(self, capsys, tmp_path, entry):
+        # a NaN entry once reached the isometry check, whose SVD did not converge
+        g = FiniteAbelianGroup((4,))
+        rep = DiagonalRep(g, (RepBlock.from_mapping({(x,): 1.0 for x in range(4)}, 1),))
+        bundle = {"rep": io.rep_to_json(rep), "subgroup": {"moduli": [4], "generators": [[2]]},
+                  "isometries": io.isometries_to_json(IsometryFamily(np.ones((1, 4))), rep)}
+        doc = json.loads(io.dumps(bundle))
+        doc["isometries"]["blocks"][0]["entries"]["1"]["entries"] = [entry]
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(doc))  # json writes NaN and -Infinity
+        assert main(["abelian-pom", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == "input error: isometry at block 0, (1,) has a non-finite entry"
+
     @pytest.mark.parametrize("weight", [-0.5, float("nan"), 0.0])
     def test_abelian_pom_weights(self, capsys, tmp_path, weight):
         # a weight of 0 leaves its point out of the support; a negative or NaN one is rejected
@@ -710,7 +724,7 @@ class TestOperatorOnlyStates:
         # the reader accepts a trace within 1e-8 of one; the POM checks its state at 1e-10
         path = tmp_path / "op.json"
         path.write_text(io.dumps({"op": io.operator_to_json(
-            Operator(np.diag([0.5 + offset, 0.3, 0.2]).astype(complex)))}))
+            np.diag([0.5 + offset, 0.3, 0.2]).astype(complex))}))
         assert main(["finite-weyl", "--dim", "3", "--state", str(path)]) == code
         captured = capsys.readouterr()
         if code == 0:

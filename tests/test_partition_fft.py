@@ -182,7 +182,7 @@ class TestTranslationEffect:
         i, j = np.sort(rng.choice(n, size=2, replace=False))
         lo, hi = t[i] - 0.5 * grid.dp, t[j] + 0.5 * grid.dp
         np.testing.assert_allclose(
-            translation_covariant_effect(h, [(lo, hi)], grid).mat,
+            translation_covariant_effect(h, [(lo, hi)], grid),
             gathered_translation_effect(h, lo, hi, grid),
             rtol=0,
             atol=1e-12,
@@ -197,7 +197,7 @@ class TestTorusEffects:
         h = list(unit_rows(rng, d, width))
         lo, hi = np.sort(rng.uniform(0.0, TWO_PI, 2))
         np.testing.assert_allclose(
-            phase_observable_effect(h, (lo, hi)).mat,
+            phase_observable_effect(h, (lo, hi)),
             loop_phase_effect(h, lo, hi),
             rtol=0,
             atol=1e-14,
@@ -211,7 +211,7 @@ class TestTorusEffects:
         h = {(i, j): rows[i * d + j] for i in range(d) for j in range(d)}
         lo, hi = np.sort(rng.uniform(0.0, TWO_PI, 2))
         np.testing.assert_allclose(
-            phase_difference_effect(d, h, (lo, hi)).mat,
+            phase_difference_effect(d, h, (lo, hi)),
             loop_phase_difference_effect(d, h, lo, hi),
             rtol=0,
             atol=1e-14,

@@ -40,7 +40,7 @@ class TestPhaseObservable:
     def test_full_circle_is_identity(self):
         h = canonical_phase_vectors(4)
         eff = phase_observable_effect(h, (0.0, 2 * np.pi))
-        np.testing.assert_allclose(eff.mat, np.eye(4), atol=1e-14)
+        np.testing.assert_allclose(eff, np.eye(4), atol=1e-14)
 
     def test_canonical_d2_half_circle(self):
         # frozen closed form: c_1 = i/pi, so the (1,0) entry is -1/(i pi)
@@ -49,11 +49,11 @@ class TestPhaseObservable:
         expected = np.array(
             [[0.5, 1.0 / (1j * np.pi)], [-1.0 / (1j * np.pi), 0.5]]
         )
-        np.testing.assert_allclose(eff.mat, expected, atol=1e-14)
+        np.testing.assert_allclose(eff, expected, atol=1e-14)
         # cross-check every entry against the quadrature oracle
         for j in range(2):
             for k in range(2):
-                assert eff.mat[j, k] == pytest.approx(
+                assert eff[j, k] == pytest.approx(
                     quad_coefficient(j - k, 0.0, np.pi), abs=1e-12
                 )
 
@@ -61,7 +61,7 @@ class TestPhaseObservable:
         h = [np.eye(3)[i] for i in range(3)]
         eff = phase_observable_effect(h, (0.5, 1.7))
         np.testing.assert_allclose(
-            eff.mat, (1.2 / (2 * np.pi)) * np.eye(3), atol=1e-14
+            eff, (1.2 / (2 * np.pi)) * np.eye(3), atol=1e-14
         )
 
     @pytest.mark.parametrize("d,cells", [(2, 4), (3, 8), (8, 16)])
@@ -154,18 +154,17 @@ class TestPhaseDifference:
     def test_full_circle_identity(self):
         d = 3
         eff = phase_difference_effect(d, constant_pair_vectors(d), (0.0, 2 * np.pi))
-        np.testing.assert_allclose(eff.mat, np.eye(d * d), atol=1e-14)
+        np.testing.assert_allclose(eff, np.eye(d * d), atol=1e-14)
 
     def test_off_sector_entries_exactly_zero(self):
         d = 3
         eff = phase_difference_effect(d, constant_pair_vectors(d), (0.2, 1.9))
-        mat = eff.mat
         for l in range(d):
             for m in range(d):
                 for i in range(d):
                     for j in range(d):
                         if l + m != i + j:
-                            assert mat[l * d + m, i * d + j] == 0.0
+                            assert eff[l * d + m, i * d + j] == 0.0
 
     def test_middle_sector_matches_single_mode_phase(self):
         d = 2
@@ -175,8 +174,8 @@ class TestPhaseDifference:
         # With l+m = i+j fixed the element c_{j-m} equals c_{l-i}, so the block
         # reproduces the single-mode phase matrix indexed by the first mode.
         sector = np.ix_([1, 2], [1, 2])
-        block = eff.mat[sector]
-        np.testing.assert_allclose(block, phase_eff.mat, atol=1e-14)
+        block = eff[sector]
+        np.testing.assert_allclose(block, phase_eff, atol=1e-14)
         # quadrature oracle for one entry: <e_10, E e_01> = c_{1-0}(X)
         assert block[1, 0] == pytest.approx(quad_coefficient(1, 0.0, np.pi), abs=1e-12)
 
@@ -218,7 +217,7 @@ class TestTranslationCovariant:
         eff = translation_covariant_effect(
             h, [(t[0] - 0.1, t[-1] + 0.1)], grid
         )
-        np.testing.assert_allclose(eff.mat, np.eye(grid.n), atol=1e-10)
+        np.testing.assert_allclose(eff, np.eye(grid.n), atol=1e-10)
 
     def test_constant_h_conjugates_to_sharp_indicator(self):
         grid = self_dual_grid(64)
@@ -228,7 +227,7 @@ class TestTranslationCovariant:
         eff = translation_covariant_effect(h, [(lo, hi)], grid)
         f = dense_fourier_matrix(grid)
         expected = np.diag(((t >= lo) & (t < hi)).astype(float))
-        np.testing.assert_allclose(f @ eff.mat @ f.conj().T, expected, atol=1e-8)
+        np.testing.assert_allclose(f @ eff @ f.conj().T, expected, atol=1e-8)
 
     def test_partition_passes_axioms(self):
         grid = self_dual_grid(32)
@@ -253,7 +252,7 @@ class TestTranslationCovariant:
         e = translation_covariant_effect(h, [(t[10], t[30])], grid)
         e_shift = translation_covariant_effect(h, [(t[10] + a, t[30] + a)], grid)
         np.testing.assert_allclose(
-            u @ e.mat @ u.conj().T, e_shift.mat, atol=1e-10
+            u @ e @ u.conj().T, e_shift, atol=1e-10
         )
 
     def test_rotating_directions_do_not_commute(self):

@@ -199,7 +199,7 @@ def test_effect_and_norm_match_quadrature_oracle(case, data):
     p_lo, p_hi = data.draw(intervals(-p_max, p_max, 4.0))
     cell = RectCell(q_lo, q_hi, p_lo, p_hi)
     expected = oracle_effect(t, cell, grid, p_panel=0.5)
-    got = phase_space_effect(t, cell, grid).mat
+    got = phase_space_effect(t, cell, grid)
     assert np.linalg.norm(got - expected, 2) <= TOL
     top = np.linalg.eigvalsh(expected).max()
     assert abs(phase_space_cell_norm(t, cell, grid) - top) <= TOL
@@ -247,7 +247,7 @@ def test_cut_norm_matches_dense_eigvalsh(case, data):
     elif edge == "high":
         q_lo, q_hi = half_width - (q_hi - q_lo), half_width
     cell = RectCell(q_lo, q_hi, *data.draw(intervals(-p_max, p_max, 4.0)))
-    effect = phase_space_effect(t, cell, grid).mat
+    effect = phase_space_effect(t, cell, grid)
     with recorded_supports() as cuts:
         norm = phase_space_cell_norm(t, cell, grid)
     assert abs(norm - np.linalg.eigvalsh(effect).max()) <= TOL
@@ -265,7 +265,7 @@ def test_default_rule_matches_oracle_away_from_edges():
     for half in (0.5, 2.5, 5.0):
         cell = RectCell(-half, half, -half, half)
         expected = oracle_effect(t, cell, grid)
-        got = phase_space_effect(t, cell, grid).mat
+        got = phase_space_effect(t, cell, grid)
         assert np.linalg.norm(got - expected, 2) <= TOL
 
 
@@ -323,7 +323,7 @@ def test_norm_supports_are_cut_within_the_bound(n, half):
     grid = symmetric_grid(n, 16.0)
     t = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid, center=1.0))])
     cell = RectCell(1.0 - half, 1.0 + half, -half, half)
-    effect = phase_space_effect(t, cell, grid).mat
+    effect = phase_space_effect(t, cell, grid)
     with recorded_supports() as cuts:
         norm = phase_space_cell_norm(t, cell, grid)
     [(i0, i1)] = cuts
@@ -385,7 +385,7 @@ def test_real_cell_block_matches_complex_symbol(n, half, rank):
     t = low_mode_state(grid, coefficients, [1.0 / (k + 1) for k in range(rank)])
     cell = RectCell(0.4 - half, 0.4 + half, -0.7 - half, -0.7 + half)
     expected = complex_symbol_block(t, cell, grid, 0, n)
-    got = phase_space_effect(t, cell, grid).mat
+    got = phase_space_effect(t, cell, grid)
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 

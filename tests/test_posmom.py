@@ -145,19 +145,19 @@ class TestSmearedEffects:
     def test_whole_line_is_identity(self, grid):
         obs = SmearedObservable("position", gaussian_measure(grid), grid)
         eff = smeared_effect(obs, [(-np.inf, np.inf)])
-        np.testing.assert_allclose(eff.mat, np.eye(grid.n), atol=1e-9)
+        np.testing.assert_allclose(eff, np.eye(grid.n), atol=1e-9)
 
     def test_empty_set_gives_zero_effect(self, grid):
         obs = SmearedObservable("position", gaussian_measure(grid), grid)
         eff = smeared_effect(obs, [])
-        assert np.all(eff.mat == 0)
+        assert np.all(eff == 0)
 
     def test_translation_covariance_and_boost_invariance(self):
         g = symmetric_grid(256, 12.0)
         obs = SmearedObservable("position", gaussian_measure(g, sigma=0.7), g)
         shift = 16 * g.dx
-        e1 = smeared_effect(obs, [(-1.0, 1.0)]).mat
-        e2 = smeared_effect(obs, [(-1.0 + shift, 1.0 + shift)]).mat
+        e1 = smeared_effect(obs, [(-1.0, 1.0)])
+        e2 = smeared_effect(obs, [(-1.0 + shift, 1.0 + shift)])
         # U(q) E(X) U(q)* = E(X + q): lattice shift permutes the diagonal
         np.testing.assert_allclose(np.roll(np.diag(e1), 16), np.diag(e2), atol=1e-12)
         # V(p) E(X) V(p)* = E(X): diagonal effects commute with phases
@@ -174,7 +174,7 @@ class TestSmearedEffects:
         prof, _ = smeared_profile(obs_p, [(-0.8, 1.1)])
         f = dense_fourier_matrix(g)
         np.testing.assert_allclose(
-            f @ eff.mat @ f.conj().T, np.diag(prof), atol=1e-9
+            f @ eff @ f.conj().T, np.diag(prof), atol=1e-9
         )
 
     def test_momentum_kind_defining_symmetries(self):
@@ -186,8 +186,8 @@ class TestSmearedEffects:
         x = g.positions()
         b = 5
         p0 = b * g.dp
-        eff = smeared_effect(obs, [(-1.0, 1.0)]).mat
-        eff_shift = smeared_effect(obs, [(-1.0 + p0, 1.0 + p0)]).mat
+        eff = smeared_effect(obs, [(-1.0, 1.0)])
+        eff_shift = smeared_effect(obs, [(-1.0 + p0, 1.0 + p0)])
         boost = np.diag(np.exp(1j * p0 * x))
         np.testing.assert_allclose(boost @ eff @ boost.conj().T, eff_shift, atol=1e-9)
         shift = np.roll(np.eye(g.n), 7, axis=0)
@@ -248,7 +248,7 @@ class TestDistribution:
         state = make_state([(1.0, psi.values * np.sqrt(grid.dx))])
         route_trace = [
             float(
-                np.trace(state.op.mat @ smeared_effect(obs, [c]).mat).real
+                np.trace(state.op @ smeared_effect(obs, [c])).real
             )
             for c in cells
         ]
@@ -515,6 +515,6 @@ class TestInjectivity:
     def test_null_sets(self, grid):
         obs = SmearedObservable("position", gaussian_measure(grid), grid)
         zero = smeared_effect(obs, [])
-        assert np.all(zero.mat == 0)
+        assert np.all(zero == 0)
         tiny = smeared_effect(obs, [(0.0, grid.dx)])
-        assert np.linalg.norm(tiny.mat) > 0
+        assert np.linalg.norm(tiny) > 0
