@@ -272,6 +272,8 @@ def cmd_phasespace(args) -> int:
                 {"position": io.measure_to_json(rho), "momentum": io.measure_to_json(nu)},
             )
     elif args.action == "roi":
+        if args.n_test < 1:
+            raise InputError(f"--n-test must be at least 1, got {args.n_test}")
         res = phasespace.resolution_of_identity_defect(
             t_state, grid, half_width=args.window / 2,
             n_test=args.n_test, order=args.quad_order,

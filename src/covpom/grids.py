@@ -101,9 +101,8 @@ class Grid1D:
 
 
 def symmetric_grid(n: int, half_width: float) -> Grid1D:
-    """Grid of n points covering [-half_width, half_width)."""
-    dx = 2 * half_width / n
-    return Grid1D(n, -half_width, dx)
+    """Grid of n points covering [-half_width, half_width); Grid1D rejects n < 16 itself."""
+    return Grid1D(n, -half_width, 2 * half_width / max(n, 1))
 
 
 @dataclass(frozen=True)

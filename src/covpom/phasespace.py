@@ -23,11 +23,11 @@ p-integral.  Rows of G are GEMMs scaled by S_0 in place; plane waves use _exp_i_
 
 Cell norms and identity-resolution Grams run on the support cut I = [i0, i1),
 the grid with its massless ends trimmed.  G is positive, with diagonal
-G_ii = (dx/2pi)(p_hi - p_lo)||B_i||^2; for A = G_II and Z = G_(I^c I^c),
-interlacing and ||G_(I I^c)||^2 <= ||A|| ||Z|| give
-0 <= ||G|| - ||A|| <= sqrt(tr A tr Z) + tr Z, kept at most SUPPORT_TOL.  The
-Gram H* G H is cut where the Hermite test functions leave at most SUPPORT_TOL^2
-of sum_k ||h_k||^2 outside I; as ||G|| <= 1, that moves it by about 2 SUPPORT_TOL.
+G_ii = (dx/2pi)(p_hi - p_lo)||B_i||^2; for A = G_II and Z = G_(I^c I^c), positivity bounds
+the block G_(I I^c) by sqrt(||A|| ||Z||), so a unit x has x* G x <= (sqrt||A|| |x_I| +
+sqrt||Z|| |x_I^c|)^2 <= ||A|| + ||Z||: ||A|| <= ||G|| <= ||A|| + tr Z, and the norm's cut
+keeps tr Z at most SUPPORT_TOL.  The Gram H* G H is cut where the Hermite test functions
+leave at most SUPPORT_TOL^2 of sum_k ||h_k||^2 outside I; that moves it by about 2 SUPPORT_TOL.
 """
 
 from __future__ import annotations
@@ -341,15 +341,13 @@ def phase_space_cell_norm(
     """Spectral norm of the cell effect (strictly below one on bounded cells).
 
     The effect G is positive, so its norm is its largest eigenvalue, found by
-    Lanczos from a fixed start on the block G_II of the support cut I, which
-    lowers it by at most SUPPORT_TOL (module docstring).
+    Lanczos from a fixed start on the block A = G_II of the support cut I, which
+    lowers it by at most tr Z <= SUPPORT_TOL, Z the block cut off (module docstring).
     """
     _check_cell_in_window(cell, grid)
     bank_h = _bank(t_state, cell, grid, order)
     mass = (np.abs(bank_h) ** 2).sum(axis=0) * ((cell.p_hi - cell.p_lo) * grid.dx / (2 * np.pi))
-    # sqrt(tr A tr Z) + tr Z <= sqrt(tr G z) + z, which is SUPPORT_TOL at z = root^2
-    root = 2 * SUPPORT_TOL / (np.sqrt(mass.sum()) + np.sqrt(mass.sum() + 4 * SUPPORT_TOL))
-    i0, i1 = _support(mass, root**2)
+    i0, i1 = _support(mass, SUPPORT_TOL)  # the mass outside I is tr Z
     _, _, mat = next(_kernel_rows(bank_h, cell, grid, i0, i1, i1 - i0))
     start = np.random.default_rng(0).standard_normal(grid.n)[i0:i1]
     return _lanczos_norm(mat.dot, start)

@@ -4,8 +4,16 @@ document-wide pass or on a support cut, kept as test oracles."""
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from covpom.hilbert import RectCell
-from covpom.phasespace import _gl_panels, hermite_wavefunction, phase_space_effect
+from covpom.hilbert import RectCell, _lanczos_norm
+from covpom.phasespace import (
+    SUPPORT_TOL,
+    _bank,
+    _gl_panels,
+    _kernel_rows,
+    _support,
+    hermite_wavefunction,
+    phase_space_effect,
+)
 from covpom.posmom import grid_wavefunctions
 
 
@@ -130,3 +138,19 @@ def complex_symbol_block(t_state, cell, grid, i0, i1, order=16):
     symbol = width * np.exp(0.5j * (cell.p_hi + cell.p_lo) * d) * np.sinc(0.5 * width * d / np.pi)
     toeplitz = sliding_window_view(symbol[::-1], m)[::-1]  # row a of S
     return (bank.conj().T @ bank) * toeplitz * (grid.dx / (2 * np.pi))
+
+
+def wide_cut_cell_norm(t_state, cell, grid, order=16):
+    """(norm, (i0, i1)): ``phase_space_cell_norm`` on the wide cut of the former bound.
+
+    That cut keeps sqrt(tr A tr Z) + tr Z, not tr Z, at most SUPPORT_TOL; with
+    tr A <= tr G it holds once tr Z <= root^2, root the positive root of
+    root^2 + sqrt(tr G) root = SUPPORT_TOL, which leaves about 1e-26 outside.
+    """
+    bank_h = _bank(t_state, cell, grid, order)
+    mass = (np.abs(bank_h) ** 2).sum(axis=0) * ((cell.p_hi - cell.p_lo) * grid.dx / (2 * np.pi))
+    root = 2 * SUPPORT_TOL / (np.sqrt(mass.sum()) + np.sqrt(mass.sum() + 4 * SUPPORT_TOL))
+    i0, i1 = _support(mass, root**2)
+    _, _, mat = next(_kernel_rows(bank_h, cell, grid, i0, i1, i1 - i0))
+    start = np.random.default_rng(0).standard_normal(grid.n)[i0:i1]
+    return _lanczos_norm(mat.dot, start), (i0, i1)

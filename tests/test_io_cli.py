@@ -637,6 +637,18 @@ class TestCli:
         assert code == 0
         assert report["checks"][0]["value"] < 1.0
 
+    @pytest.mark.parametrize("argv, message", [
+        (["norm", "--grid-n", "0"], "n must be a power of two >= 16, got 0"),
+        (["norm", "--grid-n", "-16"], "n must be a power of two >= 16, got -16"),
+        (["roi", "--grid-n", "256", "--n-test", "0"], "--n-test must be at least 1, got 0"),
+    ], ids=["grid-n 0", "grid-n -16", "n-test 0"])
+    def test_phasespace_size_options_out_of_range_exit_2(self, capsys, tmp_path, argv, message):
+        tpath = tmp_path / "t.json"
+        tpath.write_text(json.dumps({"kind": "gaussian"}))
+        assert main(["phasespace", *argv, "--t", str(tpath)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: {message}\n" and captured.out == ""
+
     @pytest.mark.parametrize("argv", [
         [sub, *extra, opt, value]
         for sub, extra in [

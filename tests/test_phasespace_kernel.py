@@ -6,7 +6,9 @@ tensor Gauss-Legendre sum over q and p, one translate and one n x n update
 per q-node.  They share the q-rule, so the kernel must match them to rounding
 wherever their p-rule has converged.  The cell norm and the identity-resolution
 Gram run on a support cut of the grid; they are checked against the full-grid
-effect, and every cut the code picks against its bound.  The last section checks
+effect, every cut the code picks against its bound, the bound itself on random
+positive matrices, and the norm against the wider cut it replaced, kept in
+``oracles``.  The last section checks
 the factored plane-wave tables and the real cell block against the direct forms
 kept in ``oracles``.
 """
@@ -23,6 +25,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.signal import fftconvolve
 
 from covpom import phasespace
+from covpom.cli import _parse_state
 from covpom.grids import WaveFunction, symmetric_grid
 from covpom.hilbert import RectCell
 from covpom.phasespace import (
@@ -39,7 +42,7 @@ from covpom.phasespace import (
     state_from_wavefunctions,
 )
 from covpom.posmom import grid_wavefunctions
-from oracles import complex_symbol_block, full_grid_roi_gram
+from oracles import complex_symbol_block, full_grid_roi_gram, wide_cut_cell_norm
 
 HALF_WIDTH = 8.0
 N_MODES = 4
@@ -144,10 +147,8 @@ def recorded_supports():
 
 
 def norm_cut_bound(diagonal, i0, i1):
-    """sqrt(tr A tr Z) + tr Z for A = G_II and Z = G_(I^c I^c), I = [i0, i1)."""
-    tr_a = diagonal[i0:i1].sum()
-    tr_z = diagonal[:i0].sum() + diagonal[i1:].sum()
-    return math.sqrt(tr_a * tr_z) + tr_z
+    """tr Z for Z = G_(I^c I^c), I = [i0, i1), which bounds ||G|| - ||G_II||."""
+    return diagonal[:i0].sum() + diagonal[i1:].sum()
 
 
 # --- strategies ----------------------------------------------------------------
@@ -255,6 +256,69 @@ def test_cut_norm_matches_dense_eigvalsh(case, data):
     assert norm_cut_bound(np.diag(effect).real, i0, i1) <= SUPPORT_TOL
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    dim=st.integers(2, 40),
+    decay=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_cut_lowers_the_top_eigenvalue_by_at_most_tr_z(dim, decay, seed, data):
+    # G = X X* of any rank, rows scaled down away from a random centre so that
+    # some cuts leave little mass outside, where the bound is tight
+    rank = data.draw(st.integers(1, dim))
+    i0 = data.draw(st.integers(0, dim - 1))
+    i1 = data.draw(st.integers(i0 + 1, dim))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    x *= np.exp(-decay * np.abs(np.arange(dim) - rng.uniform(0, dim)))[:, None]
+    g = x @ x.conj().T
+    outside = np.r_[:i0, i1:dim]
+    z = g[np.ix_(outside, outside)]
+    top = np.linalg.eigvalsh(g)[-1]
+    top_a = np.linalg.eigvalsh(g[i0:i1, i0:i1])[-1]
+    top_z = np.linalg.eigvalsh(z)[-1] if outside.size else 0.0
+    slack = 1e-12 * top
+    assert -slack <= top - top_a <= top_z + slack
+    assert top_z <= np.trace(z).real + slack
+
+
+@st.composite
+def cli_states(draw, grid):
+    """A Gaussian with the CLI's a, b, center and momentum, or a Fock mixture of rank 1-3."""
+    if draw(st.booleans()):
+        spec = {
+            "kind": "gaussian", "a": draw(st.floats(0.2, 2.0)), "b": draw(st.floats(-1.0, 1.0)),
+            "center": draw(st.floats(-3.0, 3.0)), "momentum": draw(st.floats(-3.0, 3.0)),
+        }
+    else:
+        levels = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True))
+        spec = {"kind": "mixture", "components": [
+            {"weight": draw(st.floats(0.1, 1.0)), "state": {"kind": "fock", "k": k}}
+            for k in levels
+        ]}
+    return _parse_state(spec, grid)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([256, 512, 1024]), h=st.floats(0.25, 3.0), data=st.data())
+def test_cut_norm_matches_wide_cut_oracle(n, h, data):
+    # off-centre cells, and cells at a window edge, where the translates wrap round
+    grid = symmetric_grid(n, 16.0)
+    t = data.draw(cli_states(grid))
+    q0, p0 = data.draw(st.floats(-3.0, 3.0)), data.draw(st.floats(-3.0, 3.0))
+    edge = data.draw(st.sampled_from(["none", "low", "high"]))
+    q_lo, q_hi = {"none": (q0 - h, q0 + h), "low": (-16.0, 2 * h - 16.0),
+                  "high": (16.0 - 2 * h, 16.0)}[edge]
+    cell = RectCell(q_lo, q_hi, p0 - h, p0 + h)
+    with recorded_supports() as cuts:
+        norm = phase_space_cell_norm(t, cell, grid)
+    expected, (j0, j1) = wide_cut_cell_norm(t, cell, grid)
+    assert abs(norm - expected) <= SUPPORT_TOL
+    [(i0, i1)] = cuts
+    assert i1 - i0 <= j1 - j0
+
+
 # --- fixed cases -------------------------------------------------------------------
 
 
@@ -330,6 +394,18 @@ def test_norm_supports_are_cut_within_the_bound(n, half):
     assert i1 - i0 < 0.7 * n
     assert norm_cut_bound(np.diag(effect).real, i0, i1) <= SUPPORT_TOL
     assert abs(norm - np.linalg.eigvalsh(effect).max()) <= TOL
+
+
+def test_cut_is_narrower_than_the_wide_cut():
+    grid = symmetric_grid(1024, 16.0)
+    t = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid, center=1.0))])
+    cell = RectCell(0.5, 1.5, -0.5, 0.5)
+    with recorded_supports() as cuts:
+        norm = phase_space_cell_norm(t, cell, grid)
+    expected, (j0, j1) = wide_cut_cell_norm(t, cell, grid)
+    [(i0, i1)] = cuts
+    assert (i1 - i0, j1 - j0) == (343, 489)
+    assert abs(norm - expected) <= SUPPORT_TOL
 
 
 @pytest.mark.parametrize("n_test", [12, 13])
