@@ -7,7 +7,7 @@ density operators, and smeared position/momentum observables together with
 their regularity, resolution, distinction-power and coexistence diagnostics.
 """
 
-from .grids import Grid1D, WaveFunction, symmetric_grid
+from .grids import Grid1D, symmetric_grid
 from .hilbert import (
     State,
     Pom,

@@ -18,8 +18,8 @@ from typing import Optional
 import numpy as np
 
 from . import abelian, io, phasespace, posmom
-from .grids import WaveFunction, symmetric_grid
-from .hilbert import RectCell, check_pom_axioms
+from .grids import symmetric_grid
+from .hilbert import RectCell, check_pom_axioms, make_state
 from .posmom import ProbMeasure1D
 
 
@@ -43,22 +43,14 @@ def _parse_state(obj, grid):
         return io.state_from_json(obj)
     kind = obj["kind"]
     if kind == "gaussian":
-        psi = phasespace.gaussian_wavefunction(
-            grid,
-            a=float(obj.get("a", 0.5)),
-            b=float(obj.get("b", 0.0)),
-            center=float(obj.get("center", 0.0)),
-            momentum=float(obj.get("momentum", 0.0)),
-        )
-        return phasespace.state_from_wavefunctions([(1.0, psi)])
+        shape = {key: float(obj[key]) for key in ("a", "b", "center", "momentum") if key in obj}
+        return make_state([(1.0, phasespace.gaussian_wavefunction(grid, **shape))])
     if kind == "fock":
-        psi = phasespace.hermite_wavefunction(grid, int(obj["k"]))
-        return phasespace.state_from_wavefunctions([(1.0, psi)])
+        return make_state([(1.0, phasespace.hermite_wavefunction(grid, int(obj["k"])))])
     if kind == "mixture":
         subs = [(float(c["weight"]), _parse_state(c["state"], grid)) for c in obj["components"]]
-        return phasespace.state_from_wavefunctions([
-            (weight * w, WaveFunction(grid, psi)) for weight, sub in subs
-            for w, psi in zip(*posmom.grid_wavefunctions(sub, grid))
+        return make_state([
+            (weight * w, v) for weight, sub in subs for w, v in zip(sub.weights, sub.vectors)
         ])
     raise InputError(f"unknown state kind {kind!r}")
 
@@ -203,15 +195,14 @@ def cmd_smeared(args) -> int:
                 for a, s in zip(res.alphas, res.sups):
                     fh.write(f"{float(a)!r},{float(s)!r}\n")
     elif args.action == "distribution":
-        weights, psis = posmom.grid_wavefunctions(_parse_state(_load_json(args.state), grid), grid)
-        if abs(weights.max() - 1.0) > 1e-9:
+        state = _parse_state(_load_json(args.state), grid)
+        if abs(state.weights.max() - 1.0) > 1e-9:
             raise InputError("distribution action expects a pure state")
-        psi = WaveFunction(grid, psis[np.argmax(weights)])
         obs = posmom.SmearedObservable("position", measure, grid)
         edges = np.linspace(-args.window / 2, args.window / 2, args.cells + 1)
         edges[0], edges[-1] = -np.inf, np.inf  # partition of the whole line
         cells = list(zip(edges[:-1], edges[1:]))
-        probs = posmom.distribution(psi, obs, cells)
+        probs = posmom.distribution(state, obs, cells)
         report.add(
             "distribution-mass", abs(float(probs.sum()) - 1.0) <= 1e-6,
             float(probs.sum()), 1.0,
@@ -272,17 +263,14 @@ def cmd_phasespace(args) -> int:
                 {"position": io.measure_to_json(rho), "momentum": io.measure_to_json(nu)},
             )
     elif args.action == "roi":
-        if args.n_test < 1:
-            raise InputError(f"--n-test must be at least 1, got {args.n_test}")
         res = phasespace.resolution_of_identity_defect(
             t_state, grid, half_width=args.window / 2,
             n_test=args.n_test, order=args.quad_order,
         )
         report.add("resolution-of-identity", res.defect <= args.tol, res.defect, args.tol)
     else:  # norm
-        q1, q2, p1, p2 = (float(v) for v in args.cell.split(","))
         val = phasespace.phase_space_cell_norm(
-            t_state, RectCell(q1, q2, p1, p2), grid, order=args.quad_order
+            t_state, RectCell(*args.cell), grid, order=args.quad_order
         )
         report.add("bounded-cell-norm", val < 1.0, val, 1.0)
     return report.finish(args)
@@ -316,6 +304,22 @@ def cmd_check(args) -> int:
 # --- argument wiring ----------------------------------------------------------
 
 
+def _count(text: str) -> int:
+    """A size option's value: an integer of at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return int(text)
+
+
+def _cell(text: str) -> tuple:
+    """The --cell option's value: four comma-separated numbers q1,q2,p1,p2."""
+    try:
+        q1, q2, p1, p2 = (float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected four numbers q1,q2,p1,p2, got {text!r}")
+    return q1, q2, p1, p2
+
+
 def _add_common(parser, tol=1e-10, grid=False, quad=False, out=True):
     """Options every subcommand takes, plus the grid, quadrature and output ones it reads."""
     parser.add_argument("--tol", type=float, default=tol)
@@ -341,14 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("phase", help="covariant phase observable")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--cells", type=int, default=8)
+    p.add_argument("--dim", type=_count, required=True)
+    p.add_argument("--cells", type=_count, default=8)
     _add_common(p)
     p.set_defaults(func=cmd_phase)
 
     p = sub.add_parser("phase-diff", help="covariant phase-difference observable")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--cells", type=int, default=8)
+    p.add_argument("--dim", type=_count, required=True)
+    p.add_argument("--cells", type=_count, default=8)
     _add_common(p)
     p.set_defaults(func=cmd_phase_diff)
 
@@ -368,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", required=True)
     p.add_argument("--measure2", default=None)
     p.add_argument("--state", default=None, help="pure state for the distribution action")
-    p.add_argument("--cells", type=int, default=16)
+    p.add_argument("--cells", type=_count, default=16)
     _add_common(p, tol=1e-6, grid=True)
     p.set_defaults(func=cmd_smeared)
 
@@ -376,9 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["density", "margins", "roi", "norm"])
     p.add_argument("--t", required=True, help="density operator defining the observable")
     p.add_argument("--s", default=None, help="probe state (density action)")
-    p.add_argument("--cell", default="-1,1,-1,1", help="q1,q2,p1,p2 for norm action")
-    p.add_argument("--samples", type=int, default=41)
-    p.add_argument("--n-test", dest="n_test", type=int, default=12)
+    p.add_argument("--cell", type=_cell, default="-1,1,-1,1", help="q1,q2,p1,p2 for norm action")
+    p.add_argument("--samples", type=_count, default=41)
+    p.add_argument("--n-test", dest="n_test", type=_count, default=12)
     _add_common(p, tol=1e-3, grid=True, quad=True)
     p.set_defaults(func=cmd_phasespace)
 

@@ -3,7 +3,10 @@
 The grid Fourier map discretises the kernel exp(-i p x) / sqrt(2 pi) with a
 symmetric index shift: position nodes x_k = x0 + k dx, momentum nodes
 p_j = 2 pi (j - n/2) / (n dx).  With these conventions ``to_momentum`` is
-exactly unitary for the weighted inner product sum(conj(u) v) * dx.
+exactly unitary for the weighted inner product sum(conj(u) v) * dx.  A wave
+function is a plain complex array of its n samples, of unit ``Grid1D.norm``;
+``hilbert.make_state`` takes such arrays as they are, since it normalises
+every vector it mixes.
 
 A multiplier on the momentum lattice is no dense Fourier product: on the
 Euclidean embedding F[j, k] = exp(-i p_j x_k) / sqrt(n), so F* diag(m) F has
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-__all__ = ["Grid1D", "WaveFunction", "symmetric_grid"]
+__all__ = ["Grid1D", "symmetric_grid"]
 
 # Entries (4 MB of complex) per block of a dense product over an n-point grid.
 BLOCK_ENTRIES = 1 << 18
@@ -103,39 +106,3 @@ class Grid1D:
 def symmetric_grid(n: int, half_width: float) -> Grid1D:
     """Grid of n points covering [-half_width, half_width); Grid1D rejects n < 16 itself."""
     return Grid1D(n, -half_width, 2 * half_width / max(n, 1))
-
-
-@dataclass(frozen=True)
-class WaveFunction:
-    """Grid-sampled wave function; states carry L2 norm one (weight dx)."""
-
-    grid: Grid1D
-    values: np.ndarray
-
-    def __init__(self, grid: Grid1D, values):
-        vals = np.asarray(values, dtype=complex).copy()
-        if vals.shape != (grid.n,):
-            raise ValueError(f"values shape {vals.shape} does not match grid n={grid.n}")
-        vals.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", vals)
-
-    def norm(self) -> float:
-        return self.grid.norm(self.values)
-
-    def require_normalised(self, tol: float = 1e-9) -> "WaveFunction":
-        if abs(self.norm() - 1.0) > tol:
-            raise ValueError(f"wave function norm {self.norm()} is not 1")
-        return self
-
-    def normalised(self) -> "WaveFunction":
-        n = self.norm()
-        if n == 0:
-            raise ValueError("cannot normalise the zero wave function")
-        return WaveFunction(self.grid, self.values / n)
-
-    def momentum_values(self) -> np.ndarray:
-        return self.grid.to_momentum(self.values)
-
-    def position_density(self) -> np.ndarray:
-        return np.abs(self.values) ** 2

@@ -4,7 +4,9 @@ Everything lives on a finite-dimensional Hilbert space.  An operator is a
 dense complex (dim, dim) ndarray; Hermiticity and positivity are
 tolerance-gated predicates rather than assumptions.  A ``State`` is a
 low-rank factor (weights and orthonormal vectors); its dense operator is
-built only on demand.  A ``Pom`` is one read-only (k, dim, dim) stack of
+built only on demand.  ``make_state`` is the one constructor from vectors: it
+builds the mixture of any (weight, vector) pairs, orthogonal or not, by one
+thin SVD.  A ``Pom`` is one read-only (k, dim, dim) stack of
 effects, one per disjoint outcome cell, and an effect built on its own is
 one (dim, dim) array.
 ``partition_pom`` fills a stack over the intervals between boundaries; a
@@ -253,12 +255,13 @@ class ProbVector:
 
 
 def make_state(spectral: Sequence[Tuple[float, Iterable[complex]]]) -> State:
-    """Build a factor state from (weight, vector) pairs; no dim x dim matrix is formed.
+    """The mixture sum_i w_i |v_i><v_i| / ||v_i||^2, weights renormalised, as a factor state.
 
-    Vectors are orthonormalised in order by one reduced QR, each column
-    rephased so R has a positive diagonal (the Gram-Schmidt vectors), and
-    weights are renormalised to sum to one.  Raises on zero total weight,
-    dimension mismatch, non-finite input, or linearly dependent vectors.
+    Vectors need not be orthogonal or independent: the state is V V* with
+    V = [sqrt(w_i / sum w) v_i / ||v_i||], and the thin SVD V = U diag(s) Y* gives its
+    factor (s^2, U), cut at s_0 max(dim, r) eps; no dim x dim matrix is formed.  Raises
+    on a negative or non-finite weight, zero total weight, dimension mismatch, a
+    non-finite entry or a zero vector.
     """
     if not spectral:
         raise ValueError("empty spectral data")
@@ -268,7 +271,6 @@ def make_state(spectral: Sequence[Tuple[float, Iterable[complex]]]) -> State:
     total = weights.sum()
     if total <= 0:
         raise ValueError("zero total weight")
-    weights = weights / total
 
     vectors = [np.asarray(v, dtype=complex) for _, v in spectral]
     dims = {v.shape for v in vectors}
@@ -279,21 +281,12 @@ def make_state(spectral: Sequence[Tuple[float, Iterable[complex]]]) -> State:
     if not np.isfinite(mat).all():
         raise ValueError("non-finite vector entry in spectral data")
     norms = np.linalg.norm(mat, axis=0)
-    q, r = np.linalg.qr(mat)
-    # |R_ii| is the part of vector i orthogonal to the earlier ones; past the
-    # dimension there is no R_ii and every vector is dependent
-    resid = np.pad(np.abs(np.diagonal(r)), (0, len(vectors) - min(mat.shape)))
-    bad = np.flatnonzero((resid < 1e-12 * norms) | (norms == 0))
-    if bad.size:
-        kind = "zero vector" if norms[bad[0]] == 0 else "linearly dependent vectors"
-        raise ValueError(f"{kind} in spectral data")
-    basis = np.ascontiguousarray((q * (np.diagonal(r) / resid)).T)
-
-    # positive by construction; the trace is sum_i w_i ||v_i||^2 on the factor
-    trace = weights @ np.sum(np.abs(basis) ** 2, axis=1)
-    if abs(trace - 1.0) > 1e-10:
-        raise AssertionError("constructed state trace deviates from 1")
-    return State(weights, basis)
+    if not norms.all():
+        raise ValueError("zero vector in spectral data")
+    factor = mat * (np.sqrt(weights / total) / norms)
+    vecs, sing, _ = np.linalg.svd(factor, full_matrices=False)
+    power = sing[sing > sing[0] * max(factor.shape) * np.finfo(float).eps] ** 2
+    return State(power / power.sum(), vecs.T[: power.size])
 
 
 def pure_state(vector: Iterable[complex]) -> State:

@@ -2,9 +2,10 @@
 
 Conventions: an operator, a complex (d, d) array, is {"dim": d, "entries":
 flat row-major complex array}; a state is written in the spectral form
-{"spectral": [{"weight": w, "vector": [...]}]} and read from it or from the
-operator form {"op": ...}, which is factored once on reading and its weights
-renormalised; a POM is {"space_tag", "outcomes", "effects"} with each slice
+{"spectral": [{"weight": w, "vector": [...]}]} and read from it, as the
+mixture of its pairs by ``make_state`` (so the vectors need not be orthogonal),
+or from the operator form {"op": ...}, which is factored once on reading and
+its weights renormalised; a POM is {"space_tag", "outcomes", "effects"} with each slice
 of its effect stack written as {"op": operator} and read into its slot of
 one (k, dim, dim) stack.  Group data uses moduli tuples, dual
 points are encoded as comma-joined index strings; isometries are keyed by

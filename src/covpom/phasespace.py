@@ -13,6 +13,9 @@ Densities h(q, p) = tr[S W(q,p) T W(q,p)*] / 2pi, cell effects
 G_T(Z) = (1/2pi) integral over Z of W T W*, their position/momentum margins,
 and the exact finite Weyl-Heisenberg system on Z_d are provided, with
 resolution-of-identity and covariance checks reporting explicit defects.
+A wave function is a plain array of its grid samples of unit grid norm, and a
+grid state, pure or mixed, is ``hilbert.make_state`` of such arrays: their
+mixture, whether or not they are orthogonal.
 
 W T W* has kernel sum_n w_n e^{ip(x-x')} phi_n(x-q) conj(phi_n(x'-q)), so the
 p-integral is exact: G_T(Z) = S_0 o (B B*), with o the entrywise product, S_0 the
@@ -42,7 +45,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 
 from .abelian import FiniteAbelianGroup, MonomialUnitaries
-from .grids import BLOCK_ENTRIES, Grid1D, WaveFunction
+from .grids import BLOCK_ENTRIES, Grid1D
 from .hilbert import Outcome, PointCell, Pom, RectCell, State, _lanczos_norm
 from .posmom import ProbMeasure1D, WindowLeakageError, _state_densities, grid_wavefunctions
 
@@ -51,7 +54,6 @@ __all__ = [
     "weyl_apply",
     "gaussian_wavefunction",
     "hermite_wavefunction",
-    "state_from_wavefunctions",
     "DensityResult",
     "phase_space_density",
     "phase_space_effect",
@@ -74,54 +76,29 @@ MAX_PANEL = 2.0  # widest q-panel of the composite Gauss-Legendre rule
 
 def gaussian_wavefunction(
     grid: Grid1D, a: float = 0.5, b: float = 0.0, center: float = 0.0, momentum: float = 0.0
-) -> WaveFunction:
-    """Normalised Gaussian packet (2a/pi)^(1/4) exp(-(a+ib)(x-c)^2 + i p0 x)."""
+) -> np.ndarray:
+    """Samples of the Gaussian packet (2a/pi)^(1/4) exp(-(a+ib)(x-c)^2 + i p0 x), unit grid norm."""
     if a <= 0:
         raise ValueError("width parameter a must be positive")
     x = grid.positions()
     vals = (2 * a / np.pi) ** 0.25 * np.exp(
         -(a + 1j * b) * (x - center) ** 2 + 1j * momentum * x
     )
-    return WaveFunction(grid, vals).normalised()
+    norm = grid.norm(vals)
+    if not norm:
+        raise ValueError(f"the Gaussian at {center} vanishes on the grid")
+    return vals / norm
 
 
-def hermite_wavefunction(grid: Grid1D, k: int) -> WaveFunction:
-    """k-th Hermite function (harmonic-oscillator number state) on the grid."""
+def hermite_wavefunction(grid: Grid1D, k: int) -> np.ndarray:
+    """Samples of the k-th Hermite function (oscillator number state), unit grid norm."""
     if k < 0:
         raise ValueError("index must be nonnegative")
     x = grid.positions()
-    h_prev = np.pi**-0.25 * np.exp(-(x**2) / 2)
-    if k == 0:
-        return WaveFunction(grid, h_prev).normalised()
-    h_cur = np.sqrt(2.0) * x * h_prev
-    for m in range(2, k + 1):
-        h_cur, h_prev = (
-            np.sqrt(2.0 / m) * x * h_cur - np.sqrt((m - 1) / m) * h_prev,
-            h_cur,
-        )
-    return WaveFunction(grid, h_cur).normalised()
-
-
-def state_from_wavefunctions(pairs: Sequence[Tuple[float, WaveFunction]]) -> State:
-    """Mixture sum_i w_i |psi_i><psi_i| of normalised wave functions, grid-embedded.
-
-    Components need not be orthogonal: the state is V V* with V = [sqrt(w_i) psi_i],
-    and the thin SVD V = U diag(s) Y* gives its factor (s^2, U); U is already
-    orthonormal, so no second orthonormalisation runs.
-    """
-    grids = {psi.grid for _, psi in pairs}
-    if len(grids) != 1:
-        raise ValueError("wave functions must share one grid")
-    grid = grids.pop()
-    weights = np.array([float(w) for w, _ in pairs])
-    if np.any(weights < 0) or weights.sum() <= 0:
-        raise ValueError("mixture weights must be nonnegative with positive sum")
-    factor = np.stack(
-        [psi.normalised().values * np.sqrt(grid.dx) for _, psi in pairs], axis=1
-    ) * np.sqrt(weights / weights.sum())
-    vecs, sing, _ = np.linalg.svd(factor, full_matrices=False)
-    power = sing[sing > sing[0] * max(factor.shape) * np.finfo(float).eps] ** 2
-    return State(power / power.sum(), vecs.T[: power.size])
+    h_prev, h_cur = 0.0, np.pi**-0.25 * np.exp(-(x**2) / 2)
+    for m in range(1, k + 1):
+        h_cur, h_prev = np.sqrt(2.0 / m) * x * h_cur - np.sqrt((m - 1) / m) * h_prev, h_cur
+    return h_cur / grid.norm(h_cur)
 
 
 # --- the Weyl system ---------------------------------------------------------
@@ -129,28 +106,27 @@ def state_from_wavefunctions(pairs: Sequence[Tuple[float, WaveFunction]]) -> Sta
 
 @dataclass(frozen=True)
 class WeylApplied:
-    psi: WaveFunction
+    psi: np.ndarray
     q: float
     p: float
     snap_distance: float
 
 
-def weyl_apply(q: float, p: float, psi: WaveFunction) -> WeylApplied:
-    """Phase-space translation with (q, p) snapped to the grid lattices.
+def weyl_apply(q: float, p: float, psi: np.ndarray, grid: Grid1D) -> WeylApplied:
+    """Phase-space translation of the samples ``psi`` with (q, p) snapped to the grid lattices.
 
     q snaps to multiples of dx and p to multiples of 2 pi/(n dx); the snap
     distance is reported.  The snapped operator is exactly unitary on the
     periodic grid and satisfies the composition law up to a global phase.
     """
-    grid = psi.grid
     a = int(round(q / grid.dx))
     b = int(round(p / grid.dp))
     q_s = a * grid.dx
     p_s = b * grid.dp
     snap = math.hypot(q - q_s, p - p_s)
     x = grid.positions()
-    vals = np.exp(1j * p_s * (x - q_s / 2)) * np.roll(psi.values, a)
-    return WeylApplied(WaveFunction(grid, vals), q_s, p_s, snap)
+    vals = np.exp(1j * p_s * (x - q_s / 2)) * np.roll(psi, a)
+    return WeylApplied(vals, q_s, p_s, snap)
 
 
 def _exp_i_outer(theta: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -400,7 +376,7 @@ def resolution_of_identity_defect(
     over blocks of kernel rows on the test functions' support cut, which moves
     it by about 2 SUPPORT_TOL (module docstring), so no n x n array is built.
     """
-    herm = np.stack([hermite_wavefunction(grid, k).values for k in range(n_test)])
+    herm = np.stack([hermite_wavefunction(grid, k) for k in range(n_test)])
     i0, i1 = _support((np.abs(herm) ** 2).sum(axis=0) * grid.dx, SUPPORT_TOL**2)
     herm = herm[:, i0:i1]
     window = RectCell(-half_width, half_width, -half_width, half_width)

@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .grids import BLOCK_ENTRIES, Grid1D, WaveFunction
+from .grids import BLOCK_ENTRIES, Grid1D
 from .hilbert import Pom, State, _lanczos_norm, partition_pom
 
 __all__ = [
@@ -449,15 +449,14 @@ def smeared_pom(obs: SmearedObservable, boundaries: Sequence[float]) -> Pom:
 
 
 def distribution(
-    psi: WaveFunction, obs: SmearedObservable, partition: Sequence[Tuple[float, float]]
+    state: State, obs: SmearedObservable, partition: Sequence[Tuple[float, float]]
 ) -> np.ndarray:
-    """Outcome probabilities of a pure state: the convolution measure per cell.
+    """Outcome probabilities of a grid state: the convolution measure per cell.
 
-    Computes (mu_psi * rho)(X) directly from the state's position (or
-    momentum) density; coincides with tr(T_psi E(X)) for the corresponding
+    Computes (mu_T * rho)(X) directly from the state's position (or
+    momentum) density; coincides with tr(T E(X)) for the corresponding
     smeared effects.
     """
-    psi.require_normalised()
     cells = []
     for c in partition:
         got = _normalise_intervals([c])
@@ -468,10 +467,8 @@ def distribution(
         if l2 < h1:
             raise ValueError("partition cells overlap")
     nodes = obs.outcome_nodes()
-    if obs.kind == "position":
-        weights = psi.position_density() * psi.grid.dx
-    else:
-        weights = np.abs(psi.momentum_values()) ** 2 * psi.grid.dp
+    position, momentum = _state_densities(state, obs.grid)
+    weights = position * obs.grid.dx if obs.kind == "position" else momentum * obs.grid.dp
     out = np.zeros(len(cells))
     for i, (lo, hi) in enumerate(cells):
         prof = obs.measure.mass_interval(
@@ -857,15 +854,14 @@ def sharpness_test(measure: ProbMeasure1D) -> SharpnessReport:
 
 
 def grid_wavefunctions(state: State, grid: Grid1D) -> Tuple[np.ndarray, np.ndarray]:
-    """Positive weights (r,) and their wave functions as the rows of an r x n array.
+    """The factor's weights (r,) and its wave functions as the rows of an r x n array.
 
     The wave functions are the factor's vectors divided by sqrt(dx), the
     inverse of the grid embedding.
     """
     if state.dim != grid.n:
         raise ValueError("state dimension does not match the grid")
-    keep = state.weights > 0
-    return state.weights[keep], state.vectors[keep] / np.sqrt(grid.dx)
+    return state.weights, state.vectors / np.sqrt(grid.dx)
 
 
 def _state_densities(state: State, grid: Grid1D) -> Tuple[np.ndarray, np.ndarray]:

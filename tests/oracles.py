@@ -109,7 +109,7 @@ def list_form(doc):
 
 def full_grid_roi_gram(t_state, grid, half_width, n_test, order=16):
     """M_ij = <h_i, G h_j> over the whole grid, from the dense window effect G."""
-    herm = np.stack([hermite_wavefunction(grid, k).values for k in range(n_test)])
+    herm = np.stack([hermite_wavefunction(grid, k) for k in range(n_test)])
     window = RectCell(-half_width, half_width, -half_width, half_width)
     effect = phase_space_effect(t_state, window, grid, order)
     return herm.conj() @ effect @ herm.T * grid.dx

@@ -37,10 +37,11 @@ from covpom.abelian import (
     translated_pvm_matrix,
     verify_covariance,
 )
-from covpom.grids import WaveFunction, symmetric_grid
+from covpom.grids import symmetric_grid
 from covpom.hilbert import (
     RectCell,
     check_pom_axioms,
+    make_state,
     pure_state,
     spectral_norm,
 )
@@ -52,7 +53,6 @@ from covpom.phasespace import (
     margins_of_GT,
     phase_space_cell_norm,
     resolution_of_identity_defect,
-    state_from_wavefunctions,
 )
 from covpom.posmom import (
     ProbMeasure1D,
@@ -105,16 +105,15 @@ def low_rank_state_gap(t1, t2):
 
 
 def random_low_rank_state(grid, rng, max_rank=3, n_modes=6):
-    modes = [hermite_wavefunction(grid, k).values for k in range(n_modes)]
+    modes = [hermite_wavefunction(grid, k) for k in range(n_modes)]
     rank = int(rng.integers(1, max_rank + 1))
     pairs = []
     weights = rng.uniform(0.2, 1.0, size=rank)
     weights /= weights.sum()
     for w in weights:
         coeff = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
-        vals = sum(c * m for c, m in zip(coeff, modes))
-        pairs.append((float(w), WaveFunction(grid, vals).normalised()))
-    return state_from_wavefunctions(pairs)
+        pairs.append((float(w), sum(c * m for c, m in zip(coeff, modes))))
+    return make_state(pairs)
 
 
 def test_criterion_01_pom_axiom_suite():
@@ -232,7 +231,7 @@ def test_criterion_04_gaussian_margin_closed_forms():
     p = grid.momenta()
     worst_rel = 0.0
     for a, b in [(0.5, 0.0), (1.0, 1.0)]:
-        t = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid, a=a, b=b))])
+        t = make_state([(1.0, gaussian_wavefunction(grid, a=a, b=b))])
         rho, nu = margins_of_GT(t, grid)
         e_exact = np.sqrt(2 * a / np.pi) * np.exp(-2 * a * x**2)
         sel = e_exact >= 1e-9 * e_exact.max()
@@ -246,8 +245,8 @@ def test_criterion_04_gaussian_margin_closed_forms():
             worst_rel,
             float(np.max(np.abs(nu.density[self_sel] / f_exact[self_sel] - 1.0))),
         )
-    t1 = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid, a=1.0, b=1.0))])
-    t2 = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid, a=1.0, b=-1.0))])
+    t1 = make_state([(1.0, gaussian_wavefunction(grid, a=1.0, b=1.0))])
+    t2 = make_state([(1.0, gaussian_wavefunction(grid, a=1.0, b=-1.0))])
     r1, n1 = margins_of_GT(t1, grid)
     r2, n2 = margins_of_GT(t2, grid)
     margin_gap = max(
@@ -269,7 +268,7 @@ def test_criterion_04_gaussian_margin_closed_forms():
 
 def test_criterion_05_uncertainty_equality_and_sweep():
     grid = symmetric_grid(1024, 20.0)
-    ground = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid, a=0.5))])
+    ground = make_state([(1.0, gaussian_wavefunction(grid, a=0.5))])
     rho, nu = margins_of_GT(ground, grid)
     min_product = uncertainty_product(ground, rho, nu, grid)
     var_measure_product = rho.variance() * nu.variance()
@@ -279,10 +278,8 @@ def test_criterion_05_uncertainty_equality_and_sweep():
         t = random_low_rank_state(grid, rng)
         r, n = margins_of_GT(t, grid)
         coeff = rng.normal(size=6) + 1j * rng.normal(size=6)
-        vals = sum(
-            c * hermite_wavefunction(grid, k).values for k, c in enumerate(coeff)
-        )
-        s = state_from_wavefunctions([(1.0, WaveFunction(grid, vals).normalised())])
+        vals = sum(c * hermite_wavefunction(grid, k) for k, c in enumerate(coeff))
+        s = make_state([(1.0, vals)])
         rep = uncertainty_product(s, r, n, grid)
         sweep_min = min(sweep_min, rep.product)
     ok = (
@@ -425,7 +422,7 @@ def test_criterion_09_no_sharp_covariant_phase():
 
 def test_criterion_10_norm_bound_and_resolution_of_identity():
     grid = symmetric_grid(512, 16.0)
-    t = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid))])
+    t = make_state([(1.0, gaussian_wavefunction(grid))])
     # Ground-state T = |h0><h0|: the capture <h0|G_T|h0> = erf(h/sqrt 2)^2
     # bounds the norm from below; [-h,h]^2 lies in the disk of radius
     # h sqrt 2, whose effect is diagonal in the Fock basis with top
@@ -439,7 +436,7 @@ def test_criterion_10_norm_bound_and_resolution_of_identity():
         upper = 1.0 - math.exp(-half**2)
         brackets[half] = (lower, norm, upper)
     roi_grid = symmetric_grid(512, 20.0)
-    t_roi = state_from_wavefunctions([(1.0, gaussian_wavefunction(roi_grid))])
+    t_roi = make_state([(1.0, gaussian_wavefunction(roi_grid))])
     roi = resolution_of_identity_defect(
         t_roi, roi_grid, half_width=20.0, n_test=12, order=16
     )
@@ -467,7 +464,7 @@ def test_criterion_10_norm_bound_and_resolution_of_identity():
 
 def test_criterion_11_injectivity():
     grid = symmetric_grid(1024, 20.0)
-    witness = WaveFunction(grid, gaussian_wavefunction(grid).values)
+    witness = make_state([(1.0, gaussian_wavefunction(grid))])
     cells = [(c, c + 0.5) for c in np.arange(-5.0, 5.0, 0.5)]
     pairs = []
     for k in range(5):

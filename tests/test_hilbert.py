@@ -41,86 +41,125 @@ class TestMakeState:
         st = make_state([(0.5, [1, 0]), (0.5, [0, 1])])
         np.testing.assert_allclose(st.op, np.diag([0.5, 0.5]), atol=1e-14)
 
-    def test_gram_schmidt_and_weight_renormalisation(self):
-        # second vector e0+e1 orthogonalises against e0 to give e1
+    def test_non_orthogonal_pair_is_their_mixture(self):
+        # e0 and (e0 + e1)/sqrt(2), half each, after the weights are renormalised
         st = make_state([(2.0, [1, 0]), (2.0, [1, 1])])
-        np.testing.assert_allclose(st.op, np.diag([0.5, 0.5]), atol=1e-12)
-        assert abs(np.trace(st.op) - 1.0) < 1e-12
-        np.testing.assert_allclose(np.abs(np.vdot(*st.vectors)), 0.0, atol=1e-12)
+        np.testing.assert_allclose(st.op, [[0.75, 0.25], [0.25, 0.25]], atol=1e-15)
+        assert st.weights.sum() == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_allclose(np.abs(np.vdot(*st.vectors)), 0.0, atol=1e-15)
+
+    def test_linearly_dependent_pairs_merge(self):
+        st = make_state([(1.0, [1, 0]), (1.0, [2, 0])])
+        assert st.weights.tolist() == [1.0]
+        np.testing.assert_allclose(st.op, np.diag([1.0, 0.0]), atol=1e-15)
+
+    def test_zero_weight_pair_is_dropped(self):
+        st = make_state([(0.0, [0, 1]), (0.4, [1, 0])])
+        assert st.weights.tolist() == [1.0]
+        np.testing.assert_allclose(st.op, np.diag([1.0, 0.0]), atol=1e-15)
 
     def test_zero_total_weight(self):
         with pytest.raises(ValueError, match="zero total weight"):
             make_state([(0.0, [1, 0])])
 
+    def test_zero_vector(self):
+        with pytest.raises(ValueError, match="zero vector"):
+            make_state([(1.0, [1, 0]), (1.0, [0, 0])])
+
+    @pytest.mark.parametrize("spectral, message", [
+        ([(1.0, [1, np.nan])], "non-finite vector entry"),
+        ([(1.0, [np.inf, 0])], "non-finite vector entry"),
+        ([(np.nan, [1, 0])], "non-finite or negative weight"),
+        ([(np.inf, [1, 0])], "non-finite or negative weight"),
+        ([(-0.5, [1, 0]), (1.0, [0, 1])], "non-finite or negative weight"),
+    ])
+    def test_non_finite_or_negative_input(self, spectral, message):
+        with pytest.raises(ValueError, match=message):
+            make_state(spectral)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             make_state([(1.0, [1, 0]), (1.0, [1, 0, 0])])
 
-    def test_dependent_vectors(self):
-        with pytest.raises(ValueError, match="dependent"):
-            make_state([(1.0, [1, 0]), (1.0, [2, 0])])
-
 
 def gram_schmidt_state(spectral):
-    """Oracle: the modified Gram-Schmidt construction make_state replaced.
+    """Oracle for orthonormal input: the Gram-Schmidt state make_state once built.
 
     Returns the renormalised weights, the orthonormal vectors and the dense
-    operator sum_i w_i |v_i><v_i| it used to build eagerly.
+    operator sum_i w_i |v_i><v_i|.  On orthonormal vectors this is their mixture.
     """
     weights = np.array([float(w) for w, _ in spectral])
     weights = weights / weights.sum()
     ortho = []
     for _, v in spectral:
-        v = np.asarray(v, dtype=complex)
-        if np.linalg.norm(v) == 0:
-            raise ValueError("zero vector in spectral data")
-        w = v.copy()
+        w = np.asarray(v, dtype=complex).copy()
         for u in ortho:
             w = w - np.vdot(u, w) * u
-        norm = np.linalg.norm(w)
-        if norm < 1e-12 * np.linalg.norm(v):
-            raise ValueError("linearly dependent vectors in spectral data")
-        ortho.append(w / norm)
+        ortho.append(w / np.linalg.norm(w))
     basis = np.stack(ortho, axis=1)
     return weights, ortho, (basis * weights) @ basis.conj().T
 
 
+def dense_mixture(spectral):
+    """Oracle: sum_i w_i v_i v_i* / ||v_i||^2 / sum_i w_i, as one dense matrix."""
+    total = sum(float(w) for w, _ in spectral)
+    dim = len(spectral[0][1])
+    out = np.zeros((dim, dim), dtype=complex)
+    for w, v in spectral:
+        v = np.asarray(v, dtype=complex)
+        out += float(w) * np.outer(v, v.conj()) / np.vdot(v, v).real
+    return out / total
+
+
 @st.composite
 def spectral_inputs(draw):
-    """Random (weight, vector) lists, some with a zero or a dependent vector."""
+    """Random (weight, vector) lists: non-orthogonal, some dependent or of zero weight."""
     dim = draw(st.integers(2, 64))
     rank = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     vecs = rng.normal(size=(rank, dim)) + 1j * rng.normal(size=(rank, dim))
-    flaw = draw(st.sampled_from(["none", "none", "zero", "dependent"]))
-    j = draw(st.integers(0, rank - 1))
-    if flaw == "zero":
-        vecs[j] = 0
-    elif flaw == "dependent" and j > 0:
-        vecs[j] = (rng.normal(size=j) + 1j * rng.normal(size=j)) @ vecs[:j]
+    vecs *= rng.uniform(0.1, 10.0, size=(rank, 1))  # vectors of any norm
     weights = rng.uniform(0.1, 2.0, size=rank)
+    flaw = draw(st.sampled_from(["none", "dependent", "repeated", "zero-weight"]))
+    j = draw(st.integers(0, rank - 1))
+    if flaw == "dependent" and j > 0:
+        vecs[j] = (rng.normal(size=j) + 1j * rng.normal(size=j)) @ vecs[:j]
+    elif flaw == "repeated" and j > 0:
+        vecs[j] = -2j * vecs[j - 1]
+    elif flaw == "zero-weight" and rank > 1:
+        weights[j] = 0.0
     return list(zip(weights, vecs))
 
 
-class TestMakeStateMatchesGramSchmidt:
+def assert_valid_factor(state):
+    """Positive weights summing to one on orthonormal rows."""
+    assert state.weights.min() > 0 and abs(state.weights.sum() - 1.0) <= 1e-14
+    gram = state.vectors.conj() @ state.vectors.T
+    assert spectral_norm(gram - np.eye(state.weights.size)) <= 1e-13
+
+
+class TestMakeStateIsTheMixture:
     @settings(max_examples=200, deadline=None)
     @given(spectral=spectral_inputs())
-    def test_qr_matches_gram_schmidt(self, spectral):
-        try:
-            weights, ortho, dense = gram_schmidt_state(spectral)
-        except ValueError as exc:
-            with pytest.raises(ValueError, match=str(exc)):
-                make_state(spectral)
-            return
+    def test_matches_dense_mixture(self, spectral):
         state = make_state(spectral)
         assert "op" not in vars(state)
-        np.testing.assert_allclose(state.weights, weights, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(state.vectors, np.stack(ortho), rtol=0, atol=1e-12)
-        assert spectral_norm(state.op - dense) <= 1e-14
-        # a valid factor: weights >= 0 summing to one, orthonormal vectors
-        assert state.weights.min() >= 0 and abs(state.weights.sum() - 1.0) <= 1e-10
-        gram = state.vectors.conj() @ state.vectors.T
-        assert spectral_norm(gram - np.eye(state.weights.size)) <= 1e-10
+        assert spectral_norm(state.op - dense_mixture(spectral)) <= 1e-13
+        assert_valid_factor(state)
+        rank = np.linalg.matrix_rank(np.stack([v for w, v in spectral if w > 0]))
+        assert state.weights.size == rank
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(2, 64), rank=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_orthonormal_input_matches_gram_schmidt(self, dim, rank, seed):
+        rng = np.random.default_rng(seed)
+        rank = min(rank, dim)
+        raw = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+        spectral = list(zip(rng.uniform(0.1, 2.0, size=rank), np.linalg.qr(raw)[0].T))
+        _, _, dense = gram_schmidt_state(spectral)
+        state = make_state(spectral)
+        assert np.abs(state.op - dense).max() <= 1e-15
+        assert_valid_factor(state)
 
 
 def former_operator_check(op, tol):
@@ -230,7 +269,7 @@ class TestFactorState:
 
     def test_operator_state_factors_by_positive_eigenpairs(self):
         rng = np.random.default_rng(3)
-        vecs = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
+        vecs = np.linalg.qr(rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))[0].T
         factored = make_state([(0.3, vecs[0]), (0.7, vecs[1])])
         state = State.from_operator(factored.op)
         weights, rows = state.weights, state.vectors

@@ -40,7 +40,6 @@ from covpom.phasespace import (
     gaussian_wavefunction,
     hermite_wavefunction,
     phase_space_density,
-    state_from_wavefunctions,
 )
 from covpom.posmom import ProbMeasure1D
 from oracles import list_form
@@ -84,10 +83,23 @@ class TestRoundTrips:
         weights = np.array([item["weight"] for item in doc["spectral"]])
         rows = np.array([item["vector"] for item in doc["spectral"]]).view(complex)[..., 0]
         assert np.array_equal(weights, st.weights) and np.array_equal(rows, st.vectors)
-        # reading runs make_state's orthonormalisation again, which moves the last bits
+        # reading factors the mixture again by one SVD, which moves the last bits and
+        # may turn the phase of each vector
         back = io.state_from_json(doc)
         np.testing.assert_allclose(back.weights, st.weights, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(back.vectors, st.vectors, rtol=0, atol=1e-14)
+        overlaps = np.abs(np.sum(back.vectors.conj() * st.vectors, axis=1))
+        np.testing.assert_allclose(overlaps, 1.0, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(back.op, st.op, rtol=0, atol=1e-15)
+
+    def test_spectral_pairs_read_as_their_mixture(self):
+        # non-orthogonal and of any norm: the file means sum_i w_i |v_i><v_i| / ||v_i||^2
+        doc = {"spectral": [
+            {"weight": 0.25, "vector": [[2.0, 0.0], [0.0, 0.0]]},
+            {"weight": 0.75, "vector": [[1.0, 0.0], [0.0, 1.0]]},
+        ]}
+        state = io.state_from_json(json.loads(json.dumps(doc)))
+        expected = 0.25 * np.diag([1.0, 0.0]) + 0.375 * np.array([[1, -1j], [1j, 1]])
+        np.testing.assert_allclose(state.op, expected, rtol=0, atol=1e-15)
 
     def test_pom_with_mixed_cells(self):
         pom = phase_pom(canonical_phase_vectors(3), np.linspace(0, 2 * np.pi, 5))
@@ -163,6 +175,20 @@ class TestRoundTrips:
 
 def without_timestamp(report_text):
     return re.sub(r'"timestamp": "[^"]*"', "", report_text)
+
+
+ARG_ERROR = "covpom phasespace: error: argument "
+
+
+def exit_code_and_error(capsys, argv):
+    """main's exit code, returned or raised by argparse, and the last line it wrote to stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err.strip().splitlines()[-1]
 
 
 def run_cli(capsys, argv):
@@ -638,16 +664,46 @@ class TestCli:
         assert report["checks"][0]["value"] < 1.0
 
     @pytest.mark.parametrize("argv, message", [
-        (["norm", "--grid-n", "0"], "n must be a power of two >= 16, got 0"),
-        (["norm", "--grid-n", "-16"], "n must be a power of two >= 16, got -16"),
-        (["roi", "--grid-n", "256", "--n-test", "0"], "--n-test must be at least 1, got 0"),
-    ], ids=["grid-n 0", "grid-n -16", "n-test 0"])
+        (["norm", "--grid-n", "0"], "input error: n must be a power of two >= 16, got 0"),
+        (["norm", "--grid-n", "-16"], "input error: n must be a power of two >= 16, got -16"),
+        (["roi", "--grid-n", "256", "--n-test", "0"],
+         f"{ARG_ERROR}--n-test: expected an integer of at least 1, got '0'"),
+        (["density", "--grid-n", "256", "--samples", "0"],
+         f"{ARG_ERROR}--samples: expected an integer of at least 1, got '0'"),
+        (["density", "--grid-n", "256", "--samples", "-2"],
+         f"{ARG_ERROR}--samples: expected an integer of at least 1, got '-2'"),
+        (["norm", "--grid-n", "256", "--cell=1,2,3"],
+         f"{ARG_ERROR}--cell: expected four numbers q1,q2,p1,p2, got '1,2,3'"),
+        (["norm", "--grid-n", "256", "--cell=1,2,3,x"],
+         f"{ARG_ERROR}--cell: expected four numbers q1,q2,p1,p2, got '1,2,3,x'"),
+    ], ids=["grid-n 0", "grid-n -16", "n-test 0", "samples 0", "samples -2", "cell 1,2,3",
+            "cell 1,2,3,x"])
     def test_phasespace_size_options_out_of_range_exit_2(self, capsys, tmp_path, argv, message):
         tpath = tmp_path / "t.json"
         tpath.write_text(json.dumps({"kind": "gaussian"}))
-        assert main(["phasespace", *argv, "--t", str(tpath)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"input error: {message}\n" and captured.out == ""
+        assert exit_code_and_error(capsys, ["phasespace", *argv, "--t", str(tpath)]) == (2, message)
+
+    def test_gaussian_vanishing_on_the_grid_exits_2(self, capsys, tmp_path):
+        tpath = tmp_path / "t.json"
+        tpath.write_text(json.dumps({"kind": "gaussian", "center": 1000.0}))
+        argv = ["phasespace", "margins", "--t", str(tpath), "--grid-n", "256"]
+        message = "input error: the Gaussian at 1000.0 vanishes on the grid"
+        assert exit_code_and_error(capsys, argv) == (2, message)
+
+    @pytest.mark.parametrize("argv", [
+        ["phase", "--dim", "0"],
+        ["phase-diff", "--dim", "0"],
+        ["phase", "--dim", "2", "--cells", "0"],
+        ["phase-diff", "--dim", "2", "--cells", "-1"],
+        ["smeared", "distribution", "--measure", "m.json", "--state", "s.json", "--cells", "0"],
+    ], ids=["phase dim 0", "phase-diff dim 0", "phase cells 0", "phase-diff cells -1",
+            "smeared distribution cells 0"])
+    def test_counts_below_one_exit_2_naming_their_option(self, capsys, argv):
+        # argparse rejects the value before any input file is read
+        code, error = exit_code_and_error(capsys, argv)
+        assert code == 2
+        assert error.endswith(f"error: argument {argv[-2]}: expected an integer of at least 1, "
+                              f"got {argv[-1]!r}")
 
     @pytest.mark.parametrize("argv", [
         [sub, *extra, opt, value]
@@ -678,10 +734,10 @@ class TestOperatorOnlyStates:
     @pytest.fixture
     def state_files(self, tmp_path):
         grid = symmetric_grid(self.N, self.WINDOW)
-        mixed = state_from_wavefunctions(
+        mixed = make_state(
             [(0.7, hermite_wavefunction(grid, 0)), (0.3, hermite_wavefunction(grid, 2))]
         )
-        pure = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid, a=0.8, center=0.5))])
+        pure = make_state([(1.0, gaussian_wavefunction(grid, a=0.8, center=0.5))])
         files = {}
         for name, state in (("mixed", mixed), ("pure", pure)):
             for form, obj in (

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from covpom.grids import WaveFunction, symmetric_grid
+from covpom.grids import symmetric_grid
 from covpom.hilbert import (
     PointCell,
     RectCell,
@@ -22,7 +22,6 @@ from covpom.phasespace import (
     phase_space_effect,
     phase_space_pom,
     resolution_of_identity_defect,
-    state_from_wavefunctions,
     weyl_apply,
 )
 from covpom.posmom import (
@@ -46,12 +45,9 @@ def random_rank2_state(grid, rng):
     vecs = []
     for _ in range(2):
         coeffs = rng.normal(size=5) + 1j * rng.normal(size=5)
-        vals = sum(
-            c * hermite_wavefunction(grid, k).values for k, c in enumerate(coeffs)
-        )
-        vecs.append(WaveFunction(grid, vals).normalised())
+        vecs.append(sum(c * hermite_wavefunction(grid, k) for k, c in enumerate(coeffs)))
     w = rng.uniform(0.2, 0.8)
-    return state_from_wavefunctions([(w, vecs[0]), (1 - w, vecs[1])])
+    return make_state([(w, vecs[0]), (1 - w, vecs[1])])
 
 
 def weyl_matrix(grid, a_idx, b_idx):
@@ -69,8 +65,8 @@ class TestStateFromWavefunctions:
         g = symmetric_grid(256, 10.0)
         psi_a = gaussian_wavefunction(g, center=-0.5)
         psi_b = gaussian_wavefunction(g, center=0.5)
-        t = state_from_wavefunctions([(0.5, psi_a), (0.5, psi_b)])
-        a, b = psi_a.values * np.sqrt(g.dx), psi_b.values * np.sqrt(g.dx)
+        t = make_state([(0.5, psi_a), (0.5, psi_b)])
+        a, b = psi_a * np.sqrt(g.dx), psi_b * np.sqrt(g.dx)
         expected = 0.5 * np.outer(a, a.conj()) + 0.5 * np.outer(b, b.conj())
         assert spectral_norm(t.op - expected) <= 1e-12
         assert abs(t.weights.sum() - 1.0) <= 1e-12
@@ -82,9 +78,9 @@ class TestStateFromWavefunctions:
     def test_dependent_components_merge(self):
         g = symmetric_grid(64, 8.0)
         psi = hermite_wavefunction(g, 1)
-        t = state_from_wavefunctions([(0.3, psi), (0.7, psi)])
+        t = make_state([(0.3, psi), (0.7, psi)])
         assert t.weights.size == 1
-        pure = state_from_wavefunctions([(1.0, psi)])
+        pure = make_state([(1.0, psi)])
         assert spectral_norm(t.op - pure.op) <= 1e-14
 
 
@@ -110,9 +106,8 @@ class TestFactorState:
         rho, nu = margins_of_GT(t, grid)
         uncertainty_product(s, rho, nu, grid)
         pure = make_state([(1.0, s.vectors[0])])
-        psi = WaveFunction(grid, pure.vectors[0] / np.sqrt(grid.dx))
         obs = SmearedObservable("position", ProbMeasure1D.gaussian(grid, sigma=0.5), grid)
-        distribution(psi, obs, [(-np.inf, 0.0), (0.0, np.inf)])
+        distribution(pure, obs, [(-np.inf, 0.0), (0.0, np.inf)])
         cell = RectCell(-1.0, 1.0, -1.0, 1.0)
         phase_space_effect(t, cell, grid, order=4)
         phase_space_cell_norm(t, cell, grid, order=4)
@@ -125,44 +120,43 @@ class TestFactorState:
 class TestWeylApply:
     def test_identity_at_origin(self, grid):
         psi = gaussian_wavefunction(grid)
-        out = weyl_apply(0.0, 0.0, psi)
-        np.testing.assert_allclose(out.psi.values, psi.values, atol=1e-14)
+        out = weyl_apply(0.0, 0.0, psi, grid)
+        np.testing.assert_allclose(out.psi, psi, atol=1e-14)
         assert out.snap_distance == 0.0
 
     def test_pure_boost_is_pointwise_phase(self, grid):
         psi = gaussian_wavefunction(grid)
         p = 5 * grid.dp
-        out = weyl_apply(0.0, p, psi)
+        out = weyl_apply(0.0, p, psi, grid)
         np.testing.assert_allclose(
-            out.psi.values, np.exp(1j * p * grid.positions()) * psi.values, atol=1e-13
+            out.psi, np.exp(1j * p * grid.positions()) * psi, atol=1e-13
         )
 
     def test_gaussian_shift_preserves_norm(self, grid):
         psi = gaussian_wavefunction(grid)
-        out = weyl_apply(2.0, 0.0, psi)
-        assert out.psi.norm() == pytest.approx(1.0, abs=1e-12)
+        out = weyl_apply(2.0, 0.0, psi, grid)
+        assert grid.norm(out.psi) == pytest.approx(1.0, abs=1e-12)
         x = grid.positions()
-        peak = x[np.argmax(np.abs(out.psi.values))]
+        peak = x[np.argmax(np.abs(out.psi))]
         assert peak == pytest.approx(2.0, abs=grid.dx)
 
     def test_snap_reported(self, grid):
         psi = gaussian_wavefunction(grid)
-        out = weyl_apply(0.37 * grid.dx, 0.0, psi)
+        out = weyl_apply(0.37 * grid.dx, 0.0, psi, grid)
         assert 0 < out.snap_distance < grid.dx
         assert out.q == pytest.approx(0.0)
 
     def test_composition_law_up_to_phase(self, grid):
         rng = np.random.default_rng(0)
         psi = random_rank2_state(grid, rng)
-        vec = psi.vectors[0] / np.sqrt(grid.dx)
-        wf = WaveFunction(grid, vec).normalised()
+        wf = psi.vectors[0] / np.sqrt(grid.dx)
         for _ in range(5):
             a1, a2 = rng.integers(-30, 30, size=2)
             b1, b2 = rng.integers(-30, 30, size=2)
             q1, p1 = a1 * grid.dx, b1 * grid.dp
             q2, p2 = a2 * grid.dx, b2 * grid.dp
-            lhs = weyl_apply(q1, p1, weyl_apply(q2, p2, wf).psi).psi.values
-            rhs = weyl_apply(q1 + q2, p1 + p2, wf).psi.values
+            lhs = weyl_apply(q1, p1, weyl_apply(q2, p2, wf, grid).psi, grid).psi
+            rhs = weyl_apply(q1 + q2, p1 + p2, wf, grid).psi
             overlap = np.vdot(rhs, lhs) * grid.dx
             assert abs(abs(overlap) - 1.0) < 1e-10
             np.testing.assert_allclose(lhs, overlap * rhs, atol=1e-10)
@@ -170,7 +164,7 @@ class TestWeylApply:
 
 class TestPhaseSpaceDensity:
     def test_ground_gaussian_husimi_values(self, grid):
-        t = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid))])
+        t = make_state([(1.0, gaussian_wavefunction(grid))])
         qs = np.array([0.0, 1.0, -2.0])
         ps = np.array([0.0, 1.0, 0.5])
         res = phase_space_density(t, t, qs, ps, grid)
@@ -192,7 +186,7 @@ class TestPhaseSpaceDensity:
 
     def test_translation_covariance_on_lattice(self, grid):
         rng = np.random.default_rng(2)
-        t = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid))])
+        t = make_state([(1.0, gaussian_wavefunction(grid))])
         s0 = random_rank2_state(grid, rng)
         a, b = 12, 7
         q0, p0 = a * grid.dx, b * grid.dp
@@ -206,14 +200,14 @@ class TestPhaseSpaceDensity:
 
     def test_window_too_small_raises(self, grid):
         # the density reports the leakage bound; the CLI's window-leakage check judges it
-        t = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid))])
+        t = make_state([(1.0, gaussian_wavefunction(grid))])
         res = phase_space_density(t, t, np.array([0.0, 0.1]), np.array([0.0, 0.1]), grid)
         assert res.leakage_bound > 0.01
 
     def test_marginal_consistency_two_routes(self, grid):
         # integrate h over p and compare with the convolution of margins
-        t = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid, a=1.0))])
-        s = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid, a=0.7))])
+        t = make_state([(1.0, gaussian_wavefunction(grid, a=1.0))])
+        s = make_state([(1.0, gaussian_wavefunction(grid, a=0.7))])
         qs = grid.positions()[::4]
         ps = np.linspace(-10, 10, 161)
         res = phase_space_density(t, s, qs, ps, grid)
@@ -230,7 +224,7 @@ class TestPhaseSpaceDensity:
 
 class TestPhaseSpaceEffect:
     def test_additivity_on_disjoint_cells(self, grid):
-        t = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid))])
+        t = make_state([(1.0, gaussian_wavefunction(grid))])
         c1 = RectCell(-1.0, 0.0, -1.0, 1.0)
         c2 = RectCell(0.0, 1.0, -1.0, 1.0)
         c12 = RectCell(-1.0, 1.0, -1.0, 1.0)
@@ -240,7 +234,7 @@ class TestPhaseSpaceEffect:
         assert spectral_norm(e1 + e2 - e12) < 1e-12
 
     def test_bounded_cells_have_norm_below_one(self, grid):
-        t = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid))])
+        t = make_state([(1.0, gaussian_wavefunction(grid))])
         for half in (0.5, 1.5, 2.5):
             cell = RectCell(-half, half, -half, half)
             norm = phase_space_cell_norm(t, cell, grid, order=12)
@@ -266,7 +260,7 @@ class TestPhaseSpaceEffect:
         assert eigs.min() >= -1e-9 and eigs.max() <= 1.0 + 1e-9
 
     def test_covariance_under_lattice_translations(self, grid):
-        t = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid))])
+        t = make_state([(1.0, gaussian_wavefunction(grid))])
         a, b = 16, 8
         q0, p0 = a * grid.dx, b * grid.dp
         cell = RectCell(-1.0, 1.0, -1.0, 1.0)
@@ -278,19 +272,19 @@ class TestPhaseSpaceEffect:
         assert defect < 1e-6
 
     def test_quadrature_order_validated(self, grid):
-        t = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid))])
+        t = make_state([(1.0, gaussian_wavefunction(grid))])
         with pytest.raises(ValueError, match="order"):
             phase_space_effect(t, RectCell(0, 1, 0, 1), grid, order=1)
 
     def test_cell_outside_window_rejected(self, grid):
-        t = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid))])
+        t = make_state([(1.0, gaussian_wavefunction(grid))])
         with pytest.raises(ValueError, match="outside"):
             phase_space_effect(t, RectCell(-100, 100, 0, 1), grid)
         with pytest.raises(ValueError, match="outside"):
             phase_space_cell_norm(t, RectCell(-100, 100, 0, 1), grid)
 
     def test_pom_with_remainder_passes_axioms(self, grid):
-        t = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid))])
+        t = make_state([(1.0, gaussian_wavefunction(grid))])
         cells = [
             RectCell(-2.0, 0.0, -2.0, 2.0),
             RectCell(0.0, 2.0, -2.0, 2.0),
@@ -304,8 +298,8 @@ class TestPhaseSpaceEffect:
         from covpom.hilbert import outcome_distribution
         from scipy.integrate import simpson
 
-        t = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid))])
-        s = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid, a=0.8))])
+        t = make_state([(1.0, gaussian_wavefunction(grid))])
+        s = make_state([(1.0, gaussian_wavefunction(grid, a=0.8))])
         cells = [RectCell(-1.5, 0.5, -1.0, 1.0), RectCell(0.5, 2.5, -1.0, 1.0)]
         pom = phase_space_pom(t, cells, grid, order=14)
         probs = outcome_distribution(s, pom)
@@ -319,7 +313,7 @@ class TestPhaseSpaceEffect:
 
 class TestResolutionOfIdentity:
     def test_defect_small_on_hermite_subspace(self, grid):
-        t = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid))])
+        t = make_state([(1.0, gaussian_wavefunction(grid))])
         rep = resolution_of_identity_defect(
             t, grid, half_width=10.0, n_test=10, order=16
         )
@@ -339,7 +333,7 @@ class TestMargins:
     def test_gaussian_margin_closed_forms(self):
         g = symmetric_grid(1024, 20.0)
         a, b = 1.0, 1.0
-        t = state_from_wavefunctions([(1.0, gaussian_wavefunction(g, a=a, b=b))])
+        t = make_state([(1.0, gaussian_wavefunction(g, a=a, b=b))])
         rho, nu = margins_of_GT(t, g)
         x = g.positions()
         e_expected = np.sqrt(2 * a / np.pi) * np.exp(-2 * a * x**2)
@@ -359,8 +353,8 @@ class TestMargins:
 
     def test_conjugate_width_parameter_leaves_margins_unchanged(self):
         g = symmetric_grid(1024, 20.0)
-        t1 = state_from_wavefunctions([(1.0, gaussian_wavefunction(g, a=1.0, b=1.0))])
-        t2 = state_from_wavefunctions([(1.0, gaussian_wavefunction(g, a=1.0, b=-1.0))])
+        t1 = make_state([(1.0, gaussian_wavefunction(g, a=1.0, b=1.0))])
+        t2 = make_state([(1.0, gaussian_wavefunction(g, a=1.0, b=-1.0))])
         r1, n1 = margins_of_GT(t1, g)
         r2, n2 = margins_of_GT(t2, g)
         assert np.max(np.abs(r1.density - r2.density)) <= 1e-9
@@ -371,10 +365,10 @@ class TestMargins:
         g = symmetric_grid(512, 16.0)
         h0 = hermite_wavefunction(g, 0)
         h1 = hermite_wavefunction(g, 1)
-        t = state_from_wavefunctions([(0.5, h0), (0.5, h1)])
+        t = make_state([(0.5, h0), (0.5, h1)])
         rho, _ = margins_of_GT(t, g)
         x = g.positions()
-        expected = 0.5 * np.abs(h0.values) ** 2 + 0.5 * np.abs(h1.values) ** 2
+        expected = 0.5 * np.abs(h0) ** 2 + 0.5 * np.abs(h1) ** 2
         # reflection-symmetric states: e(q) equals the plain mixture density
         np.testing.assert_allclose(rho.density, expected, atol=1e-10)
 
@@ -383,7 +377,7 @@ class TestMargins:
 
         g = Grid1D(64, 0.0, 0.1)
         t_g = symmetric_grid(64, 3.2)
-        t = state_from_wavefunctions([(1.0, gaussian_wavefunction(t_g))])
+        t = make_state([(1.0, gaussian_wavefunction(t_g))])
         with pytest.raises(ValueError, match="symmetric"):
             margins_of_GT(t, g)
 

@@ -26,8 +26,8 @@ from scipy.signal import fftconvolve
 
 from covpom import phasespace
 from covpom.cli import _parse_state
-from covpom.grids import WaveFunction, symmetric_grid
-from covpom.hilbert import RectCell
+from covpom.grids import symmetric_grid
+from covpom.hilbert import RectCell, make_state
 from covpom.phasespace import (
     SUPPORT_TOL,
     _exp_i_outer,
@@ -39,7 +39,6 @@ from covpom.phasespace import (
     phase_space_density,
     phase_space_effect,
     resolution_of_identity_defect,
-    state_from_wavefunctions,
 )
 from covpom.posmom import grid_wavefunctions
 from oracles import complex_symbol_block, full_grid_roi_gram, wide_cut_cell_norm
@@ -84,7 +83,7 @@ def oracle_effect(t_state, cell, grid, order=16, max_panel=2.0, p_panel=None):
 
 
 def oracle_roi_gram(t_state, grid, half_width, n_test, order=16, max_panel=2.0):
-    herm = np.stack([hermite_wavefunction(grid, k).values for k in range(n_test)])
+    herm = np.stack([hermite_wavefunction(grid, k) for k in range(n_test)])
     q_nodes, q_w = gl_panels(-half_width, half_width, order, max_panel)
     p_nodes, p_w = gl_panels(-half_width, half_width, order, max_panel)
     x = grid.positions()
@@ -156,12 +155,11 @@ def norm_cut_bound(diagonal, i0, i1):
 
 def low_mode_state(grid, coefficients, weights):
     """Mixture of normalised combinations of the first Hermite functions."""
-    modes = [hermite_wavefunction(grid, k).values for k in range(N_MODES)]
+    modes = [hermite_wavefunction(grid, k) for k in range(N_MODES)]
     pairs = []
     for w, coeff in zip(weights, coefficients):
-        vals = sum(c * m for c, m in zip(coeff, modes))
-        pairs.append((w, WaveFunction(grid, vals).normalised()))
-    return state_from_wavefunctions(pairs)
+        pairs.append((w, sum(c * m for c, m in zip(coeff, modes))))
+    return make_state(pairs)
 
 
 @st.composite
@@ -325,7 +323,7 @@ def test_cut_norm_matches_wide_cut_oracle(n, h, data):
 def test_default_rule_matches_oracle_away_from_edges():
     # The former loops with their own p-rule (panels of 2.0), unchanged.
     grid = symmetric_grid(256, 12.0)
-    t = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid))])
+    t = make_state([(1.0, gaussian_wavefunction(grid))])
     for half in (0.5, 2.5, 5.0):
         cell = RectCell(-half, half, -half, half)
         expected = oracle_effect(t, cell, grid)
@@ -345,7 +343,7 @@ def test_cached_rule_equals_fresh_leggauss(order):
 
 def test_gate_10_norms_unchanged():
     grid = symmetric_grid(512, 16.0)
-    t = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid))])
+    t = make_state([(1.0, gaussian_wavefunction(grid))])
     printed = {0.5: 0.146631584, 1.5: 0.751196470, 2.5: 0.976936253, 5.0: 0.999999631}
     for half, value in printed.items():
         norm = phase_space_cell_norm(t, RectCell(-half, half, -half, half), grid)
@@ -385,7 +383,7 @@ def test_support_is_the_widest_cut_within_budget(budget):
 @pytest.mark.parametrize("n", [512, 1024])
 def test_norm_supports_are_cut_within_the_bound(n, half):
     grid = symmetric_grid(n, 16.0)
-    t = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid, center=1.0))])
+    t = make_state([(1.0, gaussian_wavefunction(grid, center=1.0))])
     cell = RectCell(1.0 - half, 1.0 + half, -half, half)
     effect = phase_space_effect(t, cell, grid)
     with recorded_supports() as cuts:
@@ -398,7 +396,7 @@ def test_norm_supports_are_cut_within_the_bound(n, half):
 
 def test_cut_is_narrower_than_the_wide_cut():
     grid = symmetric_grid(1024, 16.0)
-    t = state_from_wavefunctions([(1.0, gaussian_wavefunction(grid, center=1.0))])
+    t = make_state([(1.0, gaussian_wavefunction(grid, center=1.0))])
     cell = RectCell(0.5, 1.5, -0.5, 0.5)
     with recorded_supports() as cuts:
         norm = phase_space_cell_norm(t, cell, grid)
@@ -412,7 +410,7 @@ def test_cut_is_narrower_than_the_wide_cut():
 @pytest.mark.parametrize("n", [256, 512])
 def test_roi_gram_matches_full_grid_at_cli_sizes(n, n_test):
     grid = symmetric_grid(n, 20.0)
-    t = state_from_wavefunctions(
+    t = make_state(
         [(1.0, gaussian_wavefunction(grid, a=0.4, center=1.2, momentum=-0.8))]
     )
     with recorded_supports() as cuts:
@@ -421,7 +419,7 @@ def test_roi_gram_matches_full_grid_at_cli_sizes(n, n_test):
     assert np.abs(got.gram - expected).max() <= TOL
     [(i0, i1)] = cuts
     assert i1 - i0 < n
-    herm = np.stack([hermite_wavefunction(grid, k).values for k in range(n_test)])
+    herm = np.stack([hermite_wavefunction(grid, k) for k in range(n_test)])
     mass = (np.abs(herm) ** 2).sum(axis=0) * grid.dx
     assert mass[:i0].sum() + mass[i1:].sum() <= SUPPORT_TOL**2
 
@@ -467,7 +465,7 @@ def test_real_cell_block_matches_complex_symbol(n, half, rank):
 
 def test_roi_cycles_one_row_buffer():
     grid = symmetric_grid(256, 20.0)
-    t = state_from_wavefunctions(
+    t = make_state(
         [(1.0, gaussian_wavefunction(grid, a=0.4, center=1.2, momentum=-0.8))]
     )
     with recorded_supports() as cuts:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from covpom.grids import WaveFunction, symmetric_grid
+from covpom.grids import symmetric_grid
 from covpom.hilbert import commutator_norm, make_state
 from covpom.posmom import (
     _state_densities,
@@ -46,7 +46,7 @@ def gaussian_measure(grid, mean=0.0, sigma=1.0):
 def ground_wavefunction(grid, a=0.5):
     x = grid.positions()
     vals = (2 * a / np.pi) ** 0.25 * np.exp(-a * x**2)
-    return WaveFunction(grid, vals).normalised()
+    return vals / grid.norm(vals)
 
 
 def bandlimited_measure(grid, a):
@@ -213,8 +213,8 @@ class TestDistribution:
         t = 12 * grid.dx
         obs = SmearedObservable("position", ProbMeasure1D.point(t), grid)
         cells = [(-1.0, 0.0), (0.0, 1.0), (1.0, 2.5)]
-        got = distribution(psi, obs, cells)
-        w = psi.position_density() * grid.dx
+        got = distribution(make_state([(1.0, psi)]), obs, cells)
+        w = np.abs(psi) ** 2 * grid.dx
         x = grid.positions()
         expected = [np.sum(w[(x + t >= lo) & (x + t < hi)]) for lo, hi in cells]
         np.testing.assert_allclose(got, expected, atol=1e-12)
@@ -223,10 +223,9 @@ class TestDistribution:
         # |psi|^2 = N(0,1) and rho = N(0,1) give N(0,2) statistics
         x = grid.positions()
         vals = np.exp(-(x**2) / 4) / (2 * np.pi) ** 0.25
-        psi = WaveFunction(grid, vals).normalised()
         obs = SmearedObservable("position", gaussian_measure(grid), grid)
         cells = [(-np.inf, -1.0), (-1.0, 0.5), (0.5, np.inf)]
-        got = distribution(psi, obs, cells)
+        got = distribution(make_state([(1.0, vals)]), obs, cells)
         scale = math.sqrt(2.0)
         expected = [
             norm.cdf(-1.0 / scale),
@@ -241,11 +240,10 @@ class TestDistribution:
         raw = sum(
             rng.normal() * x**k * np.exp(-(x**2) / 2) for k in range(4)
         ).astype(complex)
-        psi = WaveFunction(grid, raw).normalised()
+        state = make_state([(1.0, raw)])
         obs = SmearedObservable("position", gaussian_measure(grid, sigma=0.5), grid)
         cells = [(-np.inf, -0.7), (-0.7, 0.3), (0.3, np.inf)]
-        route_direct = distribution(psi, obs, cells)
-        state = make_state([(1.0, psi.values * np.sqrt(grid.dx))])
+        route_direct = distribution(state, obs, cells)
         route_trace = [
             float(
                 np.trace(state.op @ smeared_effect(obs, [c])).real
@@ -256,10 +254,10 @@ class TestDistribution:
         assert got_sum_close(route_direct)
 
     def test_partition_sums_to_one(self, grid):
-        psi = ground_wavefunction(grid)
+        state = make_state([(1.0, ground_wavefunction(grid))])
         obs = SmearedObservable("position", gaussian_measure(grid), grid)
         cells = [(-np.inf, -1.0), (-1.0, 1.0), (1.0, np.inf)]
-        assert distribution(psi, obs, cells).sum() == pytest.approx(1.0, abs=1e-9)
+        assert distribution(state, obs, cells).sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def got_sum_close(vals):
@@ -428,7 +426,7 @@ class TestSharpness:
 class TestCoexistenceDiagnostics:
     def test_ground_gaussian_equality_case(self, grid):
         psi = ground_wavefunction(grid)
-        state = make_state([(1.0, psi.values * np.sqrt(grid.dx))])
+        state = make_state([(1.0, psi)])
         rho = gaussian_measure(grid, sigma=math.sqrt(0.5))
         nu = gaussian_measure(grid, sigma=math.sqrt(0.5))
         rep = uncertainty_product(state, rho, nu, grid)
@@ -438,8 +436,8 @@ class TestCoexistenceDiagnostics:
         assert rep.passed
 
     def test_state_densities_match_per_vector_route(self, grid):
-        vecs = [ground_wavefunction(grid).values, ground_wavefunction(grid, a=1.3).values]
-        state = make_state([(w, v * np.sqrt(grid.dx)) for w, v in zip((0.3, 0.7), vecs)])
+        vecs = [ground_wavefunction(grid), ground_wavefunction(grid, a=1.3)]
+        state = make_state([(w, v) for w, v in zip((0.3, 0.7), vecs)])
         pos = np.zeros(grid.n)
         mom = np.zeros(grid.n)
         for w, vec in zip(state.weights, state.vectors):
@@ -500,7 +498,7 @@ class TestCoexistenceDiagnostics:
 class TestInjectivity:
     def test_distinguishable_statistics(self, grid):
         # witness state with nowhere-vanishing Fourier transform of |psi|^2
-        psi = ground_wavefunction(grid)
+        state = make_state([(1.0, ground_wavefunction(grid))])
         pairs = [
             (gaussian_measure(grid, 0.0, 1.0), gaussian_measure(grid, 0.05, 1.0)),
             (gaussian_measure(grid, 0.0, 1.0), gaussian_measure(grid, 0.0, 1.1)),
@@ -508,8 +506,8 @@ class TestInjectivity:
         ]
         cells = [(c, c + 0.5) for c in np.arange(-4.0, 4.0, 0.5)]
         for m1, m2 in pairs:
-            d1 = distribution(psi, SmearedObservable("position", m1, grid), cells)
-            d2 = distribution(psi, SmearedObservable("position", m2, grid), cells)
+            d1 = distribution(state, SmearedObservable("position", m1, grid), cells)
+            d2 = distribution(state, SmearedObservable("position", m2, grid), cells)
             assert np.max(np.abs(d1 - d2)) > 1e-6
 
     def test_null_sets(self, grid):

@@ -22,7 +22,8 @@ from scipy.stats import norm
 import covpom
 from covpom.cli import main
 from covpom.grids import symmetric_grid
-from covpom.phasespace import hermite_wavefunction, margins_of_GT, state_from_wavefunctions
+from covpom.hilbert import make_state
+from covpom.phasespace import hermite_wavefunction, margins_of_GT
 from covpom.posmom import (
     PROFILE_POINTS,
     ProbMeasure1D,
@@ -241,7 +242,7 @@ class TestMassModel:
     def test_fock_one_momentum_margin(self):
         # the margin vanishes at p = 0, where the floor of the model bites
         grid = symmetric_grid(1024, 20.0)
-        t = state_from_wavefunctions([(1.0, hermite_wavefunction(grid, 1))])
+        t = make_state([(1.0, hermite_wavefunction(grid, 1))])
         _, nu = margins_of_GT(t, grid)
         self.assert_model(nu)
 
