@@ -962,31 +962,25 @@ def phase_difference_pom(
 # --- translation covariant observables on a grid --------------------------
 
 
-def _snap_outcome_intervals(
-    grid: Grid1D, intervals: Sequence[Tuple[float, float]]
-) -> np.ndarray:
-    """Indicator over the outcome lattice of a union of intervals."""
+def _outcome_mask(grid: Grid1D, interval: Tuple[float, float]) -> np.ndarray:
+    """Indicator over the outcome lattice of the interval [lo, hi)."""
+    lo, hi = interval
     t = grid.momenta()
-    mask = np.zeros(grid.n, dtype=bool)
-    lo_lim = t[0] - 0.5 * grid.dp
-    hi_lim = t[-1] + 0.5 * grid.dp
-    for lo, hi in intervals:
-        if hi <= lo:
-            raise ValueError(f"degenerate outcome interval [{lo}, {hi})")
-        if lo < lo_lim - 1e-9 or hi > hi_lim + 1e-9:
-            raise ValueError("outcome interval outside the representable range")
-        mask |= (t >= lo - 1e-12) & (t < hi - 1e-12)
-    return mask
+    if hi <= lo:
+        raise ValueError(f"degenerate outcome interval [{lo}, {hi})")
+    if lo < t[0] - 0.5 * grid.dp - 1e-9 or hi > t[-1] + 0.5 * grid.dp + 1e-9:
+        raise ValueError("outcome interval outside the representable range")
+    return (t >= lo - 1e-12) & (t < hi - 1e-12)
 
 
 def translation_covariant_effect(
-    h: np.ndarray, intervals: Sequence[Tuple[float, float]], grid: Grid1D
+    h: np.ndarray, interval: Tuple[float, float], grid: Grid1D
 ) -> np.ndarray:
     """Effect of a translation covariant observable, frequency-side realisation.
 
-    ``h`` holds one unit vector in C^m per grid node.  Outcomes are intervals
-    in the conjugate (outcome) variable, snapped to its lattice.  The entry
-    coupling nodes j and j' is
+    ``h`` holds one unit vector in C^m per grid node.  The outcome set X is
+    one interval [lo, hi) in the conjugate (outcome) variable, snapped to its
+    lattice.  The entry coupling nodes j and j' is
 
         (1/n) sum over outcome nodes t in X of exp(i (u_j - u_j') t) <h_j, h_j'>.
 
@@ -1003,14 +997,14 @@ def translation_covariant_effect(
     norms = np.linalg.norm(h, axis=1)
     if np.max(np.abs(norms - 1.0)) > 1e-9:
         raise ValueError("direction vectors must be normalised")
-    mask = _snap_outcome_intervals(grid, intervals)
+    mask = _outcome_mask(grid, interval)
     return grid.momentum_multiplier(mask) * (h.conj() @ h.T)
 
 
 def translation_covariant_pom(
     h: np.ndarray, boundaries: Sequence[float], grid: Grid1D
 ) -> Pom:
-    """Partition of the full outcome lattice into consecutive intervals."""
+    """Partition of the full outcome lattice into the cells [lo, hi) between consecutive bounds."""
     bounds = np.asarray(boundaries, dtype=float)
     t = grid.momenta()
     if bounds.size < 2 or bounds[0] > t[0] or bounds[-1] <= t[-1]:
@@ -1019,6 +1013,6 @@ def translation_covariant_pom(
     return partition_pom(
         "translation outcomes on the dual lattice",
         bounds,
-        lambda lo, hi: translation_covariant_effect(h, [(lo, hi)], grid),
+        lambda lo, hi: translation_covariant_effect(h, (lo, hi), grid),
         ".6f",
     )

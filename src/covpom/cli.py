@@ -27,7 +27,10 @@ class InputError(Exception):
     pass
 
 
-def _load_json(path: str):
+def _load_json(path: Optional[str], option: str):
+    """The JSON document in the file that ``option`` names."""
+    if path is None:
+        raise InputError(f"{option} is required for this action")
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -145,7 +148,7 @@ def _covariance_witness(cov: abelian.CovarianceReport) -> str:
 
 
 def cmd_abelian_pom(args) -> int:
-    bundle = _load_json(args.infile)
+    bundle = _load_json(args.infile, "--in")
     rep_obj = io.rep_from_json(bundle["rep"])
     group = rep_obj.group
     sub = io.subgroup_from_json(bundle["subgroup"], parent=group)
@@ -170,7 +173,7 @@ def cmd_abelian_pom(args) -> int:
 
 def cmd_finite_weyl(args) -> int:
     report = Report("finite-weyl", args.tol, args.seed)
-    state = io.state_from_json(_load_json(args.state))
+    state = io.state_from_json(_load_json(args.state, "--state"))
     pom = phasespace.finite_weyl_pom(args.dim, state)
     _check_and_write_pom(report, pom, args)
     unitaries = phasespace.finite_weyl_unitaries(args.dim)
@@ -182,7 +185,7 @@ def cmd_finite_weyl(args) -> int:
 
 def cmd_smeared(args) -> int:
     grid = symmetric_grid(args.grid_n, args.window)
-    measure = _parse_measure(_load_json(args.measure), grid)
+    measure = _parse_measure(_load_json(args.measure, "--measure"), grid)
     report = Report(f"smeared-{args.action}", args.tol, args.seed)
     if args.action == "gamma":
         res = posmom.resolution_limit(
@@ -195,14 +198,11 @@ def cmd_smeared(args) -> int:
                 for a, s in zip(res.alphas, res.sups):
                     fh.write(f"{float(a)!r},{float(s)!r}\n")
     elif args.action == "distribution":
-        state = _parse_state(_load_json(args.state), grid)
-        if abs(state.weights.max() - 1.0) > 1e-9:
-            raise InputError("distribution action expects a pure state")
+        state = _parse_state(_load_json(args.state, "--state"), grid)
         obs = posmom.SmearedObservable("position", measure, grid)
         edges = np.linspace(-args.window / 2, args.window / 2, args.cells + 1)
         edges[0], edges[-1] = -np.inf, np.inf  # partition of the whole line
-        cells = list(zip(edges[:-1], edges[1:]))
-        probs = posmom.distribution(state, obs, cells)
+        probs = posmom.distribution(state, obs, edges)
         report.add(
             "distribution-mass", abs(float(probs.sum()) - 1.0) <= 1e-6,
             float(probs.sum()), 1.0,
@@ -210,7 +210,7 @@ def cmd_smeared(args) -> int:
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write("cell_lo,cell_hi,probability\n")
-                for (lo, hi), p in zip(cells, probs):
+                for lo, hi, p in zip(edges[:-1], edges[1:], probs):
                     fh.write(f"{float(lo)!r},{float(hi)!r},{float(p)!r}\n")
     elif args.action == "sharpness":
         res = posmom.sharpness_test(measure)
@@ -222,7 +222,7 @@ def cmd_smeared(args) -> int:
             f"location={res.location}",
         )
     else:  # compare
-        other = _parse_measure(_load_json(args.measure2), grid)
+        other = _parse_measure(_load_json(args.measure2, "--measure2"), grid)
         order = posmom.distinction_compare(measure, other, grid=grid)
         report.add("distinction-order", True, order.value, None)
     return report.finish(args)
@@ -230,11 +230,11 @@ def cmd_smeared(args) -> int:
 
 def cmd_phasespace(args) -> int:
     grid = symmetric_grid(args.grid_n, args.window)
-    t_state = _parse_state(_load_json(args.t), grid)
+    t_state = _parse_state(_load_json(args.t, "--t"), grid)
     report = Report(f"phasespace-{args.action}", args.tol, args.seed)
     if args.action == "density":
         s_state = (
-            _parse_state(_load_json(args.s), grid) if args.s else t_state
+            _parse_state(_load_json(args.s, "--s"), grid) if args.s else t_state
         )
         half = args.window / 2
         qs = np.linspace(-half, half, args.samples)
@@ -279,7 +279,7 @@ def cmd_phasespace(args) -> int:
 def cmd_check(args) -> int:
     if args.kind == "pom":
         tol = args.tol if args.tol is not None else 1e-10
-        pom = io.pom_from_json(_load_json(args.infile))
+        pom = io.pom_from_json(_load_json(args.infile, "--in"))
         report = Report("check-pom", tol, args.seed)
         ax = check_pom_axioms(pom, tol)
         report.add("positivity", ax.worst_negativity <= tol,
@@ -290,8 +290,8 @@ def cmd_check(args) -> int:
     # uncertainty
     tol = args.tol if args.tol is not None else 1e-3
     grid = symmetric_grid(args.grid_n, args.window)
-    s_state = _parse_state(_load_json(args.state), grid)
-    t_state = _parse_state(_load_json(args.pairs_from), grid)
+    s_state = _parse_state(_load_json(args.state, "--state"), grid)
+    t_state = _parse_state(_load_json(args.pairs_from, "--pairs-from"), grid)
     rho, nu = phasespace.margins_of_GT(t_state, grid)
     report = Report("check-uncertainty", tol, args.seed)
     unc = posmom.uncertainty_product(s_state, rho, nu, grid, tol=tol)
@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["gamma", "distribution", "sharpness", "compare"])
     p.add_argument("--measure", required=True)
     p.add_argument("--measure2", default=None)
-    p.add_argument("--state", default=None, help="pure state for the distribution action")
+    p.add_argument("--state", default=None, help="state for the distribution action")
     p.add_argument("--cells", type=_count, default=16)
     _add_common(p, tol=1e-6, grid=True)
     p.set_defaults(func=cmd_smeared)

@@ -35,6 +35,7 @@ __all__ = [
     "AxiomReport",
     "ProbVector",
     "make_state",
+    "increasing_bounds",
     "partition_pom",
     "check_pom_axioms",
     "outcome_distribution",
@@ -306,6 +307,14 @@ def _fill_stack(mats: Iterable[np.ndarray], count: int) -> np.ndarray:
     return out
 
 
+def increasing_bounds(bounds: Sequence[float]) -> np.ndarray:
+    """Partition bounds as a float array: 1-D, two or more, strictly increasing; ends may be inf."""
+    bounds = np.asarray(bounds, dtype=float)
+    if bounds.ndim != 1 or bounds.size < 2 or not np.all(bounds[1:] > bounds[:-1]):
+        raise ValueError("boundaries must be strictly increasing numbers")
+    return bounds
+
+
 def partition_pom(
     space_tag: str,
     bounds: Sequence[float],
@@ -314,13 +323,11 @@ def partition_pom(
 ) -> Pom:
     """POM of the interval cells [lo, hi) between consecutive ``bounds``.
 
-    ``bounds`` must strictly increase.  Each cell gets the label ``[lo,hi)``,
+    ``bounds`` pass ``increasing_bounds``.  Each cell gets the label ``[lo,hi)``,
     both ends written in the format ``fmt`` (such as ".6f"), and the effect
     ``effect_of(lo, hi)``, written into its slot of the stack.
     """
-    bounds = np.asarray(bounds, dtype=float)
-    if bounds.size < 2 or not np.all(bounds[1:] > bounds[:-1]):
-        raise ValueError("boundaries must be strictly increasing")
+    bounds = increasing_bounds(bounds)
     cells = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
     outcomes = tuple(Outcome(f"[{lo:{fmt}},{hi:{fmt}})", IntervalCell(lo, hi)) for lo, hi in cells)
     effects = _fill_stack((effect_of(lo, hi) for lo, hi in cells), len(cells))

@@ -402,8 +402,8 @@ def margins_of_GT(t_state: State, grid: Grid1D) -> Tuple[ProbMeasure1D, ProbMeas
     if abs(grid.x0 + grid.length / 2) > 1e-12 * grid.length:
         raise ValueError("margins need a symmetric grid (x0 = -n dx / 2)")
     e, f = (_reflect_samples(mu) for mu in _state_densities(t_state, grid))
-    rho = ProbMeasure1D.from_density(grid, e, normalize=True)
-    nu = ProbMeasure1D.from_density(grid.momentum_grid(), f, normalize=True)
+    rho = ProbMeasure1D.from_density(grid, e)
+    nu = ProbMeasure1D.from_density(grid.momentum_grid(), f)
     mass_e = float(np.sum(e) * grid.dx)
     mass_f = float(np.sum(f) * grid.dp)
     if abs(mass_e - 1.0) > 1e-8 or abs(mass_f - 1.0) > 1e-8:

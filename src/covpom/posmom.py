@@ -2,7 +2,8 @@
 
 A smeared position observable is the sharp position observable convolved
 with a confidence measure: the effect of a set X is multiplication by
-x -> rho(X - x).  Momentum observables are their Fourier conjugates.  This
+x -> rho(X - x), X one interval [lo, hi); a partition of the line is given by
+its increasing bounds.  Momentum observables are their Fourier conjugates.  This
 module also carries the operational diagnostics: alpha-regularity and the
 limit of resolution, the regular-decomposition structure test, state
 distinction power via Fourier supports, sharpness, and the coexistence
@@ -26,7 +27,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .grids import BLOCK_ENTRIES, Grid1D
-from .hilbert import Pom, State, _lanczos_norm, partition_pom
+from .hilbert import Pom, State, _lanczos_norm, increasing_bounds, partition_pom
 
 __all__ = [
     "ProbMeasure1D",
@@ -110,24 +111,23 @@ class ProbMeasure1D:
 
     @classmethod
     def from_density(
-        cls, grid: Grid1D, values, atoms: Sequence[Tuple[float, float]] = (),
-        normalize: bool = False,
+        cls, grid: Grid1D, values, atoms: Sequence[Tuple[float, float]] = ()
     ) -> "ProbMeasure1D":
+        """The atoms plus the density ``values``, rescaled to the mass the atoms leave."""
         values = np.asarray(values, dtype=float)
-        if normalize:
-            atom_mass = sum(w for _, w in atoms)
-            dens_mass = _trapezoid(values, grid.dx)
-            if dens_mass <= 0 and atom_mass <= 0:
-                raise ValueError("cannot normalise a zero measure")
-            if dens_mass > 0:
-                values = values * (1.0 - atom_mass) / dens_mass
+        atom_mass = sum(w for _, w in atoms)
+        dens_mass = _trapezoid(values, grid.dx)
+        if dens_mass <= 0 and atom_mass <= 0:
+            raise ValueError("cannot normalise a zero measure")
+        if dens_mass > 0:
+            values = values * (1.0 - atom_mass) / dens_mass
         return cls(atoms=tuple(atoms), grid=grid, density=values)
 
     @classmethod
     def gaussian(cls, grid: Grid1D, mean: float = 0.0, sigma: float = 1.0) -> "ProbMeasure1D":
         x = grid.positions()
         dens = np.exp(-((x - mean) ** 2) / (2 * sigma**2)) / (sigma * np.sqrt(2 * np.pi))
-        return cls.from_density(grid, dens, normalize=True)
+        return cls.from_density(grid, dens)
 
     @classmethod
     def uniform(cls, grid: Grid1D, lo: float, hi: float) -> "ProbMeasure1D":
@@ -135,7 +135,7 @@ class ProbMeasure1D:
             raise ValueError("uniform support must have positive length")
         x = grid.positions()
         dens = ((x >= lo) & (x <= hi)).astype(float)
-        return cls.from_density(grid, dens, normalize=True)
+        return cls.from_density(grid, dens)
 
     @classmethod
     def convex_mixture(
@@ -285,29 +285,19 @@ class ProbMeasure1D:
         hi = np.concatenate([u + w, np.broadcast_to(u, (w.size, u.size)), u + w / 2], axis=1)
         return lo, hi
 
-    def window_mass_sup(
-        self, width: float, open_interval: bool = False
-    ) -> Tuple[float, float]:
-        """Largest mass of a window of length ``width`` over the candidate placements.
+    def window_mass_sup(self, widths, open_interval: bool = False) -> np.ndarray:
+        """Largest mass of a window of each length in ``widths`` over the candidate placements.
 
         A placement puts the left edge, the right edge or the centre on an
         anchor (a grid node when there is a density, or an atom).  While
         neither edge crosses an anchor the window mass is quadratic in the
         position, and it can peak between anchors, so this is the maximum over
-        that family, not the supremum over all centres.  Returns (mass,
-        centre), the smallest maximising centre.
+        that family, not the supremum over all centres.  A scalar width is a
+        list of one; the widths are taken in blocks of rows.
         """
-        if width <= 0:
+        widths = np.atleast_1d(np.asarray(widths, dtype=float))
+        if not np.all(widths > 0):
             raise ValueError("window width must be positive")
-        lo, hi = self._candidate_windows([width])
-        inc = not open_interval
-        masses = self.mass_interval(lo, hi, include_lo=inc, include_hi=inc)
-        best = masses.max()
-        return float(best), float(((lo + hi) / 2)[masses == best].min())
-
-    def _window_mass_sups(self, widths, open_interval: bool = False) -> np.ndarray:
-        """``window_mass_sup`` masses for many widths, in blocks of rows."""
-        widths = np.asarray(widths, dtype=float)
         rows = max(1, BLOCK_ENTRIES // (3 * self._anchors().size))
         inc = not open_interval
         sups = [
@@ -394,45 +384,31 @@ class SmearedObservable:
         return self.grid.momenta()
 
 
-def _normalise_intervals(intervals) -> Tuple[Tuple[float, float], ...]:
-    if isinstance(intervals, tuple) and len(intervals) == 2 and np.isscalar(intervals[0]):
-        intervals = [intervals]
-    out = []
-    for lo, hi in intervals:
-        lo, hi = float(lo), float(hi)
-        if hi < lo:
-            raise ValueError(f"interval [{lo}, {hi}) is reversed")
-        if hi > lo:
-            out.append((lo, hi))
-    return tuple(out)
-
-
-def smeared_profile(obs: SmearedObservable, intervals) -> Tuple[np.ndarray, float]:
+def smeared_profile(obs: SmearedObservable, interval) -> Tuple[np.ndarray, float]:
     """Multiplier profile rho(X - node) over the outcome nodes, plus clip defect.
 
-    X is a union of half-open intervals [lo, hi); atoms exactly at lo are
-    included, atoms at hi excluded.
+    X is the half-open interval [lo, hi), and lo = hi the empty set; atoms
+    exactly at lo are included, atoms at hi excluded.
     """
+    lo, hi = (float(t) for t in interval)
+    if hi < lo:
+        raise ValueError(f"interval [{lo}, {hi}) is reversed")
     nodes = obs.outcome_nodes()
-    prof = np.zeros(nodes.shape)
-    for lo, hi in _normalise_intervals(intervals):
-        prof += obs.measure.mass_interval(
-            lo - nodes, hi - nodes, include_lo=True, include_hi=False
-        )
+    prof = obs.measure.mass_interval(lo - nodes, hi - nodes, include_lo=True, include_hi=False)
     clipped = np.clip(prof, 0.0, 1.0)
     defect = float(np.max(np.abs(prof - clipped), initial=0.0))
     return clipped, defect
 
 
-def smeared_effect(obs: SmearedObservable, intervals) -> np.ndarray:
-    """Effect of a union of grid intervals.
+def smeared_effect(obs: SmearedObservable, interval) -> np.ndarray:
+    """Effect of the interval [lo, hi).
 
     Position kind: diagonal multiplication by the smeared indicator.
     Momentum kind: the same profile on the momentum lattice, conjugated back
     by the grid Fourier map; F* diag(profile) F is the circulant of one
     inverse DFT of the profile (``Grid1D.momentum_multiplier``).
     """
-    prof, _ = smeared_profile(obs, intervals)
+    prof, _ = smeared_profile(obs, interval)
     if obs.kind == "position":
         return np.diag(prof.astype(complex))
     return obs.grid.momentum_multiplier(prof)
@@ -443,39 +419,27 @@ def smeared_pom(obs: SmearedObservable, boundaries: Sequence[float]) -> Pom:
     return partition_pom(
         f"smeared {obs.kind} outcomes",
         [-math.inf, *boundaries, math.inf],
-        lambda lo, hi: smeared_effect(obs, [(lo, hi)]),
+        lambda lo, hi: smeared_effect(obs, (lo, hi)),
         ".6g",
     )
 
 
-def distribution(
-    state: State, obs: SmearedObservable, partition: Sequence[Tuple[float, float]]
-) -> np.ndarray:
-    """Outcome probabilities of a grid state: the convolution measure per cell.
+def distribution(state: State, obs: SmearedObservable, bounds: Sequence[float]) -> np.ndarray:
+    """Outcome probabilities of a grid state on the cells [lo, hi) between consecutive bounds.
 
+    The bounds strictly increase and may start at -inf and end at inf.
     Computes (mu_T * rho)(X) directly from the state's position (or
-    momentum) density; coincides with tr(T E(X)) for the corresponding
-    smeared effects.
+    momentum) density, one profile and one dot product per cell; coincides
+    with tr(T E(X)) for the corresponding smeared effects.
     """
-    cells = []
-    for c in partition:
-        got = _normalise_intervals([c])
-        if not got:
-            raise ValueError(f"degenerate partition cell {c}")
-        cells.append(got[0])
-    for (l1, h1), (l2, h2) in zip(cells[:-1], cells[1:]):
-        if l2 < h1:
-            raise ValueError("partition cells overlap")
+    bounds = increasing_bounds(bounds)
     nodes = obs.outcome_nodes()
     position, momentum = _state_densities(state, obs.grid)
     weights = position * obs.grid.dx if obs.kind == "position" else momentum * obs.grid.dp
-    out = np.zeros(len(cells))
-    for i, (lo, hi) in enumerate(cells):
-        prof = obs.measure.mass_interval(
-            lo - nodes, hi - nodes, include_lo=True, include_hi=False
-        )
-        out[i] = float(weights @ prof)
-    return out
+    return np.array([
+        float(weights @ obs.measure.mass_interval(lo - nodes, hi - nodes, True, False))
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+    ])
 
 
 # --- regularity and the limit of resolution --------------------------------
@@ -485,8 +449,7 @@ def alpha_regular(measure: ProbMeasure1D, alpha: float) -> bool:
     """True iff every window of length alpha somewhere captures mass > 1/2."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    sup, _ = measure.window_mass_sup(alpha)
-    return bool(sup > 0.5)
+    return bool(measure.window_mass_sup(alpha)[0] > 0.5)
 
 
 @dataclass(frozen=True)
@@ -494,7 +457,6 @@ class ResolutionReport:
     gamma: float
     alphas: np.ndarray
     sups: np.ndarray
-    trivial: bool = False
     window: Optional[Tuple[float, float]] = None  # a shortest window, [a, b] with b - a = gamma
 
 
@@ -672,9 +634,7 @@ def _centred_scan(measure, model, centres, h_lo, h_hi, best):
 
 
 def resolution_limit(
-    measure: ProbMeasure1D,
-    trivial_observable: bool = False,
-    profile_points: int = PROFILE_POINTS,
+    measure: ProbMeasure1D, profile_points: int = PROFILE_POINTS
 ) -> ResolutionReport:
     """Smallest window length whose best placement captures more than 1/2.
 
@@ -683,16 +643,12 @@ def resolution_limit(
     robust statistics (P. J. Rousseeuw, JASA 79, 871 (1984)).  The profile of
     ``profile_points`` window lengths and their best masses is computed only
     when asked for (``profile_points=0`` skips it).
-    ``trivial_observable=True`` is the convention for multiples of the
-    identity, which are not smeared position observables: gamma is infinite.
     """
-    if trivial_observable:
-        return ResolutionReport(math.inf, np.empty(0), np.empty(0), trivial=True)
     a, b = _shortest_half(measure)
     gamma = b - a
     lo_sup, hi_sup = measure.support_bounds()
     alphas = np.geomspace(max(gamma, 1e-6) / 64, (hi_sup - lo_sup) + 1.0, profile_points)
-    return ResolutionReport(gamma, alphas, measure._window_mass_sups(alphas), window=(a, b))
+    return ResolutionReport(gamma, alphas, measure.window_mass_sup(alphas), window=(a, b))
 
 
 @dataclass(frozen=True)
@@ -768,35 +724,21 @@ def _numeric_support(values: np.ndarray, threshold: float) -> np.ndarray:
 
 
 def distinction_compare(
-    first: ProbMeasure1D,
-    second: ProbMeasure1D,
-    support_threshold: Optional[float] = None,
-    grid: Optional[Grid1D] = None,
-    xi_max: Optional[float] = None,
+    first: ProbMeasure1D, second: ProbMeasure1D, grid: Grid1D
 ) -> DistinctionOrder:
     """Order two confidence measures by the support of their transforms.
 
     The Fourier-Stieltjes transforms are evaluated on the dual lattice of
-    the common grid (a measure whose density lives on another grid raises
-    ValueError), and ``xi_max`` masks the lattice afterwards; numeric support
-    uses the threshold (default 1e-6 times the transform's peak, surfaced
-    because exact supports are unavailable in finite precision).  Supports
-    are dilated by one step before testing inclusion.
+    ``grid`` (a measure whose density lives on another grid raises
+    ValueError).  Numeric support is where a transform exceeds 1e-6 times its
+    peak, which is at least |f(0)|, the total mass 1, because exact supports
+    are unavailable in finite precision.  Supports are dilated by one step before testing
+    inclusion.
     """
-    grid = grid or first.grid or second.grid
-    if grid is None:
-        raise ValueError("a grid is needed to form the dual lattice")
     f1 = first.fourier(grid)
     f2 = second.fourier(grid)
-    if xi_max is not None:
-        keep = np.abs(grid.momenta()) <= xi_max
-        f1, f2 = f1[keep], f2[keep]
-    thr1 = support_threshold if support_threshold is not None else 1e-6 * np.abs(f1).max()
-    thr2 = support_threshold if support_threshold is not None else 1e-6 * np.abs(f2).max()
-    if thr1 <= 0 or thr2 <= 0:
-        raise ValueError("support threshold must be positive")
-    s1, s1_closed = _numeric_support(f1, thr1)
-    s2, s2_closed = _numeric_support(f2, thr2)
+    s1, s1_closed = _numeric_support(f1, 1e-6 * np.abs(f1).max())
+    s2, s2_closed = _numeric_support(f2, 1e-6 * np.abs(f2).max())
     first_below = bool(np.all(~s1 | s2_closed))
     second_below = bool(np.all(~s2 | s1_closed))
     if first_below and second_below:
@@ -839,7 +781,7 @@ def sharpness_test(measure: ProbMeasure1D) -> SharpnessReport:
     lo_sup, hi_sup = measure.support_bounds()
     span = max(hi_sup - lo_sup, 1.0)
     widths = span * 2.0 ** -np.arange(1, 8)
-    sups = measure._window_mass_sups(widths, open_interval=True)
+    sups = measure.window_mass_sup(widths, open_interval=True)
     norm_ok = bool(np.all(sups >= 1.0 - 1e-9))
     return SharpnessReport(
         sharp=atom_route,
@@ -977,8 +919,8 @@ def noncommutativity_witness(
         b = a + rng.uniform(0.2, half_q / 2)
         c = rng.uniform(-half_p, half_p / 2)
         d = c + rng.uniform(0.2, half_p / 2)
-        q, _ = smeared_profile(pos_obs, [(a, b)])
-        p, _ = smeared_profile(mom_obs, [(c, d)])
+        q, _ = smeared_profile(pos_obs, (a, b))
+        p, _ = smeared_profile(mom_obs, (c, d))
         norm = _lanczos_norm(lambda v: 1j * (q * mult(p, v) - mult(p, q * v)), start)
         results.append((norm, ((a, b), (c, d))))
     results.sort(key=lambda r: r[0])

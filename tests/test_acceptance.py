@@ -465,7 +465,7 @@ def test_criterion_10_norm_bound_and_resolution_of_identity():
 def test_criterion_11_injectivity():
     grid = symmetric_grid(1024, 20.0)
     witness = make_state([(1.0, gaussian_wavefunction(grid))])
-    cells = [(c, c + 0.5) for c in np.arange(-5.0, 5.0, 0.5)]
+    bounds = np.arange(-5.0, 5.25, 0.5)
     pairs = []
     for k in range(5):
         pairs.append(
@@ -491,8 +491,8 @@ def test_criterion_11_injectivity():
     assert len(pairs) == 10
     min_gap = math.inf
     for m1, m2 in pairs:
-        d1 = distribution(witness, SmearedObservable("position", m1, grid), cells)
-        d2 = distribution(witness, SmearedObservable("position", m2, grid), cells)
+        d1 = distribution(witness, SmearedObservable("position", m1, grid), bounds)
+        d2 = distribution(witness, SmearedObservable("position", m2, grid), bounds)
         min_gap = min(min_gap, float(np.max(np.abs(d1 - d2))))
     rng = np.random.default_rng(11)
     weyl_min_gap = math.inf

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.stats import norm
 
 import covpom
 from covpom import io
@@ -142,7 +143,7 @@ class TestRoundTrips:
     def test_measure(self):
         g = symmetric_grid(64, 5.0)
         m = ProbMeasure1D.from_density(
-            g, np.exp(-g.positions() ** 2), atoms=((0.5, 0.25),), normalize=True
+            g, np.exp(-g.positions() ** 2), atoms=((0.5, 0.25),)
         )
         back = io.measure_from_json(json.loads(io.dumps(io.measure_to_json(m))))
         assert back.atoms == m.atoms
@@ -649,6 +650,45 @@ class TestCli:
         total = sum(float(r.split(",")[2]) for r in rows)
         assert total == pytest.approx(1.0, abs=1e-6)
 
+    def test_smeared_distribution_of_a_mixture(self, capsys, tmp_path):
+        # |psi|^2 is the equal mixture of N(-0.5, 0.5) and N(0.5, 0.5), and the
+        # measure N(0, 0.8^2) adds 0.64 to each variance
+        spath = tmp_path / "mix.json"
+        spath.write_text(json.dumps({"kind": "mixture", "components": [
+            {"weight": 0.5, "state": {"kind": "gaussian", "a": 0.5, "center": -0.5}},
+            {"weight": 0.5, "state": {"kind": "gaussian", "a": 0.5, "center": 0.5}},
+        ]}))
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps({"kind": "gaussian", "sigma": 0.8}))
+        dist = tmp_path / "dist.csv"
+        code, report = run_cli(capsys, [
+            "smeared", "distribution", "--measure", str(mpath), "--state", str(spath),
+            "--grid-n", "1024", "--out", str(dist)])
+        assert code == 0
+        assert report["checks"][0]["value"] == pytest.approx(1.0, abs=1e-6)
+        lo, hi, prob = np.loadtxt(dist, delimiter=",", skiprows=1).T
+        scale = np.sqrt(0.5 + 0.64)
+        want = sum(0.5 * (norm.cdf((hi - c) / scale) - norm.cdf((lo - c) / scale))
+                   for c in (-0.5, 0.5))
+        assert lo.size == 16
+        np.testing.assert_allclose(prob, want, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("argv, option", [
+        (["smeared", "distribution", "--measure", "{m}"], "--state"),
+        (["smeared", "compare", "--measure", "{m}"], "--measure2"),
+        (["check", "pom"], "--in"),
+        (["check", "uncertainty", "--pairs-from", "{s}"], "--state"),
+        (["check", "uncertainty", "--state", "{s}"], "--pairs-from"),
+    ], ids=["smeared distribution", "smeared compare", "check pom", "check uncertainty state",
+            "check uncertainty pairs-from"])
+    def test_missing_file_option_exits_2_naming_it(self, capsys, tmp_path, argv, option):
+        files = {"m": tmp_path / "m.json", "s": tmp_path / "s.json"}
+        files["m"].write_text(json.dumps({"kind": "gaussian", "sigma": 1.0}))
+        files["s"].write_text(json.dumps({"kind": "gaussian", "a": 0.5}))
+        argv = [arg.format(**files) for arg in argv] + ["--grid-n", "256"]
+        assert exit_code_and_error(capsys, argv) == (
+            2, f"input error: {option} is required for this action")
+
     def test_phasespace_norm_command(self, capsys, tmp_path):
         tpath = tmp_path / "t.json"
         tpath.write_text(json.dumps({"kind": "gaussian"}))
@@ -799,14 +839,6 @@ class TestOperatorOnlyStates:
             assert all(c["pass"] for c in json.loads(captured.out)["checks"])
         else:
             assert "trace" in captured.err
-
-    def test_distribution_rejects_mixed_op_state(self, capsys, state_files):
-        f = state_files
-        code = main(["smeared", "distribution", "--measure", str(f["measure"]),
-                     "--state", str(f["mixed", "op"]), "--grid-n", str(self.N),
-                     "--window", str(self.WINDOW)])
-        assert code == 2
-        assert "pure state" in capsys.readouterr().err
 
 
 class TestNoSubcommandLoadsScipy:

@@ -77,7 +77,7 @@ def gathered_translation_effect(h, lo, hi, grid):
 
 
 def dense_smeared_effect(obs, lo, hi):
-    prof, _ = smeared_profile(obs, [(lo, hi)])
+    prof, _ = smeared_profile(obs, (lo, hi))
     if obs.kind == "position":
         return np.diag(prof.astype(complex))
     f = dense_fourier_matrix(obs.grid)
@@ -97,8 +97,8 @@ def dense_witness(rho, nu, grid, n_samples, seed):
         b = a + rng.uniform(0.2, half_q / 2)
         c = rng.uniform(-half_p, half_p / 2)
         d = c + rng.uniform(0.2, half_p / 2)
-        eq = np.diag(smeared_profile(pos_obs, [(a, b)])[0].astype(complex))
-        ep = f.conj().T @ np.diag(smeared_profile(mom_obs, [(c, d)])[0].astype(complex)) @ f
+        eq = np.diag(smeared_profile(pos_obs, (a, b))[0].astype(complex))
+        ep = f.conj().T @ np.diag(smeared_profile(mom_obs, (c, d))[0].astype(complex)) @ f
         results.append((float(np.linalg.norm(eq @ ep - ep @ eq, 2)), ((a, b), (c, d))))
     results.sort(key=lambda r: r[0])
     return results[0], results[-1]
@@ -182,7 +182,7 @@ class TestTranslationEffect:
         i, j = np.sort(rng.choice(n, size=2, replace=False))
         lo, hi = t[i] - 0.5 * grid.dp, t[j] + 0.5 * grid.dp
         np.testing.assert_allclose(
-            translation_covariant_effect(h, [(lo, hi)], grid),
+            translation_covariant_effect(h, (lo, hi), grid),
             gathered_translation_effect(h, lo, hi, grid),
             rtol=0,
             atol=1e-12,
@@ -296,7 +296,8 @@ class TestPartitionMatchesLoops:
         assert_same_partition(smeared_pom(obs, interior), expected)
 
     def test_partition_rejects_unordered_bounds(self):
-        for bad in ([0.0], [0.0, 1.0, 1.0], [1.0, 0.0], [-math.inf, -math.inf, 0.0]):
+        for bad in ([0.0], [0.0, 1.0, 1.0], [1.0, 0.0], [-math.inf, -math.inf, 0.0],
+                    [[0.0, 1.0], [1.0, 2.0]]):
             with pytest.raises(ValueError, match="strictly increasing"):
                 partition_pom("tag", bad, lambda lo, hi: None, ".6f")
 

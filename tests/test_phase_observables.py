@@ -215,7 +215,7 @@ class TestTranslationCovariant:
         t = grid.momenta()
         h = np.ones((grid.n, 1), dtype=complex)
         eff = translation_covariant_effect(
-            h, [(t[0] - 0.1, t[-1] + 0.1)], grid
+            h, (t[0] - 0.1, t[-1] + 0.1), grid
         )
         np.testing.assert_allclose(eff, np.eye(grid.n), atol=1e-10)
 
@@ -224,7 +224,7 @@ class TestTranslationCovariant:
         t = grid.momenta()
         h = np.ones((grid.n, 1), dtype=complex)
         lo, hi = t[10] - 0.5 * grid.dp, t[30] + 0.5 * grid.dp
-        eff = translation_covariant_effect(h, [(lo, hi)], grid)
+        eff = translation_covariant_effect(h, (lo, hi), grid)
         f = dense_fourier_matrix(grid)
         expected = np.diag(((t >= lo) & (t < hi)).astype(float))
         np.testing.assert_allclose(f @ eff @ f.conj().T, expected, atol=1e-8)
@@ -249,8 +249,8 @@ class TestTranslationCovariant:
         t = grid.momenta()
         a = 3 * grid.dp
         u = np.diag(np.exp(1j * a * grid.positions()))
-        e = translation_covariant_effect(h, [(t[10], t[30])], grid)
-        e_shift = translation_covariant_effect(h, [(t[10] + a, t[30] + a)], grid)
+        e = translation_covariant_effect(h, (t[10], t[30]), grid)
+        e_shift = translation_covariant_effect(h, (t[10] + a, t[30] + a), grid)
         np.testing.assert_allclose(
             u @ e @ u.conj().T, e_shift, atol=1e-10
         )
@@ -260,15 +260,23 @@ class TestTranslationCovariant:
         y = grid.positions()
         h = np.stack([np.cos(y), np.sin(y)], axis=1).astype(complex)
         t = grid.momenta()
-        ex = translation_covariant_effect(h, [(t[5], t[20])], grid)
-        ey = translation_covariant_effect(h, [(t[30], t[45])], grid)
+        ex = translation_covariant_effect(h, (t[5], t[20]), grid)
+        ey = translation_covariant_effect(h, (t[30], t[45]), grid)
         assert commutator_norm(ex, ey) > 1e-3
 
     def test_interval_outside_grid_rejected(self):
         grid = self_dual_grid(32)
         h = np.ones((grid.n, 1), dtype=complex)
         with pytest.raises(ValueError, match="outside"):
-            translation_covariant_effect(h, [(1e6, 2e6)], grid)
+            translation_covariant_effect(h, (1e6, 2e6), grid)
+
+    def test_degenerate_interval_rejected(self):
+        grid = self_dual_grid(32)
+        h = np.ones((grid.n, 1), dtype=complex)
+        t = grid.momenta()
+        for lo, hi in ((t[4], t[4]), (t[5], t[4])):
+            with pytest.raises(ValueError, match="degenerate"):
+                translation_covariant_effect(h, (lo, hi), grid)
 
 
 class TestGridFourier:

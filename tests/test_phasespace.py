@@ -107,7 +107,7 @@ class TestFactorState:
         uncertainty_product(s, rho, nu, grid)
         pure = make_state([(1.0, s.vectors[0])])
         obs = SmearedObservable("position", ProbMeasure1D.gaussian(grid, sigma=0.5), grid)
-        distribution(pure, obs, [(-np.inf, 0.0), (0.0, np.inf)])
+        distribution(pure, obs, [-np.inf, 0.0, np.inf])
         cell = RectCell(-1.0, 1.0, -1.0, 1.0)
         phase_space_effect(t, cell, grid, order=4)
         phase_space_cell_norm(t, cell, grid, order=4)

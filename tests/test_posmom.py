@@ -54,7 +54,7 @@ def bandlimited_measure(grid, a):
     p = grid.momenta()
     h = (np.abs(p) <= a / 2).astype(complex) / np.sqrt(a)
     f = grid.to_position(h)
-    return ProbMeasure1D.from_density(grid, np.abs(f) ** 2, normalize=True)
+    return ProbMeasure1D.from_density(grid, np.abs(f) ** 2)
 
 
 class TestMeasureBasics:
@@ -94,7 +94,7 @@ class TestMeasureBasics:
         dens = np.exp(-(x**2) / (2 * sigma**2)) * (1 - atom_w)
         dens /= np.trapezoid(dens, dx=g.dx) / max(1 - atom_w, 1e-12)
         atoms = ((0.7, atom_w),) if atom_w > 0 else ()
-        m = ProbMeasure1D.from_density(g, dens, atoms=atoms, normalize=True)
+        m = ProbMeasure1D.from_density(g, dens, atoms=atoms)
         lo, hi = sorted((alpha1, alpha2))
         assert m.window_mass_sup(lo)[0] <= m.window_mass_sup(hi)[0] + 1e-12
 
@@ -105,7 +105,7 @@ class TestFourier:
         grid = symmetric_grid(n, 20.0)
         dens = gaussian_measure(grid, mean=0.3, sigma=0.7).density
         atoms = ((0.5, 0.3), (-1.25, 0.1))
-        m = ProbMeasure1D.from_density(grid, dens * 0.6, atoms=atoms, normalize=False)
+        m = ProbMeasure1D(atoms=atoms, grid=grid, density=dens * 0.6)
         got = m.fourier(grid)
         assert got.shape == (n,)
         np.testing.assert_allclose(got, direct_fourier(m, grid.momenta()), rtol=0, atol=1e-13)
@@ -126,7 +126,7 @@ class TestFourier:
 class TestSmearedEffects:
     def test_dirac_gives_sharp_indicator(self, grid):
         obs = SmearedObservable("position", ProbMeasure1D.point(0.0), grid)
-        prof, defect = smeared_profile(obs, [(0.0, 2.0)])
+        prof, defect = smeared_profile(obs, (0.0, 2.0))
         x = grid.positions()
         np.testing.assert_allclose(prof, ((x >= -0.0) & (x < 2.0))[::-1][::-1] * 1.0
                                    if False else ((0.0 <= x) & (x < 2.0)) * 1.0,
@@ -135,7 +135,7 @@ class TestSmearedEffects:
 
     def test_gaussian_half_line_matches_normal_cdf(self, grid):
         obs = SmearedObservable("position", gaussian_measure(grid), grid)
-        prof, _ = smeared_profile(obs, [(0.0, np.inf)])
+        prof, _ = smeared_profile(obs, (0.0, np.inf))
         x = grid.positions()
         sel = np.abs(x) < 6
         np.testing.assert_allclose(prof[sel], norm.cdf(x[sel]), atol=1e-6)
@@ -144,20 +144,20 @@ class TestSmearedEffects:
 
     def test_whole_line_is_identity(self, grid):
         obs = SmearedObservable("position", gaussian_measure(grid), grid)
-        eff = smeared_effect(obs, [(-np.inf, np.inf)])
+        eff = smeared_effect(obs, (-np.inf, np.inf))
         np.testing.assert_allclose(eff, np.eye(grid.n), atol=1e-9)
 
     def test_empty_set_gives_zero_effect(self, grid):
         obs = SmearedObservable("position", gaussian_measure(grid), grid)
-        eff = smeared_effect(obs, [])
+        eff = smeared_effect(obs, (0.0, 0.0))
         assert np.all(eff == 0)
 
     def test_translation_covariance_and_boost_invariance(self):
         g = symmetric_grid(256, 12.0)
         obs = SmearedObservable("position", gaussian_measure(g, sigma=0.7), g)
         shift = 16 * g.dx
-        e1 = smeared_effect(obs, [(-1.0, 1.0)])
-        e2 = smeared_effect(obs, [(-1.0 + shift, 1.0 + shift)])
+        e1 = smeared_effect(obs, (-1.0, 1.0))
+        e2 = smeared_effect(obs, (-1.0 + shift, 1.0 + shift))
         # U(q) E(X) U(q)* = E(X + q): lattice shift permutes the diagonal
         np.testing.assert_allclose(np.roll(np.diag(e1), 16), np.diag(e2), atol=1e-12)
         # V(p) E(X) V(p)* = E(X): diagonal effects commute with phases
@@ -170,8 +170,8 @@ class TestSmearedEffects:
         g = symmetric_grid(256, 12.0)
         nu = gaussian_measure(g, sigma=0.5)
         obs_p = SmearedObservable("momentum", nu, g)
-        eff = smeared_effect(obs_p, [(-0.8, 1.1)])
-        prof, _ = smeared_profile(obs_p, [(-0.8, 1.1)])
+        eff = smeared_effect(obs_p, (-0.8, 1.1))
+        prof, _ = smeared_profile(obs_p, (-0.8, 1.1))
         f = dense_fourier_matrix(g)
         np.testing.assert_allclose(
             f @ eff @ f.conj().T, np.diag(prof), atol=1e-9
@@ -186,8 +186,8 @@ class TestSmearedEffects:
         x = g.positions()
         b = 5
         p0 = b * g.dp
-        eff = smeared_effect(obs, [(-1.0, 1.0)])
-        eff_shift = smeared_effect(obs, [(-1.0 + p0, 1.0 + p0)])
+        eff = smeared_effect(obs, (-1.0, 1.0))
+        eff_shift = smeared_effect(obs, (-1.0 + p0, 1.0 + p0))
         boost = np.diag(np.exp(1j * p0 * x))
         np.testing.assert_allclose(boost @ eff @ boost.conj().T, eff_shift, atol=1e-9)
         shift = np.roll(np.eye(g.n), 7, axis=0)
@@ -212,11 +212,11 @@ class TestDistribution:
         psi = ground_wavefunction(grid)
         t = 12 * grid.dx
         obs = SmearedObservable("position", ProbMeasure1D.point(t), grid)
-        cells = [(-1.0, 0.0), (0.0, 1.0), (1.0, 2.5)]
-        got = distribution(make_state([(1.0, psi)]), obs, cells)
+        bounds = [-1.0, 0.0, 1.0, 2.5]
+        got = distribution(make_state([(1.0, psi)]), obs, bounds)
         w = np.abs(psi) ** 2 * grid.dx
         x = grid.positions()
-        expected = [np.sum(w[(x + t >= lo) & (x + t < hi)]) for lo, hi in cells]
+        expected = [np.sum(w[(x + t >= lo) & (x + t < hi)]) for lo, hi in zip(bounds, bounds[1:])]
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_gaussian_convolution_is_wider_normal(self, grid):
@@ -224,8 +224,7 @@ class TestDistribution:
         x = grid.positions()
         vals = np.exp(-(x**2) / 4) / (2 * np.pi) ** 0.25
         obs = SmearedObservable("position", gaussian_measure(grid), grid)
-        cells = [(-np.inf, -1.0), (-1.0, 0.5), (0.5, np.inf)]
-        got = distribution(make_state([(1.0, vals)]), obs, cells)
+        got = distribution(make_state([(1.0, vals)]), obs, [-np.inf, -1.0, 0.5, np.inf])
         scale = math.sqrt(2.0)
         expected = [
             norm.cdf(-1.0 / scale),
@@ -242,13 +241,11 @@ class TestDistribution:
         ).astype(complex)
         state = make_state([(1.0, raw)])
         obs = SmearedObservable("position", gaussian_measure(grid, sigma=0.5), grid)
-        cells = [(-np.inf, -0.7), (-0.7, 0.3), (0.3, np.inf)]
-        route_direct = distribution(state, obs, cells)
+        bounds = [-np.inf, -0.7, 0.3, np.inf]
+        route_direct = distribution(state, obs, bounds)
         route_trace = [
-            float(
-                np.trace(state.op @ smeared_effect(obs, [c])).real
-            )
-            for c in cells
+            float(np.trace(state.op @ smeared_effect(obs, c)).real)
+            for c in zip(bounds, bounds[1:])
         ]
         np.testing.assert_allclose(route_direct, route_trace, atol=1e-10)
         assert got_sum_close(route_direct)
@@ -256,8 +253,47 @@ class TestDistribution:
     def test_partition_sums_to_one(self, grid):
         state = make_state([(1.0, ground_wavefunction(grid))])
         obs = SmearedObservable("position", gaussian_measure(grid), grid)
-        cells = [(-np.inf, -1.0), (-1.0, 1.0), (1.0, np.inf)]
-        assert distribution(state, obs, cells).sum() == pytest.approx(1.0, abs=1e-9)
+        got = distribution(state, obs, [-np.inf, -1.0, 1.0, np.inf])
+        assert got.sum() == pytest.approx(1.0, abs=1e-9)
+
+    @given(
+        inner=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=5, unique=True),
+        open_lo=st.booleans(),
+        open_hi=st.booleans(),
+        rank=st.integers(1, 3),
+        kind=st.sampled_from(["position", "momentum"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_trace_on_random_bounds(self, inner, open_lo, open_hi, rank, kind, seed):
+        g = symmetric_grid(128, 12.0)
+        bounds = sorted(inner)
+        if open_lo or len(bounds) < 2:
+            bounds.insert(0, -np.inf)
+        if open_hi:
+            bounds.append(np.inf)
+        rng = np.random.default_rng(seed)
+        envelope = np.exp(-g.positions() ** 2 / 8)
+        vecs = (rng.standard_normal((rank, g.n)) + 1j * rng.standard_normal((rank, g.n))) * envelope
+        state = make_state(list(zip(rng.dirichlet(np.ones(rank)), vecs)))
+        obs = SmearedObservable(kind, gaussian_measure(g, sigma=0.5), g)
+        got = distribution(state, obs, bounds)
+        want = [np.trace(state.op @ smeared_effect(obs, c)).real for c in zip(bounds, bounds[1:])]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        if np.isinf(bounds[0]) and np.isinf(bounds[-1]):
+            assert got.sum() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("bounds", [
+        [0.0, 0.0, 1.0],
+        [1.0, 0.0],
+        [0.0],
+        [[-1.0, 0.0], [0.0, 1.0]],
+    ])
+    def test_bounds_must_increase_in_one_dimension(self, grid, bounds):
+        state = make_state([(1.0, ground_wavefunction(grid))])
+        obs = SmearedObservable("position", gaussian_measure(grid), grid)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            distribution(state, obs, bounds)
 
 
 def got_sum_close(vals):
@@ -300,10 +336,6 @@ class TestRegularity:
         g = symmetric_grid(256, 8.0)
         rep = resolution_limit(gaussian_measure(g, sigma=0.8))
         assert np.all(np.diff(rep.sups) >= -1e-12)
-
-    def test_trivial_flag(self):
-        rep = resolution_limit(ProbMeasure1D.point(0.0), trivial_observable=True)
-        assert math.isinf(rep.gamma) and rep.trivial
 
 
 class TestRegularDecomposition:
@@ -359,13 +391,13 @@ class TestRegularDecomposition:
 class TestDistinction:
     def test_identical_measures_equivalent(self, grid):
         m = gaussian_measure(grid)
-        assert distinction_compare(m, m) is DistinctionOrder.EQUIVALENT
+        assert distinction_compare(m, m, grid) is DistinctionOrder.EQUIVALENT
 
     def test_bandlimited_strictly_below_gaussian(self, grid):
         m1 = bandlimited_measure(grid, a=2.0)
         m2 = gaussian_measure(grid)
-        assert distinction_compare(m1, m2) is DistinctionOrder.FIRST_BELOW
-        assert distinction_compare(m2, m1) is DistinctionOrder.FIRST_ABOVE
+        assert distinction_compare(m1, m2, grid) is DistinctionOrder.FIRST_BELOW
+        assert distinction_compare(m2, m1, grid) is DistinctionOrder.FIRST_ABOVE
 
     def test_dirac_equivalent_to_narrow_gaussian(self, grid):
         m1 = ProbMeasure1D.point(0.7)
@@ -379,27 +411,15 @@ class TestDistinction:
         # incomparability via two band-limited measures of different widths
         m1 = bandlimited_measure(grid, a=2.0)
         m2 = bandlimited_measure(grid, a=4.0)
-        assert distinction_compare(m2, m1) is DistinctionOrder.FIRST_ABOVE
-
-    def test_threshold_must_be_positive(self, grid):
-        m = gaussian_measure(grid)
-        with pytest.raises(ValueError):
-            distinction_compare(m, m, support_threshold=0.0)
+        assert distinction_compare(m2, m1, grid) is DistinctionOrder.FIRST_ABOVE
 
     def test_grids_differ_raises(self, grid):
         other = symmetric_grid(grid.n, 10.0)
         m1, m2 = gaussian_measure(grid), gaussian_measure(other)
         with pytest.raises(ValueError, match="different grid"):
-            distinction_compare(m1, m2)
+            distinction_compare(m1, m2, grid)
         with pytest.raises(ValueError, match="different grid"):
             distinction_compare(m1, m1, grid=other)
-
-    def test_xi_max_masks_the_lattice(self, grid):
-        # inside |xi| <= 1.5 both transforms are nonzero, so the masked supports agree
-        m1 = bandlimited_measure(grid, a=2.0)
-        m2 = gaussian_measure(grid)
-        assert distinction_compare(m1, m2) is DistinctionOrder.FIRST_BELOW
-        assert distinction_compare(m1, m2, xi_max=1.5) is DistinctionOrder.EQUIVALENT
 
 
 class TestSharpness:
@@ -473,16 +493,16 @@ class TestCoexistenceDiagnostics:
         nu = ProbMeasure1D.point(0.0)
         pos = SmearedObservable("position", rho, g)
         mom = SmearedObservable("momentum", nu, g)
-        eq = smeared_effect(pos, [(0.0, 1.0)])
-        ep = smeared_effect(mom, [(0.0, 1.0)])
+        eq = smeared_effect(pos, (0.0, 1.0))
+        ep = smeared_effect(mom, (0.0, 1.0))
         assert commutator_norm(eq, ep) > 0.1
 
     def test_full_line_commutes(self):
         g = symmetric_grid(256, 12.0)
         pos = SmearedObservable("position", ProbMeasure1D.point(0.0), g)
         mom = SmearedObservable("momentum", gaussian_measure(g, sigma=0.5), g)
-        eq = smeared_effect(pos, [(-np.inf, np.inf)])
-        ep = smeared_effect(mom, [(0.0, 1.0)])
+        eq = smeared_effect(pos, (-np.inf, np.inf))
+        ep = smeared_effect(mom, (0.0, 1.0))
         assert commutator_norm(eq, ep) < 1e-10
 
     def test_noncommutativity_witness_report(self):
@@ -504,15 +524,15 @@ class TestInjectivity:
             (gaussian_measure(grid, 0.0, 1.0), gaussian_measure(grid, 0.0, 1.1)),
             (ProbMeasure1D.point(0.0), gaussian_measure(grid, sigma=0.3)),
         ]
-        cells = [(c, c + 0.5) for c in np.arange(-4.0, 4.0, 0.5)]
+        bounds = np.arange(-4.0, 4.25, 0.5)
         for m1, m2 in pairs:
-            d1 = distribution(state, SmearedObservable("position", m1, grid), cells)
-            d2 = distribution(state, SmearedObservable("position", m2, grid), cells)
+            d1 = distribution(state, SmearedObservable("position", m1, grid), bounds)
+            d2 = distribution(state, SmearedObservable("position", m2, grid), bounds)
             assert np.max(np.abs(d1 - d2)) > 1e-6
 
     def test_null_sets(self, grid):
         obs = SmearedObservable("position", gaussian_measure(grid), grid)
-        zero = smeared_effect(obs, [])
+        zero = smeared_effect(obs, (0.0, 0.0))
         assert np.all(zero == 0)
-        tiny = smeared_effect(obs, [(0.0, grid.dx)])
+        tiny = smeared_effect(obs, (0.0, grid.dx))
         assert np.linalg.norm(tiny) > 0

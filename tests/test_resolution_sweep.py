@@ -72,7 +72,7 @@ def rough(rng, n, atom):
     dens[:2] = dens[-2:] = 0.0
     dens[n // 2] += 1e-3
     atoms = ((float(np.round(rng.uniform(-2, 2), 3)), 0.3),) if atom else ()
-    return ProbMeasure1D.from_density(symmetric_grid(n, 4.0), dens, atoms=atoms, normalize=True)
+    return ProbMeasure1D.from_density(symmetric_grid(n, 4.0), dens, atoms=atoms)
 
 
 # the seed at which half_atom_uniform puts its atom on the uniform's last node
@@ -159,7 +159,7 @@ class TestBatchedProfile:
     def test_matches_window_mass_sup_per_width(self, family, seed, open_interval):
         measure = FAMILIES[family](np.random.default_rng(seed), 1024)
         widths = np.geomspace(1e-4, 30.0, PROFILE_POINTS)
-        got = measure._window_mass_sups(widths, open_interval=open_interval)
+        got = measure.window_mass_sup(widths, open_interval=open_interval)
         each = [measure.window_mass_sup(w, open_interval=open_interval)[0] for w in widths]
         np.testing.assert_allclose(got, each, rtol=0, atol=1e-15)
         if not open_interval:
@@ -177,6 +177,12 @@ class TestBatchedProfile:
         sup = measure.window_mass_sup(w)[0]
         assert sup == float(measure.mass_interval(0.1, 0.1 + w))
         assert sup > float(measure.mass_interval(lo, hi)) + 0.05
+
+    def test_widths_must_be_positive(self):
+        measure = ProbMeasure1D.point(0.0)
+        for widths in (0.0, [1.0, -1.0], [np.nan]):
+            with pytest.raises(ValueError, match="positive"):
+                measure.window_mass_sup(widths)
 
     def test_blocks_of_one_row(self, monkeypatch):
         import covpom.posmom as posmom_module
@@ -277,8 +283,8 @@ class TestCommutatorNorm:
         rep = noncommutativity_witness(rho, nu, grid, n_samples=3, seed=n)
         norms = []
         for pos, mom in (rep.min_pair, rep.max_pair):
-            a, _ = smeared_profile(SmearedObservable("position", rho, grid), [pos])
-            m, _ = smeared_profile(SmearedObservable("momentum", nu, grid), [mom])
+            a, _ = smeared_profile(SmearedObservable("position", rho, grid), pos)
+            m, _ = smeared_profile(SmearedObservable("momentum", nu, grid), mom)
             comm = 1j * np.subtract.outer(a, a) * grid.momentum_multiplier(m)
             norms.append(np.max(np.abs(np.linalg.eigvalsh(comm))))
         assert rep.min_norm == pytest.approx(norms[0], rel=1e-10)
