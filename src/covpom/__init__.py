@@ -18,9 +18,6 @@ from .hilbert import (
     make_state,
     pure_state,
     check_pom_axioms,
-    outcome_distribution,
-    effect_is_regular,
-    commutator_norm,
 )
 from .posmom import ProbMeasure1D, SmearedObservable
 

@@ -285,12 +285,6 @@ def _coset_table(group: FiniteAbelianGroup, sub: Subgroup) -> np.ndarray:
     return _dual_coset_table(group, annihilator(group, sub))
 
 
-def coset_representatives(
-    group: FiniteAbelianGroup, sub: Subgroup
-) -> Tuple[Element, ...]:
-    return _tuples(group, np.unique(_coset_table(group, sub)))
-
-
 def _hperp_mask(group: FiniteAbelianGroup, xs: np.ndarray, sub: Subgroup) -> np.ndarray:
     """[x - x' in Hperp] over pairs of the codes ``xs``."""
     label = _dual_coset_table(group, sub)[xs]

@@ -23,6 +23,10 @@ from .hilbert import RectCell, check_pom_axioms, make_state
 from .posmom import ProbMeasure1D
 
 
+# window lengths in the profile that ``smeared gamma --out`` writes
+PROFILE_POINTS = 33
+
+
 class InputError(Exception):
     pass
 
@@ -74,7 +78,7 @@ def _parse_measure(obj, grid) -> ProbMeasure1D:
 
 
 class Report:
-    def __init__(self, tool: str, tolerance: Optional[float], seed: Optional[int]):
+    def __init__(self, tool: str, tolerance: Optional[float], seed: Optional[int] = None):
         self.data = {
             "tool": tool,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -121,7 +125,7 @@ def _check_and_write_pom(report: Report, pom, args) -> None:
 
 
 def cmd_phase(args) -> int:
-    rep = Report("phase", args.tol, args.seed)
+    rep = Report("phase", args.tol)
     h = abelian.canonical_phase_vectors(args.dim)
     bounds = np.linspace(0.0, 2 * np.pi, args.cells + 1)
     pom = abelian.phase_pom(h, bounds)
@@ -133,7 +137,7 @@ def cmd_phase(args) -> int:
 
 
 def cmd_phase_diff(args) -> int:
-    rep = Report("phase-diff", args.tol, args.seed)
+    rep = Report("phase-diff", args.tol)
     h = {(i, j): np.array([1.0 + 0j]) for i in range(args.dim) for j in range(args.dim)}
     bounds = np.linspace(0.0, 2 * np.pi, args.cells + 1)
     _check_and_write_pom(rep, abelian.phase_difference_pom(args.dim, h, bounds), args)
@@ -172,7 +176,7 @@ def cmd_abelian_pom(args) -> int:
 
 
 def cmd_finite_weyl(args) -> int:
-    report = Report("finite-weyl", args.tol, args.seed)
+    report = Report("finite-weyl", args.tol)
     state = io.state_from_json(_load_json(args.state, "--state"))
     pom = phasespace.finite_weyl_pom(args.dim, state)
     _check_and_write_pom(report, pom, args)
@@ -186,16 +190,16 @@ def cmd_finite_weyl(args) -> int:
 def cmd_smeared(args) -> int:
     grid = symmetric_grid(args.grid_n, args.window)
     measure = _parse_measure(_load_json(args.measure, "--measure"), grid)
-    report = Report(f"smeared-{args.action}", args.tol, args.seed)
+    report = Report(f"smeared-{args.action}", args.tol)
     if args.action == "gamma":
-        res = posmom.resolution_limit(
-            measure, profile_points=posmom.PROFILE_POINTS if args.out else 0
-        )
-        report.add("gamma-finite", math.isfinite(res.gamma), res.gamma, None)
+        gamma = posmom.resolution_limit(measure).gamma
+        report.add("gamma-finite", math.isfinite(gamma), gamma, None)
         if args.out:
+            lo, hi = measure.support_bounds()
+            alphas = np.geomspace(max(gamma, 1e-6) / 64, (hi - lo) + 1.0, PROFILE_POINTS)
             with open(args.out, "w") as fh:
                 fh.write("alpha,sup_window_mass\n")
-                for a, s in zip(res.alphas, res.sups):
+                for a, s in zip(alphas, measure.window_mass_sup(alphas)):
                     fh.write(f"{float(a)!r},{float(s)!r}\n")
     elif args.action == "distribution":
         state = _parse_state(_load_json(args.state, "--state"), grid)
@@ -231,7 +235,7 @@ def cmd_smeared(args) -> int:
 def cmd_phasespace(args) -> int:
     grid = symmetric_grid(args.grid_n, args.window)
     t_state = _parse_state(_load_json(args.t, "--t"), grid)
-    report = Report(f"phasespace-{args.action}", args.tol, args.seed)
+    report = Report(f"phasespace-{args.action}", args.tol)
     if args.action == "density":
         s_state = (
             _parse_state(_load_json(args.s, "--s"), grid) if args.s else t_state
@@ -280,7 +284,7 @@ def cmd_check(args) -> int:
     if args.kind == "pom":
         tol = args.tol if args.tol is not None else 1e-10
         pom = io.pom_from_json(_load_json(args.infile, "--in"))
-        report = Report("check-pom", tol, args.seed)
+        report = Report("check-pom", tol)
         ax = check_pom_axioms(pom, tol)
         report.add("positivity", ax.worst_negativity <= tol,
                    ax.worst_negativity, tol)
@@ -293,7 +297,7 @@ def cmd_check(args) -> int:
     s_state = _parse_state(_load_json(args.state, "--state"), grid)
     t_state = _parse_state(_load_json(args.pairs_from, "--pairs-from"), grid)
     rho, nu = phasespace.margins_of_GT(t_state, grid)
-    report = Report("check-uncertainty", tol, args.seed)
+    report = Report("check-uncertainty", tol)
     unc = posmom.uncertainty_product(s_state, rho, nu, grid, tol=tol)
     report.add("variance-product", unc.passed, unc.product, 1.0)
     res = posmom.resolution_product(rho, nu, tol=tol)
@@ -330,7 +334,6 @@ def _add_common(parser, tol=1e-10, grid=False, quad=False, out=True):
     if quad:
         parser.add_argument("--quad-order", dest="quad_order", type=int, default=16,
                             help="Gauss-Legendre nodes per q-panel (p is integrated exactly)")
-    parser.add_argument("--seed", type=int, default=0)
     if out:
         parser.add_argument("--out", default=None)
     parser.add_argument("--report", default=None)
@@ -358,6 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("abelian-pom", help="covariant POM from a group bundle")
     p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--seed", type=int, default=0, help="draws the random isometries")
     _add_common(p)
     p.set_defaults(func=cmd_abelian_pom)
 

@@ -33,14 +33,10 @@ __all__ = [
     "IntervalCell",
     "RectCell",
     "AxiomReport",
-    "ProbVector",
     "make_state",
     "increasing_bounds",
     "partition_pom",
     "check_pom_axioms",
-    "outcome_distribution",
-    "effect_is_regular",
-    "commutator_norm",
     "spectral_norm",
 ]
 
@@ -235,23 +231,6 @@ class AxiomReport:
     normalization_defect: float
 
 
-@dataclass(frozen=True)
-class ProbVector:
-    """Outcome distribution with the raw trace values kept for auditing.
-
-    ``probs`` is clamped to [0, 1] and renormalised; ``raw`` holds the
-    unadjusted Re tr(T E_i) values.
-    """
-
-    probs: np.ndarray
-    raw: np.ndarray
-    negativity_defect: float
-    normalization_defect: float
-
-    def __len__(self) -> int:
-        return len(self.probs)
-
-
 # --- operations ----------------------------------------------------------
 
 
@@ -395,31 +374,3 @@ def check_pom_axioms(pom: Pom, tol: float = EXACT_TOL) -> AxiomReport:
         worst_negativity=worst,
         normalization_defect=float(defect),
     )
-
-
-def outcome_distribution(state: State, pom: Pom) -> ProbVector:
-    """Probability of each outcome: Re tr(T E_i) = Re sum_jk T_jk (E_i)_kj, O(d^2) each."""
-    if state.dim != pom.dim:
-        raise ValueError(f"dimension mismatch: state {state.dim}, pom {pom.dim}")
-    raw = np.array([np.sum(state.op * e.T).real for e in pom.effects])
-    negativity = float(max(0.0, -raw.min()))
-    norm_defect = float(abs(raw.sum() - 1.0))
-    clipped = np.clip(raw, 0.0, 1.0)
-    total = clipped.sum()
-    probs = clipped / total if total > 0 else clipped
-    return ProbVector(probs, raw, negativity, norm_defect)
-
-
-def effect_is_regular(effect: np.ndarray, tol: float = EXACT_TOL) -> bool:
-    """True iff the effect's spectrum extends both above and below 1/2."""
-    eigs = np.linalg.eigvalsh(effect)
-    return bool(eigs.max() > 0.5 + tol and eigs.min() < 0.5 - tol)
-
-
-def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """Spectral norm of the commutator ab - ba of two square matrices of one shape."""
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    comm = a @ b - b @ a
-    return float(np.linalg.norm(comm, 2))

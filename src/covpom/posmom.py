@@ -4,11 +4,11 @@ A smeared position observable is the sharp position observable convolved
 with a confidence measure: the effect of a set X is multiplication by
 x -> rho(X - x), X one interval [lo, hi); a partition of the line is given by
 its increasing bounds.  Momentum observables are their Fourier conjugates.  This
-module also carries the operational diagnostics: alpha-regularity and the
-limit of resolution, the regular-decomposition structure test, state
-distinction power via Fourier supports, sharpness, and the coexistence
-diagnostics (variance uncertainty product, resolution product and total
-noncommutativity witnesses).
+module also carries the operational diagnostics: the limit of resolution
+(the shortest window that captures more than half the mass), the
+regular-decomposition structure test, state distinction power via Fourier
+supports, sharpness, and the coexistence diagnostics (variance uncertainty
+product, resolution product and total noncommutativity witnesses).
 
 Measures combine a finite atom list with an optional sampled density on a
 uniform grid.  The density's mass and moments are trapezoid sums; its CDF is
@@ -44,7 +44,6 @@ __all__ = [
     "smeared_effect",
     "smeared_pom",
     "distribution",
-    "alpha_regular",
     "resolution_limit",
     "regular_decomposition",
     "distinction_compare",
@@ -106,10 +105,6 @@ class ProbMeasure1D:
         return cls(atoms=((t, 1.0),))
 
     @classmethod
-    def from_atoms(cls, pairs: Sequence[Tuple[float, float]]) -> "ProbMeasure1D":
-        return cls(atoms=tuple(pairs))
-
-    @classmethod
     def from_density(
         cls, grid: Grid1D, values, atoms: Sequence[Tuple[float, float]] = ()
     ) -> "ProbMeasure1D":
@@ -136,29 +131,6 @@ class ProbMeasure1D:
         x = grid.positions()
         dens = ((x >= lo) & (x <= hi)).astype(float)
         return cls.from_density(grid, dens)
-
-    @classmethod
-    def convex_mixture(
-        cls, weights: Sequence[float], parts: Sequence["ProbMeasure1D"]
-    ) -> "ProbMeasure1D":
-        weights = np.asarray(weights, dtype=float)
-        if abs(weights.sum() - 1.0) > MASS_TOL or np.any(weights < 0):
-            raise ValueError("mixture weights must be a probability vector")
-        grids = {p.grid for p in parts if p.grid is not None}
-        if len(grids) > 1:
-            raise ValueError("mixture components must share one grid")
-        grid = grids.pop() if grids else None
-        atom_acc: dict = {}
-        dens = np.zeros(grid.n) if grid is not None else None
-        for w, part in zip(weights, parts):
-            for loc, aw in part.atoms:
-                atom_acc[loc] = atom_acc.get(loc, 0.0) + w * aw
-            if part.density is not None:
-                dens = dens + w * part.density
-        atoms = tuple((x, aw) for x, aw in sorted(atom_acc.items()) if aw > 0)
-        if grid is None:
-            return cls(atoms=atoms)
-        return cls(atoms=atoms, grid=grid, density=dens)
 
     # -- mass and CDF machinery ---------------------------------------------
 
@@ -445,22 +417,10 @@ def distribution(state: State, obs: SmearedObservable, bounds: Sequence[float]) 
 # --- regularity and the limit of resolution --------------------------------
 
 
-def alpha_regular(measure: ProbMeasure1D, alpha: float) -> bool:
-    """True iff every window of length alpha somewhere captures mass > 1/2."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    return bool(measure.window_mass_sup(alpha)[0] > 0.5)
-
-
 @dataclass(frozen=True)
 class ResolutionReport:
     gamma: float
-    alphas: np.ndarray
-    sups: np.ndarray
-    window: Optional[Tuple[float, float]] = None  # a shortest window, [a, b] with b - a = gamma
-
-
-PROFILE_POINTS = 33
+    window: Tuple[float, float]  # a shortest window, [a, b] with b - a = gamma
 
 
 def _root(v0, g0, c2, target):
@@ -633,22 +593,15 @@ def _centred_scan(measure, model, centres, h_lo, h_hi, best):
     return best
 
 
-def resolution_limit(
-    measure: ProbMeasure1D, profile_points: int = PROFILE_POINTS
-) -> ResolutionReport:
+def resolution_limit(measure: ProbMeasure1D) -> ResolutionReport:
     """Smallest window length whose best placement captures more than 1/2.
 
     gamma is the infimum over the candidate windows of ``window_mass_sup``,
     found by one exact sweep (``_shortest_half``), the "shortest half" of
-    robust statistics (P. J. Rousseeuw, JASA 79, 871 (1984)).  The profile of
-    ``profile_points`` window lengths and their best masses is computed only
-    when asked for (``profile_points=0`` skips it).
+    robust statistics (P. J. Rousseeuw, JASA 79, 871 (1984)).
     """
     a, b = _shortest_half(measure)
-    gamma = b - a
-    lo_sup, hi_sup = measure.support_bounds()
-    alphas = np.geomspace(max(gamma, 1e-6) / 64, (hi_sup - lo_sup) + 1.0, profile_points)
-    return ResolutionReport(gamma, alphas, measure.window_mass_sup(alphas), window=(a, b))
+    return ResolutionReport(b - a, (a, b))
 
 
 @dataclass(frozen=True)
@@ -671,7 +624,7 @@ def regular_decomposition(
     candidate point fails the sampled-neighbourhood support test.  Presence
     of the decomposition is cross-checked against gamma <= tol.
     """
-    gamma = resolution_limit(measure, profile_points=0).gamma
+    gamma = resolution_limit(measure).gamma
     best = None
     for loc, w in measure.atoms:
         if w >= 0.5 - tol and (best is None or w > best[1]):
@@ -872,8 +825,8 @@ def resolution_product(
     rho: ProbMeasure1D, nu: ProbMeasure1D, tol: float = 1e-3
 ) -> ResolutionProductReport:
     """Product of the two limits of resolution against the coexistence bound."""
-    g1 = resolution_limit(rho, profile_points=0).gamma
-    g2 = resolution_limit(nu, profile_points=0).gamma
+    g1 = resolution_limit(rho).gamma
+    g2 = resolution_limit(nu).gamma
     product = g1 * g2
     return ResolutionProductReport(
         float(product), float(g1), float(g2), bool(product >= RESOLUTION_BOUND - tol)

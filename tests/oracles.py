@@ -1,5 +1,5 @@
-"""Reference forms of what the library computes by FFT, from monomial factors, in one
-document-wide pass or on a support cut, kept as test oracles."""
+"""Reference forms of what the library computes by FFT, from coset tables or monomial factors,
+in one document-wide pass or on a support cut, kept as test oracles."""
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -15,6 +15,22 @@ from covpom.phasespace import (
     phase_space_effect,
 )
 from covpom.posmom import grid_wavefunctions
+
+
+def cosets_loop(group, sub):
+    """The cosets g + H as sorted tuples, in order, by one pass over the elements of G."""
+    seen, out = set(), []
+    for g in group.elements():
+        if g not in seen:
+            coset = tuple(sorted(group.add(g, h) for h in sub.elements))
+            out.append(coset)
+            seen.update(coset)
+    return tuple(sorted(out))
+
+
+def coset_representatives(group, sub):
+    """The least element of each coset g + H, in ascending order."""
+    return tuple(coset[0] for coset in cosets_loop(group, sub))
 
 
 def dense_fourier_matrix(grid):

@@ -21,7 +21,6 @@ from covpom.abelian import (
     annihilator,
     build_covariant_pom,
     coset_action,
-    coset_representatives,
     covariance_densities,
     diagonal_unitaries,
     dual_translation_matrix,
@@ -34,7 +33,12 @@ from covpom.abelian import (
 )
 from covpom.hilbert import PointCell, check_pom_axioms, make_state
 from covpom.phasespace import finite_weyl_pom, finite_weyl_unitaries
-from oracles import check_pom_axioms_loop, finite_weyl_matrix
+from oracles import (
+    check_pom_axioms_loop,
+    coset_representatives,
+    cosets_loop,
+    finite_weyl_matrix,
+)
 
 
 def weyl_action(d):
@@ -106,16 +110,6 @@ def closure_bfs(parent, generators):
                 closure.add(nxt)
                 frontier.append(nxt)
     return tuple(sorted(closure))
-
-
-def cosets_loop(group, sub):
-    seen, out = set(), []
-    for g in group.elements():
-        if g not in seen:
-            coset = tuple(sorted(group.add(g, h) for h in sub.elements))
-            out.append(coset)
-            seen.update(coset)
-    return tuple(sorted(out))
 
 
 def coset_rep_map_loop(group, sub):

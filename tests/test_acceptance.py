@@ -25,7 +25,6 @@ from covpom.abelian import (
     build_covariant_pom,
     canonical_phase_vectors,
     coset_action,
-    coset_representatives,
     diagonal_unitaries,
     dual_translation_matrix,
     induced_translation_matrix,
@@ -64,6 +63,7 @@ from covpom.posmom import (
     sharpness_test,
     uncertainty_product,
 )
+from oracles import coset_representatives
 
 GAUSSIAN_GAMMA = 2 * normal.ppf(0.75)
 
@@ -353,6 +353,11 @@ def test_criterion_07_sharpness_classification():
     assert ok
 
 
+def half_atom_plus(lam):
+    """The equal mixture of an atom at 0 and a grid measure without atoms."""
+    return ProbMeasure1D(atoms=((0.0, 0.5),), grid=lam.grid, density=0.5 * lam.density)
+
+
 def test_criterion_08_regularity_structure():
     grid = symmetric_grid(512, 16.0)
     rng = np.random.default_rng(8)
@@ -363,27 +368,21 @@ def test_criterion_08_regularity_structure():
         )
     for k in range(8):
         lam = ProbMeasure1D.uniform(grid, -1.0 - 0.2 * k, 1.0 + 0.1 * k)
-        m = ProbMeasure1D.convex_mixture(
-            [0.5, 0.5], [ProbMeasure1D.point(0.0), lam]
-        )
+        m = half_atom_plus(lam)
         corpus.append((m, True))
     for k in range(4):
         lam = ProbMeasure1D.gaussian(grid, mean=0.0, sigma=0.4 + 0.1 * k)
-        m = ProbMeasure1D.convex_mixture(
-            [0.5, 0.5], [ProbMeasure1D.point(0.0), lam]
-        )
+        m = half_atom_plus(lam)
         corpus.append((m, True))
     for k in range(4):
         lam = ProbMeasure1D.uniform(grid, 2.0 + k, 4.0 + k)
-        m = ProbMeasure1D.convex_mixture(
-            [0.5, 0.5], [ProbMeasure1D.point(0.0), lam]
-        )
+        m = half_atom_plus(lam)
         corpus.append((m, False))
     corpus.append((ProbMeasure1D.point(0.3), True))
     corpus.append((ProbMeasure1D.point(-1.1), True))
     for k in range(2):
         corpus.append(
-            (ProbMeasure1D.from_atoms([(0.0, 0.5), (3.0 + k, 0.5)]), False)
+            (ProbMeasure1D(atoms=((0.0, 0.5), (3.0 + k, 0.5))), False)
         )
     assert len(corpus) == 30
     mismatches = []
@@ -484,8 +483,8 @@ def test_criterion_11_injectivity():
     pairs.append((ProbMeasure1D.point(0.0), ProbMeasure1D.gaussian(grid, 0.0, 0.3)))
     pairs.append(
         (
-            ProbMeasure1D.from_atoms([(0.0, 0.5), (1.0, 0.5)]),
-            ProbMeasure1D.from_atoms([(0.0, 0.45), (1.0, 0.55)]),
+            ProbMeasure1D(atoms=((0.0, 0.5), (1.0, 0.5))),
+            ProbMeasure1D(atoms=((0.0, 0.45), (1.0, 0.55))),
         )
     )
     assert len(pairs) == 10

@@ -13,10 +13,7 @@ from covpom.hilbert import (
     State,
     _lanczos_norm,
     check_pom_axioms,
-    commutator_norm,
-    effect_is_regular,
     make_state,
-    outcome_distribution,
     pure_state,
     spectral_norm,
 )
@@ -30,6 +27,11 @@ def diag_effect(*vals):
 def point_pom(effects, tag="test"):
     outcomes = tuple(Outcome(str(i), PointCell((i,))) for i in range(len(effects)))
     return Pom(tag, outcomes, effects)
+
+
+def born(state, pom):
+    """Re tr(T E_i) for each effect: the outcome probabilities of the state."""
+    return np.einsum("jk,ikj->i", state.op, pom.effects).real
 
 
 class TestMakeState:
@@ -402,9 +404,7 @@ class TestOutcomeDistribution:
     def test_projective_case(self):
         st = pure_state([1, 0])
         pom = point_pom([diag_effect(1, 0), diag_effect(0, 1)])
-        dist = outcome_distribution(st, pom)
-        np.testing.assert_allclose(dist.probs, [1.0, 0.0], atol=1e-14)
-        assert dist.normalization_defect < 1e-14
+        np.testing.assert_allclose(born(st, pom), [1.0, 0.0], atol=1e-14)
 
     def test_maximally_mixed_gives_trace_over_d(self):
         rng = np.random.default_rng(7)
@@ -415,8 +415,7 @@ class TestOutcomeDistribution:
         h = a @ a.conj().T
         h = h / (np.linalg.eigvalsh(h).max() * 1.5)
         pom = point_pom([h, np.eye(d) - h])
-        dist = outcome_distribution(st, pom)
-        for p, eff in zip(dist.probs, pom.effects):
+        for p, eff in zip(born(st, pom), pom.effects):
             assert p == pytest.approx(np.trace(eff).real / d, abs=1e-12)
 
     def test_affine_in_the_state(self):
@@ -433,13 +432,11 @@ class TestOutcomeDistribution:
             h = a @ a.conj().T
             h = h / (np.linalg.eigvalsh(h).max() * 2)
             pom = point_pom([h, np.eye(d) - h])
-            p_mix = outcome_distribution(mix, pom).raw
-            p1 = outcome_distribution(s1, pom).raw
-            p2 = outcome_distribution(s2, pom).raw
-            np.testing.assert_allclose(p_mix, t * p1 + (1 - t) * p2, atol=1e-12)
+            np.testing.assert_allclose(
+                born(mix, pom), t * born(s1, pom) + (1 - t) * born(s2, pom), atol=1e-12)
 
     def test_matches_dense_trace(self):
-        # effects need not be positive: the raw values and defects must agree too
+        # effects need not be positive, and both state forms give the dense trace
         rng = np.random.default_rng(13)
         for d, rank in [(2, 1), (5, 2), (9, 3), (16, 4)]:
             vecs = rng.normal(size=(rank, d)) + 1j * rng.normal(size=(rank, d))
@@ -449,55 +446,26 @@ class TestOutcomeDistribution:
             pom = point_pom([h, np.eye(d) - h])
             expected = np.array([np.trace(state.op @ e).real for e in pom.effects])
             for st in (state, State.from_operator(state.op)):
-                dist = outcome_distribution(st, pom)
-                np.testing.assert_allclose(dist.raw, expected, rtol=0, atol=1e-13)
-                assert dist.negativity_defect == pytest.approx(
-                    max(0.0, -expected.min()), abs=1e-13)
-                assert dist.normalization_defect == pytest.approx(
-                    abs(expected.sum() - 1.0), abs=1e-13)
-
-    def test_dimension_mismatch(self):
-        st = pure_state([1, 0, 0])
-        pom = point_pom([diag_effect(1, 0), diag_effect(0, 1)])
-        with pytest.raises(ValueError, match="mismatch"):
-            outcome_distribution(st, pom)
-
-
-class TestEffectRegularity:
-    def test_straddling(self):
-        assert effect_is_regular(diag_effect(0.9, 0.1))
-
-    def test_above_half(self):
-        assert not effect_is_regular(diag_effect(0.6, 0.7))
-
-    def test_boundary_half_identity(self):
-        assert not effect_is_regular(0.5 * np.eye(2))
-
-    def test_symmetric_under_complement(self):
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            d = rng.integers(2, 6)
-            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            h = a @ a.conj().T
-            h = h / (np.linalg.eigvalsh(h).max() * rng.uniform(1.0, 3.0))
-            assert effect_is_regular(h) == effect_is_regular(np.eye(d) - h)
+                np.testing.assert_allclose(born(st, pom), expected, rtol=0, atol=1e-13)
 
 
 class TestCommutatorNorm:
+    """spectral_norm of commutators, which are anti-Hermitian for Hermitian factors."""
+
     def test_self_commutes(self):
         a = np.array([[1, 2j], [-2j, 3]])
-        assert commutator_norm(a, a) == 0.0
+        assert spectral_norm(a @ a - a @ a) == 0.0
 
     def test_diagonal_family_commutes(self):
         a = np.diag([1.0, 2.0, 3.0])
         b = np.diag([5.0, -1.0, 0.5])
-        assert commutator_norm(a, b) == 0.0
+        assert spectral_norm(a @ b - b @ a) == 0.0
 
     def test_pauli_x_z(self):
         x = np.array([[0, 1], [1, 0]], dtype=complex)
         z = np.array([[1, 0], [0, -1]], dtype=complex)
         # XZ - ZX = -2iY, spectral norm 2
-        assert commutator_norm(x, z) == pytest.approx(2.0, abs=1e-14)
+        assert spectral_norm(x @ z - z @ x) == pytest.approx(2.0, abs=1e-14)
 
 
 def hermitian_with_spectrum(eigenvalues, rng):

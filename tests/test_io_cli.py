@@ -337,6 +337,7 @@ class TestCli:
         assert report["checks"][1]["witness"].endswith(" L=2")
 
     def test_abelian_pom_command(self, capsys, tmp_path):
+        # --seed draws the isometries; abelian-pom alone takes it, so phase reports null
         g = FiniteAbelianGroup((4,))
         rep = DiagonalRep(g, (RepBlock.from_mapping({(x,): 1.0 for x in range(4)}, 1),))
         bundle = {
@@ -346,11 +347,18 @@ class TestCli:
         }
         path = tmp_path / "bundle.json"
         path.write_text(json.dumps(bundle))
-        code, report = run_cli(
-            capsys, ["abelian-pom", "--in", str(path), "--seed", "3"]
-        )
-        assert code == 0
-        assert all(c["pass"] for c in report["checks"])
+        poms = []
+        for seed in (3, 4):
+            out = tmp_path / f"pom{seed}.json"
+            code, report = run_cli(
+                capsys, ["abelian-pom", "--in", str(path), "--seed", str(seed), "--out", str(out)]
+            )
+            assert code == 0 and report["seed"] == seed
+            assert all(c["pass"] for c in report["checks"])
+            poms.append(io.pom_from_json(json.loads(out.read_text())).effects)
+        assert np.abs(poms[0] - poms[1]).max() > 1e-3
+        code, report = run_cli(capsys, ["phase", "--dim", "2"])
+        assert code == 0 and report["seed"] is None
 
     @staticmethod
     def bundle_with_isometries():
@@ -758,6 +766,16 @@ class TestCli:
         ["smeared", "gamma", "--measure", "m.json", "--quad-order", "4"],
         ["check", "pom", "--in", "p.json", "--quad-order", "4"],
         ["check", "pom", "--in", "p.json", "--out", "o.json"],
+    ] + [
+        # abelian-pom alone draws from --seed
+        [*argv, "--seed", "1"] for argv in [
+            ["phase", "--dim", "2"],
+            ["phase-diff", "--dim", "2"],
+            ["finite-weyl", "--dim", "2", "--state", "s.json"],
+            ["smeared", "gamma", "--measure", "m.json"],
+            ["phasespace", "norm", "--t", "t.json"],
+            ["check", "pom", "--in", "p.json"],
+        ]
     ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
     def test_options_nothing_reads_are_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

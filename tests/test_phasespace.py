@@ -295,15 +295,14 @@ class TestPhaseSpaceEffect:
 
     def test_outcome_probabilities_match_density_integral(self, grid):
         # probability rule tr(S G(Z)) agrees with integrating h over the cell
-        from covpom.hilbert import outcome_distribution
         from scipy.integrate import simpson
 
         t = make_state([(1.0, gaussian_wavefunction(grid))])
         s = make_state([(1.0, gaussian_wavefunction(grid, a=0.8))])
         cells = [RectCell(-1.5, 0.5, -1.0, 1.0), RectCell(0.5, 2.5, -1.0, 1.0)]
         pom = phase_space_pom(t, cells, grid, order=14)
-        probs = outcome_distribution(s, pom)
-        for cell, p_trace in zip(cells, probs.probs[:2]):
+        probs = np.einsum("jk,ikj->i", s.op, pom.effects).real
+        for cell, p_trace in zip(cells, probs[:2]):
             qs = np.linspace(cell.q_lo, cell.q_hi, 81)
             ps = np.linspace(cell.p_lo, cell.p_hi, 81)
             res = phase_space_density(t, s, qs, ps, grid)

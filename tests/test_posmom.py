@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from covpom.grids import symmetric_grid
-from covpom.hilbert import commutator_norm, make_state
+from covpom.hilbert import make_state
 from covpom.posmom import (
     _state_densities,
     DistinctionOrder,
     ProbMeasure1D,
     SmearedObservable,
     WindowLeakageError,
-    alpha_regular,
     distinction_compare,
     distribution,
     noncommutativity_witness,
@@ -43,6 +42,11 @@ def gaussian_measure(grid, mean=0.0, sigma=1.0):
     return ProbMeasure1D.gaussian(grid, mean, sigma)
 
 
+def half_atom_plus(measure):
+    """The equal mixture of an atom at 0 and a grid measure without atoms."""
+    return ProbMeasure1D(atoms=((0.0, 0.5),), grid=measure.grid, density=0.5 * measure.density)
+
+
 def ground_wavefunction(grid, a=0.5):
     x = grid.positions()
     vals = (2 * a / np.pi) ** 0.25 * np.exp(-a * x**2)
@@ -63,7 +67,7 @@ class TestMeasureBasics:
             ProbMeasure1D(atoms=((0.0, 0.7),))
 
     def test_interval_masses_with_atoms(self):
-        m = ProbMeasure1D.from_atoms([(0.0, 0.5), (1.0, 0.5)])
+        m = ProbMeasure1D(atoms=((0.0, 0.5), (1.0, 0.5)))
         assert m.mass_interval(0.0, 1.0) == pytest.approx(1.0)
         assert m.mass_interval(0.0, 1.0, include_hi=False) == pytest.approx(0.5)
         assert m.mass_interval(0.0, 1.0, include_lo=False) == pytest.approx(0.5)
@@ -111,7 +115,7 @@ class TestFourier:
         np.testing.assert_allclose(got, direct_fourier(m, grid.momenta()), rtol=0, atol=1e-13)
 
     def test_atoms_alone_on_any_lattice(self):
-        m = ProbMeasure1D.from_atoms([(0.25, 0.5), (2.0, 0.5)])
+        m = ProbMeasure1D(atoms=((0.25, 0.5), (2.0, 0.5)))
         grid = symmetric_grid(64, 5.0)
         np.testing.assert_allclose(
             m.fourier(grid), direct_fourier(m, grid.momenta()), rtol=0, atol=1e-15
@@ -304,17 +308,17 @@ class TestRegularity:
     def test_dirac_always_regular(self):
         m = ProbMeasure1D.point(0.0)
         for alpha in (1e-4, 0.1, 3.0):
-            assert alpha_regular(m, alpha)
+            assert m.window_mass_sup(alpha)[0] > 0.5
 
     def test_uniform_thresholds(self):
         g = symmetric_grid(1024, 4.0)
         m = ProbMeasure1D.uniform(g, 0.0, 1.0)
-        assert not alpha_regular(m, 0.4)
-        assert alpha_regular(m, 0.6)
+        assert not m.window_mass_sup(0.4)[0] > 0.5
+        assert m.window_mass_sup(0.6)[0] > 0.5
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError):
-            alpha_regular(ProbMeasure1D.point(0.0), 0.0)
+            ProbMeasure1D.point(0.0).window_mass_sup(0.0)
 
     def test_dirac_gamma_zero(self):
         rep = resolution_limit(ProbMeasure1D.point(1.7))
@@ -323,7 +327,7 @@ class TestRegularity:
     def test_half_atom_mixture_gamma_zero(self):
         g = symmetric_grid(512, 4.0)
         unif = ProbMeasure1D.uniform(g, -1.0, 1.0)
-        m = ProbMeasure1D.convex_mixture([0.5, 0.5], [ProbMeasure1D.point(0.0), unif])
+        m = half_atom_plus(unif)
         assert resolution_limit(m).gamma == pytest.approx(0.0, abs=1e-6)
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
@@ -334,15 +338,17 @@ class TestRegularity:
 
     def test_profile_monotone(self):
         g = symmetric_grid(256, 8.0)
-        rep = resolution_limit(gaussian_measure(g, sigma=0.8))
-        assert np.all(np.diff(rep.sups) >= -1e-12)
+        m = gaussian_measure(g, sigma=0.8)
+        lo, hi = m.support_bounds()
+        sups = m.window_mass_sup(np.geomspace(1e-4, (hi - lo) + 1.0, 33))
+        assert np.all(np.diff(sups) >= -1e-12)
 
 
 class TestRegularDecomposition:
     def test_half_atom_plus_uniform(self):
         g = symmetric_grid(512, 4.0)
         unif = ProbMeasure1D.uniform(g, -1.0, 1.0)
-        m = ProbMeasure1D.convex_mixture([0.5, 0.5], [ProbMeasure1D.point(0.0), unif])
+        m = half_atom_plus(unif)
         dec = regular_decomposition(m)
         assert dec is not None
         assert dec.location == pytest.approx(0.0)
@@ -359,7 +365,7 @@ class TestRegularDecomposition:
         assert regular_decomposition(m) is None
 
     def test_separated_atoms_rejected(self):
-        m = ProbMeasure1D.from_atoms([(0.0, 0.5), (5.0, 0.5)])
+        m = ProbMeasure1D(atoms=((0.0, 0.5), (5.0, 0.5)))
         assert regular_decomposition(m) is None
         gamma = resolution_limit(m).gamma
         assert gamma == pytest.approx(5.0, abs=1e-5)
@@ -373,12 +379,10 @@ class TestRegularDecomposition:
             corpus.append((gaussian_measure(g, sigma=s), False))
         for k in range(10):
             unif = ProbMeasure1D.uniform(g, -1.0 - k * 0.1, 1.0)
-            m = ProbMeasure1D.convex_mixture(
-                [0.5, 0.5], [ProbMeasure1D.point(0.0), unif]
-            )
+            m = half_atom_plus(unif)
             corpus.append((m, True))
         for k in range(5):
-            m = ProbMeasure1D.from_atoms([(0.0, 0.5), (2.0 + k, 0.5)])
+            m = ProbMeasure1D(atoms=((0.0, 0.5), (2.0 + k, 0.5)))
             corpus.append((m, False))
         corpus.append((ProbMeasure1D.point(0.3), True))
         for measure, expect_regular in corpus:
@@ -439,7 +443,7 @@ class TestSharpness:
         assert smallest[1] < 1.0
 
     def test_two_atoms_not_sharp(self):
-        rep = sharpness_test(ProbMeasure1D.from_atoms([(0.0, 0.5), (1.0, 0.5)]))
+        rep = sharpness_test(ProbMeasure1D(atoms=((0.0, 0.5), (1.0, 0.5))))
         assert not rep.sharp and rep.agrees
 
 
@@ -495,7 +499,7 @@ class TestCoexistenceDiagnostics:
         mom = SmearedObservable("momentum", nu, g)
         eq = smeared_effect(pos, (0.0, 1.0))
         ep = smeared_effect(mom, (0.0, 1.0))
-        assert commutator_norm(eq, ep) > 0.1
+        assert np.linalg.norm(eq @ ep - ep @ eq, 2) > 0.1
 
     def test_full_line_commutes(self):
         g = symmetric_grid(256, 12.0)
@@ -503,7 +507,7 @@ class TestCoexistenceDiagnostics:
         mom = SmearedObservable("momentum", gaussian_measure(g, sigma=0.5), g)
         eq = smeared_effect(pos, (-np.inf, np.inf))
         ep = smeared_effect(mom, (0.0, 1.0))
-        assert commutator_norm(eq, ep) < 1e-10
+        assert np.linalg.norm(eq @ ep - ep @ eq, 2) < 1e-10
 
     def test_noncommutativity_witness_report(self):
         g = symmetric_grid(256, 12.0)

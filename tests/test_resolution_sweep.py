@@ -1,9 +1,10 @@
-"""The limit of resolution by one sweep, its profile, and the density mass model.
+"""The limit of resolution by one sweep, the window-mass profile, and the density mass model.
 
 The sweep in ``resolution_limit`` is checked against the bisection it
 replaced (``oracles.bisection_gamma``), against its own returned window, and
-against every candidate window of a shorter length.  The batched profile is
-checked against ``window_mass_sup`` one width at a time; the density CDF model
+against every candidate window of a shorter length.  Batched window masses are
+checked against ``window_mass_sup`` one width at a time, and the profile that
+``smeared gamma --out`` writes against its formula; the density CDF model
 for continuity, monotonicity and its error on a Gaussian; the matrix-free
 commutator norm against a dense one.
 """
@@ -20,12 +21,11 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 import covpom
-from covpom.cli import main
+from covpom.cli import PROFILE_POINTS, main
 from covpom.grids import symmetric_grid
 from covpom.hilbert import make_state
 from covpom.phasespace import hermite_wavefunction, margins_of_GT
 from covpom.posmom import (
-    PROFILE_POINTS,
     ProbMeasure1D,
     SmearedObservable,
     noncommutativity_witness,
@@ -45,7 +45,7 @@ def gaussian(rng, n):
 def atomic(rng, _n):
     k = int(rng.integers(1, 7))
     locs = rng.choice(np.arange(-40, 41) * 0.25, size=k, replace=False)
-    return ProbMeasure1D.from_atoms(list(zip(locs, rng.dirichlet(np.ones(k)))))
+    return ProbMeasure1D(atoms=tuple(zip(locs, rng.dirichlet(np.ones(k)))))
 
 
 def half_atom_uniform(rng, _n):
@@ -57,13 +57,14 @@ def half_atom_uniform(rng, _n):
     edge = int(rng.integers(8)) - 6
     if edge >= 0:
         loc = unif.support_bounds()[edge]
-    return ProbMeasure1D.convex_mixture([0.5, 0.5], [ProbMeasure1D.point(loc), unif])
+    return ProbMeasure1D(atoms=((loc, 0.5),), grid=grid, density=0.5 * unif.density)
 
 
 def gaussian_atom(rng, n):
     w = rng.uniform(0.05, 0.7)
-    atom = ProbMeasure1D.point(float(np.round(rng.uniform(-3, 3), 2)))
-    return ProbMeasure1D.convex_mixture([1 - w, w], [gaussian(rng, n), atom])
+    loc = float(np.round(rng.uniform(-3, 3), 2))
+    dens = gaussian(rng, n)
+    return ProbMeasure1D(atoms=((loc, w),), grid=dens.grid, density=(1 - w) * dens.density)
 
 
 def rough(rng, n, atom):
@@ -110,7 +111,7 @@ class TestSweepOracle:
     @example(n=1024, seed=EDGE_SEED)
     def test_window_shorter_windows_and_bisection(self, family, n, seed):
         measure = FAMILIES[family](np.random.default_rng(seed), n)
-        rep = resolution_limit(measure, profile_points=0)
+        rep = resolution_limit(measure)
         a, b = rep.window
         assert b - a == rep.gamma
         # [a, b] is a limit of windows above 1/2: at gamma = 0 it is [a, a],
@@ -130,7 +131,7 @@ class TestSweepOracle:
     @given(n=st.sampled_from([16, 32, 64]), seed=seeds, atom=st.booleans())
     def test_rough_densities(self, n, seed, atom):
         measure = rough(np.random.default_rng(seed), n, atom)
-        gamma = resolution_limit(measure, profile_points=0).gamma
+        gamma = resolution_limit(measure).gamma
         assert best_candidate(measure, [gamma + 1e-7])[0] > 0.5
         assert best_candidate(measure, np.linspace(0, gamma - 1e-6, 257)[1:]).max() <= 0.5
         assert gamma == pytest.approx(bisection_gamma(measure), abs=1e-6)
@@ -140,17 +141,12 @@ class TestSweepOracle:
         # every window with an edge on a node is longer by more than 1e-5
         grid = symmetric_grid(1024, 20.0)
         measure = ProbMeasure1D.gaussian(grid, 0.0, 1.0)
-        rep = resolution_limit(measure, profile_points=0)
+        rep = resolution_limit(measure)
         a, b = rep.window
         assert a == -b
         x, w = grid.positions(), rep.gamma + 1e-5
         assert measure.mass_interval(x, x + w).max() <= 0.5
         assert measure.mass_interval(x - w, x).max() <= 0.5
-
-    def test_profile_skipped_when_not_asked(self):
-        grid = symmetric_grid(256, 8.0)
-        rep = resolution_limit(ProbMeasure1D.gaussian(grid, 0.0, 0.8), profile_points=0)
-        assert rep.alphas.size == 0 and rep.sups.size == 0
 
 
 class TestBatchedProfile:
@@ -168,9 +164,8 @@ class TestBatchedProfile:
     def test_window_starting_on_an_atom_keeps_it(self):
         # (0.1 + w/2) - w/2 rounds above 0.1, so the centre route drops the atom
         grid = symmetric_grid(1024, 20.0)
-        measure = ProbMeasure1D.convex_mixture(
-            [0.945, 0.055], [ProbMeasure1D.gaussian(grid, 1.4, 1.7), ProbMeasure1D.point(0.1)]
-        )
+        dens = ProbMeasure1D.gaussian(grid, 1.4, 1.7).density
+        measure = ProbMeasure1D(atoms=((0.1, 0.055),), grid=grid, density=0.945 * dens)
         w = 2.529
         lo, hi = (0.1 + w / 2) - w / 2, (0.1 + w / 2) + w / 2
         assert lo > 0.1
@@ -189,9 +184,10 @@ class TestBatchedProfile:
 
         grid = symmetric_grid(512, 10.0)
         measure = ProbMeasure1D.gaussian(grid, 0.2, 0.9)
-        whole = resolution_limit(measure).sups
+        widths = np.geomspace(1e-4, 30.0, PROFILE_POINTS)
+        whole = measure.window_mass_sup(widths)
         monkeypatch.setattr(posmom_module, "BLOCK_ENTRIES", 1)
-        np.testing.assert_array_equal(resolution_limit(measure).sups, whole)
+        np.testing.assert_array_equal(measure.window_mass_sup(widths), whole)
 
     def test_gamma_csv_header_and_columns(self, capsys, tmp_path):
         mpath = tmp_path / "m.json"
@@ -205,6 +201,29 @@ class TestBatchedProfile:
         assert lines[0] == "alpha,sup_window_mass"
         assert len(lines) == 1 + PROFILE_POINTS
         assert all(len(line.split(",")) == 2 for line in lines)
+
+    @pytest.mark.parametrize("out", [False, True])
+    def test_gamma_profiles_only_for_out(self, out, capsys, tmp_path, monkeypatch):
+        # the profile is built by the CLI: no window masses without --out, one batch with it
+        calls = []
+        sup = ProbMeasure1D.window_mass_sup
+        monkeypatch.setattr(ProbMeasure1D, "window_mass_sup",
+                            lambda self, *a, **k: calls.append(a) or sup(self, *a, **k))
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps({"kind": "gaussian", "sigma": 0.8}))
+        csv = tmp_path / "g.csv"
+        argv = ["smeared", "gamma", "--measure", str(mpath), "--grid-n", "1024"]
+        assert main(argv + (["--out", str(csv)] if out else [])) == 0
+        capsys.readouterr()
+        assert len(calls) == int(out)
+        if out:
+            measure = ProbMeasure1D.gaussian(symmetric_grid(1024, 20.0), 0.0, 0.8)
+            gamma = resolution_limit(measure).gamma
+            lo, hi = measure.support_bounds()
+            alphas = np.geomspace(max(gamma, 1e-6) / 64, (hi - lo) + 1.0, PROFILE_POINTS)
+            rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+            np.testing.assert_array_equal(np.array(rows, dtype=float).T,
+                                          [alphas, sup(measure, alphas)])
 
 
 class TestMassModel:
