@@ -363,8 +363,9 @@ class RoiReport:
 def resolution_of_identity_defect(
     t_state: State,
     grid: Grid1D,
+    *,
+    n_test: int,
     half_width: float = DEFAULT_HALF_WIDTH,
-    n_test: int = 13,
     order: int = 16,
 ) -> RoiReport:
     """Defect of (1/2pi) integral over the window of W T W* against identity.

@@ -134,11 +134,11 @@ class ProbMeasure1D:
 
     # -- mass and CDF machinery ---------------------------------------------
 
-    def _density_cells(self) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Coefficients (c0, c1, c2) of the CDF model, one entry per cell.
+    def _density_cells(self) -> Optional[np.ndarray]:
+        """Coefficients of the CDF model: rows c0, c1, c2 with one column per cell.
 
-        Entry k + 1 holds the model D(x_k + s) = c0 + c1 s + c2 s^2 on the cell
-        [x_k, x_k+1); entry 0 is the zero left of the grid and entry n the
+        Column k + 1 holds the model D(x_k + s) = c0 + c1 s + c2 s^2 on the cell
+        [x_k, x_k+1); column 0 is the zero left of the grid and column n the
         total from its last node on.
         """
         if self.density is None:
@@ -149,11 +149,10 @@ class ProbMeasure1D:
         if raw > 0:
             rate *= _trapezoid(rho, dx) / raw
         cdf = np.cumsum((rate[:-1] + rate[1:]) * (dx / 2))
-        cells = (np.concatenate([[0.0, 0.0], cdf]),
-                 np.concatenate([[0.0], rate[:-1], [0.0]]),
-                 np.concatenate([[0.0], np.diff(rate) / (2 * dx), [0.0]]))
-        for c in cells:
-            c.setflags(write=False)
+        cells = np.stack([np.concatenate([[0.0, 0.0], cdf]),
+                          np.concatenate([[0.0], rate[:-1], [0.0]]),
+                          np.concatenate([[0.0], np.diff(rate) / (2 * dx), [0.0]])])
+        cells.setflags(write=False)
         return cells
 
     def _cell(self, t):
@@ -164,7 +163,7 @@ class ProbMeasure1D:
         grid = self.grid
         pos = np.clip((np.asarray(t, dtype=float) - grid.x0) / grid.dx, -1.0, grid.n - 1.0)
         k = np.floor(pos)
-        c0, c1, c2 = (c[k.astype(int) + 1] for c in getattr(self, "_dens_cells"))
+        c0, c1, c2 = getattr(self, "_dens_cells")[:, k.astype(int) + 1]
         return (pos - k) * grid.dx, c0, c1, c2
 
     def total_mass(self) -> float:

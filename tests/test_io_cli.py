@@ -178,7 +178,33 @@ def without_timestamp(report_text):
     return re.sub(r'"timestamp": "[^"]*"', "", report_text)
 
 
-ARG_ERROR = "covpom phasespace: error: argument "
+ARG_ERROR = "covpom phasespace {}: error: argument "
+
+
+# per action: the file options it requires, and the options it does not read
+UNREAD_OPTIONS = {
+    ("smeared", "gamma"): (["--measure", "m.json"], ["--measure2", "--state", "--cells", "--tol"]),
+    ("smeared", "distribution"): (
+        ["--measure", "m.json", "--state", "s.json"], ["--measure2", "--tol"]),
+    ("smeared", "sharpness"): (
+        ["--measure", "m.json"], ["--measure2", "--state", "--cells", "--tol", "--out"]),
+    ("smeared", "compare"): (
+        ["--measure", "m.json", "--measure2", "m2.json"], ["--state", "--cells", "--tol", "--out"]),
+    ("phasespace", "density"): (["--t", "t.json"], ["--cell", "--n-test", "--tol", "--quad-order"]),
+    ("phasespace", "margins"): (
+        ["--t", "t.json"], ["--s", "--cell", "--samples", "--n-test", "--tol", "--quad-order"]),
+    ("phasespace", "roi"): (["--t", "t.json"], ["--s", "--cell", "--samples", "--out"]),
+    ("phasespace", "norm"): (["--t", "t.json"], ["--s", "--samples", "--n-test", "--tol", "--out"]),
+    ("check", "pom"): (["--in", "p.json"], ["--state", "--pairs-from", "--grid-n", "--window"]),
+    ("check", "uncertainty"): (["--state", "s.json", "--pairs-from", "t.json"], ["--in"]),
+}
+# a value each option would accept, so that only the option itself is refused
+OPTION_VALUES = {
+    "--measure2": "m2.json", "--state": "s.json", "--cells": "4", "--tol": "1e-3",
+    "--out": "o.json", "--s": "s.json", "--cell": "0,1,0,1", "--samples": "5", "--n-test": "4",
+    "--quad-order": "4", "--pairs-from": "t.json", "--grid-n": "64", "--window": "8",
+    "--in": "p.json",
+}
 
 
 def exit_code_and_error(capsys, argv):
@@ -681,6 +707,24 @@ class TestCli:
         assert lo.size == 16
         np.testing.assert_allclose(prob, want, rtol=0, atol=1e-6)
 
+    @pytest.mark.parametrize("argv", [
+        ["smeared", "gamma", "--measure", "{m}"],
+        ["smeared", "sharpness", "--measure", "{m}"],
+        ["smeared", "compare", "--measure", "{m}", "--measure2", "{m}"],
+        ["phasespace", "density", "--t", "{s}", "--samples", "5"],
+        ["phasespace", "margins", "--t", "{s}"],
+        ["phasespace", "norm", "--t", "{s}", "--quad-order", "4"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_actions_without_a_tolerance_report_null(self, capsys, tmp_path, argv):
+        # none of these checks compares against a tolerance, so none is reported
+        files = {"m": tmp_path / "m.json", "s": tmp_path / "s.json"}
+        files["m"].write_text(json.dumps({"kind": "gaussian", "sigma": 1.0}))
+        files["s"].write_text(json.dumps({"kind": "gaussian", "a": 0.5}))
+        argv = [arg.format(**files) for arg in argv] + ["--grid-n", "256", "--window", "12"]
+        code, report = run_cli(capsys, argv)
+        assert code == 0 and report["checks"]
+        assert "tolerance" in report and report["tolerance"] is None
+
     @pytest.mark.parametrize("argv, option", [
         (["smeared", "distribution", "--measure", "{m}"], "--state"),
         (["smeared", "compare", "--measure", "{m}"], "--measure2"),
@@ -690,12 +734,13 @@ class TestCli:
     ], ids=["smeared distribution", "smeared compare", "check pom", "check uncertainty state",
             "check uncertainty pairs-from"])
     def test_missing_file_option_exits_2_naming_it(self, capsys, tmp_path, argv, option):
+        # argparse names the missing option before any file is read
         files = {"m": tmp_path / "m.json", "s": tmp_path / "s.json"}
         files["m"].write_text(json.dumps({"kind": "gaussian", "sigma": 1.0}))
         files["s"].write_text(json.dumps({"kind": "gaussian", "a": 0.5}))
-        argv = [arg.format(**files) for arg in argv] + ["--grid-n", "256"]
+        argv = [arg.format(**files) for arg in argv]
         assert exit_code_and_error(capsys, argv) == (
-            2, f"input error: {option} is required for this action")
+            2, f"covpom {argv[0]} {argv[1]}: error: the following arguments are required: {option}")
 
     def test_phasespace_norm_command(self, capsys, tmp_path):
         tpath = tmp_path / "t.json"
@@ -715,15 +760,15 @@ class TestCli:
         (["norm", "--grid-n", "0"], "input error: n must be a power of two >= 16, got 0"),
         (["norm", "--grid-n", "-16"], "input error: n must be a power of two >= 16, got -16"),
         (["roi", "--grid-n", "256", "--n-test", "0"],
-         f"{ARG_ERROR}--n-test: expected an integer of at least 1, got '0'"),
+         ARG_ERROR.format("roi") + "--n-test: expected an integer of at least 1, got '0'"),
         (["density", "--grid-n", "256", "--samples", "0"],
-         f"{ARG_ERROR}--samples: expected an integer of at least 1, got '0'"),
+         ARG_ERROR.format("density") + "--samples: expected an integer of at least 1, got '0'"),
         (["density", "--grid-n", "256", "--samples", "-2"],
-         f"{ARG_ERROR}--samples: expected an integer of at least 1, got '-2'"),
+         ARG_ERROR.format("density") + "--samples: expected an integer of at least 1, got '-2'"),
         (["norm", "--grid-n", "256", "--cell=1,2,3"],
-         f"{ARG_ERROR}--cell: expected four numbers q1,q2,p1,p2, got '1,2,3'"),
+         ARG_ERROR.format("norm") + "--cell: expected four numbers q1,q2,p1,p2, got '1,2,3'"),
         (["norm", "--grid-n", "256", "--cell=1,2,3,x"],
-         f"{ARG_ERROR}--cell: expected four numbers q1,q2,p1,p2, got '1,2,3,x'"),
+         ARG_ERROR.format("norm") + "--cell: expected four numbers q1,q2,p1,p2, got '1,2,3,x'"),
     ], ids=["grid-n 0", "grid-n -16", "n-test 0", "samples 0", "samples -2", "cell 1,2,3",
             "cell 1,2,3,x"])
     def test_phasespace_size_options_out_of_range_exit_2(self, capsys, tmp_path, argv, message):
@@ -776,6 +821,11 @@ class TestCli:
             ["phasespace", "norm", "--t", "t.json"],
             ["check", "pom", "--in", "p.json"],
         ]
+    ] + [
+        # each action of smeared, phasespace and check has its own parser
+        pytest.param([*action, *required, option, OPTION_VALUES[option]],
+                     id=f"{' '.join(action)} {option}")
+        for action, (required, unread) in UNREAD_OPTIONS.items() for option in unread
     ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
     def test_options_nothing_reads_are_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
