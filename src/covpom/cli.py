@@ -299,11 +299,26 @@ def cmd_check_uncertainty(args, report: Report) -> None:
 # --- argument wiring ----------------------------------------------------------
 
 
-def _count(text: str) -> int:
-    """A size option's value: an integer of at least 1."""
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+def _count(text: str, least: int = 1) -> int:
+    """A size option's value: an integer of at least ``least``."""
+    if not text.isdigit() or int(text) < least:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least {least}, got {text!r}")
     return int(text)
+
+
+def _grid_n(text: str) -> int:
+    """The --grid-n option's value: a power of two of at least 16."""
+    n = int(text) if text.isdigit() else 0
+    if n < 16 or n & (n - 1):
+        raise argparse.ArgumentTypeError(f"expected a power of two of at least 16, got {text!r}")
+    return n
+
+
+def _window(text: str) -> float:
+    """The --window option's value: a finite number above 0."""
+    if not 0 < float(text) < math.inf:  # NaN fails every comparison
+        raise argparse.ArgumentTypeError(f"expected a finite number above 0, got {text!r}")
+    return float(text)
 
 
 def _cell(text: str) -> tuple:
@@ -328,11 +343,11 @@ def _command(sub, name, func, *files, tol=None, grid=False, quad=False, out=Fals
     if tol is not None:
         parser.add_argument("--tol", type=float, default=tol)
     if grid:
-        parser.add_argument("--grid-n", type=int, default=4096)
-        parser.add_argument("--window", type=float, default=20.0,
+        parser.add_argument("--grid-n", type=_grid_n, default=4096)
+        parser.add_argument("--window", type=_window, default=20.0,
                             help="half width of the symmetric grid window")
     if quad:
-        parser.add_argument("--quad-order", type=int, default=16,
+        parser.add_argument("--quad-order", type=functools.partial(_count, least=2), default=16,
                             help="Gauss-Legendre nodes per q-panel (p is integrated exactly)")
     if out:
         parser.add_argument("--out", default=None)

@@ -193,7 +193,7 @@ def measure_to_json(measure: ProbMeasure1D) -> dict:
         out["density"] = {
             "x0": measure.grid.x0,
             "dx": measure.grid.dx,
-            "values": [float(v) for v in measure.density],
+            "values": measure.density.tolist(),
         }
     return out
 

@@ -67,6 +67,11 @@ def _trapezoid(y: np.ndarray, dx: float) -> float:
     return float((np.sum(y) - (y[0] + y[-1]) / 2) * dx)
 
 
+def _between(lo, hi) -> np.ndarray:
+    """Mass between two points from the (continuous, atom) masses below each, floored at 0."""
+    return np.maximum((hi[0] - lo[0]) + (hi[1] - lo[1]), 0.0)
+
+
 @dataclass(frozen=True)
 class ProbMeasure1D:
     """Probability measure on the line: atoms plus an optional grid density."""
@@ -163,8 +168,8 @@ class ProbMeasure1D:
         grid = self.grid
         pos = np.clip((np.asarray(t, dtype=float) - grid.x0) / grid.dx, -1.0, grid.n - 1.0)
         k = np.floor(pos)
-        c0, c1, c2 = getattr(self, "_dens_cells")[:, k.astype(int) + 1]
-        return (pos - k) * grid.dx, c0, c1, c2
+        idx = k.astype(np.intp) + 1
+        return (pos - k) * grid.dx, *(row.take(idx) for row in getattr(self, "_dens_cells"))
 
     def total_mass(self) -> float:
         mass = sum(w for _, w in self.atoms)
@@ -190,7 +195,11 @@ class ProbMeasure1D:
         if self.density is None:
             return np.zeros(t.shape)
         s, c0, c1, c2 = self._cell(t)
-        return c0 + (c1 + c2 * s) * s
+        c2 *= s
+        c2 += c1
+        c2 *= s
+        c2 += c0
+        return c2
 
     def _atom_arrays(self):
         if not self.atoms:
@@ -208,17 +217,15 @@ class ProbMeasure1D:
         idx = np.searchsorted(locs, t, side=side)
         return cum[idx]
 
+    def _below(self, t, inclusive: bool):
+        """Continuous and atom mass of (-inf, t], or of (-inf, t) when not ``inclusive``."""
+        return self.density_mass_below(t), self.atom_mass_upto(t, inclusive)
+
     def mass_interval(
         self, lo, hi, include_lo: bool = True, include_hi: bool = True
     ) -> np.ndarray:
         """Measure of the interval from lo to hi, endpoint inclusion explicit."""
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        dens = self.density_mass_below(hi) - self.density_mass_below(lo)
-        atoms = self.atom_mass_upto(hi, inclusive=include_hi) - self.atom_mass_upto(
-            lo, inclusive=not include_lo
-        )
-        return np.maximum(dens + atoms, 0.0)
+        return _between(self._below(lo, not include_lo), self._below(hi, include_hi))
 
     def support_bounds(self) -> Tuple[float, float]:
         lo = math.inf
@@ -243,19 +250,6 @@ class ProbMeasure1D:
             return locs
         return np.concatenate([self.grid.positions(), locs])
 
-    def _candidate_windows(self, widths):
-        """Edges of the candidate windows, one row per width.
-
-        Each edge that sits on an anchor is the anchor itself: a window
-        formed as centre -/+ width/2 can miss its own anchor by one rounding,
-        which loses a whole atom at that edge.
-        """
-        w = np.asarray(widths, dtype=float)[:, None]
-        u = self._anchors()
-        lo = np.concatenate([np.broadcast_to(u, (w.size, u.size)), u - w, u - w / 2], axis=1)
-        hi = np.concatenate([u + w, np.broadcast_to(u, (w.size, u.size)), u + w / 2], axis=1)
-        return lo, hi
-
     def window_mass_sup(self, widths, open_interval: bool = False) -> np.ndarray:
         """Largest mass of a window of each length in ``widths`` over the candidate placements.
 
@@ -264,18 +258,23 @@ class ProbMeasure1D:
         neither edge crosses an anchor the window mass is quadratic in the
         position, and it can peak between anchors, so this is the maximum over
         that family, not the supremum over all centres.  A scalar width is a
-        list of one; the widths are taken in blocks of rows.
+        list of one.  The masses below the anchors u are looked up once, and per
+        width w those below u -/+ w and u -/+ w/2.  An edge on an anchor is the
+        anchor itself: a window c -/+ w/2 can miss it by a rounding, and its atom.
         """
         widths = np.atleast_1d(np.asarray(widths, dtype=float))
         if not np.all(widths > 0):
             raise ValueError("window width must be positive")
-        rows = max(1, BLOCK_ENTRIES // (3 * self._anchors().size))
         inc = not open_interval
-        sups = [
-            self.mass_interval(*self._candidate_windows(widths[i : i + rows]), inc, inc).max(axis=1)
-            for i in range(0, widths.size, rows)
-        ]
-        return np.concatenate(sups) if sups else np.empty(0)
+        u = self._anchors()
+        anchor_lo = self._below(u, not inc)
+        anchor_hi = (anchor_lo[0], self.atom_mass_upto(u, inc))
+        return np.array([
+            max(_between(anchor_lo, self._below(u + w, inc)).max(),
+                _between(self._below(u - w, not inc), anchor_hi).max(),
+                _between(self._below(u - w / 2, not inc), self._below(u + w / 2, inc)).max())
+            for w in widths.tolist()
+        ])
 
     # -- moments and transforms ---------------------------------------------
 
@@ -400,17 +399,17 @@ def distribution(state: State, obs: SmearedObservable, bounds: Sequence[float]) 
 
     The bounds strictly increase and may start at -inf and end at inf.
     Computes (mu_T * rho)(X) directly from the state's position (or
-    momentum) density, one profile and one dot product per cell; coincides
-    with tr(T E(X)) for the corresponding smeared effects.
+    momentum) density: the masses below b - node are looked up once per
+    bound b, and each cell takes the difference of its two bounds' masses
+    and one dot product; coincides with tr(T E(X)) for the corresponding
+    smeared effects.
     """
     bounds = increasing_bounds(bounds)
     nodes = obs.outcome_nodes()
     position, momentum = _state_densities(state, obs.grid)
     weights = position * obs.grid.dx if obs.kind == "position" else momentum * obs.grid.dp
-    return np.array([
-        float(weights @ obs.measure.mass_interval(lo - nodes, hi - nodes, True, False))
-        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
-    ])
+    below = [obs.measure._below(b - nodes, inclusive=False) for b in bounds.tolist()]
+    return np.array([float(weights @ _between(lo, hi)) for lo, hi in zip(below, below[1:])])
 
 
 # --- regularity and the limit of resolution --------------------------------
@@ -496,17 +495,17 @@ def _shortest_half(measure: ProbMeasure1D) -> Tuple[float, float]:
     """A shortest candidate window [a, b] with mass above 1/2, in the limit.
 
     The candidates are those of ``window_mass_sup``: an edge on an anchor, or
-    the centre on one; the result is their infimum length.  With the left
-    edge a on an anchor, b is the first t where the mass below t passes
-    mass(-inf, a) + 1/2: a search on the elements' largest values finds the
-    element, and one quadratic root the point.  The right-edge family runs the
-    same way on the elements' least values.  Both searches rest on the mass
-    below t being nondecreasing across the elements.
+    the centre on one; the result is their infimum length.  For each element
+    e, a search on the elements' largest values and one quadratic root find
+    the first t where the mass below t passes (least mass below e) + 1/2; at
+    the point element of an anchor a that is the end b of the window [a, b].
+    The right-edge family runs the same way on the elements' least values.
+    Both searches rest on the mass below t being nondecreasing across them.
 
     A centred window can be shorter than both.  For element e, any window
-    whose left edge lies in e ends no earlier than the first t passing
-    (least mass below e) + 1/2, so  min_e (that t - end of e)  bounds every
-    window from below.  Only half-widths from half that bound up to half the
+    whose left edge lies in e ends no earlier than e's point from that same
+    search, so  min_e (that point - end of e)  bounds every window from
+    below.  Only half-widths from half that bound up to half the
     best edge window can improve on it, and only centres where the masses
     below the two edges leave more than 1/2 at the widest of them.  For each
     such centre the half-widths split into a few intervals where both edges
@@ -514,30 +513,28 @@ def _shortest_half(measure: ProbMeasure1D) -> Tuple[float, float]:
     directly.
     """
     model = _WindowModel(measure)
-    n_el = model.lo.size
     u = model.p
-    at_u = np.arange(1, n_el, 2)
-    every = np.arange(n_el)
+    at_u, every = slice(1, None, 2), slice(None)
     largest = model.value(every, model.hi, model.atoms_g)
     least = model.value(every, model.lo, model.atoms_h)
 
-    def first_passing(target):
-        e = np.searchsorted(largest, target, side="right")
-        ok = e < n_el
-        return ok, model.first_above(e[ok], target[ok])
-
-    ok_left, ends = first_passing(least[at_u] + 0.5)
+    # per element e, the first t passing (least mass below e) + 1/2, inf if none
+    target = least + 0.5
+    e = np.searchsorted(largest, target, side="right")
+    ok = e < largest.size
+    ends = np.full(largest.size, math.inf)
+    ends[ok] = model.first_above(e[ok], target[ok])
+    ok_left = ok[at_u]
     target = model.value(at_u, u, model.atoms_g) - 0.5
     e = np.searchsorted(least, target, side="left") - 1
     ok_right = e >= 0
     lo = np.concatenate([u[ok_left], model.last_below(e[ok_right], target[ok_right])])
-    hi = np.concatenate([ends, u[ok_right]])
+    hi = np.concatenate([ends[at_u][ok_left], u[ok_right]])
     if lo.size == 0:
         raise AssertionError("window covering the support must capture mass 1")
     best = int(np.argmin(hi - lo))
     a, b = float(lo[best]), float(hi[best])
-    ok, ends = first_passing(least + 0.5)
-    bound = float(np.min(ends - model.hi[ok], initial=math.inf))
+    bound = float(np.min(ends - model.hi, initial=math.inf))
     if bound < b - a:
         # a centre can win only if it leaves room above 1/2 at the widest h
         h_hi = (b - a) / 2

@@ -757,8 +757,10 @@ class TestCli:
         assert report["checks"][0]["value"] < 1.0
 
     @pytest.mark.parametrize("argv, message", [
-        (["norm", "--grid-n", "0"], "input error: n must be a power of two >= 16, got 0"),
-        (["norm", "--grid-n", "-16"], "input error: n must be a power of two >= 16, got -16"),
+        (["norm", "--grid-n", "0"],
+         ARG_ERROR.format("norm") + "--grid-n: expected a power of two of at least 16, got '0'"),
+        (["norm", "--grid-n", "-16"],
+         ARG_ERROR.format("norm") + "--grid-n: expected a power of two of at least 16, got '-16'"),
         (["roi", "--grid-n", "256", "--n-test", "0"],
          ARG_ERROR.format("roi") + "--n-test: expected an integer of at least 1, got '0'"),
         (["density", "--grid-n", "256", "--samples", "0"],
@@ -775,6 +777,25 @@ class TestCli:
         tpath = tmp_path / "t.json"
         tpath.write_text(json.dumps({"kind": "gaussian"}))
         assert exit_code_and_error(capsys, ["phasespace", *argv, "--t", str(tpath)]) == (2, message)
+
+    @pytest.mark.parametrize("option, value, expected", [
+        ("--grid-n", "0", "a power of two of at least 16"),
+        ("--grid-n", "24", "a power of two of at least 16"),
+        ("--window", "0", "a finite number above 0"),
+        ("--window", "-5", "a finite number above 0"),
+        ("--window", "nan", "a finite number above 0"),
+        ("--window", "inf", "a finite number above 0"),
+        ("--quad-order", "0", "an integer of at least 2"),
+    ], ids=["grid-n 0", "grid-n 24", "window 0", "window -5", "window nan", "window inf",
+            "quad-order 0"])
+    def test_grid_options_out_of_range_exit_2_naming_them(self, capsys, tmp_path, option, value,
+                                                          expected):
+        # argparse rejects the value, so the error names the option, not the library's parameter
+        tpath = tmp_path / "t.json"
+        tpath.write_text(json.dumps({"kind": "gaussian"}))
+        argv = ["phasespace", "norm", "--t", str(tpath), option, value]
+        assert exit_code_and_error(capsys, argv) == (
+            2, ARG_ERROR.format("norm") + f"{option}: expected {expected}, got {value!r}")
 
     def test_gaussian_vanishing_on_the_grid_exits_2(self, capsys, tmp_path):
         tpath = tmp_path / "t.json"

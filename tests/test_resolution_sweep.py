@@ -6,7 +6,9 @@ against every candidate window of a shorter length.  Batched window masses are
 checked against ``window_mass_sup`` one width at a time, and the profile that
 ``smeared gamma --out`` writes against its formula; the density CDF model
 for continuity, monotonicity and its error on a Gaussian; the matrix-free
-commutator norm against a dense one.
+commutator norm against a dense one.  The mass lookups, ``window_mass_sup``
+and ``distribution`` are checked bit for bit against the forms that looked
+each point up more than once (``oracles``).
 """
 
 import json
@@ -28,11 +30,17 @@ from covpom.phasespace import hermite_wavefunction, margins_of_GT
 from covpom.posmom import (
     ProbMeasure1D,
     SmearedObservable,
+    distribution,
     noncommutativity_witness,
     resolution_limit,
     smeared_profile,
 )
-from oracles import bisection_gamma
+from oracles import (
+    bisection_gamma,
+    blocked_window_mass_sup,
+    gathered_mass_below,
+    per_cell_distribution,
+)
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -148,6 +156,18 @@ class TestSweepOracle:
         assert measure.mass_interval(x, x + w).max() <= 0.5
         assert measure.mass_interval(x - w, x).max() <= 0.5
 
+    def test_centred_scan_in_blocks_of_one_row(self, monkeypatch):
+        import covpom.posmom as posmom_module
+
+        measure = ProbMeasure1D.gaussian(symmetric_grid(1024, 20.0), 0.0, 1.0)
+        scan, centres = posmom_module._centred_scan, []
+        monkeypatch.setattr(posmom_module, "_centred_scan",
+                            lambda m, model, c, *a: centres.append(c.size) or scan(m, model, c, *a))
+        whole = resolution_limit(measure)
+        monkeypatch.setattr(posmom_module, "BLOCK_ENTRIES", 1)
+        assert resolution_limit(measure) == whole
+        assert min(centres) > 1  # both scans ran, the second one centre per block
+
 
 class TestBatchedProfile:
     @settings(max_examples=20, deadline=None)
@@ -178,16 +198,6 @@ class TestBatchedProfile:
         for widths in (0.0, [1.0, -1.0], [np.nan]):
             with pytest.raises(ValueError, match="positive"):
                 measure.window_mass_sup(widths)
-
-    def test_blocks_of_one_row(self, monkeypatch):
-        import covpom.posmom as posmom_module
-
-        grid = symmetric_grid(512, 10.0)
-        measure = ProbMeasure1D.gaussian(grid, 0.2, 0.9)
-        widths = np.geomspace(1e-4, 30.0, PROFILE_POINTS)
-        whole = measure.window_mass_sup(widths)
-        monkeypatch.setattr(posmom_module, "BLOCK_ENTRIES", 1)
-        np.testing.assert_array_equal(measure.window_mass_sup(widths), whole)
 
     def test_gamma_csv_header_and_columns(self, capsys, tmp_path):
         mpath = tmp_path / "m.json"
@@ -224,6 +234,77 @@ class TestBatchedProfile:
             rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
             np.testing.assert_array_equal(np.array(rows, dtype=float).T,
                                           [alphas, sup(measure, alphas)])
+
+
+class TestOneLookupPerPoint:
+    """Each point's mass looked up once, against the forms that looked it up again, bit for bit."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(family=st.sampled_from(sorted(FAMILIES)), seed=seeds, n=st.sampled_from([1024, 2048]))
+    def test_mass_below_matches_gathered_form(self, family, seed, n):
+        rng = np.random.default_rng(seed)
+        measure = FAMILIES[family](rng, n)
+        t = np.concatenate([measure._anchors(), rng.uniform(-25, 25, 512), [-np.inf, np.inf]])
+        for points in (t, np.stack([t, t[::-1]]), t[0]):
+            assert np.array_equal(measure.density_mass_below(points),
+                                  gathered_mass_below(measure, points))
+
+    @settings(max_examples=20, deadline=None)
+    @given(family=st.sampled_from(sorted(FAMILIES)), seed=seeds, open_interval=st.booleans())
+    def test_window_mass_sup_matches_blocked_form(self, family, seed, open_interval):
+        measure = FAMILIES[family](np.random.default_rng(seed), 1024)
+        # quarter widths move an edge from one atom of the atomic family onto
+        # another; grid steps move it from node to node
+        step = measure.grid.dx if measure.grid else 0.25
+        widths = np.concatenate([np.geomspace(1e-4, 30.0, PROFILE_POINTS), np.arange(1, 41) / 4,
+                                 step * np.arange(1, 9), [np.inf]])
+        assert np.array_equal(measure.window_mass_sup(widths, open_interval=open_interval),
+                              blocked_window_mass_sup(measure, widths, open_interval))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(FAMILIES)),
+        seed=seeds,
+        kind=st.sampled_from(["position", "momentum"]),
+        inner=st.lists(st.one_of(st.floats(-12.0, 12.0), st.integers(-48, 48).map(lambda k: k / 4)),
+                       min_size=1, max_size=6, unique=True),
+        open_lo=st.booleans(),
+        open_hi=st.booleans(),
+    )
+    def test_distribution_matches_per_cell_form(self, family, seed, kind, inner, open_lo, open_hi):
+        # quarter bounds less a node that is a multiple of 1.25 put atoms of
+        # the atomic family exactly on a cell's edge
+        rng = np.random.default_rng(seed)
+        obs = SmearedObservable(kind, FAMILIES[family](rng, 1024), symmetric_grid(256, 20.0))
+        bounds = sorted(inner)
+        if open_lo or len(bounds) < 2:
+            bounds.insert(0, -np.inf)
+        if open_hi:
+            bounds.append(np.inf)
+        state = self.random_state(rng, obs.grid)
+        assert np.array_equal(distribution(state, obs, bounds),
+                              per_cell_distribution(state, obs, bounds))
+
+    def test_distribution_with_atoms_on_bounds(self):
+        grid = symmetric_grid(256, 20.0)
+        dens = ProbMeasure1D.gaussian(grid, 0.3, 0.8).density
+        measure = ProbMeasure1D(atoms=((-0.5, 0.125), (0.0, 0.125), (0.75, 0.25)),
+                                grid=grid, density=0.5 * dens)
+        bounds = [-np.inf, -0.5, 0.0, 0.75, np.inf]
+        # every atom sits on a bound less a node, so on some cell's edge
+        assert np.isin([-0.5, 0.0, 0.75], np.subtract.outer(bounds, grid.positions())).all()
+        state = self.random_state(np.random.default_rng(0), grid)
+        obs = SmearedObservable("position", measure, grid)
+        got = distribution(state, obs, bounds)
+        assert np.array_equal(got, per_cell_distribution(state, obs, bounds))
+        assert got.sum() == pytest.approx(1.0, abs=1e-9)
+
+    @staticmethod
+    def random_state(rng, grid, rank=2):
+        envelope = np.exp(-grid.positions() ** 2 / 8)
+        vecs = (rng.standard_normal((rank, grid.n))
+                + 1j * rng.standard_normal((rank, grid.n))) * envelope
+        return make_state(list(zip(rng.dirichlet(np.ones(rank)), vecs)))
 
 
 class TestMassModel:
