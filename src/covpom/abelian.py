@@ -1,4 +1,4 @@
-"""Covariant POMs for finite abelian groups, plus torus and line examples.
+"""Covariant POMs for finite abelian groups, and the phase and phase-difference POMs on the torus.
 
 A finite abelian group is a product of cyclic groups; its dual is identified
 with the same moduli tuple and the pairing <x, g> = exp(2 pi i sum x_i g_i / n_i)
@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .grids import BLOCK_ENTRIES, Grid1D
+from .grids import BLOCK_ENTRIES
 from .hilbert import Outcome, PointCell, Pom, partition_pom
 
 __all__ = [
@@ -54,13 +54,9 @@ __all__ = [
     "translated_pvm_matrix",
     "verify_pom_equivalence",
     "random_isometries",
-    "phase_observable_effect",
     "phase_pom",
     "sharp_phase_witness",
-    "phase_difference_effect",
     "phase_difference_pom",
-    "translation_covariant_effect",
-    "translation_covariant_pom",
 ]
 
 Element = Tuple[int, ...]
@@ -886,17 +882,6 @@ def _torus_partition(space_tag: str, boundaries: Sequence[float], parts) -> Pom:
     return partition_pom(space_tag, bounds, lambda lo, hi: _torus_effect(*parts, (lo, hi)), ".6f")
 
 
-def phase_observable_effect(
-    h: Sequence[np.ndarray], interval: Tuple[float, float]
-) -> np.ndarray:
-    """Effect of a covariant phase observable on one theta interval.
-
-    Entry (j, k) is c_{j-k}(interval) <h_j, h_k> with the closed-form
-    interval coefficients; no quadrature is involved.
-    """
-    return _torus_effect(*_phase_parts(h), interval)
-
-
 def phase_pom(h: Sequence[np.ndarray], boundaries: Sequence[float]) -> Pom:
     """Covariant phase POM over a partition of [0, 2 pi) into intervals."""
     return _torus_partition("theta in [0, 2 pi)", boundaries, _phase_parts(h))
@@ -934,79 +919,7 @@ def _difference_parts(d: int, h: Mapping[Tuple[int, int], np.ndarray]):
     return vecs.conj() @ vecs.T, j[None, :] - j[:, None], (i + j)[:, None] == (i + j)[None, :]
 
 
-def phase_difference_effect(
-    d: int, h: Mapping[Tuple[int, int], np.ndarray], interval: Tuple[float, float]
-) -> np.ndarray:
-    """Effect of a covariant phase-difference observable for two d-level modes.
-
-    Acts on C^d tensor C^d with basis e_{i,j} flattened as i*d + j; the
-    matrix element between e_{l,m} and e_{i,j} vanishes unless l+m = i+j and
-    is otherwise c_{j-m}(interval) <h_{l,m}, h_{i,j}>: the mask l+m = i+j
-    times the coefficients times the Gram matrix of the stacked h vectors.
-    """
-    return _torus_effect(*_difference_parts(d, h), interval)
-
-
 def phase_difference_pom(
     d: int, h: Mapping[Tuple[int, int], np.ndarray], boundaries: Sequence[float]
 ) -> Pom:
     return _torus_partition("phase difference in [0, 2 pi)", boundaries, _difference_parts(d, h))
-
-
-# --- translation covariant observables on a grid --------------------------
-
-
-def _outcome_mask(grid: Grid1D, interval: Tuple[float, float]) -> np.ndarray:
-    """Indicator over the outcome lattice of the interval [lo, hi)."""
-    lo, hi = interval
-    t = grid.momenta()
-    if hi <= lo:
-        raise ValueError(f"degenerate outcome interval [{lo}, {hi})")
-    if lo < t[0] - 0.5 * grid.dp - 1e-9 or hi > t[-1] + 0.5 * grid.dp + 1e-9:
-        raise ValueError("outcome interval outside the representable range")
-    return (t >= lo - 1e-12) & (t < hi - 1e-12)
-
-
-def translation_covariant_effect(
-    h: np.ndarray, interval: Tuple[float, float], grid: Grid1D
-) -> np.ndarray:
-    """Effect of a translation covariant observable, frequency-side realisation.
-
-    ``h`` holds one unit vector in C^m per grid node.  The outcome set X is
-    one interval [lo, hi) in the conjugate (outcome) variable, snapped to its
-    lattice.  The entry coupling nodes j and j' is
-
-        (1/n) sum over outcome nodes t in X of exp(i (u_j - u_j') t) <h_j, h_j'>.
-
-    The sum is the circulant F* diag(1_X) F of ``Grid1D.momentum_multiplier``,
-    so the effect is that circulant times the Gram matrix, entrywise.  With
-    constant h, conjugating by the grid Fourier map gives multiplication by
-    the indicator of X (the sharp observable).
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim == 1:
-        h = h[:, None]
-    if h.shape[0] != grid.n:
-        raise ValueError("need one direction vector per grid node")
-    norms = np.linalg.norm(h, axis=1)
-    if np.max(np.abs(norms - 1.0)) > 1e-9:
-        raise ValueError("direction vectors must be normalised")
-    mask = _outcome_mask(grid, interval)
-    return grid.momentum_multiplier(mask) * (h.conj() @ h.T)
-
-
-def translation_covariant_pom(
-    h: np.ndarray, boundaries: Sequence[float], grid: Grid1D
-) -> Pom:
-    """Partition of the full outcome lattice into the cells [lo, hi) between consecutive bounds."""
-    bounds = np.asarray(boundaries, dtype=float)
-    t = grid.momenta()
-    if bounds.size < 2 or bounds[0] > t[0] or bounds[-1] <= t[-1]:
-        raise ValueError("boundaries must cover the full outcome lattice")
-    bounds = np.clip(bounds, t[0] - 0.5 * grid.dp, t[-1] + 0.5 * grid.dp)
-    return partition_pom(
-        "translation outcomes on the dual lattice",
-        bounds,
-        lambda lo, hi: translation_covariant_effect(h, (lo, hi), grid),
-        ".6f",
-    )

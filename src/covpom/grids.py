@@ -7,13 +7,6 @@ exactly unitary for the weighted inner product sum(conj(u) v) * dx.  A wave
 function is a plain complex array of its n samples, of unit ``Grid1D.norm``;
 ``hilbert.make_state`` takes such arrays as they are, since it normalises
 every vector it mixes.
-
-A multiplier on the momentum lattice is no dense Fourier product: on the
-Euclidean embedding F[j, k] = exp(-i p_j x_k) / sqrt(n), so F* diag(m) F has
-entry (a, b) equal to c[(a - b) mod n] with c[k] = (-1)^k ifft(m)[k].  It is
-the circulant of one inverse DFT (Golub and Van Loan, Matrix Computations,
-ch. 4), which ``momentum_multiplier`` builds in O(n log n + n^2) as one copy
-of a sliding window over the doubled, reversed first column.
 """
 
 from __future__ import annotations
@@ -21,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["Grid1D", "symmetric_grid"]
 
@@ -82,25 +74,6 @@ class Grid1D:
         phases = np.exp(1j * self.momenta() * self.x0)
         pre = np.fft.ifft(values_hat * phases)
         return (np.sqrt(2 * np.pi) / self.dx) * self._signs() * pre
-
-    def momentum_multiplier(self, profile: np.ndarray) -> np.ndarray:
-        """F* diag(profile) F on Euclidean vectors, F the unitary grid Fourier map.
-
-        The circulant whose first column c is (-1)^k ifft(profile)[k]; x0 drops
-        out.  Entry (i, j) is c[(i - j) mod n], so each row is a window of c
-        reversed and doubled.
-        """
-        col = self._signs() * np.fft.ifft(np.asarray(profile, dtype=complex))
-        rows = sliding_window_view(np.tile(col[::-1], 2), self.n)  # row i is rows[n - 1 - i]
-        return rows[self.n - 1::-1].copy()
-
-    def apply_momentum_multiplier(self, profile: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """``momentum_multiplier(profile) @ v`` by two FFTs, without the matrix.
-
-        The circulant's eigenvalues, the DFT of its first column, are the
-        profile rolled by n/2: the (-1)^k signs shift the DFT index by n/2.
-        """
-        return np.fft.ifft(np.roll(profile, self.n // 2) * np.fft.fft(v))
 
 
 def symmetric_grid(n: int, half_width: float) -> Grid1D:

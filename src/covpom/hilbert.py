@@ -269,11 +269,6 @@ def make_state(spectral: Sequence[Tuple[float, Iterable[complex]]]) -> State:
     return State(power / power.sum(), vecs.T[: power.size])
 
 
-def pure_state(vector: Iterable[complex]) -> State:
-    """Rank-one state |v><v| / ||v||^2."""
-    return make_state([(1.0, vector)])
-
-
 def _fill_stack(mats: Iterable[np.ndarray], count: int) -> np.ndarray:
     """The ``count`` matrices of ``mats``, each written into its slot of one complex stack."""
     out = np.empty((count, 0, 0), dtype=complex)

@@ -8,7 +8,8 @@ module also carries the operational diagnostics: the limit of resolution
 (the shortest window that captures more than half the mass), the
 regular-decomposition structure test, state distinction power via Fourier
 supports, sharpness, and the coexistence diagnostics (variance uncertainty
-product, resolution product and total noncommutativity witnesses).
+product and resolution product).  Outcome statistics come from the state's
+position or momentum density by ``distribution``; no effect matrix is built.
 
 Measures combine a finite atom list with an optional sampled density on a
 uniform grid.  The density's mass and moments are trapezoid sums; its CDF is
@@ -27,7 +28,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .grids import BLOCK_ENTRIES, Grid1D
-from .hilbert import Pom, State, _lanczos_norm, increasing_bounds, partition_pom
+from .hilbert import State, increasing_bounds
 
 __all__ = [
     "ProbMeasure1D",
@@ -38,11 +39,7 @@ __all__ = [
     "SharpnessReport",
     "UncertaintyReport",
     "ResolutionProductReport",
-    "NoncommutativityReport",
     "WindowLeakageError",
-    "smeared_profile",
-    "smeared_effect",
-    "smeared_pom",
     "distribution",
     "resolution_limit",
     "regular_decomposition",
@@ -50,7 +47,6 @@ __all__ = [
     "sharpness_test",
     "uncertainty_product",
     "resolution_product",
-    "noncommutativity_witness",
     "grid_wavefunctions",
 ]
 
@@ -87,7 +83,12 @@ class ProbMeasure1D:
         locs = [x for x, _ in atoms]
         if len(set(locs)) != len(locs):
             raise ValueError("atom locations must be distinct")
-        object.__setattr__(self, "atoms", tuple(sorted(atoms)))
+        atoms = tuple(sorted(atoms))
+        object.__setattr__(self, "atoms", atoms)
+        # the atoms' sorted locations and cumulative weights, read by every atom mass lookup
+        object.__setattr__(self, "_atom_locs", np.array([x for x, _ in atoms]))
+        cum = np.cumsum([w for _, w in atoms])
+        object.__setattr__(self, "_atom_cum", np.concatenate([[0.0], cum]))
         if (self.grid is None) != (self.density is None):
             raise ValueError("grid and density must be given together")
         if self.density is not None:
@@ -201,21 +202,12 @@ class ProbMeasure1D:
         c2 += c0
         return c2
 
-    def _atom_arrays(self):
-        if not self.atoms:
-            return np.empty(0), np.empty(0)
-        locs = np.array([x for x, _ in self.atoms])
-        cum = np.concatenate([[0.0], np.cumsum([w for _, w in self.atoms])])
-        return locs, cum
-
     def atom_mass_upto(self, t, inclusive: bool) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        locs, cum = self._atom_arrays()
-        if locs.size == 0:
+        if not self.atoms:
             return np.zeros(t.shape)
         side = "right" if inclusive else "left"
-        idx = np.searchsorted(locs, t, side=side)
-        return cum[idx]
+        return self._atom_cum[np.searchsorted(self._atom_locs, t, side=side)]
 
     def _below(self, t, inclusive: bool):
         """Continuous and atom mass of (-inf, t], or of (-inf, t) when not ``inclusive``."""
@@ -245,10 +237,9 @@ class ProbMeasure1D:
 
     def _anchors(self) -> np.ndarray:
         """Grid nodes (when there is a density) and atom locations."""
-        locs, _ = self._atom_arrays()
         if self.density is None:
-            return locs
-        return np.concatenate([self.grid.positions(), locs])
+            return self._atom_locs
+        return np.concatenate([self.grid.positions(), self._atom_locs])
 
     def window_mass_sup(self, widths, open_interval: bool = False) -> np.ndarray:
         """Largest mass of a window of each length in ``widths`` over the candidate placements.
@@ -352,46 +343,6 @@ class SmearedObservable:
         if self.kind == "position":
             return self.grid.positions()
         return self.grid.momenta()
-
-
-def smeared_profile(obs: SmearedObservable, interval) -> Tuple[np.ndarray, float]:
-    """Multiplier profile rho(X - node) over the outcome nodes, plus clip defect.
-
-    X is the half-open interval [lo, hi), and lo = hi the empty set; atoms
-    exactly at lo are included, atoms at hi excluded.
-    """
-    lo, hi = (float(t) for t in interval)
-    if hi < lo:
-        raise ValueError(f"interval [{lo}, {hi}) is reversed")
-    nodes = obs.outcome_nodes()
-    prof = obs.measure.mass_interval(lo - nodes, hi - nodes, include_lo=True, include_hi=False)
-    clipped = np.clip(prof, 0.0, 1.0)
-    defect = float(np.max(np.abs(prof - clipped), initial=0.0))
-    return clipped, defect
-
-
-def smeared_effect(obs: SmearedObservable, interval) -> np.ndarray:
-    """Effect of the interval [lo, hi).
-
-    Position kind: diagonal multiplication by the smeared indicator.
-    Momentum kind: the same profile on the momentum lattice, conjugated back
-    by the grid Fourier map; F* diag(profile) F is the circulant of one
-    inverse DFT of the profile (``Grid1D.momentum_multiplier``).
-    """
-    prof, _ = smeared_profile(obs, interval)
-    if obs.kind == "position":
-        return np.diag(prof.astype(complex))
-    return obs.grid.momentum_multiplier(prof)
-
-
-def smeared_pom(obs: SmearedObservable, boundaries: Sequence[float]) -> Pom:
-    """Partition of the line into consecutive cells (outer cells unbounded)."""
-    return partition_pom(
-        f"smeared {obs.kind} outcomes",
-        [-math.inf, *boundaries, math.inf],
-        lambda lo, hi: smeared_effect(obs, (lo, hi)),
-        ".6g",
-    )
 
 
 def distribution(state: State, obs: SmearedObservable, bounds: Sequence[float]) -> np.ndarray:
@@ -826,57 +777,4 @@ def resolution_product(
     product = g1 * g2
     return ResolutionProductReport(
         float(product), float(g1), float(g2), bool(product >= RESOLUTION_BOUND - tol)
-    )
-
-
-@dataclass(frozen=True)
-class NoncommutativityReport:
-    min_norm: float
-    max_norm: float
-    min_pair: Tuple[Tuple[float, float], Tuple[float, float]]
-    max_pair: Tuple[Tuple[float, float], Tuple[float, float]]
-    passed: bool
-
-
-def noncommutativity_witness(
-    rho: ProbMeasure1D,
-    nu: ProbMeasure1D,
-    grid: Grid1D,
-    n_samples: int = 8,
-    seed: int = 0,
-) -> NoncommutativityReport:
-    """Commutator norms of smeared position vs momentum effects.
-
-    Samples bounded intervals for both observables and reports the extreme
-    commutator norms with their witnesses; some pair must fail to commute.
-    The position effect is diag(q) and the momentum effect the circulant C,
-    so i [diag(q), C] is Hermitian with the matrix-free product
-    v -> i (q * Cv - C(q * v)), two FFTs per C.  Its spectrum can come in
-    +- pairs; Lanczos from a fixed start finds its largest modulus, the norm.
-    """
-    rng = np.random.default_rng(seed)
-    pos_obs = SmearedObservable("position", rho, grid)
-    mom_obs = SmearedObservable("momentum", nu, grid)
-    half_q = grid.length / 4
-    half_p = np.pi / grid.dx / 4
-    start = np.random.default_rng(0).standard_normal(grid.n)
-    mult = grid.apply_momentum_multiplier
-
-    results = []
-    for _ in range(n_samples):
-        a = rng.uniform(-half_q, half_q / 2)
-        b = a + rng.uniform(0.2, half_q / 2)
-        c = rng.uniform(-half_p, half_p / 2)
-        d = c + rng.uniform(0.2, half_p / 2)
-        q, _ = smeared_profile(pos_obs, (a, b))
-        p, _ = smeared_profile(mom_obs, (c, d))
-        norm = _lanczos_norm(lambda v: 1j * (q * mult(p, v) - mult(p, q * v)), start)
-        results.append((norm, ((a, b), (c, d))))
-    results.sort(key=lambda r: r[0])
-    return NoncommutativityReport(
-        min_norm=results[0][0],
-        max_norm=results[-1][0],
-        min_pair=results[0][1],
-        max_pair=results[-1][1],
-        passed=bool(results[-1][0] > 1e-4),
     )

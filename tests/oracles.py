@@ -1,6 +1,6 @@
 """Reference forms of what the library computes by FFT, from coset tables or monomial factors,
 in one document-wide pass, on a support cut or with one mass lookup per point, kept as test
-oracles."""
+oracles, and the effect forms it never builds: a smeared effect and one phase-effect cell."""
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -45,6 +45,54 @@ def dense_fourier_matrix(grid):
     p = grid.momenta()
     mat = np.exp(-1j * np.outer(p, x)) * (grid.dx / np.sqrt(2 * np.pi))
     return mat * np.sqrt(grid.dp / grid.dx)
+
+
+def momentum_multiplier(grid, profile):
+    """F* diag(profile) F on Euclidean vectors, F the unitary grid Fourier map.
+
+    On the Euclidean embedding F[j, k] = exp(-i p_j x_k) / sqrt(n), so entry
+    (a, b) is c[(a - b) mod n] with c[k] = (-1)^k ifft(profile)[k]: the
+    circulant of one inverse DFT, in which x0 drops out.  Row i is a window of
+    c reversed and doubled.
+    """
+    col = grid._signs() * np.fft.ifft(np.asarray(profile, dtype=complex))
+    rows = sliding_window_view(np.tile(col[::-1], 2), grid.n)  # row i is rows[n - 1 - i]
+    return rows[grid.n - 1 :: -1].copy()
+
+
+def smeared_profile(obs, interval):
+    """(profile, clip defect): rho(X - node) over the outcome nodes, clipped to [0, 1].
+
+    X is the half-open interval [lo, hi), and lo = hi the empty set; atoms
+    exactly at lo are included, atoms at hi excluded.
+    """
+    lo, hi = (float(t) for t in interval)
+    nodes = obs.outcome_nodes()
+    prof = obs.measure.mass_interval(lo - nodes, hi - nodes, include_lo=True, include_hi=False)
+    clipped = np.clip(prof, 0.0, 1.0)
+    return clipped, float(np.max(np.abs(prof - clipped), initial=0.0))
+
+
+def smeared_effect(obs, interval):
+    """Effect of [lo, hi): multiplication by the profile, conjugated by F for the momentum kind.
+
+    ``distribution(state, obs, bounds)`` is tr(T E(X)) of these effects.
+    """
+    prof, _ = smeared_profile(obs, interval)
+    if obs.kind == "position":
+        return np.diag(prof.astype(complex))
+    return momentum_multiplier(obs.grid, prof)
+
+
+def torus_cell(build, lo, hi):
+    """The effect of one interval [lo, hi) of the torus, read as a cell of ``build(bounds)``.
+
+    ``build`` makes a phase or phase-difference POM over the bounds 0, lo, hi
+    and 2 pi, without a repeated end.
+    """
+    first = 1 if lo > 0 else 0
+    bounds = [0.0][:first] + [lo, hi] + ([2 * np.pi] if hi < 2 * np.pi else [])
+    return build(bounds).effects[first]
 
 
 def finite_weyl_matrix(d, a, b):

@@ -41,7 +41,6 @@ from covpom.hilbert import (
     RectCell,
     check_pom_axioms,
     make_state,
-    pure_state,
     spectral_norm,
 )
 from covpom.phasespace import (
@@ -133,7 +132,7 @@ def test_criterion_01_pom_axiom_suite():
     rng = np.random.default_rng(0)
     for d in (2, 3, 5):
         vec = rng.normal(size=d) + 1j * rng.normal(size=d)
-        pom = finite_weyl_pom(d, pure_state(vec))
+        pom = finite_weyl_pom(d, make_state([(1.0, vec)]))
         rep = check_pom_axioms(pom, 1e-10)
         if not rep.passed:
             failures.append(("finite-weyl", d, rep))
@@ -166,7 +165,7 @@ def test_criterion_02_covariance_soundness():
     rng = np.random.default_rng(1)
     for d in (2, 3, 5):
         vec = rng.normal(size=d) + 1j * rng.normal(size=d)
-        pom = finite_weyl_pom(d, pure_state(vec))
+        pom = finite_weyl_pom(d, make_state([(1.0, vec)]))
         unitaries = finite_weyl_unitaries(d)
         action = coset_action(unitaries.group, Subgroup.trivial(unitaries.group))
         cov = verify_covariance(pom, unitaries, action, 1e-13)
@@ -499,8 +498,8 @@ def test_criterion_11_injectivity():
     for _ in range(20):
         v1 = rng.normal(size=d) + 1j * rng.normal(size=d)
         v2 = rng.normal(size=d) + 1j * rng.normal(size=d)
-        p1 = finite_weyl_pom(d, pure_state(v1))
-        p2 = finite_weyl_pom(d, pure_state(v2))
+        p1 = finite_weyl_pom(d, make_state([(1.0, v1)]))
+        p2 = finite_weyl_pom(d, make_state([(1.0, v2)]))
         gap = max(
             spectral_norm(e1 - e2)
             for e1, e2 in zip(p1.effects, p2.effects)

@@ -14,7 +14,6 @@ from covpom.hilbert import (
     _lanczos_norm,
     check_pom_axioms,
     make_state,
-    pure_state,
     spectral_norm,
 )
 from oracles import check_pom_axioms_loop
@@ -402,7 +401,7 @@ class TestPositivityCertificate:
 
 class TestOutcomeDistribution:
     def test_projective_case(self):
-        st = pure_state([1, 0])
+        st = make_state([(1.0, [1, 0])])
         pom = point_pom([diag_effect(1, 0), diag_effect(0, 1)])
         np.testing.assert_allclose(born(st, pom), [1.0, 0.0], atol=1e-14)
 
@@ -425,7 +424,7 @@ class TestOutcomeDistribution:
         for _ in range(20):
             v1 = rng.normal(size=d) + 1j * rng.normal(size=d)
             v2 = rng.normal(size=d) + 1j * rng.normal(size=d)
-            s1, s2 = pure_state(v1), pure_state(v2)
+            s1, s2 = make_state([(1.0, v1)]), make_state([(1.0, v2)])
             t = rng.uniform()
             mix = State.from_operator(t * s1.op + (1 - t) * s2.op)
             a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))

@@ -35,7 +35,6 @@ from covpom.hilbert import (
     RectCell,
     check_pom_axioms,
     make_state,
-    pure_state,
 )
 from covpom.phasespace import (
     gaussian_wavefunction,
@@ -72,7 +71,7 @@ class TestRoundTrips:
         np.testing.assert_array_equal(back, mat)
 
     def test_state_spectral(self):
-        st = pure_state([1.0, 1.0j])
+        st = make_state([(1.0, [1.0, 1.0j])])
         back = io.state_from_json(json.loads(io.dumps(io.state_to_json(st))))
         np.testing.assert_allclose(back.op, st.op, atol=1e-12)
 
@@ -353,7 +352,7 @@ class TestCli:
 
     def test_finite_weyl_command(self, capsys, tmp_path):
         state_path = tmp_path / "t.json"
-        state_path.write_text(io.dumps(io.state_to_json(pure_state([1, 0]))))
+        state_path.write_text(io.dumps(io.state_to_json(make_state([(1.0, [1, 0])]))))
         code, report = run_cli(
             capsys, ["finite-weyl", "--dim", "2", "--state", str(state_path)]
         )
@@ -953,7 +952,7 @@ print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.sp
         inputs = {
             "bundle.json": json.dumps({"rep": io.rep_to_json(rep), "aux_dim": 2,
                                        "subgroup": {"moduli": [4], "generators": [[2]]}}),
-            "qubit.json": io.dumps(io.state_to_json(pure_state([1, 0]))),
+            "qubit.json": io.dumps(io.state_to_json(make_state([(1.0, [1, 0])]))),
             "gauss.json": json.dumps({"kind": "gaussian", "sigma": 1.0}),
             "flat.json": json.dumps({"kind": "uniform", "lo": -1.0, "hi": 1.0}),
             "psi.json": json.dumps({"kind": "gaussian", "a": 0.5}),

@@ -1,9 +1,9 @@
 """FFT circulants, array-built torus effects and the partition helper.
 
-Each new form is checked against the form it replaced: the dense product
-F* diag(m) F, the Toeplitz kernel gathered from an n x |X| exponential sum,
-the Python loops over matrix entries, and one loop over boundary pairs per
-POM builder.  The POM labels are pinned by value.
+Each form is checked against a slower one: the circulant oracle of the
+smeared momentum effects against the dense product F* diag(m) F, the torus
+effects against Python loops over matrix entries, and each phase POM builder
+against one loop over boundary pairs.  The POM labels are pinned by value.
 """
 
 import json
@@ -15,26 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import circulant
 
-from covpom.abelian import (
-    canonical_phase_vectors,
-    phase_difference_effect,
-    phase_difference_pom,
-    phase_observable_effect,
-    phase_pom,
-    translation_covariant_effect,
-    translation_covariant_pom,
-)
+from covpom.abelian import canonical_phase_vectors, phase_difference_pom, phase_pom
 from covpom.cli import main
 from covpom.grids import Grid1D, symmetric_grid
 from covpom.hilbert import IntervalCell, partition_pom
-from covpom.posmom import (
-    ProbMeasure1D,
-    SmearedObservable,
-    noncommutativity_witness,
-    smeared_pom,
-    smeared_profile,
-)
-from oracles import dense_fourier_matrix
+from oracles import dense_fourier_matrix, momentum_multiplier, torus_cell
 
 TWO_PI = 2 * np.pi
 
@@ -66,42 +51,6 @@ def loop_phase_difference_effect(d, h, lo, hi):
                             h[(l, m)], h[(i, j)]
                         )
     return mat
-
-
-def gathered_translation_effect(h, lo, hi, grid):
-    t = grid.momenta()
-    t_in = t[(t >= lo - 1e-12) & (t < hi - 1e-12)]
-    kernel = np.exp(1j * np.outer(np.arange(grid.n) * grid.dx, t_in)).sum(axis=1) / grid.n
-    idx = (np.arange(grid.n)[:, None] - np.arange(grid.n)[None, :]) % grid.n
-    return kernel[idx] * (h.conj() @ h.T)
-
-
-def dense_smeared_effect(obs, lo, hi):
-    prof, _ = smeared_profile(obs, (lo, hi))
-    if obs.kind == "position":
-        return np.diag(prof.astype(complex))
-    f = dense_fourier_matrix(obs.grid)
-    return f.conj().T @ np.diag(prof.astype(complex)) @ f
-
-
-def dense_witness(rho, nu, grid, n_samples, seed):
-    rng = np.random.default_rng(seed)
-    pos_obs = SmearedObservable("position", rho, grid)
-    mom_obs = SmearedObservable("momentum", nu, grid)
-    half_q = grid.length / 4
-    half_p = np.pi / grid.dx / 4
-    f = dense_fourier_matrix(grid)
-    results = []
-    for _ in range(n_samples):
-        a = rng.uniform(-half_q, half_q / 2)
-        b = a + rng.uniform(0.2, half_q / 2)
-        c = rng.uniform(-half_p, half_p / 2)
-        d = c + rng.uniform(0.2, half_p / 2)
-        eq = np.diag(smeared_profile(pos_obs, (a, b))[0].astype(complex))
-        ep = f.conj().T @ np.diag(smeared_profile(mom_obs, (c, d))[0].astype(complex)) @ f
-        results.append((float(np.linalg.norm(eq @ ep - ep @ eq, 2)), ((a, b), (c, d))))
-    results.sort(key=lambda r: r[0])
-    return results[0], results[-1]
 
 
 def loop_partition(bounds, effect_of, fmt):
@@ -147,7 +96,8 @@ class TestMomentumMultiplier:
         profile = rng.uniform(size=grid.n) + 1j * rng.normal(size=grid.n)
         f = dense_fourier_matrix(grid)
         np.testing.assert_allclose(
-            grid.momentum_multiplier(profile), f.conj().T @ np.diag(profile) @ f, rtol=0, atol=1e-12
+            momentum_multiplier(grid, profile), f.conj().T @ np.diag(profile) @ f,
+            rtol=0, atol=1e-12,
         )
 
     def test_offset_grid_and_constant_profile(self):
@@ -155,9 +105,9 @@ class TestMomentumMultiplier:
         f = dense_fourier_matrix(grid)
         prof = (np.arange(32) % 3).astype(float)
         np.testing.assert_allclose(
-            grid.momentum_multiplier(prof), f.conj().T @ np.diag(prof) @ f, rtol=0, atol=1e-12
+            momentum_multiplier(grid, prof), f.conj().T @ np.diag(prof) @ f, rtol=0, atol=1e-12
         )
-        np.testing.assert_allclose(grid.momentum_multiplier(np.ones(32)), np.eye(32), atol=1e-15)
+        np.testing.assert_allclose(momentum_multiplier(grid, np.ones(32)), np.eye(32), atol=1e-15)
 
     @pytest.mark.parametrize("n", [16, 64, 1024])
     def test_equals_scipy_circulant(self, n):
@@ -165,28 +115,9 @@ class TestMomentumMultiplier:
         rng = np.random.default_rng(n)
         profile = rng.normal(size=n) + 1j * rng.normal(size=n)
         want = circulant(grid._signs() * np.fft.ifft(profile))
-        got = grid.momentum_multiplier(profile)
+        got = momentum_multiplier(grid, profile)
         np.testing.assert_array_equal(got, want)
         assert got.flags.c_contiguous and got.flags.writeable
-
-
-class TestTranslationEffect:
-    @settings(max_examples=30, deadline=None)
-    @given(log_n=st.integers(4, 7), width=st.integers(1, 3), seed=seeds)
-    def test_matches_gathered_kernel(self, log_n, width, seed):
-        n = 2**log_n
-        grid = Grid1D(n, -n * 0.25 / 2, 0.25)
-        rng = np.random.default_rng(seed)
-        h = unit_rows(rng, n, width)
-        t = grid.momenta()
-        i, j = np.sort(rng.choice(n, size=2, replace=False))
-        lo, hi = t[i] - 0.5 * grid.dp, t[j] + 0.5 * grid.dp
-        np.testing.assert_allclose(
-            translation_covariant_effect(h, (lo, hi), grid),
-            gathered_translation_effect(h, lo, hi, grid),
-            rtol=0,
-            atol=1e-12,
-        )
 
 
 class TestTorusEffects:
@@ -197,7 +128,7 @@ class TestTorusEffects:
         h = list(unit_rows(rng, d, width))
         lo, hi = np.sort(rng.uniform(0.0, TWO_PI, 2))
         np.testing.assert_allclose(
-            phase_observable_effect(h, (lo, hi)),
+            torus_cell(lambda bounds: phase_pom(h, bounds), lo, hi),
             loop_phase_effect(h, lo, hi),
             rtol=0,
             atol=1e-14,
@@ -211,7 +142,7 @@ class TestTorusEffects:
         h = {(i, j): rows[i * d + j] for i in range(d) for j in range(d)}
         lo, hi = np.sort(rng.uniform(0.0, TWO_PI, 2))
         np.testing.assert_allclose(
-            phase_difference_effect(d, h, (lo, hi)),
+            torus_cell(lambda bounds: phase_difference_pom(d, h, bounds), lo, hi),
             loop_phase_difference_effect(d, h, lo, hi),
             rtol=0,
             atol=1e-14,
@@ -221,22 +152,7 @@ class TestTorusEffects:
         h = {(i, j): np.array([1.0 + 0j]) for i in range(2) for j in range(2)}
         h[(1, 0)] = np.array([2.0 + 0j])
         with pytest.raises(ValueError, match=r"h\[\(1, 0\)\] is not normalised"):
-            phase_difference_effect(2, h, (0.0, 1.0))
-
-
-class TestNoncommutativityWitness:
-    @settings(max_examples=12, deadline=None)
-    @given(log_n=st.integers(5, 8), n_samples=st.integers(2, 8), seed=st.integers(0, 1000))
-    def test_matches_dense_commutator(self, log_n, n_samples, seed):
-        grid = symmetric_grid(2**log_n, 12.0)
-        rho = ProbMeasure1D.gaussian(grid, 0.0, 0.4)
-        nu = ProbMeasure1D.gaussian(grid, 0.0, 0.6)
-        rep = noncommutativity_witness(rho, nu, grid, n_samples=n_samples, seed=seed)
-        (min_norm, min_pair), (max_norm, max_pair) = dense_witness(rho, nu, grid, n_samples, seed)
-        assert rep.min_norm == pytest.approx(min_norm, rel=0, abs=1e-12)
-        assert rep.max_norm == pytest.approx(max_norm, rel=0, abs=1e-12)
-        assert rep.min_pair == min_pair
-        assert rep.max_pair == max_pair
+            phase_difference_pom(2, h, [0.0, 1.0, TWO_PI])
 
 
 # --- one partition helper ----------------------------------------------------------
@@ -264,37 +180,6 @@ class TestPartitionMatchesLoops:
         )
         assert_same_partition(phase_difference_pom(d, h, bounds), expected)
 
-    @settings(max_examples=25, deadline=None)
-    @given(log_n=st.integers(4, 6), cells=st.integers(1, 5), seed=seeds)
-    def test_translation_covariant_pom(self, log_n, cells, seed):
-        n = 2**log_n
-        grid = Grid1D(n, -n * 0.25 / 2, 0.25)
-        rng = np.random.default_rng(seed)
-        h = unit_rows(rng, n, 2)
-        t = grid.momenta()
-        inner = np.sort(rng.choice(t[1:], size=cells - 1, replace=False))
-        given_bounds = np.concatenate([[t[0] - 5.0], inner, [t[-1] + 5.0]])
-        clipped = np.clip(given_bounds, t[0] - 0.5 * grid.dp, t[-1] + 0.5 * grid.dp)
-        expected = loop_partition(
-            clipped, lambda lo, hi: gathered_translation_effect(h, lo, hi, grid), ".6f"
-        )
-        assert_same_partition(translation_covariant_pom(h, given_bounds, grid), expected, 1e-12)
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        kind=st.sampled_from(["position", "momentum"]),
-        cells=st.integers(1, 5),
-        seed=seeds,
-    )
-    def test_smeared_pom(self, kind, cells, seed):
-        grid = symmetric_grid(64, 8.0)
-        obs = SmearedObservable(kind, ProbMeasure1D.gaussian(grid, 0.0, 0.7), grid)
-        rng = np.random.default_rng(seed)
-        interior = np.unique(np.round(rng.uniform(-4.0, 4.0, cells - 1), 3)).tolist()
-        bounds = [-math.inf] + interior + [math.inf]
-        expected = loop_partition(bounds, lambda lo, hi: dense_smeared_effect(obs, lo, hi), ".6g")
-        assert_same_partition(smeared_pom(obs, interior), expected)
-
     def test_partition_rejects_unordered_bounds(self):
         for bad in ([0.0], [0.0, 1.0, 1.0], [1.0, 0.0], [-math.inf, -math.inf, 0.0],
                     [[0.0, 1.0], [1.0, 2.0]]):
@@ -307,13 +192,6 @@ class TestPartitionMatchesLoops:
             phase_pom(h, [0.0, 1.0])
         with pytest.raises(ValueError, match="strictly increasing"):
             phase_pom(h, [0.0, 2.0, 1.0, TWO_PI])
-        grid = Grid1D(16, -2.0, 0.25)
-        with pytest.raises(ValueError, match="cover"):
-            translation_covariant_pom(np.ones(16), [0.0, 100.0], grid)
-        wide = symmetric_grid(64, 8.0)
-        obs = SmearedObservable("position", ProbMeasure1D.gaussian(wide, 0.0, 0.7), wide)
-        with pytest.raises(ValueError, match="strictly increasing"):
-            smeared_pom(obs, [1.0, 1.0])
 
 
 # --- pinned labels ----------------------------------------------------------------------
@@ -338,22 +216,6 @@ class TestPinnedLabels:
         )
         assert pom.outcomes[2].cell == IntervalCell(4 * np.pi / 3, TWO_PI)
         assert pom.space_tag == "phase difference in [0, 2 pi)"
-
-    def test_translation_covariant_pom(self):
-        grid = Grid1D(16, -8.0, 1.0)  # dp = pi / 8, outcome lattice -pi .. 7 pi / 8
-        pom = translation_covariant_pom(np.ones(16), [-4.0, 0.0, 4.0], grid)
-        assert pom.labels() == ("[-3.337942,0.000000)", "[0.000000,2.945243)")
-        assert pom.outcomes[0].cell == IntervalCell(-17 * np.pi / 16, 0.0)
-        assert pom.outcomes[1].cell == IntervalCell(0.0, 15 * np.pi / 16)
-
-    def test_smeared_pom(self):
-        grid = symmetric_grid(64, 8.0)
-        obs = SmearedObservable("position", ProbMeasure1D.gaussian(grid, 0.0, 0.7), grid)
-        pom = smeared_pom(obs, [-2, 0.5, 2])
-        assert pom.labels() == ("[-inf,-2)", "[-2,0.5)", "[0.5,2)", "[2,inf)")
-        assert pom.outcomes[0].cell == IntervalCell(-math.inf, -2.0)
-        assert pom.outcomes[-1].cell == IntervalCell(2.0, math.inf)
-        assert pom.space_tag == "smeared position outcomes"
 
     def test_phase_out_file(self, capsys, tmp_path):
         out = tmp_path / "phase.json"

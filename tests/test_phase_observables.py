@@ -4,13 +4,9 @@ from scipy.integrate import quad
 
 from covpom.abelian import (
     canonical_phase_vectors,
-    phase_difference_effect,
     phase_difference_pom,
-    phase_observable_effect,
     phase_pom,
     sharp_phase_witness,
-    translation_covariant_effect,
-    translation_covariant_pom,
 )
 from covpom.grids import Grid1D
 from covpom.hilbert import (
@@ -18,9 +14,9 @@ from covpom.hilbert import (
     PointCell,
     Pom,
     check_pom_axioms,
-    pure_state,
+    make_state,
 )
-from oracles import dense_fourier_matrix, sharp_phase_witness_loop
+from oracles import dense_fourier_matrix, sharp_phase_witness_loop, torus_cell
 
 
 def quad_coefficient(n, lo, hi):
@@ -34,16 +30,26 @@ def equal_boundaries(k):
     return np.linspace(0.0, 2 * np.pi, k + 1)
 
 
+def phase_cell(h, lo, hi):
+    """The phase effect of [lo, hi), a cell of ``phase_pom``."""
+    return torus_cell(lambda bounds: phase_pom(h, bounds), lo, hi)
+
+
+def difference_cell(d, h, lo, hi):
+    """The phase-difference effect of [lo, hi), a cell of ``phase_difference_pom``."""
+    return torus_cell(lambda bounds: phase_difference_pom(d, h, bounds), lo, hi)
+
+
 class TestPhaseObservable:
     def test_full_circle_is_identity(self):
         h = canonical_phase_vectors(4)
-        eff = phase_observable_effect(h, (0.0, 2 * np.pi))
+        eff = phase_cell(h, 0.0, 2 * np.pi)
         np.testing.assert_allclose(eff, np.eye(4), atol=1e-14)
 
     def test_canonical_d2_half_circle(self):
         # frozen closed form: c_1 = i/pi, so the (1,0) entry is -1/(i pi)
         h = canonical_phase_vectors(2)
-        eff = phase_observable_effect(h, (0.0, np.pi))
+        eff = phase_cell(h, 0.0, np.pi)
         expected = np.array(
             [[0.5, 1.0 / (1j * np.pi)], [-1.0 / (1j * np.pi), 0.5]]
         )
@@ -57,7 +63,7 @@ class TestPhaseObservable:
 
     def test_orthogonal_vectors_give_maximal_smearing(self):
         h = [np.eye(3)[i] for i in range(3)]
-        eff = phase_observable_effect(h, (0.5, 1.7))
+        eff = phase_cell(h, 0.5, 1.7)
         np.testing.assert_allclose(
             eff, (1.2 / (2 * np.pi)) * np.eye(3), atol=1e-14
         )
@@ -73,7 +79,7 @@ class TestPhaseObservable:
         d = 3
         pom = phase_pom(canonical_phase_vectors(d), equal_boundaries(4))
         for n in range(d):
-            state = pure_state(np.eye(d)[n])
+            state = make_state([(1.0, np.eye(d)[n])])
             probs = np.einsum("jk,ikj->i", state.op, pom.effects).real
             np.testing.assert_allclose(probs, np.full(4, 0.25), atol=1e-13)
 
@@ -151,12 +157,12 @@ def constant_pair_vectors(d):
 class TestPhaseDifference:
     def test_full_circle_identity(self):
         d = 3
-        eff = phase_difference_effect(d, constant_pair_vectors(d), (0.0, 2 * np.pi))
+        eff = difference_cell(d, constant_pair_vectors(d), 0.0, 2 * np.pi)
         np.testing.assert_allclose(eff, np.eye(d * d), atol=1e-14)
 
     def test_off_sector_entries_exactly_zero(self):
         d = 3
-        eff = phase_difference_effect(d, constant_pair_vectors(d), (0.2, 1.9))
+        eff = difference_cell(d, constant_pair_vectors(d), 0.2, 1.9)
         for l in range(d):
             for m in range(d):
                 for i in range(d):
@@ -166,8 +172,8 @@ class TestPhaseDifference:
 
     def test_middle_sector_matches_single_mode_phase(self):
         d = 2
-        eff = phase_difference_effect(d, constant_pair_vectors(d), (0.0, np.pi))
-        phase_eff = phase_observable_effect(canonical_phase_vectors(2), (0.0, np.pi))
+        eff = difference_cell(d, constant_pair_vectors(d), 0.0, np.pi)
+        phase_eff = phase_cell(canonical_phase_vectors(2), 0.0, np.pi)
         # total-number-1 sector ordered by the first-mode index: e_01 then e_10.
         # With l+m = i+j fixed the element c_{j-m} equals c_{l-i}, so the block
         # reproduces the single-mode phase matrix indexed by the first mode.
@@ -198,83 +204,8 @@ class TestPhaseDifference:
             np.testing.assert_allclose(moved, target, atol=1e-12)
 
     def test_degenerate_interval_rejected(self):
-        with pytest.raises(ValueError, match="2 pi"):
-            phase_difference_effect(2, constant_pair_vectors(2), (1.0, 0.5))
-
-
-def self_dual_grid(n):
-    dx = np.sqrt(2 * np.pi / n)
-    return Grid1D(n, -n * dx / 2, dx)
-
-
-class TestTranslationCovariant:
-    def test_whole_line_is_identity(self):
-        grid = self_dual_grid(64)
-        t = grid.momenta()
-        h = np.ones((grid.n, 1), dtype=complex)
-        eff = translation_covariant_effect(
-            h, (t[0] - 0.1, t[-1] + 0.1), grid
-        )
-        np.testing.assert_allclose(eff, np.eye(grid.n), atol=1e-10)
-
-    def test_constant_h_conjugates_to_sharp_indicator(self):
-        grid = self_dual_grid(64)
-        t = grid.momenta()
-        h = np.ones((grid.n, 1), dtype=complex)
-        lo, hi = t[10] - 0.5 * grid.dp, t[30] + 0.5 * grid.dp
-        eff = translation_covariant_effect(h, (lo, hi), grid)
-        f = dense_fourier_matrix(grid)
-        expected = np.diag(((t >= lo) & (t < hi)).astype(float))
-        np.testing.assert_allclose(f @ eff @ f.conj().T, expected, atol=1e-8)
-
-    def test_partition_passes_axioms(self):
-        grid = self_dual_grid(32)
-        rng = np.random.default_rng(0)
-        raw = rng.normal(size=(grid.n, 2)) + 1j * rng.normal(size=(grid.n, 2))
-        h = raw / np.linalg.norm(raw, axis=1)[:, None]
-        t = grid.momenta()
-        edges = [t[0] - 0.5 * grid.dp, t[8], t[16], t[24], t[-1] + 0.5 * grid.dp]
-        pom = translation_covariant_pom(h, edges, grid)
-        report = check_pom_axioms(pom, 1e-10)
-        assert report.passed, report
-
-    def test_covariant_under_diagonal_phases(self):
-        # conjugating by exp(i a u) shifts the outcome set by a lattice step
-        grid = self_dual_grid(64)
-        rng = np.random.default_rng(4)
-        raw = rng.normal(size=(grid.n, 2)) + 1j * rng.normal(size=(grid.n, 2))
-        h = raw / np.linalg.norm(raw, axis=1)[:, None]
-        t = grid.momenta()
-        a = 3 * grid.dp
-        u = np.diag(np.exp(1j * a * grid.positions()))
-        e = translation_covariant_effect(h, (t[10], t[30]), grid)
-        e_shift = translation_covariant_effect(h, (t[10] + a, t[30] + a), grid)
-        np.testing.assert_allclose(
-            u @ e @ u.conj().T, e_shift, atol=1e-10
-        )
-
-    def test_rotating_directions_do_not_commute(self):
-        grid = self_dual_grid(64)
-        y = grid.positions()
-        h = np.stack([np.cos(y), np.sin(y)], axis=1).astype(complex)
-        t = grid.momenta()
-        ex = translation_covariant_effect(h, (t[5], t[20]), grid)
-        ey = translation_covariant_effect(h, (t[30], t[45]), grid)
-        assert np.linalg.norm(ex @ ey - ey @ ex, 2) > 1e-3
-
-    def test_interval_outside_grid_rejected(self):
-        grid = self_dual_grid(32)
-        h = np.ones((grid.n, 1), dtype=complex)
-        with pytest.raises(ValueError, match="outside"):
-            translation_covariant_effect(h, (1e6, 2e6), grid)
-
-    def test_degenerate_interval_rejected(self):
-        grid = self_dual_grid(32)
-        h = np.ones((grid.n, 1), dtype=complex)
-        t = grid.momenta()
-        for lo, hi in ((t[4], t[4]), (t[5], t[4])):
-            with pytest.raises(ValueError, match="degenerate"):
-                translation_covariant_effect(h, (lo, hi), grid)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            difference_cell(2, constant_pair_vectors(2), 1.0, 0.5)
 
 
 class TestGridFourier:

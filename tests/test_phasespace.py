@@ -7,7 +7,6 @@ from covpom.hilbert import (
     RectCell,
     check_pom_axioms,
     make_state,
-    pure_state,
     spectral_norm,
 )
 from covpom.abelian import FiniteAbelianGroup, Subgroup, coset_action, verify_covariance
@@ -383,7 +382,7 @@ class TestMargins:
 
 class TestFiniteWeyl:
     def test_d2_ground_state_effects(self):
-        t = pure_state([1, 0])
+        t = make_state([(1.0, [1, 0])])
         pom = finite_weyl_pom(2, t)
         assert len(pom.effects) == 4
         for eff in pom.effects:
@@ -393,9 +392,6 @@ class TestFiniteWeyl:
 
     def test_maximally_mixed_gives_flat_effects(self):
         d = 3
-        t = pure_state(np.eye(d)[0])
-        from covpom.hilbert import make_state
-
         mixed = make_state([(1.0 / d, np.eye(d)[i]) for i in range(d)])
         pom = finite_weyl_pom(d, mixed)
         for eff in pom.effects:
@@ -405,7 +401,7 @@ class TestFiniteWeyl:
     def test_axioms_and_exact_covariance(self, d):
         rng = np.random.default_rng(d)
         vec = rng.normal(size=d) + 1j * rng.normal(size=d)
-        t = pure_state(vec)
+        t = make_state([(1.0, vec)])
         pom = finite_weyl_pom(d, t)
         report = check_pom_axioms(pom, 1e-13)
         assert report.passed, report
@@ -429,7 +425,7 @@ class TestFiniteWeyl:
         for _ in range(20):
             v1 = rng.normal(size=d) + 1j * rng.normal(size=d)
             v2 = rng.normal(size=d) + 1j * rng.normal(size=d)
-            t1, t2 = pure_state(v1), pure_state(v2)
+            t1, t2 = make_state([(1.0, v1)]), make_state([(1.0, v2)])
             if spectral_norm(t1.op - t2.op) < 1e-6:
                 continue
             p1 = finite_weyl_pom(d, t1)
@@ -442,4 +438,4 @@ class TestFiniteWeyl:
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError, match="dimension"):
-            finite_weyl_pom(1, pure_state([1.0]))
+            finite_weyl_pom(1, make_state([(1.0, [1.0])]))

@@ -16,17 +16,13 @@ from covpom.posmom import (
     WindowLeakageError,
     distinction_compare,
     distribution,
-    noncommutativity_witness,
     regular_decomposition,
     resolution_limit,
     resolution_product,
     sharpness_test,
-    smeared_effect,
-    smeared_pom,
-    smeared_profile,
     uncertainty_product,
 )
-from oracles import dense_fourier_matrix, direct_fourier
+from oracles import dense_fourier_matrix, direct_fourier, smeared_effect, smeared_profile
 
 # frozen oracle: the half-mass window of a standard normal has length
 # 2 * norm.ppf(3/4) = 1.3489795003921634
@@ -202,11 +198,12 @@ class TestSmearedEffects:
             SmearedObservable("position", ProbMeasure1D.point(99.0), grid)
 
     def test_pom_partition_axioms(self):
-        from covpom.hilbert import check_pom_axioms
+        from covpom.hilbert import check_pom_axioms, partition_pom
 
         g = symmetric_grid(128, 10.0)
         obs = SmearedObservable("position", gaussian_measure(g, sigma=0.6), g)
-        pom = smeared_pom(obs, [-2.0, -0.5, 0.5, 2.0])
+        bounds = [-np.inf, -2.0, -0.5, 0.5, 2.0, np.inf]
+        pom = partition_pom("smeared", bounds, lambda lo, hi: smeared_effect(obs, (lo, hi)), ".6g")
         report = check_pom_axioms(pom, 1e-9)
         assert report.passed, report
 
@@ -508,15 +505,6 @@ class TestCoexistenceDiagnostics:
         eq = smeared_effect(pos, (-np.inf, np.inf))
         ep = smeared_effect(mom, (0.0, 1.0))
         assert np.linalg.norm(eq @ ep - ep @ eq, 2) < 1e-10
-
-    def test_noncommutativity_witness_report(self):
-        g = symmetric_grid(256, 12.0)
-        rho = gaussian_measure(g, sigma=0.4)
-        nu = gaussian_measure(g, sigma=0.4)
-        rep = noncommutativity_witness(rho, nu, g, n_samples=6, seed=1)
-        assert rep.passed
-        assert rep.max_norm > 1e-4
-        assert rep.min_norm <= rep.max_norm
 
 
 class TestInjectivity:

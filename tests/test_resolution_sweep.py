@@ -5,8 +5,8 @@ replaced (``oracles.bisection_gamma``), against its own returned window, and
 against every candidate window of a shorter length.  Batched window masses are
 checked against ``window_mass_sup`` one width at a time, and the profile that
 ``smeared gamma --out`` writes against its formula; the density CDF model
-for continuity, monotonicity and its error on a Gaussian; the matrix-free
-commutator norm against a dense one.  The mass lookups, ``window_mass_sup``
+for continuity, monotonicity and its error on a Gaussian; the Lanczos norm of
+a smeared position-momentum commutator against a dense one.  The mass lookups, ``window_mass_sup``
 and ``distribution`` are checked bit for bit against the forms that looked
 each point up more than once (``oracles``).
 """
@@ -25,21 +25,21 @@ from scipy.stats import norm
 import covpom
 from covpom.cli import PROFILE_POINTS, main
 from covpom.grids import symmetric_grid
-from covpom.hilbert import make_state
+from covpom.hilbert import _lanczos_norm, make_state
 from covpom.phasespace import hermite_wavefunction, margins_of_GT
 from covpom.posmom import (
     ProbMeasure1D,
     SmearedObservable,
     distribution,
-    noncommutativity_witness,
     resolution_limit,
-    smeared_profile,
 )
 from oracles import (
     bisection_gamma,
     blocked_window_mass_sup,
     gathered_mass_below,
+    momentum_multiplier,
     per_cell_distribution,
+    smeared_profile,
 )
 
 seeds = st.integers(0, 2**32 - 1)
@@ -377,26 +377,32 @@ class TestSimpson:
 class TestCommutatorNorm:
     @pytest.mark.parametrize("n", [64, 256, 512])
     def test_matches_dense_eigvalsh(self, n):
+        # i [E_Q(X), E_P(Y)] is Hermitian, its spectrum in +- pairs; Lanczos from a fixed start
+        # must find the largest modulus, the commutator norm
         grid = symmetric_grid(n, 12.0)
-        rho = ProbMeasure1D.gaussian(grid, 0.0, 0.4)
-        nu = ProbMeasure1D.gaussian(grid, 0.0, 0.6)
-        rep = noncommutativity_witness(rho, nu, grid, n_samples=3, seed=n)
-        norms = []
-        for pos, mom in (rep.min_pair, rep.max_pair):
-            a, _ = smeared_profile(SmearedObservable("position", rho, grid), pos)
-            m, _ = smeared_profile(SmearedObservable("momentum", nu, grid), mom)
-            comm = 1j * np.subtract.outer(a, a) * grid.momentum_multiplier(m)
-            norms.append(np.max(np.abs(np.linalg.eigvalsh(comm))))
-        assert rep.min_norm == pytest.approx(norms[0], rel=1e-10)
-        assert rep.max_norm == pytest.approx(norms[1], rel=1e-10)
+        pos = SmearedObservable("position", ProbMeasure1D.gaussian(grid, 0.0, 0.4), grid)
+        mom = SmearedObservable("momentum", ProbMeasure1D.gaussian(grid, 0.0, 0.6), grid)
+        rng = np.random.default_rng(n)
+        start = np.random.default_rng(0).standard_normal(n)
+        half_q, half_p = grid.length / 4, np.pi / grid.dx / 4
+        for _ in range(3):
+            a, c = rng.uniform(-half_q, half_q / 2), rng.uniform(-half_p, half_p / 2)
+            q, _ = smeared_profile(pos, (a, a + rng.uniform(0.2, half_q / 2)))
+            p, _ = smeared_profile(mom, (c, c + rng.uniform(0.2, half_p / 2)))
+            comm = 1j * np.subtract.outer(q, q) * momentum_multiplier(grid, p)
+            want = np.max(np.abs(np.linalg.eigvalsh(comm)))
+            assert want > 1e-4
+            assert _lanczos_norm(comm.dot, start) == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("n", [16, 128])
     def test_matrix_free_product(self, n):
+        # the circulant's eigenvalues, the DFT of its first column, are the profile rolled by n/2
+        # (the (-1)^k signs shift the DFT index by n/2), so it acts on v by two FFTs
         grid = symmetric_grid(n, 6.0)
         rng = np.random.default_rng(n)
         prof = rng.uniform(size=n)
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         np.testing.assert_allclose(
-            grid.apply_momentum_multiplier(prof, v), grid.momentum_multiplier(prof) @ v,
+            np.fft.ifft(np.roll(prof, n // 2) * np.fft.fft(v)), momentum_multiplier(grid, prof) @ v,
             rtol=0, atol=1e-13,
         )
