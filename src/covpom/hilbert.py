@@ -238,10 +238,12 @@ def make_state(spectral: Sequence[Tuple[float, Iterable[complex]]]) -> State:
     """The mixture sum_i w_i |v_i><v_i| / ||v_i||^2, weights renormalised, as a factor state.
 
     Vectors need not be orthogonal or independent: the state is V V* with
-    V = [sqrt(w_i / sum w) v_i / ||v_i||], and the thin SVD V = U diag(s) Y* gives its
-    factor (s^2, U), cut at s_0 max(dim, r) eps; no dim x dim matrix is formed.  Raises
-    on a negative or non-finite weight, zero total weight, dimension mismatch, a
-    non-finite entry or a zero vector.
+    V = [sqrt(w_i / sum w) v_i / ||v_i||].  Unit vectors orthonormal to rounding
+    (|<u_i, u_j> - delta_ij| <= max(dim, r) eps) are its factor as given, with weights
+    w_i / sum w; otherwise the thin SVD V = U diag(s) Y* gives the factor (s^2, U).
+    Weights below w_max (max(dim, r) eps)^2 are cut; no dim x dim matrix is formed.
+    Raises on a negative or non-finite weight, zero total weight, dimension mismatch,
+    a non-finite entry or a zero vector.
     """
     if not spectral:
         raise ValueError("empty spectral data")
@@ -263,10 +265,16 @@ def make_state(spectral: Sequence[Tuple[float, Iterable[complex]]]) -> State:
     norms = np.linalg.norm(mat, axis=0)
     if not norms.all():
         raise ValueError("zero vector in spectral data")
-    factor = mat * (np.sqrt(weights / total) / norms)
-    vecs, sing, _ = np.linalg.svd(factor, full_matrices=False)
-    power = sing[sing > sing[0] * max(factor.shape) * np.finfo(float).eps] ** 2
-    return State(power / power.sum(), vecs.T[: power.size])
+    unit = mat / norms
+    power = weights / total
+    rounding = max(mat.shape) * np.finfo(float).eps
+    vecs = unit
+    if np.abs(unit.conj().T @ unit - np.eye(power.size)).max() > rounding:
+        vecs, sing, _ = np.linalg.svd(unit * np.sqrt(power), full_matrices=False)
+        power = sing**2
+    keep = power > power.max() * rounding**2
+    power = power[keep]
+    return State(power / power.sum(), vecs.T[keep])
 
 
 def _fill_stack(mats: Iterable[np.ndarray], count: int) -> np.ndarray:
